@@ -14,8 +14,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import data_io, evaluate
 from .errors import (
     ContractViolation,
@@ -24,7 +22,7 @@ from .errors import (
     UnsupportedConfiguration,
 )
 from .graph import build_knn_graph, edges_csv
-from .solver import SolverConfig, fit, load_model, predict, save_model
+from .solver import SolverConfig, fit, load_model, save_model
 from .spaces import (
     ChainSequenceSpace,
     MulticlassSpace,
@@ -61,44 +59,37 @@ def _add_graph_flags(p):
                    help="Gaussian bandwidth (default: median squared edge distance)")
 
 
-def _peek_records(path):
-    records = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def _build_space(args, data_path):
-    """Construct the output space from flags, inferring sizes from data."""
-    records = _peek_records(data_path)
-    if not records:
-        raise DataFormatError(f"{data_path}: no records")
-    x0 = np.asarray(records[0]["x"], dtype=float)
-    dim = int(x0.shape[-1])
+def _build_space(args, records):
+    """Construct the output space from flags, inferring sizes from records."""
+    _, x0, _ = next(iter(records.values()))
+    dim = int(x0.shape[-1]) if x0.ndim else 1
+    ys = [y for _, _, y in records.values() if y is not None]
     if args.space == "multiclass":
-        classes = args.classes
-        if classes is None:
-            labels = [r["y"] for r in records if r.get("y") is not None]
-            if not labels:
-                raise ContractViolation(
-                    "cannot infer --classes from a fully unlabeled file"
-                )
-            classes = max(labels) + 1
-        return MulticlassSpace(classes, dim)
+        labels = [y for y in ys if isinstance(y, int)]
+        return MulticlassSpace(_label_count(args.classes, labels, "--classes"), dim)
     if args.space == "taxonomy":
         if not args.taxonomy:
             raise ContractViolation("--taxonomy <file> is required for this space")
         return TaxonomySpace(data_io.load_taxonomy(args.taxonomy), dim)
-    alphabet = args.alphabet
-    if alphabet is None:
-        labels = [v for r in records if r.get("y") is not None for v in r["y"]]
-        if not labels:
-            raise ContractViolation("cannot infer --alphabet from a fully unlabeled file")
-        alphabet = max(labels) + 1
-    return ChainSequenceSpace(alphabet, dim, loss=args.loss or "hamming")
+    labels = [v for y in ys if isinstance(y, list) for v in y if isinstance(v, int)]
+    return ChainSequenceSpace(_label_count(args.alphabet, labels, "--alphabet"), dim,
+                              loss=args.loss or "hamming")
+
+
+def _label_count(given, labels, flag):
+    if given is not None:
+        return given
+    if not labels:
+        raise ContractViolation(f"cannot infer {flag} from a file without labels")
+    return max(labels) + 1
+
+
+def _load_training_data(args):
+    """Parse the data file once into the output space and labeled dataset."""
+    records = data_io.read_records(args.data)
+    space = _build_space(args, records)
+    ds = data_io.dataset_from_records(records, args.data, space, require_labeled=True)
+    return space, ds
 
 
 def _solver_config(args):
@@ -146,8 +137,7 @@ def cmd_synth(args):
 
 def cmd_fit(args):
     out = _out_dir(args)
-    space = _build_space(args, args.data)
-    ds = data_io.load_dataset(args.data, space, require_labeled=True)
+    space, ds = _load_training_data(args)
     cfg = _solver_config(args)
     g = build_knn_graph(ds, args.k, args.sigma)
     if args.dump_graph:
@@ -170,29 +160,25 @@ def cmd_predict(args):
     ds = data_io.load_dataset(args.data, space, require_labeled=False)
     path = out / "predictions.jsonl"
     with open(path, "w") as f:
-        for p in ds.points:
-            y = predict(w, p.x, space)
+        for p, y in zip(ds.points, space.argmax_score_all(w, ds.inputs)):
             f.write(json.dumps({"id": p.id, "y": space.encode(y)}) + "\n")
     print(f"wrote {len(ds.points)} predictions to {path}")
     return 0
 
 
 def _write_report(report, out):
-    (out / "report.json").write_text(evaluate.report_json(report))
-    (out / "folds.csv").write_text(evaluate.folds_csv(report))
-    paths = []
+    report.trace_paths = []
     for i, trace in enumerate(report.traces):
         p = out / f"trace_fold{i}.csv"
         p.write_text(evaluate.trace_csv(trace))
-        paths.append(p.name)
-    report.trace_paths = paths
+        report.trace_paths.append(p.name)
+    (out / "folds.csv").write_text(evaluate.folds_csv(report))
     (out / "report.json").write_text(evaluate.report_json(report))
 
 
 def cmd_cv(args):
     out = _out_dir(args)
-    space = _build_space(args, args.data)
-    ds = data_io.load_dataset(args.data, space, require_labeled=True)
+    space, ds = _load_training_data(args)
     report = evaluate.run_cv(ds, space, _solver_config(args),
                              k=args.k, sigma=args.sigma, seed=args.seed)
     _write_report(report, out)
@@ -205,8 +191,7 @@ def cmd_cv(args):
 
 def cmd_baseline(args):
     out = _out_dir(args)
-    space = _build_space(args, args.data)
-    ds = data_io.load_dataset(args.data, space, require_labeled=True)
+    space, ds = _load_training_data(args)
     report = evaluate.run_baseline_supervised(ds, space, _solver_config(args),
                                               seed=args.seed)
     _write_report(report, out)
@@ -218,8 +203,7 @@ def cmd_baseline(args):
 
 def cmd_sweep(args):
     out = _out_dir(args)
-    space = _build_space(args, args.data)
-    ds = data_io.load_dataset(args.data, space, require_labeled=True)
+    space, ds = _load_training_data(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     rows = evaluate.sweep(args.param, values, ds, space, _solver_config(args),
                           k=args.k, sigma=args.sigma, seed=args.seed)

@@ -14,9 +14,9 @@ pure function, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,10 +65,10 @@ class Dataset:
     def unlabeled_ids(self):
         return [p.id for p in self.points if p.y is None]
 
-    @property
-    def input_dim(self):
-        """Trailing feature dimension shared by all inputs."""
-        return int(np.asarray(self.points[0].x).shape[-1])
+    @cached_property
+    def inputs(self) -> list:
+        """All inputs in id order."""
+        return [p.x for p in self.points]
 
 
 class OutputSpace(ABC):
@@ -84,8 +84,6 @@ class OutputSpace(ABC):
         length m of feature vectors returned by ``phi``
     ``input_ndim``
         1 for flat inputs, 2 for per-position sequence inputs
-    ``enumerable``
-        whether the full candidate set can always be listed
 
     ``delta`` must satisfy ``delta(y, y) == 0`` and ``delta(y1, y2) >= 0``.
     Every argmax/argmin oracle breaks ties toward the smallest canonical
@@ -96,7 +94,6 @@ class OutputSpace(ABC):
 
     kind: str = ""
     input_ndim: int = 1
-    enumerable: bool = True
     dim: int = 0
 
     # --- loss and features -------------------------------------------------
@@ -141,18 +138,13 @@ class OutputSpace(ABC):
 
     # --- inference oracles -------------------------------------------------
     #
-    # The defaults below do exhaustive linear search over ``outputs(x)``;
-    # non-enumerable spaces override them with dynamic programs.
+    # The defaults below do exhaustive linear search over ``outputs(x)``,
+    # taking the first best candidate.
 
     def argmax_score(self, w, x):
         """Output maximizing the matching score w . phi(x, y)."""
         w = as_weights(w, self.dim)
-        best, best_val = None, -math.inf
-        for y in self.outputs(x):
-            v = float(np.dot(w, self.phi(x, y)))
-            if v > best_val:
-                best, best_val = y, v
-        return best
+        return max(self.outputs(x), key=lambda y: float(np.dot(w, self.phi(x, y))))
 
     def argmax_loss_augmented(self, w, x, z):
         """Most violating output against reference ``z``.
@@ -161,14 +153,11 @@ class OutputSpace(ABC):
         maximizer together with the objective value at it (the constant
         ``-w . phi(x, z)`` term included).
         """
-        w = as_weights(w, self.dim)
-        sz = float(np.dot(w, self.phi(x, z)))
-        best, best_val = None, -math.inf
-        for y in self.outputs(x):
-            v = float(np.dot(w, self.phi(x, y))) - sz + self.delta(y, z)
-            if v > best_val:
-                best, best_val = y, v
-        return best, best_val
+        def value(y):
+            return loss_augmented_value(w, x, z, y, self)
+
+        best = max(self.outputs(x), key=value)
+        return best, value(best)
 
     def argmin_slack(self, w, x, upsilon, neighbors, c1):
         """Minimizer of the per-point slack objective.
@@ -180,12 +169,42 @@ class OutputSpace(ABC):
         """
         if c1 <= 0:
             raise ContractViolation(f"c1 must be positive, got {c1}")
-        best, best_val = None, math.inf
-        for y in self.outputs(x):
-            v = slack_objective_value(w, x, upsilon, neighbors, c1, y, self)
-            if v < best_val:
-                best, best_val = y, v
-        return best
+        return min(self.outputs(x),
+                   key=lambda y: slack_objective_value(w, x, upsilon, neighbors, c1, y, self))
+
+    # --- whole-array forms: the solver calls only these, with lists of inputs
+    # and outputs. The defaults loop over the scalar methods above.
+
+    def argmax_score_all(self, w, xs) -> list:
+        """:meth:`argmax_score` of every input."""
+        return [self.argmax_score(w, x) for x in xs]
+
+    def argmax_loss_augmented_all(self, w, xs, zs) -> list:
+        """Maximizers of :meth:`argmax_loss_augmented`, one per input."""
+        return [self.argmax_loss_augmented(w, x, z)[0] for x, z in zip(xs, zs)]
+
+    def argmin_slack_all(self, w, xs, upsilons, neighbors, c1) -> list:
+        """:meth:`argmin_slack` of every point. ``neighbors`` is a triple
+        ``(owner, weight, outputs)``: term ``e`` adds ``weight[e] * delta(y,
+        outputs[e])`` to the objective of point ``owner[e]`` (an index into
+        ``xs``). Each point's terms keep their order."""
+        terms = [[] for _ in xs]
+        for i, omega, z in zip(*neighbors):
+            terms[i].append((float(omega), z))
+        return [self.argmin_slack(w, *args, c1) for args in zip(xs, upsilons, terms)]
+
+    def delta_sum(self, ys1, ys2, weights=None) -> float:
+        """``sum_i weights[i] * delta(ys1[i], ys2[i])``, unit weights if omitted."""
+        weights = [1.0] * len(ys1) if weights is None else weights
+        return float(sum(c * self.delta(a, b) for c, a, b in zip(weights, ys1, ys2)))
+
+    def phi_diff_sum(self, xs, ys, zs) -> np.ndarray:
+        """``sum_i phi(xs[i], ys[i]) - phi(xs[i], zs[i])``."""
+        acc = np.zeros(self.dim)
+        for x, y, z in zip(xs, ys, zs):
+            if y != z:  # the difference is exactly zero
+                acc += self.phi(x, y) - self.phi(x, z)
+        return acc
 
 
 def as_weights(w, dim):

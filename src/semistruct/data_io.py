@@ -41,14 +41,9 @@ NUM_LABELED_FOLDS = 2
 # --- dataset files ----------------------------------------------------------
 
 
-def load_dataset(path, space, require_labeled=False) -> Dataset:
-    """Parse and validate a JSONL dataset file.
-
-    Rejects duplicate or non-contiguous ids, ragged or mis-shaped inputs and
-    outputs not in the space, naming the offending line. ``require_labeled``
-    additionally demands at least one labeled point (prediction inputs may
-    legitimately have none).
-    """
+def read_records(path) -> list:
+    """Parse a JSONL dataset file into ``{id: (line, x, raw y)}`` in file
+    order, checking all that needs no output space; errors name the line."""
     records = {}
     with open(path) as f:
         for ln, line in enumerate(f, 1):
@@ -70,34 +65,43 @@ def load_dataset(path, space, require_labeled=False) -> Dataset:
                 x = np.asarray(rec["x"], dtype=float)
             except (ValueError, TypeError):
                 raise DataFormatError(f"{path}:{ln}: ragged or non-numeric x") from None
-            if x.ndim != space.input_ndim:
-                raise DataFormatError(
-                    f"{path}:{ln}: x has {x.ndim} dimension(s), "
-                    f"space expects {space.input_ndim}"
-                )
-            raw_y = rec.get("y")
-            if raw_y is None:
-                y = None
-            else:
-                try:
-                    y = space.decode(raw_y)
-                except ContractViolation as e:
-                    raise DataFormatError(f"{path}:{ln}: bad output: {e}") from None
-                if not space.contains(y, x=x):
-                    raise DataFormatError(
-                        f"{path}:{ln}: output {raw_y!r} is not valid for this input"
-                    )
-            records[pid] = DataPoint(pid, x, y)
-
+            records[pid] = (ln, x, rec.get("y"))
     if not records:
         raise DataFormatError(f"{path}: no records")
-    n = len(records)
-    if sorted(records) != list(range(n)):
-        missing = sorted(set(range(n)) - set(records))[:5]
+    return records
+
+
+def dataset_from_records(records, path, space, require_labeled=False) -> Dataset:
+    """Decode :func:`read_records` output into a validated dataset of
+    ``space``. ``require_labeled`` additionally demands at least one labeled
+    point (prediction inputs may legitimately have none)."""
+    points = {}
+    for pid, (ln, x, raw_y) in records.items():
+        if x.ndim != space.input_ndim:
+            raise DataFormatError(
+                f"{path}:{ln}: x has {x.ndim} dimension(s), "
+                f"space expects {space.input_ndim}"
+            )
+        if raw_y is None:
+            y = None
+        else:
+            try:
+                y = space.decode(raw_y)
+            except ContractViolation as e:
+                raise DataFormatError(f"{path}:{ln}: bad output: {e}") from None
+            if not space.contains(y, x=x):
+                raise DataFormatError(
+                    f"{path}:{ln}: output {raw_y!r} is not valid for this input"
+                )
+        points[pid] = DataPoint(pid, x, y)
+
+    n = len(points)
+    if sorted(points) != list(range(n)):
+        missing = sorted(set(range(n)) - set(points))[:5]
         raise DataFormatError(
             f"{path}: ids must be contiguous from 0 (missing {missing}, n={n})"
         )
-    ds = Dataset(tuple(records[i] for i in range(n)), space_id=space.kind)
+    ds = Dataset(tuple(points[i] for i in range(n)), space_id=space.kind)
 
     report = validate_dataset(ds, space)
     problems = [
@@ -107,6 +111,12 @@ def load_dataset(path, space, require_labeled=False) -> Dataset:
     if problems:
         raise DataFormatError(f"{path}: " + "; ".join(problems))
     return ds
+
+
+def load_dataset(path, space, require_labeled=False) -> Dataset:
+    """Parse and validate a JSONL dataset file; see :func:`read_records`
+    and :func:`dataset_from_records`."""
+    return dataset_from_records(read_records(path), path, space, require_labeled)
 
 
 def save_dataset(ds: Dataset, path, space):
@@ -134,30 +144,16 @@ def load_taxonomy(path) -> Taxonomy:
     if not isinstance(nodes, list) or not nodes:
         raise DataFormatError(f"{path}: expected an object with a 'nodes' list")
     try:
-        nodes = sorted(nodes, key=lambda nd: nd["id"])
-        ids = [nd["id"] for nd in nodes]
-        if ids != list(range(len(nodes))):
-            raise DataFormatError(f"{path}: node ids must be contiguous from 0")
-        parents = tuple(nd["parent"] for nd in nodes)
-        names = tuple(str(nd.get("name", i)) for i, nd in enumerate(nodes))
+        return Taxonomy.from_nodes(nodes)
     except (KeyError, TypeError):
         raise DataFormatError(f"{path}: each node needs 'id' and 'parent'") from None
-    try:
-        return Taxonomy(parents, names)
     except ContractViolation as e:
         raise DataFormatError(f"{path}: {e}") from None
 
 
 def save_taxonomy(tree: Taxonomy, path):
-    names = tree.names or tuple(str(i) for i in range(len(tree)))
-    doc = {
-        "nodes": [
-            {"id": i, "parent": tree.parents[i], "name": names[i]}
-            for i in range(len(tree))
-        ]
-    }
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
+        json.dump({"nodes": tree.to_nodes()}, f, indent=2)
         f.write("\n")
 
 

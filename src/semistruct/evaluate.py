@@ -16,13 +16,13 @@ from __future__ import annotations
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .core import Dataset, validate_dataset
 from .data_io import NUM_FOLDS, make_folds, mask_labels
-from .errors import ContractViolation, Diverged
+from .errors import ContractViolation, Diverged, SemistructError
 from .graph import NeighborGraph, build_knn_graph
-from .solver import SolverConfig, config_echo, fit, predict
+from .solver import SolverConfig, config_echo, fit
 
 SWEEP_PARAMS = ("c1", "c2")
 
@@ -35,7 +35,7 @@ def asl(predictions, truths, space) -> float:
         )
     if not predictions:
         raise ContractViolation("cannot average over an empty set")
-    return sum(space.delta(p, t) for p, t in zip(predictions, truths)) / len(predictions)
+    return space.delta_sum(predictions, truths) / len(predictions)
 
 
 @dataclass
@@ -90,14 +90,7 @@ class EvalReport:
             "solver": self.solver,
             "graph": self.graph,
             "folds": [
-                {
-                    "fold": f.fold,
-                    "test_asl": f.test_asl,
-                    "transductive_asl": f.transductive_asl,
-                    "diverged": f.diverged,
-                    "error": f.error,
-                }
-                for f in self.folds
+                {k: v for k, v in asdict(f).items() if k != "seconds"} for f in self.folds
             ],
             "mean_test_asl": self.mean_test_asl,
             "mean_transductive_asl": self.mean_transductive_asl,
@@ -134,10 +127,45 @@ def trace_csv(trace) -> str:
     return buf.getvalue()
 
 
-def _require_valid(ds, space):
-    report = validate_dataset(ds, space)
-    if not report.ok:
-        raise ContractViolation("invalid dataset: " + "; ".join(report.violations))
+def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> EvalReport:
+    """Ten-fold run shared by the learner and its baseline.
+
+    Per fold, ``prepare(split)`` returns the training set and graph, and
+    ``transductive(state, split, ids)`` the fit's outputs for the masked
+    train points ``ids``. A diverging fold is recorded and the run continues.
+    """
+    valid = validate_dataset(ds, space)
+    if not valid.ok:
+        raise ContractViolation("invalid dataset: " + "; ".join(valid.violations))
+    plan = make_folds(ds, seed)
+    report = EvalReport(method, space.kind, seed, config_echo(cfg), graph)
+    for run in range(NUM_FOLDS):
+        split = mask_labels(ds, plan, run)
+        masked_ids = sorted(split.masked_truth)
+        start = time.perf_counter()
+        fold = FoldResult(fold=run)
+        try:
+            train, g = prepare(split)
+            state = fit(train, g, space, cfg)
+        except Diverged as e:
+            fold.diverged = True
+            fold.error = str(e)
+            report.traces.append(list(e.state.trace) if e.state else [])
+        else:
+            fold.test_asl = asl(
+                space.argmax_score_all(state.w, split.test.inputs),
+                [p.y for p in split.test.points],
+                space,
+            )
+            fold.transductive_asl = asl(
+                transductive(state, split, masked_ids),
+                [split.masked_truth[i] for i in masked_ids],
+                space,
+            )
+            report.traces.append(list(state.trace))
+        fold.seconds = time.perf_counter() - start
+        report.folds.append(fold)
+    return report
 
 
 def run_cv(ds, space, cfg: SolverConfig, k=5, sigma=None, seed=0) -> EvalReport:
@@ -145,44 +173,13 @@ def run_cv(ds, space, cfg: SolverConfig, k=5, sigma=None, seed=0) -> EvalReport:
 
     Per fold: mask, build the neighbor graph over the train inputs, fit,
     then score the test fold inductively and the masked points
-    transductively. A diverging fold is recorded and the run continues.
+    transductively, by their final slack outputs.
     """
-    _require_valid(ds, space)
-    plan = make_folds(ds, seed)
-    report = EvalReport(
-        method="graph-regularized",
-        space_kind=space.kind,
-        seed=seed,
-        solver=config_echo(cfg),
-        graph={"k": k, "sigma": sigma},
+    return _fold_loop(
+        ds, space, cfg, seed, "graph-regularized", {"k": k, "sigma": sigma},
+        prepare=lambda split: (split.train, build_knn_graph(split.train, k, sigma)),
+        transductive=lambda state, split, ids: [state.z[i] for i in ids],
     )
-    for run in range(NUM_FOLDS):
-        split = mask_labels(ds, plan, run)
-        start = time.perf_counter()
-        fold = FoldResult(fold=run)
-        try:
-            g = build_knn_graph(split.train, k, sigma)
-            state = fit(split.train, g, space, cfg)
-        except Diverged as e:
-            fold.diverged = True
-            fold.error = str(e)
-            report.traces.append(list(e.state.trace) if e.state else [])
-            fold.seconds = time.perf_counter() - start
-            report.folds.append(fold)
-            continue
-        preds = [predict(state.w, p.x, space) for p in split.test.points]
-        truths = [p.y for p in split.test.points]
-        fold.test_asl = asl(preds, truths, space)
-        masked_ids = sorted(split.masked_truth)
-        fold.transductive_asl = asl(
-            [state.z[i] for i in masked_ids],
-            [split.masked_truth[i] for i in masked_ids],
-            space,
-        )
-        fold.seconds = time.perf_counter() - start
-        report.folds.append(fold)
-        report.traces.append(list(state.trace))
-    return report
 
 
 def run_baseline_supervised(ds, space, cfg: SolverConfig, seed=0) -> EvalReport:
@@ -194,45 +191,22 @@ def run_baseline_supervised(ds, space, cfg: SolverConfig, seed=0) -> EvalReport:
     predictions on the dropped points, since no slack outputs exist for
     them.
     """
-    _require_valid(ds, space)
-    plan = make_folds(ds, seed)
-    report = EvalReport(
-        method="supervised-baseline",
-        space_kind=space.kind,
-        seed=seed,
-        solver=config_echo(cfg),
-        graph={"k": None, "sigma": None},
-    )
-    for run in range(NUM_FOLDS):
-        split = mask_labels(ds, plan, run)
-        masked_ids = sorted(split.masked_truth)
+
+    def prepare(split):
         labeled = [p for p in split.train.points if p.y is not None]
-        base_ds = Dataset(
+        train = Dataset(
             tuple(replace(p, id=i) for i, p in enumerate(labeled)),
             split.train.space_id,
         )
-        start = time.perf_counter()
-        fold = FoldResult(fold=run)
-        try:
-            state = fit(base_ds, NeighborGraph.empty(len(labeled)), space, cfg)
-        except Diverged as e:
-            fold.diverged = True
-            fold.error = str(e)
-            report.traces.append(list(e.state.trace) if e.state else [])
-            fold.seconds = time.perf_counter() - start
-            report.folds.append(fold)
-            continue
-        preds = [predict(state.w, p.x, space) for p in split.test.points]
-        fold.test_asl = asl(preds, [p.y for p in split.test.points], space)
-        fold.transductive_asl = asl(
-            [predict(state.w, split.train.points[i].x, space) for i in masked_ids],
-            [split.masked_truth[i] for i in masked_ids],
-            space,
-        )
-        fold.seconds = time.perf_counter() - start
-        report.folds.append(fold)
-        report.traces.append(list(state.trace))
-    return report
+        return train, NeighborGraph.empty(len(labeled))
+
+    def transductive(state, split, ids):
+        return space.argmax_score_all(state.w, [split.train.inputs[i] for i in ids])
+
+    return _fold_loop(
+        ds, space, cfg, seed, "supervised-baseline", {"k": None, "sigma": None},
+        prepare, transductive,
+    )
 
 
 @dataclass
@@ -246,8 +220,9 @@ def sweep(param, values, ds, space, base_cfg: SolverConfig,
           k=5, sigma=None, seed=0) -> list:
     """Cross-validated mean test score for each tradeoff value.
 
-    ``param`` is "c1" or "c2". Failures for individual values are recorded
-    and the sweep continues. Note a swept c2 also moves the default step
+    ``param`` is "c1" or "c2". A value whose run fails with a package error
+    (an invalid setting, say) is recorded and the sweep continues; any other
+    exception propagates. Note a swept c2 also moves the default step
     size, which stays at 1 / c2 unless the base config pins eta.
     """
     if param not in SWEEP_PARAMS:
@@ -260,7 +235,7 @@ def sweep(param, values, ds, space, base_cfg: SolverConfig,
         try:
             rep = run_cv(ds, space, cfg, k=k, sigma=sigma, seed=seed)
             rows.append(SweepRow(float(v), rep.mean_test_asl))
-        except Exception as e:  # keep sweeping past bad configurations
+        except SemistructError as e:  # keep sweeping past bad configurations
             rows.append(SweepRow(float(v), None, str(e)))
     return rows
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -60,15 +59,6 @@ class NeighborGraph:
     def __len__(self):
         return len(self.src)
 
-    @cached_property
-    def _terms(self):
-        out = [[] for _ in range(self.n)]
-        inn = [[] for _ in range(self.n)]
-        for s, t, w in zip(self.src, self.dst, self.weight):
-            out[int(s)].append((float(w), int(t)))
-            inn[int(t)].append((float(w), int(s)))
-        return tuple(tuple(out[i] + inn[i]) for i in range(self.n))
-
 
 def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
     """Connect each point to its k nearest neighbors.
@@ -109,22 +99,34 @@ def manifold_term(g: NeighborGraph, z, space) -> float:
     """
     if len(z) != g.n:
         raise ContractViolation(f"got {len(z)} outputs for a graph over {g.n} nodes")
-    total = 0.0
-    for s, t, w in zip(g.src, g.dst, g.weight):
-        total += float(w) * space.delta(z[int(s)], z[int(t)])
-    return total
+    return space.delta_sum([z[s] for s in g.src.tolist()],
+                           [z[t] for t in g.dst.tolist()], g.weight)
+
+
+def neighbor_terms(g: NeighborGraph, nodes):
+    """Neighbor terms of ``nodes`` (increasing ids) over both edge directions.
+
+    Returns arrays ``(owner, neighbor, weight)``; term ``e`` joins
+    ``nodes[owner[e]]`` to ``neighbor[e]``. Per node, out-edges come first,
+    then in-edges, each in edge order. Folding both directions together is
+    valid because every shipped loss is symmetric.
+    """
+    member = np.zeros(g.n, dtype=bool)
+    member[nodes] = True
+    owner = np.concatenate([g.src, g.dst])
+    kept = np.flatnonzero(member[owner])
+    kept = kept[np.argsort(owner[kept], kind="stable")]
+    rank = np.cumsum(member) - 1
+    return (rank[owner[kept]], np.concatenate([g.dst, g.src])[kept],
+            np.concatenate([g.weight, g.weight])[kept])
 
 
 def neighbor_terms_for(g: NeighborGraph, i):
-    """Weighted neighbor list of node ``i`` covering both edge directions.
-
-    Returns ``(weight, neighbor_id)`` pairs for the out-edges of i followed
-    by its in-edges. Folding both directions into one list is valid because
-    every shipped loss is symmetric.
-    """
+    """``(weight, neighbor_id)`` pairs of node ``i``; see :func:`neighbor_terms`."""
     if not 0 <= i < g.n:
         raise ContractViolation(f"node id {i} out of range for graph of size {g.n}")
-    return list(g._terms[i])
+    _, neighbor, weight = neighbor_terms(g, [i])
+    return list(zip(weight.tolist(), neighbor.tolist()))
 
 
 def edges_csv(g: NeighborGraph) -> str:

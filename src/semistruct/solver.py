@@ -19,14 +19,13 @@ points are pinned to their true outputs throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import matching_score
 from .errors import ContractViolation, Diverged, UnsupportedConfiguration
-from .graph import manifold_term, neighbor_terms_for, point_vector
+from .graph import manifold_term, neighbor_terms, point_vector
 from .spaces import space_from_config
 
 Z_INIT_STRATEGIES = ("nearest-labeled", "uniform-random")
@@ -50,7 +49,6 @@ class SolverConfig:
     max_iters: int = 50
     seed: int = 0
     z_init: str = "nearest-labeled"
-    gauss_seidel: bool = False  # read freshly updated neighbors within an iteration
 
     @property
     def step_size(self) -> float:
@@ -152,29 +150,29 @@ def update_upsilon(state, ds, space, cfg) -> list:
     Runs loss-augmented inference for all points, labeled included; the
     loss bound sums over the whole training set. Independent of c1 and c2.
     """
-    return [
-        space.argmax_loss_augmented(state.w, p.x, state.z[p.id])[0] for p in ds.points
-    ]
+    return space.argmax_loss_augmented_all(state.w, ds.inputs, state.z)
 
 
 def update_slack(state, ds, g, space, cfg) -> list:
     """One sweep of slack-output updates.
 
     Labeled points keep their true output. Each unlabeled point minimizes
-    its local objective against the neighbors' previous-iteration outputs
-    (or the freshly updated ones when ``cfg.gauss_seidel`` is set).
+    its local objective against the neighbors' previous-iteration outputs.
     """
-    prev = list(state.z)
-    new = list(prev)
-    lookup = new if cfg.gauss_seidel else prev
-    for p in ds.points:
-        if p.y is not None:
-            new[p.id] = p.y
-            continue
-        neighbors = [(omega, lookup[j]) for omega, j in neighbor_terms_for(g, p.id)]
-        new[p.id] = space.argmin_slack(
-            state.w, p.x, state.upsilon[p.id], neighbors, cfg.c1
-        )
+    free = ds.unlabeled_ids
+    owner, neighbor, weight = neighbor_terms(g, free)
+    moved = space.argmin_slack_all(
+        state.w,
+        [ds.inputs[i] for i in free],
+        [state.upsilon[i] for i in free],
+        (owner, weight, [state.z[j] for j in neighbor]),
+        cfg.c1,
+    )
+    new = list(state.z)
+    for i in ds.labeled_ids:
+        new[i] = ds.points[i].y
+    for i, y in zip(free, moved):
+        new[i] = y
     return new
 
 
@@ -185,12 +183,7 @@ def update_weights(state, ds, space, cfg) -> np.ndarray:
     phi(x_i, z_i))`` with the most-violating and slack outputs held fixed.
     """
     eta = cfg.step_size
-    acc = np.zeros(space.dim)
-    for p in ds.points:
-        ups, z = state.upsilon[p.id], state.z[p.id]
-        if ups == z:
-            continue  # feature difference is exactly zero
-        acc += space.phi(p.x, ups) - space.phi(p.x, z)
+    acc = space.phi_diff_sum(ds.inputs, state.upsilon, state.z)
     with np.errstate(over="ignore", invalid="ignore"):
         w_new = (1.0 - eta * cfg.c2) * state.w - eta * cfg.c1 * acc
     if not np.all(np.isfinite(w_new)):
@@ -203,29 +196,18 @@ def update_weights(state, ds, space, cfg) -> np.ndarray:
     return w_new
 
 
-def loss_bound(state, ds, space) -> float:
-    """Margin upper bound on the prediction loss against the slack outputs."""
-    total = 0.0
-    for p in ds.points:
-        ups, z = state.upsilon[p.id], state.z[p.id]
-        if ups == z:
-            continue
-        total += (
-            matching_score(state.w, p.x, ups, space)
-            - matching_score(state.w, p.x, z, space)
-            + space.delta(ups, z)
-        )
-    return total
-
-
 def objective(state, ds, g, space, cfg) -> ObjectiveParts:
     """All objective components at the current state.
 
-    The loss component uses the most-violating outputs as stored on the
-    state, so refresh them first when measuring a new ``(w, z)`` pair.
+    The loss component is the margin upper bound on the prediction loss
+    against the slack outputs, ``w . sum_i (phi(x_i, ups_i) - phi(x_i,
+    z_i)) + sum_i delta(ups_i, z_i)``. It uses the most-violating outputs as
+    stored on the state, so refresh them first when measuring a new
+    ``(w, z)`` pair.
     """
     m = manifold_term(g, state.z, space)
-    l = loss_bound(state, ds, space)
+    diff = space.phi_diff_sum(ds.inputs, state.upsilon, state.z)
+    l = float(np.dot(state.w, diff)) + space.delta_sum(state.upsilon, state.z)
     r = 0.5 * float(np.dot(state.w, state.w))
     return ObjectiveParts(m, l, r, m + cfg.c1 * l + cfg.c2 * r)
 
@@ -263,16 +245,7 @@ MODEL_FORMAT = "semistruct-model/1"
 
 
 def config_echo(cfg: SolverConfig) -> dict:
-    return {
-        "c1": cfg.c1,
-        "c2": cfg.c2,
-        "eta": cfg.eta,
-        "eta_effective": cfg.step_size,
-        "max_iters": cfg.max_iters,
-        "seed": cfg.seed,
-        "z_init": cfg.z_init,
-        "gauss_seidel": cfg.gauss_seidel,
-    }
+    return {**asdict(cfg), "eta_effective": cfg.step_size}
 
 
 def save_model(path, state: SolverState, space, cfg: SolverConfig):

@@ -2,7 +2,7 @@
 
 Each space fixes a canonical output encoding, a joint feature map, a
 structured loss and the three inference oracles. The multiclass and taxonomy
-spaces enumerate their (small, finite) output sets; the chain space answers
+spaces are finite label spaces with matrix oracles; the chain space answers
 score and Hamming-coupled queries with dynamic programs and falls back to
 capped enumeration for the non-decomposable whole-sequence zero-one loss.
 """
@@ -10,6 +10,7 @@ capped enumeration for the non-decomposable whole-sequence zero-one loss.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +29,128 @@ def _as_flat_input(x, dim):
     return x
 
 
-class MulticlassSpace(OutputSpace):
+class FiniteLabelSpace(OutputSpace):
+    """Outputs from a finite label list, fixed by three things.
+
+    ``labels``: the outputs (non-negative ints) in tie-break order; the 0/1
+    incidence ``A`` (labels x feature blocks): ``phi(x, y) = kron(A[row(y)],
+    x)``; the loss matrix ``L``: ``delta(y1, y2) = L[row(y1), row(y2)]``.
+    With the weights as a blocks x input_dim matrix ``W``, the label scores
+    of inputs ``X`` are ``X (A W)^T``, so every oracle is a few matrix
+    operations over a whole batch; the scalar oracles run them on one input.
+    """
+
+    input_ndim = 1
+
+    def __init__(self, labels, incidence, loss_matrix, input_dim):
+        if input_dim < 1:
+            raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
+        self.labels = tuple(int(y) for y in labels)
+        self.incidence = np.asarray(incidence, dtype=np.int8)
+        self.loss_matrix = np.asarray(loss_matrix, dtype=float)
+        self.input_dim = int(input_dim)
+        self.dim = self.incidence.shape[1] * self.input_dim
+        self._label_of = np.asarray(self.labels)
+        # label -> row; -1 for non-members, last entry included (see _rows)
+        self._row_of = np.full(max(self.labels) + 2, -1)
+        self._row_of[self._label_of] = np.arange(len(self.labels))
+
+    def _rows(self, ys):
+        """Row of every output in ``ys``; ContractViolation if one is not a member."""
+        try:
+            a = np.asarray(ys)
+        except ValueError:  # ragged nesting, so not a flat list of labels
+            a = np.empty((0, 0))
+        if a.ndim == 1 and (a.dtype.kind in "iu" or a.size == 0):
+            rows = self._row_of[np.clip(a.astype(int), -1, len(self._row_of) - 1)]
+            if np.all(rows >= 0):
+                return rows
+        raise ContractViolation(
+            f"{reprlib.repr(ys)} holds a value that is not a {self.kind} output"
+        )
+
+    def _inputs(self, xs):
+        X = np.asarray(xs, dtype=float).reshape(-1, self.input_dim)
+        if X.shape[0] != len(xs):
+            raise ContractViolation(f"inputs must have length {self.input_dim}")
+        return X
+
+    def _scores(self, w, xs):
+        """``S[i, r] = w . phi(xs[i], labels[r])``."""
+        W = as_weights(w, self.dim).reshape(-1, self.input_dim)
+        return self._inputs(xs) @ (self.incidence @ W).T
+
+    def contains(self, y, x=None):
+        try:
+            self._rows([y])
+        except ContractViolation:
+            return False
+        return True
+
+    def phi(self, x, y):
+        return np.kron(self.incidence[self._rows([y])[0]],
+                       _as_flat_input(x, self.input_dim))
+
+    def delta(self, y1, y2):
+        r1, r2 = self._rows([y1, y2])
+        return float(self.loss_matrix[r1, r2])
+
+    def outputs(self, x=None):
+        return self.labels
+
+    def random_output(self, x, rng):
+        return self.labels[int(rng.integers(len(self.labels)))]
+
+    def decode(self, value):
+        if not (isinstance(value, int) and self.contains(value)):
+            raise ContractViolation(f"{value!r} is not a {self.kind} output")
+        return value
+
+    def argmax_score_all(self, w, xs):
+        return self._label_of[np.argmax(self._scores(w, xs), axis=1)].tolist()
+
+    def argmax_loss_augmented_all(self, w, xs, zs):
+        S = self._scores(w, xs)
+        rz = self._rows(zs)
+        V = S - S[np.arange(len(rz)), rz][:, None] + self.loss_matrix[rz]
+        return self._label_of[np.argmax(V, axis=1)].tolist()
+
+    def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
+        if c1 <= 0:
+            raise ContractViolation(f"c1 must be positive, got {c1}")
+        owner, weight, outputs = neighbors
+        # edge-weighted histogram of the neighbors' labels, one row per point
+        hist = np.zeros((len(xs), len(self.labels)))
+        np.add.at(hist, (np.asarray(owner, dtype=int), self._rows(outputs)), weight)
+        cost = hist @ self.loss_matrix.T + c1 * (
+            self.loss_matrix[self._rows(upsilons)] - self._scores(w, xs)
+        )
+        return self._label_of[np.argmin(cost, axis=1)].tolist()
+
+    def delta_sum(self, ys1, ys2, weights=None):
+        losses = self.loss_matrix[self._rows(ys1), self._rows(ys2)]
+        return float(losses.sum() if weights is None else np.dot(weights, losses))
+
+    def phi_diff_sum(self, xs, ys, zs):
+        D = np.subtract(self.incidence[self._rows(ys)], self.incidence[self._rows(zs)],
+                        dtype=float)
+        return (D.T @ self._inputs(xs)).ravel()
+
+    def argmax_score(self, w, x):
+        return self.argmax_score_all(w, _as_flat_input(x, self.input_dim)[None])[0]
+
+    def argmax_loss_augmented(self, w, x, z):
+        x = _as_flat_input(x, self.input_dim)
+        y = self.argmax_loss_augmented_all(w, x[None], [z])[0]
+        return y, loss_augmented_value(w, x, z, y, self)
+
+    def argmin_slack(self, w, x, upsilon, neighbors, c1):
+        terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
+        x = _as_flat_input(x, self.input_dim)
+        return self.argmin_slack_all(w, x[None], [upsilon], terms, c1)[0]
+
+
+class MulticlassSpace(FiniteLabelSpace):
     """Flat classification with a one-hot block feature map.
 
     Outputs are class indices ``0 .. num_classes-1``. The joint feature
@@ -39,51 +161,13 @@ class MulticlassSpace(OutputSpace):
     """
 
     kind = "multiclass"
-    input_ndim = 1
-    enumerable = True
 
     def __init__(self, num_classes, input_dim):
         if num_classes < 2:
             raise ContractViolation(f"need at least 2 classes, got {num_classes}")
-        if input_dim < 1:
-            raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
         self.num_classes = int(num_classes)
-        self.input_dim = int(input_dim)
-        self.dim = self.num_classes * self.input_dim
-
-    def contains(self, y, x=None):
-        return (
-            isinstance(y, (int, np.integer))
-            and not isinstance(y, bool)
-            and 0 <= int(y) < self.num_classes
-        )
-
-    def _check_member(self, y):
-        if not self.contains(y):
-            raise ContractViolation(f"{y!r} is not a class index in [0, {self.num_classes})")
-        return int(y)
-
-    def phi(self, x, y):
-        x = _as_flat_input(x, self.input_dim)
-        k = self._check_member(y)
-        out = np.zeros(self.dim)
-        out[k * self.input_dim : (k + 1) * self.input_dim] = x
-        return out
-
-    def delta(self, y1, y2):
-        a, b = self._check_member(y1), self._check_member(y2)
-        return 0.0 if a == b else 1.0
-
-    def outputs(self, x=None):
-        return range(self.num_classes)
-
-    def random_output(self, x, rng):
-        return int(rng.integers(self.num_classes))
-
-    def decode(self, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ContractViolation(f"multiclass output must be an int, got {value!r}")
-        return self._check_member(value)
+        eye = np.eye(self.num_classes)
+        super().__init__(range(self.num_classes), eye, 1.0 - eye, input_dim)
 
     def config(self):
         return {
@@ -127,6 +211,20 @@ class Taxonomy:
 
     def __len__(self):
         return len(self.parents)
+
+    @classmethod
+    def from_nodes(cls, nodes):
+        """Tree from ``[{"id", "parent", "name"?}, ...]``, ids contiguous from 0."""
+        nodes = sorted(nodes, key=lambda nd: nd["id"])
+        if [nd["id"] for nd in nodes] != list(range(len(nodes))):
+            raise ContractViolation("taxonomy node ids must be contiguous from 0")
+        return cls(tuple(nd["parent"] for nd in nodes),
+                   tuple(str(nd.get("name", i)) for i, nd in enumerate(nodes)))
+
+    def to_nodes(self) -> list:
+        """JSON-ready node list; inverse of :meth:`from_nodes`."""
+        names = self.names or tuple(str(i) for i in range(len(self)))
+        return [{"id": i, "parent": p, "name": names[i]} for i, p in enumerate(self.parents)]
 
     @cached_property
     def root(self):
@@ -193,7 +291,7 @@ def three_level_taxonomy(branches=3, leaves_per_branch=5):
     return Taxonomy(tuple(parents), tuple(names))
 
 
-class TaxonomySpace(OutputSpace):
+class TaxonomySpace(FiniteLabelSpace):
     """Hierarchical classification over the leaves of a rooted tree.
 
     Outputs are leaf node ids. The feature vector has one block per tree
@@ -205,63 +303,21 @@ class TaxonomySpace(OutputSpace):
     """
 
     kind = "taxonomy"
-    input_ndim = 1
-    enumerable = True
 
     def __init__(self, tree: Taxonomy, input_dim):
-        if input_dim < 1:
-            raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
         self.tree = tree
-        self.input_dim = int(input_dim)
-        self.dim = len(tree) * self.input_dim
-        self._leaf_set = frozenset(tree.leaves)
-
-    def contains(self, y, x=None):
-        return (
-            isinstance(y, (int, np.integer))
-            and not isinstance(y, bool)
-            and int(y) in self._leaf_set
-        )
-
-    def _check_member(self, y):
-        if not self.contains(y):
-            raise ContractViolation(f"{y!r} is not a leaf of the taxonomy")
-        return int(y)
-
-    def phi(self, x, y):
-        x = _as_flat_input(x, self.input_dim)
-        leaf = self._check_member(y)
-        out = np.zeros(self.dim)
-        d = self.input_dim
-        for node in self.tree.paths[leaf]:
-            out[node * d : (node + 1) * d] = x
-        return out
-
-    def delta(self, y1, y2):
-        a, b = self._check_member(y1), self._check_member(y2)
-        return float(self.tree.heights[self.tree.first_common_ancestor(a, b)])
-
-    def outputs(self, x=None):
-        return iter(self.tree.leaves)
-
-    def random_output(self, x, rng):
-        return int(self.tree.leaves[int(rng.integers(len(self.tree.leaves)))])
-
-    def decode(self, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ContractViolation(f"taxonomy output must be an int node id, got {value!r}")
-        return self._check_member(value)
+        leaves = tree.leaves
+        paths = np.zeros((len(leaves), len(tree)))
+        for row, leaf in enumerate(leaves):
+            paths[row, list(tree.paths[leaf])] = 1.0
+        heights = [
+            [tree.heights[tree.first_common_ancestor(a, b)] for b in leaves]
+            for a in leaves
+        ]
+        super().__init__(leaves, paths, heights, input_dim)
 
     def config(self):
-        names = self.tree.names or tuple(str(i) for i in range(len(self.tree)))
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "nodes": [
-                {"id": i, "parent": self.tree.parents[i], "name": names[i]}
-                for i in range(len(self.tree))
-            ],
-        }
+        return {"kind": self.kind, "input_dim": self.input_dim, "nodes": self.tree.to_nodes()}
 
 
 class ChainSequenceSpace(OutputSpace):
@@ -281,7 +337,6 @@ class ChainSequenceSpace(OutputSpace):
 
     kind = "chain"
     input_ndim = 2
-    enumerable = False
 
     LOSS_MODES = ("hamming", "zero-one")
 
@@ -482,12 +537,7 @@ def space_from_config(cfg: dict) -> OutputSpace:
     if kind == "multiclass":
         return MulticlassSpace(cfg["num_classes"], cfg["input_dim"])
     if kind == "taxonomy":
-        nodes = sorted(cfg["nodes"], key=lambda n: n["id"])
-        if [n["id"] for n in nodes] != list(range(len(nodes))):
-            raise ContractViolation("taxonomy node ids must be contiguous from 0")
-        parents = tuple(n["parent"] for n in nodes)
-        names = tuple(str(n.get("name", i)) for i, n in enumerate(nodes))
-        return TaxonomySpace(Taxonomy(parents, names), cfg["input_dim"])
+        return TaxonomySpace(Taxonomy.from_nodes(cfg["nodes"]), cfg["input_dim"])
     if kind == "chain":
         return ChainSequenceSpace(
             cfg["num_labels"],

@@ -187,3 +187,21 @@ def test_divergence_exit_code(tmp_path):
         "--seed", "1", "--out", str(tmp_path / "div"),
     )
     assert code == 2
+
+
+def test_truncated_record_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "truncated.jsonl"
+    bad.write_text('{"id": 0, "x": [1, 2], "y": 0}\n{"id": 1, "x": [0, 1], "y"\n')
+    code = _run("fit", "--data", str(bad), "--space", "multiclass",
+                "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"error: {bad}:2: invalid JSON" in capsys.readouterr().err
+
+
+def test_record_without_input_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "no_x.jsonl"
+    bad.write_text('{"id": 0, "y": 0}\n{"id": 1, "x": [0, 1], "y": 1}\n')
+    code = _run("cv", "--data", str(bad), "--space", "multiclass",
+                "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"error: {bad}:1: record needs 'id' and 'x' fields" in capsys.readouterr().err

@@ -263,3 +263,14 @@ def test_run_cv_on_taxonomy_blobs():
     root_height = tree.heights[tree.root]
     for f in report.folds:
         assert 0.0 <= f.test_asl <= root_height
+
+
+def test_sweep_propagates_programming_errors(blob_setup, monkeypatch):
+    ds, space, cfg = blob_setup
+
+    def broken_run_cv(*args, **kwargs):
+        raise TypeError("a bug, not a bad setting")
+
+    monkeypatch.setattr(ev, "run_cv", broken_run_cv)
+    with pytest.raises(TypeError):
+        ev.sweep("c1", [1.0], ds, space, cfg)

@@ -180,9 +180,9 @@ def test_slack_never_moves_labeled_points(tiny):
     assert z[0] == 0 and z[2] == 1
 
 
-def test_gauss_seidel_reads_freshly_updated_neighbors():
-    # chain of pulls 0 -> 1 -> 2: Jacobi lets node 2 see only the stale
-    # value of node 1, Gauss-Seidel propagates the flip within one sweep
+def test_slack_reads_previous_iteration_neighbors():
+    # chain of pulls 0 -> 1 -> 2: node 1 flips to its labeled neighbor's
+    # output, but node 2 sees only node 1's value from before the sweep
     space = MulticlassSpace(2, 1)
     ds = _dataset([[0.0], [0.0], [0.0]], [1, None, None])
     g = NeighborGraph(
@@ -194,10 +194,7 @@ def test_gauss_seidel_reads_freshly_updated_neighbors():
         weight=np.array([5.0, 3.0]),
     )
     state = SolverState(w=np.zeros(space.dim), z=[1, 0, 0], upsilon=[0, 0, 0])
-    jacobi = update_slack(state, ds, g, space, SolverConfig(c1=1.0))
-    seidel = update_slack(state, ds, g, space, SolverConfig(c1=1.0, gauss_seidel=True))
-    assert jacobi == [1, 1, 0]
-    assert seidel == [1, 1, 1]
+    assert update_slack(state, ds, g, space, SolverConfig(c1=1.0)) == [1, 1, 0]
 
 
 def test_weight_update_shrinks_when_outputs_agree(tiny):
