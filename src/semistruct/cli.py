@@ -2,8 +2,9 @@
 
 Subcommands: ``synth`` (dataset generators), ``fit`` (single run producing a
 model and trace), ``predict``, ``cv``, ``baseline`` and ``sweep``. Exit
-codes: 0 on success, 1 on validation or configuration errors, 2 when the
-solver diverges.
+codes: 0 on success, 1 on validation or configuration errors and on files
+that cannot be read, 2 when the solver diverges (for ``cv`` and
+``baseline``: in every fold).
 """
 
 from __future__ import annotations
@@ -167,6 +168,7 @@ def cmd_predict(args):
 
 
 def _write_report(report, out):
+    """Write the report files; raise Diverged when no fold has a score."""
     report.trace_paths = []
     for i, trace in enumerate(report.traces):
         p = out / f"trace_fold{i}.csv"
@@ -174,6 +176,8 @@ def _write_report(report, out):
         report.trace_paths.append(p.name)
     (out / "folds.csv").write_text(evaluate.folds_csv(report))
     (out / "report.json").write_text(evaluate.report_json(report))
+    if report.failure:
+        raise Diverged(report.failure)
 
 
 def cmd_cv(args):
@@ -294,7 +298,7 @@ def main(argv=None) -> int:
     except Diverged as e:
         print(f"diverged: {e}", file=sys.stderr)
         return 2
-    except (ContractViolation, DataFormatError, UnsupportedConfiguration) as e:
+    except (ContractViolation, DataFormatError, UnsupportedConfiguration, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

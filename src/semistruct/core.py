@@ -138,60 +138,53 @@ class OutputSpace(ABC):
 
     # --- inference oracles -------------------------------------------------
     #
-    # The defaults below do exhaustive linear search over ``outputs(x)``,
-    # taking the first best candidate.
-
-    def argmax_score(self, w, x):
-        """Output maximizing the matching score w . phi(x, y)."""
-        w = as_weights(w, self.dim)
-        return max(self.outputs(x), key=lambda y: float(np.dot(w, self.phi(x, y))))
-
-    def argmax_loss_augmented(self, w, x, z):
-        """Most violating output against reference ``z``.
-
-        Maximizes ``w . (phi(x, y) - phi(x, z)) + delta(y, z)``. Returns the
-        maximizer together with the objective value at it (the constant
-        ``-w . phi(x, z)`` term included).
-        """
-        def value(y):
-            return loss_augmented_value(w, x, z, y, self)
-
-        best = max(self.outputs(x), key=value)
-        return best, value(best)
-
-    def argmin_slack(self, w, x, upsilon, neighbors, c1):
-        """Minimizer of the per-point slack objective.
-
-        ``neighbors`` is a list of ``(weight, output)`` pairs covering both
-        edge directions; ``upsilon`` is the current most-violating output.
-        Minimizes ``sum_nb weight * delta(y, output) + c1 * (-w . phi(x, y)
-        + delta(upsilon, y))``.
-        """
-        if c1 <= 0:
-            raise ContractViolation(f"c1 must be positive, got {c1}")
-        return min(self.outputs(x),
-                   key=lambda y: slack_objective_value(w, x, upsilon, neighbors, c1, y, self))
-
-    # --- whole-array forms: the solver calls only these, with lists of inputs
-    # and outputs. The defaults loop over the scalar methods above.
+    # A space answers the whole-array forms; the solver calls only these, with
+    # lists of inputs and outputs. The defaults do exhaustive search over
+    # ``outputs(x)``, taking the first best candidate.
 
     def argmax_score_all(self, w, xs) -> list:
-        """:meth:`argmax_score` of every input."""
-        return [self.argmax_score(w, x) for x in xs]
+        """Output maximizing the matching score ``w . phi(x, y)``, per input."""
+        return [max(self.outputs(x), key=lambda y: matching_score(w, x, y, self)) for x in xs]
 
     def argmax_loss_augmented_all(self, w, xs, zs) -> list:
-        """Maximizers of :meth:`argmax_loss_augmented`, one per input."""
-        return [self.argmax_loss_augmented(w, x, z)[0] for x, z in zip(xs, zs)]
+        """Most violating output against each reference ``zs[i]``: the
+        maximizer of ``w . (phi(x, y) - phi(x, z)) + delta(y, z)``."""
+        return [max(self.outputs(x), key=lambda y: loss_augmented_value(w, x, z, y, self))
+                for x, z in zip(xs, zs)]
 
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1) -> list:
-        """:meth:`argmin_slack` of every point. ``neighbors`` is a triple
-        ``(owner, weight, outputs)``: term ``e`` adds ``weight[e] * delta(y,
-        outputs[e])`` to the objective of point ``owner[e]`` (an index into
-        ``xs``). Each point's terms keep their order."""
+        """Minimizer of the per-point slack objective ``sum_nb weight *
+        delta(y, output) + c1 * (-w . phi(x, y) + delta(upsilon, y))`` of
+        every point. ``neighbors`` is a triple ``(owner, weight, outputs)``:
+        term ``e`` adds ``weight[e] * delta(y, outputs[e])`` to the objective
+        of point ``owner[e]`` (an index into ``xs``). Each point's terms keep
+        their order."""
+        if c1 <= 0:
+            raise ContractViolation(f"c1 must be positive, got {c1}")
         terms = [[] for _ in xs]
         for i, omega, z in zip(*neighbors):
             terms[i].append((float(omega), z))
-        return [self.argmin_slack(w, *args, c1) for args in zip(xs, upsilons, terms)]
+        return [
+            min(self.outputs(x),
+                key=lambda y: slack_objective_value(w, x, upsilon, nb, c1, y, self))
+            for x, upsilon, nb in zip(xs, upsilons, terms)
+        ]
+
+    def argmax_score(self, w, x):
+        """:meth:`argmax_score_all` of one input."""
+        return self.argmax_score_all(w, [x])[0]
+
+    def argmax_loss_augmented(self, w, x, z):
+        """:meth:`argmax_loss_augmented_all` of one input, with the objective
+        value at it (the constant ``-w . phi(x, z)`` term included)."""
+        y = self.argmax_loss_augmented_all(w, [x], [z])[0]
+        return y, loss_augmented_value(w, x, z, y, self)
+
+    def argmin_slack(self, w, x, upsilon, neighbors, c1):
+        """:meth:`argmin_slack_all` of one input; ``neighbors`` is a list of
+        ``(weight, output)`` pairs covering both edge directions."""
+        terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
+        return self.argmin_slack_all(w, [x], [upsilon], terms, c1)[0]
 
     def delta_sum(self, ys1, ys2, weights=None) -> float:
         """``sum_i weights[i] * delta(ys1[i], ys2[i])``, unit weights if omitted."""

@@ -13,7 +13,7 @@ class UnsupportedConfiguration(SemistructError, ValueError):
     """A space or solver configuration that cannot be executed.
 
     Raised, for example, when an inference oracle would require enumerating
-    more candidate outputs than the configured cap allows.
+    more candidate outputs than the enumeration cap allows.
     """
 
 

@@ -78,6 +78,12 @@ class EvalReport:
         return sum(1 for f in self.folds if f.diverged)
 
     @property
+    def failure(self):
+        """Why the run has no mean score (every fold diverged), or None."""
+        every = self.folds and self.folds_diverged == len(self.folds)
+        return f"all {len(self.folds)} folds diverged" if every else None
+
+    @property
     def total_seconds(self):
         return sum(f.seconds for f in self.folds)
 
@@ -234,7 +240,7 @@ def sweep(param, values, ds, space, base_cfg: SolverConfig,
         cfg = replace(base_cfg, **{param: float(v)})
         try:
             rep = run_cv(ds, space, cfg, k=k, sigma=sigma, seed=seed)
-            rows.append(SweepRow(float(v), rep.mean_test_asl))
+            rows.append(SweepRow(float(v), rep.mean_test_asl, rep.failure))
         except SemistructError as e:  # keep sweeping past bad configurations
             rows.append(SweepRow(float(v), None, str(e)))
     return rows

@@ -186,7 +186,9 @@ def update_weights(state, ds, space, cfg) -> np.ndarray:
     acc = space.phi_diff_sum(ds.inputs, state.upsilon, state.z)
     with np.errstate(over="ignore", invalid="ignore"):
         w_new = (1.0 - eta * cfg.c2) * state.w - eta * cfg.c1 * acc
-    if not np.all(np.isfinite(w_new)):
+        # finite exactly when every weight is and ||w||^2 does not overflow
+        norm2 = np.dot(w_new, w_new)
+    if not np.isfinite(norm2):
         raise Diverged(
             f"non-finite model weights at iteration {state.iteration + 1} "
             f"(step size too large?)",

@@ -5,6 +5,7 @@ structured loss and the three inference oracles. The multiclass and taxonomy
 spaces are finite label spaces with matrix oracles; the chain space answers
 score and Hamming-coupled queries with dynamic programs and falls back to
 capped enumeration for the non-decomposable whole-sequence zero-one loss.
+The dynamic programs run batched, once per group of equal-length inputs.
 """
 
 from __future__ import annotations
@@ -16,17 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import OutputSpace, as_weights, loss_augmented_value
+from .core import OutputSpace, as_weights
 from .errors import ContractViolation, UnsupportedConfiguration
 
-DEFAULT_ENUMERATION_CAP = 4096
-
-
-def _as_flat_input(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != dim:
-        raise ContractViolation(f"input has shape {x.shape}, expected ({dim},)")
-    return x
+# most candidate sequences the zero-one oracles enumerate per input
+ENUMERATION_CAP = 4096
 
 
 class FiniteLabelSpace(OutputSpace):
@@ -37,7 +32,7 @@ class FiniteLabelSpace(OutputSpace):
     x)``; the loss matrix ``L``: ``delta(y1, y2) = L[row(y1), row(y2)]``.
     With the weights as a blocks x input_dim matrix ``W``, the label scores
     of inputs ``X`` are ``X (A W)^T``, so every oracle is a few matrix
-    operations over a whole batch; the scalar oracles run them on one input.
+    operations over a whole batch.
     """
 
     input_ndim = 1
@@ -70,10 +65,10 @@ class FiniteLabelSpace(OutputSpace):
         )
 
     def _inputs(self, xs):
-        X = np.asarray(xs, dtype=float).reshape(-1, self.input_dim)
-        if X.shape[0] != len(xs):
-            raise ContractViolation(f"inputs must have length {self.input_dim}")
-        return X
+        X = np.asarray(xs, dtype=float)
+        if len(xs) and X.shape != (len(xs), self.input_dim):
+            raise ContractViolation(f"inputs must have shape ({self.input_dim},)")
+        return X.reshape(len(xs), self.input_dim)
 
     def _scores(self, w, xs):
         """``S[i, r] = w . phi(xs[i], labels[r])``."""
@@ -88,8 +83,7 @@ class FiniteLabelSpace(OutputSpace):
         return True
 
     def phi(self, x, y):
-        return np.kron(self.incidence[self._rows([y])[0]],
-                       _as_flat_input(x, self.input_dim))
+        return np.kron(self.incidence[self._rows([y])[0]], self._inputs([x])[0])
 
     def delta(self, y1, y2):
         r1, r2 = self._rows([y1, y2])
@@ -135,19 +129,6 @@ class FiniteLabelSpace(OutputSpace):
         D = np.subtract(self.incidence[self._rows(ys)], self.incidence[self._rows(zs)],
                         dtype=float)
         return (D.T @ self._inputs(xs)).ravel()
-
-    def argmax_score(self, w, x):
-        return self.argmax_score_all(w, _as_flat_input(x, self.input_dim)[None])[0]
-
-    def argmax_loss_augmented(self, w, x, z):
-        x = _as_flat_input(x, self.input_dim)
-        y = self.argmax_loss_augmented_all(w, x[None], [z])[0]
-        return y, loss_augmented_value(w, x, z, y, self)
-
-    def argmin_slack(self, w, x, upsilon, neighbors, c1):
-        terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
-        x = _as_flat_input(x, self.input_dim)
-        return self.argmin_slack_all(w, x[None], [upsilon], terms, c1)[0]
 
 
 class MulticlassSpace(FiniteLabelSpace):
@@ -332,7 +313,7 @@ class ChainSequenceSpace(OutputSpace):
     solvable by dynamic programming. ``loss="zero-one"`` is 1 whenever the
     sequences differ; it does not decompose, so the loss-coupled oracles
     enumerate candidates and refuse inputs whose candidate count exceeds
-    ``enumeration_cap``.
+    ``ENUMERATION_CAP``.
     """
 
     kind = "chain"
@@ -340,20 +321,16 @@ class ChainSequenceSpace(OutputSpace):
 
     LOSS_MODES = ("hamming", "zero-one")
 
-    def __init__(self, num_labels, input_dim, loss="hamming",
-                 enumeration_cap=DEFAULT_ENUMERATION_CAP):
+    def __init__(self, num_labels, input_dim, loss="hamming"):
         if num_labels < 2:
             raise ContractViolation(f"need at least 2 labels, got {num_labels}")
         if input_dim < 1:
             raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
         if loss not in self.LOSS_MODES:
             raise ContractViolation(f"loss must be one of {self.LOSS_MODES}, got {loss!r}")
-        if enumeration_cap < 1:
-            raise ContractViolation("enumeration_cap must be >= 1")
         self.num_labels = int(num_labels)
         self.input_dim = int(input_dim)
         self.loss = loss
-        self.enumeration_cap = int(enumeration_cap)
         self.dim = self.num_labels**2 + self.num_labels * self.input_dim
 
     # --- membership and encoding -------------------------------------------
@@ -384,11 +361,8 @@ class ChainSequenceSpace(OutputSpace):
         return x
 
     def decode(self, value):
-        if not isinstance(value, list) or not value:
-            raise ContractViolation(f"chain output must be a non-empty list, got {value!r}")
-        for v in value:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ContractViolation(f"chain labels must be ints, got {v!r}")
+        if not isinstance(value, list):
+            raise ContractViolation(f"chain output must be a list, got {value!r}")
         return self._check_member(tuple(value))
 
     def encode(self, y):
@@ -400,7 +374,6 @@ class ChainSequenceSpace(OutputSpace):
             "num_labels": self.num_labels,
             "input_dim": self.input_dim,
             "loss": self.loss,
-            "enumeration_cap": self.enumeration_cap,
         }
 
     # --- features and loss ---------------------------------------------------
@@ -433,102 +406,125 @@ class ChainSequenceSpace(OutputSpace):
 
     # --- enumeration ----------------------------------------------------------
 
-    def candidate_count(self, x):
-        return self.num_labels ** self._as_seq_input(x).shape[0]
-
     def outputs(self, x=None):
         if x is None:
             raise ContractViolation("chain enumeration needs the input (its length)")
-        n = self.candidate_count(x)
-        if n > self.enumeration_cap:
-            raise UnsupportedConfiguration(
-                f"{n} candidate sequences exceed the enumeration cap "
-                f"of {self.enumeration_cap}"
-            )
         length = self._as_seq_input(x).shape[0]
+        count = self.num_labels**length
+        if count > ENUMERATION_CAP:
+            raise UnsupportedConfiguration(
+                f"{count} candidate sequences exceed the enumeration cap of {ENUMERATION_CAP}")
         return (tuple(y) for y in itertools.product(range(self.num_labels), repeat=length))
 
     def random_output(self, x, rng):
         length = self._as_seq_input(x).shape[0]
         return tuple(int(v) for v in rng.integers(self.num_labels, size=length))
 
-    # --- dynamic programs ------------------------------------------------------
+    # --- dynamic programs, batched over inputs of one length ----------------
 
-    def _score_tables(self, w, x):
-        """Split weights into transition matrix and per-position unary scores."""
-        a, d = self.num_labels, self.input_dim
-        pairwise = w[: a * a].reshape(a, a)
-        emit = w[a * a :].reshape(a, d)
-        unary = x @ emit.T  # (T, a)
-        return unary, pairwise
+    def _weight_tables(self, w):
+        """Transition matrix ``(a, a)`` and per-label emission weights ``(a, d)``."""
+        w = as_weights(w, self.dim)
+        a = self.num_labels
+        return w[: a * a].reshape(a, a), w[a * a :].reshape(a, self.input_dim)
 
     @staticmethod
-    def _best_path(unary, pairwise):
-        """Max-sum path through the chain, ties toward the smallest labels.
+    def _best_paths(unary, pairwise):
+        """Max-sum path through each chain of an ``(n, T, a)`` unary stack.
 
-        Runs the recursion backward then rebuilds the path greedily from the
-        front, so the returned sequence is the lexicographically smallest
-        maximizer.
+        Runs the recursion backward then rebuilds every path greedily from
+        the front with first-argmax ties, so each returned row is the
+        lexicographically smallest maximizer.
         """
-        length, a = unary.shape
-        best_to_go = np.empty((length, a))
-        best_to_go[length - 1] = unary[length - 1]
+        n, length, _ = unary.shape
+        best_to_go = np.empty_like(unary)
+        best_to_go[:, -1] = unary[:, -1]
         for t in range(length - 2, -1, -1):
-            best_to_go[t] = unary[t] + np.max(pairwise + best_to_go[t + 1][None, :], axis=1)
-        path = [int(np.argmax(best_to_go[0]))]
+            best_to_go[:, t] = unary[:, t] + np.max(
+                pairwise[None] + best_to_go[:, t + 1, None, :], axis=2)
+        paths = np.empty((n, length), dtype=int)
+        paths[:, 0] = np.argmax(best_to_go[:, 0], axis=1)
         for t in range(1, length):
-            path.append(int(np.argmax(pairwise[path[-1]] + best_to_go[t])))
-        return tuple(path)
+            paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + best_to_go[:, t], axis=1)
+        return paths
 
-    def argmax_score(self, w, x):
-        w = as_weights(w, self.dim)
-        x = self._as_seq_input(x)
-        unary, pairwise = self._score_tables(w, x)
-        return self._best_path(unary, pairwise)
+    def _by_length(self, xs, solve):
+        """Label tuple of every input, in input order. Calls ``solve(idx, X)``
+        once per length, ``X`` stacking the inputs ``idx`` into ``(n, T, d)``;
+        it returns their ``(n, T)`` label paths."""
+        xs = [self._as_seq_input(x) for x in xs]
+        lengths = np.array([x.shape[0] for x in xs], dtype=int)
+        out = [None] * len(xs)
+        for length in np.unique(lengths):
+            idx = np.flatnonzero(lengths == length)
+            paths = solve(idx, np.stack([xs[i] for i in idx]))
+            for i, path in zip(idx.tolist(), paths.tolist()):
+                out[i] = tuple(path)
+        return out
 
-    def argmax_loss_augmented(self, w, x, z):
-        w = as_weights(w, self.dim)
-        x = self._as_seq_input(x)
-        z = self._check_member(z)
-        if len(z) != x.shape[0]:
-            raise ContractViolation("reference output length does not match the input")
-        if self.loss == "zero-one":
-            # whole-sequence loss does not decompose; enumerate under the cap
-            return super().argmax_loss_augmented(w, x, z)
-        unary, pairwise = self._score_tables(w, x)
-        aug = unary + 1.0
-        aug[np.arange(len(z)), np.asarray(z)] -= 1.0  # no reward for matching positions
-        y = self._best_path(aug, pairwise)
-        return y, loss_augmented_value(w, x, z, y, self)
+    def _stack(self, ys, length, what):
+        """Outputs of one length as an ``(n, length)`` label array."""
+        if any(len(y) != length for y in ys):
+            raise ContractViolation(f"{what} length does not match the input")
+        Y = np.array(ys, dtype=int).reshape(len(ys), length)
+        if Y.size and not 0 <= Y.min() <= Y.max() < self.num_labels:
+            raise ContractViolation(f"{what} holds a label outside 0..{self.num_labels - 1}")
+        return Y
 
-    def argmin_slack(self, w, x, upsilon, neighbors, c1):
+    def argmax_score_all(self, w, xs):
+        pairwise, emit = self._weight_tables(w)
+        return self._by_length(xs, lambda idx, X: self._best_paths(X @ emit.T, pairwise))
+
+    def argmax_loss_augmented_all(self, w, xs, zs):
+        if self.loss == "zero-one":  # does not decompose: enumerate under the cap
+            return super().argmax_loss_augmented_all(w, xs, zs)
+        pairwise, emit = self._weight_tables(w)
+
+        def solve(idx, X):
+            n, length, _ = X.shape
+            Z = self._stack([self._check_member(zs[i]) for i in idx], length,
+                            "reference output")
+            aug = X @ emit.T + 1.0
+            aug[np.arange(n)[:, None], np.arange(length), Z] -= 1.0  # no reward for matches
+            return self._best_paths(aug, pairwise)
+
+        return self._by_length(xs, solve)
+
+    def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
         if c1 <= 0:
             raise ContractViolation(f"c1 must be positive, got {c1}")
-        w = as_weights(w, self.dim)
-        x = self._as_seq_input(x)
-        upsilon = self._check_member(upsilon)
-        length = x.shape[0]
-        if len(upsilon) != length:
-            raise ContractViolation("upsilon length does not match the input")
-        if self.loss == "zero-one":
-            return super().argmin_slack(w, x, upsilon, neighbors, c1)
+        if self.loss == "zero-one":  # does not decompose: enumerate under the cap
+            return super().argmin_slack_all(w, xs, upsilons, neighbors, c1)
+        pairwise, emit = self._weight_tables(w)
+        owner, weight, outputs = neighbors
+        owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
+        # slot of every term among its owner's terms, in term order
+        order = np.argsort(owner, kind="stable")
+        slot = np.empty_like(owner)
+        slot[order] = np.arange(len(owner)) - np.searchsorted(owner[order], owner[order])
 
-        for _, z_nb in neighbors:
-            if len(z_nb) != length:
-                raise ContractViolation(
-                    "hamming slack update needs neighbor outputs of the same length"
-                )
-        unary, pairwise = self._score_tables(w, x)
-        a = self.num_labels
-        # position-wise costs: neighbor disagreement + model score + upsilon loss
-        cost = np.zeros((length, a))
-        for omega, z_nb in neighbors:
-            cost += omega
-            cost[np.arange(length), [int(v) for v in z_nb]] -= omega
-        cost += c1 * (1.0 - unary)
-        cost[np.arange(length), np.asarray(upsilon)] -= c1
-        y = self._best_path(-cost, c1 * pairwise)
-        return y
+        def solve(idx, X):
+            n, length, _ = X.shape
+            mine = np.flatnonzero(np.isin(owner, idx))
+            at = (np.searchsorted(idx, owner[mine]), slot[mine])
+            # slot s holds every point's s-th term; zero weight pads the rest
+            W = np.zeros((n, int(slot[mine].max(initial=-1)) + 1))
+            W[at] = weight[mine]
+            Z = np.zeros(W.shape + (length,), dtype=int)
+            Z[at] = self._stack([outputs[e] for e in mine], length, "neighbor output")
+            U = self._stack([self._check_member(upsilons[i]) for i in idx], length, "upsilon")
+            # position-wise costs: neighbor disagreement + model score + upsilon loss,
+            # the neighbor terms added one slot at a time as in a per-point loop
+            at_label = (np.arange(n)[:, None], np.arange(length))
+            cost = np.zeros((n, length, self.num_labels))
+            for s in range(W.shape[1]):
+                cost += W[:, s, None, None]
+                cost[at_label + (Z[:, s],)] -= W[:, s, None]
+            cost += c1 * (1.0 - X @ emit.T)
+            cost[at_label + (U,)] -= c1
+            return self._best_paths(-cost, c1 * pairwise)
+
+        return self._by_length(xs, solve)
 
 
 def space_from_config(cfg: dict) -> OutputSpace:
@@ -539,10 +535,7 @@ def space_from_config(cfg: dict) -> OutputSpace:
     if kind == "taxonomy":
         return TaxonomySpace(Taxonomy.from_nodes(cfg["nodes"]), cfg["input_dim"])
     if kind == "chain":
-        return ChainSequenceSpace(
-            cfg["num_labels"],
-            cfg["input_dim"],
-            loss=cfg.get("loss", "hamming"),
-            enumeration_cap=cfg.get("enumeration_cap", DEFAULT_ENUMERATION_CAP),
-        )
+        # older model files also carry an "enumeration_cap", now a constant
+        return ChainSequenceSpace(cfg["num_labels"], cfg["input_dim"],
+                                  loss=cfg.get("loss", "hamming"))
     raise ContractViolation(f"unknown space kind {kind!r}")

@@ -2,8 +2,9 @@
 
 Covers both finite label spaces on seeded random batches, on exact ties the
 tie rule must settle (zero weights, equal-weight neighbors on two labels,
-sibling leaves without neighbor mass) and on every pass of a short fit. The
-chain space's loop defaults get one seeded check as well.
+sibling leaves without neighbor mass) and on every pass of a short fit, and
+the chain space, under both losses, on batches that mix sequence lengths and
+on exact ties.
 """
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 
 from semistruct import (
     ChainSequenceSpace,
+    ContractViolation,
     DataPoint,
     Dataset,
     MulticlassSpace,
     SolverConfig,
     TaxonomySpace,
+    UnsupportedConfiguration,
     build_knn_graph,
     initialize,
     manifold_term,
@@ -191,21 +194,73 @@ def test_fit_passes_match_brute_force_every_iteration(kind):
         state.iteration += 1
 
 
-def test_chain_loop_defaults_match_brute_force():
+def _chain_draw(rng, space, length):
+    return tuple(int(v) for v in rng.integers(space.num_labels, size=length))
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_chain_whole_array_oracles_match_brute_force(loss):
+    # lengths 1-5 interleaved, so every batch spans several length groups
     rng = np.random.default_rng(229)
-    space = ChainSequenceSpace(3, 2)
-    n, length = 6, 4
-    X = rng.standard_normal((n, length, space.input_dim))
-
-    def draw():
-        return tuple(int(v) for v in rng.integers(3, size=length))
-
-    for _ in range(5):
+    space = ChainSequenceSpace(3, 2, loss=loss)
+    for _ in range(6):
+        lengths = rng.integers(1, 6, size=int(rng.integers(1, 10)))
+        X = [rng.standard_normal((int(t), space.input_dim)) for t in lengths]
         w = rng.standard_normal(space.dim)
-        zs = [draw() for _ in range(n)]
-        ups = [draw() for _ in range(n)]
+        zs = [_chain_draw(rng, space, len(x)) for x in X]
+        ups = [_chain_draw(rng, space, len(x)) for x in X]
         neighbors = [
-            [(float(rng.uniform(0.1, 1.0)), draw()) for _ in range(int(m))]
-            for m in rng.integers(0, 4, size=n)
+            [(float(rng.uniform(0.1, 1.0)), _chain_draw(rng, space, len(x)))
+             for _ in range(int(rng.integers(0, 4)))]
+            for x in X
         ]
         _check_oracles(space, w, X, zs, ups, neighbors, 0.7)
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_chain_ties_break_toward_the_smallest_sequence(loss):
+    space = ChainSequenceSpace(3, 1, loss=loss)
+    w = np.zeros(space.dim)
+    X = [np.ones((t, 1)) for t in (3, 1, 2, 3)]
+    assert space.argmax_score_all(w, X) == [(0,) * len(x) for x in X]
+    # every candidate ties in score; without neighbors only upsilon and z decide
+    zs = [(2, 1, 0), (1,), (0, 0), (1, 1, 1)]
+    _check_oracles(space, w, X, zs, zs, [[] for _ in X], 1.0)
+    # equal-weight neighbors on two outputs and upsilon on a third label: the
+    # two neighbor outputs tie (under Hamming loss, their labels tie at every
+    # position) and the smaller wins, whatever the term order
+    a, b, ups = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+    smallest = (0, 1, 0) if loss == "hamming" else a
+    for nb in ([(0.5, a), (0.5, b)], [(0.5, b), (0.5, a)]):
+        assert space.argmin_slack(w, X[0], ups, nb, 0.25) == smallest
+        _check_oracles(space, w, X[:1] * 2, [ups, a], [ups, ups], [nb, nb[::-1]], 0.25)
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_chain_whole_array_forms_reject_wrong_lengths(loss):
+    space = ChainSequenceSpace(2, 1, loss=loss)
+    w = np.zeros(space.dim)
+    X = [np.zeros((3, 1)), np.zeros((2, 1))]
+    good = [(0, 1, 0), (1, 1)]
+    assert len(space.argmax_loss_augmented_all(w, X, good)) == 2
+    assert len(space.argmin_slack_all(w, X, good, ([0, 1], [0.5, 0.5], good), 1.0)) == 2
+    with pytest.raises(ContractViolation):
+        space.argmax_loss_augmented_all(w, X, [(0, 1, 0), (1, 1, 0)])
+    with pytest.raises(ContractViolation):
+        space.argmin_slack_all(w, X, [(0, 1), (1, 1)], ([], [], []), 1.0)
+    with pytest.raises(ContractViolation):
+        space.argmin_slack_all(w, X, good, ([0, 1], [0.5, 0.5], [(0, 1, 0), (1, 1, 0)]), 1.0)
+    with pytest.raises(ContractViolation):
+        space.argmin_slack_all(w, X, good, ([], [], []), 0.0)
+
+
+def test_chain_zero_one_whole_array_forms_reject_above_cap():
+    space = ChainSequenceSpace(2, 1, loss="zero-one")
+    w = np.zeros(space.dim)
+    X = [np.zeros((2, 1)), np.zeros((13, 1))]  # 4 and 8192 candidates
+    ys = [(0, 0), (0,) * 13]
+    with pytest.raises(UnsupportedConfiguration):
+        space.argmax_loss_augmented_all(w, X, ys)
+    with pytest.raises(UnsupportedConfiguration):
+        space.argmin_slack_all(w, X, ys, ([], [], []), 1.0)
+    assert space.argmax_score_all(w, X) == [(0, 0), (0,) * 13]

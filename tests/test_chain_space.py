@@ -65,9 +65,9 @@ def test_argmax_score_zero_weights_is_all_zeros(hamming_chain_space):
 
 def test_argmax_score_beyond_cap_still_works():
     # score decomposes along the chain, so the cap never applies to it
-    space = ChainSequenceSpace(3, 2, enumeration_cap=8)
+    space = ChainSequenceSpace(3, 2)
     rng = np.random.default_rng(47)
-    x = rng.standard_normal((10, 2))
+    x = rng.standard_normal((10, 2))  # 3**10 candidates, above the cap of 4096
     y = space.argmax_score(rng.standard_normal(space.dim), x)
     assert len(y) == 10
 
@@ -120,13 +120,13 @@ def test_zero_one_oracles_match_enumeration_under_cap():
 
 
 def test_zero_one_oracles_reject_above_cap():
-    space = ChainSequenceSpace(2, 1, loss="zero-one", enumeration_cap=8)
-    x = np.zeros((5, 1))  # 32 candidates
+    space = ChainSequenceSpace(2, 1, loss="zero-one")
+    x = np.zeros((13, 1))  # 8192 candidates, above the cap of 4096
     w = np.zeros(space.dim)
     with pytest.raises(UnsupportedConfiguration):
-        space.argmax_loss_augmented(w, x, (0,) * 5)
+        space.argmax_loss_augmented(w, x, (0,) * 13)
     with pytest.raises(UnsupportedConfiguration):
-        space.argmin_slack(w, x, (0,) * 5, [], 1.0)
+        space.argmin_slack(w, x, (0,) * 13, [], 1.0)
     with pytest.raises(UnsupportedConfiguration):
         list(space.outputs(x))
 
@@ -158,9 +158,10 @@ def test_encode_decode_round_trip(hamming_chain_space):
 
 
 def test_config_round_trip():
-    space = ChainSequenceSpace(3, 2, loss="zero-one", enumeration_cap=100)
+    space = ChainSequenceSpace(3, 2, loss="zero-one")
     rebuilt = space_from_config(space.config())
     assert rebuilt.num_labels == 3
     assert rebuilt.loss == "zero-one"
-    assert rebuilt.enumeration_cap == 100
     assert rebuilt.dim == space.dim
+    # model files written before the cap became a constant still load
+    assert space_from_config({**space.config(), "enumeration_cap": 100}).dim == space.dim

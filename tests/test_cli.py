@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from semistruct.cli import main
 
 
@@ -187,6 +189,32 @@ def test_divergence_exit_code(tmp_path):
         "--seed", "1", "--out", str(tmp_path / "div"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["cv", "baseline"])
+def test_all_folds_diverged_exit_code(tmp_path, capsys, command):
+    data = _synth_blobs(tmp_path)
+    out = tmp_path / command
+    code = _run(command, "--data", str(data), "--space", "multiclass",
+                "--eta", "1e200", "--iters", "5", "--seed", "1", "--out", str(out))
+    assert code == 2
+    assert "diverged: all 10 folds diverged" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["folds_diverged"] == 10
+    assert (out / "folds.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--data", "--model", "--taxonomy"])
+def test_missing_input_file_is_a_validation_error(tmp_path, capsys, flag):
+    data = str(_synth_blobs(tmp_path))
+    missing = str(tmp_path / "missing.json")
+    argv = {
+        "--data": ["fit", "--data", missing, "--space", "multiclass"],
+        "--model": ["predict", "--model", missing, "--data", data],
+        "--taxonomy": ["fit", "--data", data, "--space", "taxonomy", "--taxonomy", missing],
+    }[flag]
+    assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
 
 
 def test_truncated_record_is_a_validation_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,7 @@ def test_run_cv_records_divergence_and_continues(blob_setup):
     assert report.folds_diverged == 10
     assert all(f.test_asl is None for f in report.folds)
     assert report.mean_test_asl is None
+    assert report.failure == "all 10 folds diverged"
     # partial traces still recorded
     assert all(len(t) >= 1 for t in report.traces)
 
@@ -184,6 +187,13 @@ def test_sweep_records_per_value_failures(blob_setup):
     assert rows[0].error is not None
     assert rows[0].mean_test_asl is None
     assert rows[1].error is None
+
+
+def test_sweep_records_all_diverged_value(blob_setup):
+    ds, space, cfg = blob_setup
+    rows = ev.sweep("c1", [1.0], ds, space, replace(cfg, eta=1e200), k=3, seed=21)
+    assert rows[0].mean_test_asl is None
+    assert rows[0].error == "all 10 folds diverged"
 
 
 def test_sweep_rejects_unknown_parameter(blob_setup):
