@@ -5,6 +5,13 @@ outputs: an edge i -> j exists when j is one of i's k closest inputs by
 Euclidean distance, and its weight is ``exp(-||x_i - x_j||^2 / (2 sigma))``.
 Edges are kept directed exactly as built; both directions contribute to the
 per-point smoothing terms.
+
+Neighbors come from :func:`k_nearest`, which scans the points in row blocks
+of at most ``_BLOCK_BYTES`` of working memory each (at least one row), so
+the memory a search takes grows with block x n, never with n^2 * d. Ties in
+distance break toward the smaller id, also at the k-th place. The squared
+distances it returns, and so every edge weight and the default ``sigma``,
+are computed in the direct form ``((a - b) ** 2).sum(-1)``.
 """
 
 from __future__ import annotations
@@ -17,6 +24,10 @@ import numpy as np
 from .errors import ContractViolation
 
 
+# working memory per query block of k_nearest, as bytes
+_BLOCK_BYTES = 8 << 20
+
+
 def point_vector(x):
     """Flat vector used for neighbor distances.
 
@@ -26,6 +37,91 @@ def point_vector(x):
     """
     x = np.asarray(x, dtype=float)
     return x if x.ndim == 1 else x.mean(axis=0)
+
+
+def point_matrix(points):
+    """Point vectors of ``points`` stacked into one ``n x d`` array.
+
+    Raises ContractViolation unless every vector is flat, of one length and
+    finite, with squared distances far from overflow.
+    """
+    vectors = [point_vector(p.x) for p in points]
+    shapes = {v.shape for v in vectors}
+    if len(shapes) > 1 or any(len(s) != 1 for s in shapes):
+        raise ContractViolation(
+            f"point vectors must be flat and of one length, got shapes {sorted(shapes)}"
+        )
+    X = np.stack(vectors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # every value k_nearest computes stays below 16 max ||x||^2
+        bad = np.flatnonzero(~np.isfinite(16.0 * (X * X).sum(axis=1)))
+    if len(bad):
+        raise ContractViolation(
+            f"point {points[bad[0]].id}: vector is not finite or too large "
+            f"for squared distances"
+        )
+    return X
+
+
+def k_nearest(Q, R, k, skip_self=False):
+    """The ``k`` nearest rows of ``R`` to every row of ``Q``.
+
+    Returns ``(ids, d2)``, two ``len(Q) x k`` arrays; row ``i`` lists
+    reference ids in increasing ``(d2, id)`` order, so ties break toward the
+    smaller id, also at the k-th place. ``d2`` holds the squared distances
+    in the direct form ``((q - r) ** 2).sum(-1)``. With ``skip_self``, ``Q``
+    and ``R`` are the same points and row ``i`` never lists ``i``. Needs
+    finite points (see :func:`point_matrix`) and ``k <= len(R) - skip_self``.
+
+    Each block of query rows takes its candidates from :func:`_candidates`
+    and keeps the ``k`` best of them by direct distance, then id.
+    """
+    n, d = Q.shape
+    m = len(R)
+    center = R.mean(axis=0)
+    Rc = R - center
+    r2 = (Rc * Rc).sum(axis=1)
+    # a few (rows x m) arrays while filtering; 3 (candidates x d) in the
+    # direct form, with up to rows x m candidates
+    rows_per_block = max(1, _BLOCK_BYTES // (8 * m * (3 * d + 8)))
+    ids = np.empty((n, k), dtype=int)
+    d2 = np.empty((n, k))
+    for lo in range(0, n, rows_per_block):
+        q = Q[lo:lo + rows_per_block]
+        b = len(q)
+        self_ids = lo + np.arange(b) if skip_self else None
+        row, col = np.nonzero(_candidates(q - center, Rc, r2, k, self_ids))
+        dist = ((q[row] - R[col]) ** 2).sum(-1)
+        order = np.lexsort((col, dist, row))
+        counts = np.bincount(row, minlength=b)
+        keep = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        ids[lo:lo + b] = col[keep]
+        d2[lo:lo + b] = dist[keep]
+    return ids, d2
+
+
+def _candidates(qc, Rc, r2, k, self_ids):
+    """Mask of the references that may be among each query's ``k`` nearest.
+
+    ``qc`` and ``Rc`` are the queries and references minus one center, and
+    ``r2`` the squared norms of ``Rc``. The expanded form ``|a|^2 + |b|^2 -
+    2 a.b`` of a centered pair differs from its direct squared distance by
+    at most ``(4d + 11) u (|a|^2 + |b|^2)`` to first order in the unit
+    roundoff ``u = eps / 2``. ``margin`` is twice that for the row's query
+    and the farthest reference, plus a term for underflow. A reference is
+    kept unless its expanded form exceeds the row's k-th smallest by more
+    than two margins, so every reference whose direct distance is at most
+    the k-th smallest is kept, ties included. ``self_ids[i]``, when given,
+    is never kept for row ``i``.
+    """
+    q2 = (qc * qc).sum(axis=1)
+    approx = q2[:, None] + r2 - 2.0 * (qc @ Rc.T)
+    if self_ids is not None:
+        approx[np.arange(len(qc)), self_ids] = np.inf
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    margin = 4 * (qc.shape[1] + 4) * eps * (q2 + r2.max() + tiny)
+    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    return approx <= (kth + 2.0 * margin)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,15 +171,11 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
     if sigma is not None and sigma <= 0:
         raise ContractViolation(f"sigma must be positive, got {sigma}")
 
-    X = np.stack([point_vector(p.x) for p in ds.points])
-    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
-    np.fill_diagonal(d2, np.inf)
-
     kk = min(k, n - 1)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :kk]
+    X = point_matrix(ds.points)
+    dst, edge_d2 = k_nearest(X, X, kk, skip_self=True)
     src = np.repeat(np.arange(n), kk)
-    dst = order.ravel()
-    edge_d2 = d2[src, dst]
+    dst, edge_d2 = dst.ravel(), edge_d2.ravel()
 
     if sigma is None:
         med = float(np.median(edge_d2))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation, Diverged, UnsupportedConfiguration
-from .graph import manifold_term, neighbor_terms, point_vector
+from .graph import k_nearest, manifold_term, neighbor_terms, point_matrix
 from .spaces import space_from_config
 
 Z_INIT_STRATEGIES = ("nearest-labeled", "uniform-random")
@@ -106,42 +106,63 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
 
     Labeled points take their true output. Unlabeled points copy the output
     of the nearest labeled point (ties toward the smaller id) or draw
-    uniformly from the space, per ``cfg.z_init``.
+    uniformly from the space, per ``cfg.z_init``. Raises
+    UnsupportedConfiguration when a graph edge joins inputs of different
+    lengths or a copied output does not fit its point.
     """
     cfg.validate()
     if g.n != len(ds.points):
         raise ContractViolation(
             f"graph covers {g.n} nodes but the dataset has {len(ds.points)} points"
         )
-    labeled = [p.id for p in ds.points if p.y is not None]
+    # the shipped losses compare outputs of one length only
+    length = np.array([len(x) for x in ds.inputs])
+    bad = np.flatnonzero(length[g.src] != length[g.dst])
+    if len(bad):
+        s, t = int(g.src[bad[0]]), int(g.dst[bad[0]])
+        raise UnsupportedConfiguration(
+            f"graph edge {s} -> {t} joins inputs of lengths {length[s]} and {length[t]}; "
+            f"outputs of different lengths cannot be compared"
+        )
+    labeled = ds.labeled_ids
     if not labeled:
         raise ContractViolation("cannot initialize without labeled points")
 
-    z = [None] * len(ds.points)
     if cfg.z_init == "nearest-labeled":
-        X = np.stack([point_vector(p.x) for p in ds.points])
-        XL = X[labeled]
-        for p in ds.points:
-            if p.y is not None:
-                z[p.id] = p.y
-                continue
-            d2 = ((XL - X[p.id]) ** 2).sum(axis=1)
-            donor = ds.points[labeled[int(np.argmin(d2))]]
-            if not space.contains(donor.y, x=p.x):
-                raise UnsupportedConfiguration(
-                    f"nearest-labeled init copied an output that does not fit "
-                    f"point {p.id} (sequence lengths differ?)"
-                )
-            z[p.id] = donor.y
+        free = ds.unlabeled_ids
+        source = np.arange(len(ds.points))
+        if free:
+            X = point_matrix(ds.points)
+            nearest, _ = k_nearest(X[free], X[labeled], 1)
+            source[free] = np.asarray(labeled)[nearest[:, 0]]
+            _check_donors(ds, space, free, source[free], length[free])
+        z = [ds.points[j].y for j in source.tolist()]
     else:
         rng = np.random.default_rng((cfg.seed, _SEED_TAG_ZINIT))
-        for p in ds.points:
-            z[p.id] = p.y if p.y is not None else space.random_output(p.x, rng)
+        z = [p.y if p.y is not None else space.random_output(p.x, rng) for p in ds.points]
 
     state = SolverState(w=np.zeros(space.dim), z=z, upsilon=[], iteration=0)
     state.upsilon = update_upsilon(state, ds, space, cfg)
     state.trace.append(TraceRow(0, *objective(state, ds, g, space, cfg)))
     return state
+
+
+def _check_donors(ds, space, free, donor, length):
+    """UnsupportedConfiguration unless every copied output fits its point.
+
+    Asks ``space.contains`` once per distinct (donor, input length) pair and
+    names the first point, in id order, whose donor does not fit.
+    """
+    key = donor * (length.max() + 1) + length
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    fits = np.array([space.contains(ds.points[donor[i]].y, x=ds.inputs[free[i]])
+                     for i in first.tolist()], dtype=bool)
+    bad = np.flatnonzero(~fits[inverse])
+    if len(bad):
+        raise UnsupportedConfiguration(
+            f"nearest-labeled init copied an output that does not fit "
+            f"point {free[bad[0]]} (sequence lengths differ?)"
+        )
 
 
 def update_upsilon(state, ds, space, cfg) -> list:

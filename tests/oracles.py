@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from semistruct.graph import NeighborGraph, point_vector
+
 
 def enumerate_candidates(space, x):
     """All outputs for input ``x`` in canonical order, from first principles."""
@@ -90,3 +92,37 @@ def naive_objective(space, points, g, z, upsilon, w, c1, c2):
         )
     reg = 0.5 * float(np.dot(w, w))
     return m, loss, reg, m + c1 * loss + c2 * reg
+
+
+def brute_knn_graph(ds, k, sigma=None):
+    """Dense kNN graph: the whole ``n x n`` distance matrix, fully argsorted.
+
+    Distances come from the ``n x n x d`` difference tensor; a stable sort
+    breaks ties toward the smaller id, also at the k-th place.
+    """
+    n = len(ds.points)
+    X = np.stack([point_vector(p.x) for p in ds.points])
+    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+
+    kk = min(k, n - 1)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :kk]
+    src = np.repeat(np.arange(n), kk)
+    dst = order.ravel()
+    edge_d2 = d2[src, dst]
+
+    if sigma is None:
+        med = float(np.median(edge_d2))
+        sigma = med if med > 0 else 1.0
+    weight = np.exp(-edge_d2 / (2.0 * float(sigma)))
+    return NeighborGraph(n=n, k=k, sigma=float(sigma), src=src, dst=dst, weight=weight)
+
+
+def brute_nearest_labeled(ds):
+    """Nearest labeled point of every unlabeled point, by a per-point argmin."""
+    X = np.stack([point_vector(p.x) for p in ds.points])
+    labeled = [p.id for p in ds.points if p.y is not None]
+    return {
+        p.id: labeled[int(np.argmin(((X[labeled] - X[p.id]) ** 2).sum(axis=1)))]
+        for p in ds.points if p.y is None
+    }

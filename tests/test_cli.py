@@ -140,6 +140,27 @@ def test_chain_synth_and_fit(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("z_init", ["nearest-labeled", "uniform-random"])
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_graph_edge_across_sequence_lengths_is_a_configuration_error(
+        tmp_path, capsys, command, z_init):
+    out = tmp_path / "chain"
+    assert _run(
+        "synth", "--space", "chain", "--alphabet", "3", "--count", "40",
+        "--min-len", "4", "--max-len", "6", "--dim", "3",
+        "--seed", "0", "--out", str(out),
+    ) == 0
+    capsys.readouterr()
+    code = _run(
+        command, "--data", str(out / "data.jsonl"), "--space", "chain",
+        "--z-init", z_init, "--iters", "2", "--seed", "0", "--out", str(tmp_path / command),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: graph edge " in err
+    assert "joins inputs of lengths " in err
+
+
 def test_predict_accepts_fully_unlabeled_data(tmp_path):
     data = _synth_blobs(tmp_path)
     fit_out = tmp_path / "fit"

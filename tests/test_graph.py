@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from semistruct import (
     manifold_term,
     neighbor_terms_for,
 )
-from semistruct.graph import edges_csv, point_vector
+from semistruct import graph
+from semistruct.graph import edges_csv, k_nearest, point_vector
 
 from . import oracles
 
@@ -204,3 +206,99 @@ def test_edges_csv_layout():
         weight=np.array([0.25]),
     )
     assert edges_csv(g) == "i,j,omega\n0,1,0.25\n"
+
+
+# --- blocked search against the dense builder ----------------------------------
+
+
+def _byte_equal(a, b):
+    for name in ("src", "dst", "weight"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.sigma == b.sigma and (a.n, a.k) == (b.n, b.k)
+
+
+def _gaussian(rng, n=40):
+    return rng.standard_normal((n, 5))
+
+
+def _grid_duplicates(rng, n=40):
+    # few distinct points, so most rows tie at the k-th distance
+    return rng.integers(0, 3, (n, 3)).astype(float)
+
+
+def _offset_grid(rng, n=40):
+    # expanded-form distances lose most digits to cancellation here, and
+    # grid steps of one length differ in their last bits
+    return 1e6 + 0.1 * rng.integers(0, 4, (n, 4))
+
+
+def _two_duplicates(rng):
+    return np.array([[3.0, 1.0], [3.0, 1.0]])
+
+
+@pytest.mark.parametrize("make", [_gaussian, _grid_duplicates, _offset_grid, _two_duplicates])
+@pytest.mark.parametrize("k", ["1", "5", "n-1", "n+3"])
+def test_blocked_builder_matches_dense_builder(make, k):
+    rng = np.random.default_rng(83)
+    X = make(rng)
+    n = len(X)
+    kk = {"1": 1, "5": 5, "n-1": n - 1, "n+3": n + 3}[k]
+    ds = _flat_dataset(X.tolist())
+    _byte_equal(build_knn_graph(ds, kk), oracles.brute_knn_graph(ds, kk))
+    _byte_equal(build_knn_graph(ds, kk, sigma=0.5), oracles.brute_knn_graph(ds, kk, sigma=0.5))
+
+
+def test_blocked_builder_matches_dense_builder_on_sequences():
+    rng = np.random.default_rng(89)
+    points = tuple(
+        DataPoint(i, rng.integers(0, 3, (4, 2)).astype(float), (0, 1, 0, 1)) for i in range(30)
+    )
+    ds = Dataset(points, "chain")
+    _byte_equal(build_knn_graph(ds, 6), oracles.brute_knn_graph(ds, 6))
+
+
+@pytest.mark.parametrize("make", [_gaussian, _grid_duplicates, _offset_grid])
+def test_blocked_builder_matches_dense_builder_across_blocks(monkeypatch, make):
+    X = make(np.random.default_rng(97), n=150)
+    # a few rows per block, and a last block that is cut short
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 8 * len(X) * (3 * X.shape[1] + 8) * 7)
+    ds = _flat_dataset(X.tolist())
+    for k in (1, 5, 149):
+        _byte_equal(build_knn_graph(ds, k), oracles.brute_knn_graph(ds, k))
+
+
+def test_k_nearest_breaks_ties_at_the_kth_distance_toward_smaller_ids():
+    R = np.array([[2.0], [-1.0], [1.0], [0.0], [-2.0], [1.0]])
+    ids, d2 = k_nearest(np.array([[0.0]]), R, 3)
+    assert ids.tolist() == [[3, 1, 2]]
+    assert d2.tolist() == [[0.0, 1.0, 1.0]]
+    ids, _ = k_nearest(R, R, 2, skip_self=True)
+    assert ids[3].tolist() == [1, 2]
+    assert np.all(ids != np.arange(len(R))[:, None])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+def test_build_rejects_non_finite_point_vectors(bad):
+    ds = _flat_dataset([[0.0, 0.0], [1.0, bad], [2.0, 2.0]])
+    with pytest.raises(ContractViolation, match="point 1"):
+        build_knn_graph(ds, k=1)
+
+
+def test_build_rejects_ragged_point_vectors():
+    ds = _flat_dataset([[0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ContractViolation, match="one length"):
+        build_knn_graph(ds, k=1)
+
+
+def test_build_memory_stays_blocked():
+    # the dense builder holds the 2000 x 2000 x 8 difference tensor (256 MB)
+    X = np.random.default_rng(101).standard_normal((2000, 8))
+    ds = _flat_dataset(X.tolist())
+    tracemalloc.start()
+    try:
+        build_knn_graph(ds, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -23,7 +23,7 @@ from semistruct import (
 )
 from semistruct.data_io import synth_blobs
 from semistruct.graph import neighbor_terms_for
-from semistruct.solver import SolverState
+from semistruct.solver import Z_INIT_STRATEGIES, SolverState
 
 from . import oracles
 
@@ -118,6 +118,51 @@ def test_initialize_rejects_copying_across_sequence_lengths():
         ds, NeighborGraph.empty(2), space, SolverConfig(z_init="uniform-random", seed=2)
     )
     assert len(state.z[1]) == 3
+
+
+def test_initialize_rejects_graph_edges_across_sequence_lengths():
+    from semistruct import ChainSequenceSpace, UnsupportedConfiguration
+
+    space = ChainSequenceSpace(2, 1)
+    points = (
+        DataPoint(0, np.zeros((2, 1)), (0, 1)),
+        DataPoint(1, np.ones((2, 1)), None),
+        DataPoint(2, np.full((3, 1), 5.0), (1, 1, 0)),
+    )
+    ds = Dataset(points, "chain")
+    g = NeighborGraph(n=3, k=1, sigma=1.0, src=np.array([0, 1, 2]),
+                      dst=np.array([1, 0, 1]), weight=np.ones(3))
+    for z_init in Z_INIT_STRATEGIES:
+        with pytest.raises(UnsupportedConfiguration, match=r"edge 2 -> 1 .* lengths 3 and 2"):
+            initialize(ds, g, space, SolverConfig(z_init=z_init))
+
+
+def test_initialize_rejects_a_donor_of_another_length_without_edges():
+    from semistruct import ChainSequenceSpace, UnsupportedConfiguration
+
+    space = ChainSequenceSpace(2, 1)
+    points = (
+        DataPoint(0, np.zeros((2, 1)), (0, 1)),
+        DataPoint(1, np.zeros((2, 1)), None),
+        DataPoint(2, np.zeros((3, 1)), None),
+        DataPoint(3, np.full((3, 1), 9.0), (1, 1, 0)),
+    )
+    ds = Dataset(points, "chain")
+    with pytest.raises(UnsupportedConfiguration, match="point 2 "):
+        initialize(ds, NeighborGraph.empty(4), space, SolverConfig(z_init="nearest-labeled"))
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_nearest_labeled_donors_match_brute_argmin(grid):
+    rng = np.random.default_rng(103)
+    X = rng.integers(0, 3, (300, 3)).astype(float) if grid else rng.standard_normal((300, 3))
+    labeled = set(rng.choice(300, 40, replace=False).tolist())
+    # one class per labeled point, so each copied output names its donor
+    cls = {i: c for c, i in enumerate(sorted(labeled))}
+    ds = _dataset(X.tolist(), [cls.get(i) for i in range(300)])
+    state = initialize(ds, NeighborGraph.empty(300), MulticlassSpace(40, 3), SolverConfig())
+    donors = oracles.brute_nearest_labeled(ds)
+    assert state.z == [cls[donors.get(i, i)] for i in range(300)]
 
 
 # --- the three update operations -----------------------------------------------
