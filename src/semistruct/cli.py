@@ -159,10 +159,13 @@ def cmd_predict(args):
     out = _out_dir(args)
     w, space, _ = load_model(args.model)
     ds = data_io.load_dataset(args.data, space, require_labeled=False)
+    ys = space.argmax_score_all(w, ds.inputs)
+    # one encoding per distinct output; each line equals
+    # json.dumps({"id": p.id, "y": space.encode(y)}) plus a newline
+    text = {y: json.dumps(space.encode(y)) for y in set(ys)}
     path = out / "predictions.jsonl"
     with open(path, "w") as f:
-        for p, y in zip(ds.points, space.argmax_score_all(w, ds.inputs)):
-            f.write(json.dumps({"id": p.id, "y": space.encode(y)}) + "\n")
+        f.writelines('{"id": %d, "y": %s}\n' % (p.id, text[y]) for p, y in zip(ds.points, ys))
     print(f"wrote {len(ds.points)} predictions to {path}")
     return 0
 

@@ -84,6 +84,8 @@ class OutputSpace(ABC):
         length m of feature vectors returned by ``phi``
     ``input_ndim``
         1 for flat inputs, 2 for per-position sequence inputs
+    ``input_dim``
+        length d of a flat input, or of each position of a sequence input
 
     ``delta`` must satisfy ``delta(y, y) == 0`` and ``delta(y1, y2) >= 0``.
     Every argmax/argmin oracle breaks ties toward the smallest canonical
@@ -94,6 +96,7 @@ class OutputSpace(ABC):
 
     kind: str = ""
     input_ndim: int = 1
+    input_dim: int  # no default: every space must declare it
     dim: int = 0
 
     # --- loss and features -------------------------------------------------
@@ -253,8 +256,12 @@ class ValidationReport:
 def validate_dataset(ds, space) -> ValidationReport:
     """Check a dataset against its space contract.
 
-    Never raises; all violations are collected into the returned report so
-    callers can surface them at once.
+    Never raises for a fault of the data; all violations are collected into
+    the returned report so callers can surface them at once, in point order.
+    Inputs are checked once per group of equal shape (number of dimensions,
+    emptiness, the last axis against ``space.input_dim``) and for finiteness
+    in blocks of at most 1024 inputs. A space that declares no positive
+    integer ``input_dim`` raises ContractViolation.
     """
     report = ValidationReport()
     if len(ds.points) == 0:
@@ -272,25 +279,7 @@ def validate_dataset(ds, space) -> ValidationReport:
                 f"point at position {pos} has id {p.id}; ids must be contiguous from 0"
             )
 
-    dim = None
-    for p in ds.points:
-        x = np.asarray(p.x)
-        if x.ndim != space.input_ndim:
-            report.violations.append(
-                f"id {p.id}: input has {x.ndim} dimension(s), space expects {space.input_ndim}"
-            )
-            continue
-        if x.shape[-1] < 1 or x.size == 0:
-            report.violations.append(f"id {p.id}: empty input")
-            continue
-        if not np.all(np.isfinite(x)):
-            report.violations.append(f"id {p.id}: input has non-finite entries")
-        if dim is None:
-            dim = x.shape[-1]
-        elif x.shape[-1] != dim:
-            report.violations.append(
-                f"id {p.id}: input dimension {x.shape[-1]} differs from {dim}"
-            )
+    report.violations.extend(_input_violations(ds.points, space))
 
     if not any(p.y is not None for p in ds.points):
         report.violations.append("dataset has no labeled points")
@@ -307,3 +296,40 @@ def validate_dataset(ds, space) -> ValidationReport:
                 f"id {p.id}: output {p.y!r} is not in the output space"
             )
     return report
+
+
+# inputs joined at once by the finiteness check; bounds its working memory
+_FINITE_BLOCK_ROWS = 1024
+
+
+def _input_violations(points, space) -> list:
+    """Input violations of ``points`` in point order, each point's in the
+    order non-finite, then dimension."""
+    dim = getattr(space, "input_dim", None)
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+        raise ContractViolation(
+            f"{type(space).__name__} must declare input_dim, a positive integer; got {dim!r}"
+        )
+    xs = [p.x if isinstance(p.x, np.ndarray) else np.asarray(p.x) for p in points]
+    shapes = {}  # shape -> group number
+    group = np.fromiter((shapes.setdefault(x.shape, len(shapes)) for x in xs),
+                        dtype=np.intp, count=len(xs))
+    found = []  # (position, problem); a stable sort by position keeps each point's order
+    for shape, number in shapes.items():
+        members = np.flatnonzero(group == number)
+        if len(shape) != space.input_ndim:
+            problem = f"input has {len(shape)} dimension(s), space expects {space.input_ndim}"
+        elif 0 in shape:
+            problem = "empty input"
+        else:
+            for lo in range(0, len(members), _FINITE_BLOCK_ROWS):
+                block = members[lo : lo + _FINITE_BLOCK_ROWS]
+                joined = np.concatenate([xs[i] for i in block.tolist()])
+                finite = np.isfinite(joined).reshape(len(block), -1).all(axis=1)
+                found += [(i, "input has non-finite entries") for i in block[~finite].tolist()]
+            if shape[-1] == dim:
+                continue
+            problem = f"input dimension {shape[-1]} differs from {dim}"
+        found += [(i, problem) for i in members.tolist()]
+    found.sort(key=lambda item: item[0])
+    return [f"id {points[i].id}: {problem}" for i, problem in found]

@@ -8,6 +8,16 @@ Dataset files are JSON Lines, one record per point:
 sequence inputs; ``y`` uses the space encoding (int class, int leaf id, or
 list of int labels) and is null for unlabeled points.
 
+Reading checks each line once, and errors name it: one JSON parse with the
+decoder's scanner (``json.loads`` runs only to word a parse error), the
+``id``/``x`` fields, an integer id seen once, ``x`` as a float array (not
+ragged, numeric, within float range), its number of dimensions, and a
+labeled output decoded and valid for its input. Inputs are then checked
+once per group of equal shape, one group for flat data and one per
+sequence length for chains (see :func:`semistruct.core.validate_dataset`):
+empty inputs, the width against the space's ``input_dim``, and finiteness
+over bounded blocks of stacked inputs.
+
 Taxonomy files are JSON documents ``{"nodes": [{"id": 0, "parent": null,
 "name": "root"}, ...]}`` with exactly one null parent and ids contiguous
 from 0.
@@ -41,34 +51,72 @@ NUM_LABELED_FOLDS = 2
 # --- dataset files ----------------------------------------------------------
 
 
-def read_records(path) -> list:
+def read_records(path) -> dict:
     """Parse a JSONL dataset file into ``{id: (line, x, raw y)}`` in file
     order, checking all that needs no output space; errors name the line."""
     records = {}
     with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"{path}:{ln}: invalid JSON ({e})") from None
-            if not isinstance(rec, dict) or "id" not in rec or "x" not in rec:
-                raise DataFormatError(f"{path}:{ln}: record needs 'id' and 'x' fields")
-            pid = rec["id"]
-            if not isinstance(pid, int) or isinstance(pid, bool):
-                raise DataFormatError(f"{path}:{ln}: id must be an integer, got {pid!r}")
-            if pid in records:
-                raise DataFormatError(f"{path}:{ln}: duplicate id {pid}")
-            try:
-                x = np.asarray(rec["x"], dtype=float)
-            except (ValueError, TypeError):
-                raise DataFormatError(f"{path}:{ln}: ragged or non-numeric x") from None
-            records[pid] = (ln, x, rec.get("y"))
+        try:
+            for ln, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                rec = _parse_line(line, path, ln)
+                if not isinstance(rec, dict) or "id" not in rec or "x" not in rec:
+                    raise DataFormatError(f"{path}:{ln}: record needs 'id' and 'x' fields")
+                pid = rec["id"]
+                if not isinstance(pid, int) or isinstance(pid, bool):
+                    raise DataFormatError(f"{path}:{ln}: id must be an integer, got {pid!r}")
+                if pid in records:
+                    raise DataFormatError(f"{path}:{ln}: duplicate id {pid}")
+                try:
+                    x = np.asarray(rec["x"], dtype=float)
+                except (ValueError, TypeError):
+                    raise DataFormatError(f"{path}:{ln}: ragged or non-numeric x") from None
+                except OverflowError:
+                    raise DataFormatError(
+                        f"{path}:{ln}: x holds a number too large for a float"
+                    ) from None
+                records[pid] = (ln, x, rec.get("y"))
+        except UnicodeDecodeError as e:
+            raise DataFormatError(
+                f"{path}:{_undecodable_line(path)}: not {f.encoding} text ({e.reason})"
+            ) from None
     if not records:
         raise DataFormatError(f"{path}: no records")
     return records
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _parse_line(line, path, ln):
+    """The JSON value of one stripped line, read once by the decoder's
+    scanner; ``json.loads`` runs only to word the error of a bad line.
+
+    ``json.loads`` runs this same scanner (its default decoder is a plain
+    ``JSONDecoder``) after skipping JSON whitespace and refusing a leading
+    BOM. A stripped line has no such whitespace, and the scanner stops at a
+    BOM, so whenever the scan takes the whole line both give one value."""
+    try:
+        value, end = _scan_once(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(line)  # raises the decoder's own message
+    except (ValueError, RecursionError) as e:  # also integers over the digit limit
+        raise DataFormatError(f"{path}:{ln}: invalid JSON ({e})") from None
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line of ``path`` holding bytes its encoding
+    rejects; they read back as lone surrogates under ``surrogateescape``."""
+    with open(path, errors="surrogateescape") as f:
+        for ln, line in enumerate(f, 1):
+            if any("\udc80" <= c <= "\udcff" for c in line):
+                return ln
 
 
 def dataset_from_records(records, path, space, require_labeled=False) -> Dataset:
@@ -89,7 +137,11 @@ def dataset_from_records(records, path, space, require_labeled=False) -> Dataset
                 y = space.decode(raw_y)
             except ContractViolation as e:
                 raise DataFormatError(f"{path}:{ln}: bad output: {e}") from None
-            if not space.contains(y, x=x):
+            try:
+                ok = space.contains(y, x=x)
+            except ContractViolation as e:
+                raise DataFormatError(f"{path}:{ln}: bad input: {e}") from None
+            if not ok:
                 raise DataFormatError(
                     f"{path}:{ln}: output {raw_y!r} is not valid for this input"
                 )
@@ -138,7 +190,7 @@ def load_taxonomy(path) -> Taxonomy:
     with open(path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad JSON or text, over-long integers
             raise DataFormatError(f"{path}: invalid JSON ({e})") from None
     nodes = doc.get("nodes") if isinstance(doc, dict) else None
     if not isinstance(nodes, list) or not nodes:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolation, Diverged, UnsupportedConfiguration
+from .errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from .graph import k_nearest, manifold_term, neighbor_terms, point_matrix
 from .spaces import space_from_config
 
@@ -286,13 +286,27 @@ def save_model(path, state: SolverState, space, cfg: SolverConfig):
 
 
 def load_model(path):
-    """Read a model file back; returns (weights, space, raw document)."""
+    """Read a model file back; returns (weights, space, raw document). A file
+    that holds no model document raises DataFormatError naming it."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except (ValueError, RecursionError) as e:  # bad JSON or text, over-long integers
+            raise DataFormatError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
         raise ContractViolation(f"unrecognized model format {doc.get('format')!r}")
-    space = space_from_config(doc["space"])
-    w = np.asarray(doc["weights"], dtype=float)
+    if not isinstance(doc.get("space"), dict) or "weights" not in doc:
+        raise DataFormatError(f"{path}: model needs a 'space' object and 'weights'")
+    try:
+        space = space_from_config(doc["space"])
+    except KeyError as e:
+        raise DataFormatError(f"{path}: model space has no {e} field") from None
+    try:
+        w = np.asarray(doc["weights"], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataFormatError(f"{path}: model weights must be a list of numbers") from None
     if w.shape != (space.dim,):
         raise ContractViolation(
             f"model weights have length {w.shape}, space expects {space.dim}"

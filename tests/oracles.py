@@ -6,9 +6,12 @@ cannot hide behind itself.
 """
 
 import itertools
+import json
 
 import numpy as np
 
+from semistruct.core import DataPoint, Dataset, ValidationReport
+from semistruct.errors import ContractViolation, DataFormatError
 from semistruct.graph import NeighborGraph, point_vector
 
 
@@ -126,3 +129,141 @@ def brute_nearest_labeled(ds):
         p.id: labeled[int(np.argmin(((X[labeled] - X[p.id]) ** 2).sum(axis=1)))]
         for p in ds.points if p.y is None
     }
+
+
+# --- dataset read path: one json.loads, np.asarray and check per record -----
+#
+# The package's read path parses with the decoder's scanner and checks inputs
+# once per group of equal shape; these per-record, per-point loops are what it
+# must agree with, message for message.
+
+
+def read_records(path) -> list:
+    """Parse a JSONL dataset file into ``{id: (line, x, raw y)}`` in file
+    order, checking all that needs no output space; errors name the line."""
+    records = {}
+    with open(path) as f:
+        for ln, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DataFormatError(f"{path}:{ln}: invalid JSON ({e})") from None
+            if not isinstance(rec, dict) or "id" not in rec or "x" not in rec:
+                raise DataFormatError(f"{path}:{ln}: record needs 'id' and 'x' fields")
+            pid = rec["id"]
+            if not isinstance(pid, int) or isinstance(pid, bool):
+                raise DataFormatError(f"{path}:{ln}: id must be an integer, got {pid!r}")
+            if pid in records:
+                raise DataFormatError(f"{path}:{ln}: duplicate id {pid}")
+            try:
+                x = np.asarray(rec["x"], dtype=float)
+            except (ValueError, TypeError):
+                raise DataFormatError(f"{path}:{ln}: ragged or non-numeric x") from None
+            records[pid] = (ln, x, rec.get("y"))
+    if not records:
+        raise DataFormatError(f"{path}: no records")
+    return records
+
+
+def dataset_from_records(records, path, space, require_labeled=False) -> Dataset:
+    """Decode :func:`read_records` output into a validated dataset of
+    ``space``. ``require_labeled`` additionally demands at least one labeled
+    point (prediction inputs may legitimately have none)."""
+    points = {}
+    for pid, (ln, x, raw_y) in records.items():
+        if x.ndim != space.input_ndim:
+            raise DataFormatError(
+                f"{path}:{ln}: x has {x.ndim} dimension(s), "
+                f"space expects {space.input_ndim}"
+            )
+        if raw_y is None:
+            y = None
+        else:
+            try:
+                y = space.decode(raw_y)
+            except ContractViolation as e:
+                raise DataFormatError(f"{path}:{ln}: bad output: {e}") from None
+            if not space.contains(y, x=x):
+                raise DataFormatError(
+                    f"{path}:{ln}: output {raw_y!r} is not valid for this input"
+                )
+        points[pid] = DataPoint(pid, x, y)
+
+    n = len(points)
+    if sorted(points) != list(range(n)):
+        missing = sorted(set(range(n)) - set(points))[:5]
+        raise DataFormatError(
+            f"{path}: ids must be contiguous from 0 (missing {missing}, n={n})"
+        )
+    ds = Dataset(tuple(points[i] for i in range(n)), space_id=space.kind)
+
+    report = validate_dataset(ds, space)
+    problems = [
+        v for v in report.violations
+        if require_labeled or v != "dataset has no labeled points"
+    ]
+    if problems:
+        raise DataFormatError(f"{path}: " + "; ".join(problems))
+    return ds
+
+
+def validate_dataset(ds, space) -> ValidationReport:
+    """Check a dataset against its space contract.
+
+    Never raises; all violations are collected into the returned report so
+    callers can surface them at once.
+    """
+    report = ValidationReport()
+    if len(ds.points) == 0:
+        report.violations.append("dataset is empty")
+        return report
+
+    if ds.space_id and ds.space_id != space.kind:
+        report.violations.append(
+            f"dataset space_id {ds.space_id!r} does not match space kind {space.kind!r}"
+        )
+
+    for pos, p in enumerate(ds.points):
+        if p.id != pos:
+            report.violations.append(
+                f"point at position {pos} has id {p.id}; ids must be contiguous from 0"
+            )
+
+    dim = None
+    for p in ds.points:
+        x = np.asarray(p.x)
+        if x.ndim != space.input_ndim:
+            report.violations.append(
+                f"id {p.id}: input has {x.ndim} dimension(s), space expects {space.input_ndim}"
+            )
+            continue
+        if x.shape[-1] < 1 or x.size == 0:
+            report.violations.append(f"id {p.id}: empty input")
+            continue
+        if not np.all(np.isfinite(x)):
+            report.violations.append(f"id {p.id}: input has non-finite entries")
+        if dim is None:
+            dim = x.shape[-1]
+        elif x.shape[-1] != dim:
+            report.violations.append(
+                f"id {p.id}: input dimension {x.shape[-1]} differs from {dim}"
+            )
+
+    if not any(p.y is not None for p in ds.points):
+        report.violations.append("dataset has no labeled points")
+
+    for p in ds.points:
+        if p.y is None:
+            continue
+        try:
+            ok = space.contains(p.y, x=p.x)
+        except ContractViolation:
+            ok = False
+        if not ok:
+            report.violations.append(
+                f"id {p.id}: output {p.y!r} is not in the output space"
+            )
+    return report

@@ -1,8 +1,12 @@
 import json
+import re
 
 import pytest
 
+from semistruct import DataFormatError
 from semistruct.cli import main
+from semistruct.data_io import load_dataset
+from semistruct.solver import load_model
 
 
 def _run(*argv):
@@ -254,3 +258,116 @@ def test_record_without_input_is_a_validation_error(tmp_path, capsys):
                 "--out", str(tmp_path / "out"))
     assert code == 1
     assert f"error: {bad}:1: record needs 'id' and 'x' fields" in capsys.readouterr().err
+
+
+def _fit_model(tmp_path, data, *space_flags):
+    out = tmp_path / "fit"
+    assert _run("fit", "--data", str(data), *space_flags, "--iters", "2", "--k", "3",
+                "--seed", "1", "--out", str(out)) == 0
+    return out / "model.json"
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("case", ["overflow", "digits", "bytes", "nesting"])
+def test_malformed_numbers_and_bytes_are_validation_errors(tmp_path, capsys, command, case):
+    data = _synth_blobs(tmp_path)
+    model = _fit_model(tmp_path, data, "--space", "multiclass")
+    second = {
+        "overflow": b'{"id": 1, "x": [1' + b"0" * 400 + b', 1.0, 2.0], "y": 1}',
+        "digits": b'{"id": 1, "x": [' + b"7" * 5000 + b', 1.0, 2.0], "y": 1}',
+        "bytes": b'{"id": 1, "x": [1.0, \xff 2.0, 3.0], "y": 1}',
+        "nesting": b"[" * 100_000,
+    }[case]
+    bad = tmp_path / f"{case}.jsonl"
+    bad.write_bytes(b'{"id": 0, "x": [1.0, 2.0, 3.0], "y": 0}\n' + second + b"\n")
+    argv = {
+        "fit": ["fit", "--data", str(bad), "--space", "multiclass"],
+        "predict": ["predict", "--model", str(model), "--data", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: ")
+    assert {
+        "overflow": "x holds a number too large for a float",
+        "digits": "invalid JSON (Exceeds the limit",
+        "bytes": "not utf-8 text",
+        "nesting": "invalid JSON (maximum recursion depth",
+    }[case] in err
+
+
+@pytest.mark.parametrize("case", ["invalid-json", "bad-bytes", "non-object", "no-space",
+                                  "no-weights", "space-missing-key", "bad-weights"])
+def test_corrupt_model_is_a_validation_error(tmp_path, capsys, case):
+    data = _synth_blobs(tmp_path)
+    good = json.loads(_fit_model(tmp_path, data, "--space", "multiclass").read_text())
+    model = tmp_path / "corrupt.json"
+    if case == "invalid-json":
+        model.write_text('{"format": ')
+    elif case == "bad-bytes":
+        model.write_bytes(b'{"format": "\xff"}')
+    elif case == "non-object":
+        model.write_text("[1, 2]")
+    else:
+        doc = dict(good)
+        if case == "no-space":
+            del doc["space"]
+        elif case == "no-weights":
+            del doc["weights"]
+        elif case == "space-missing-key":
+            doc["space"] = {"kind": "multiclass", "input_dim": 3}
+        else:
+            doc["weights"] = ["a"] * len(good["weights"])
+        model.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(model))}: "):
+        load_model(model)
+    assert _run("predict", "--model", str(model), "--data", str(data),
+                "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
+
+@pytest.mark.parametrize("space", ["multiclass", "chain", "chain-labeled"])
+def test_predict_on_inputs_of_the_wrong_dimension_names_file_and_point(tmp_path, capsys,
+                                                                       space):
+    if space == "multiclass":
+        model = _fit_model(tmp_path, _synth_blobs(tmp_path), "--space", "multiclass")
+        x, y = "[1.0, 2.0]", "null"
+    else:
+        data = _synth_blobs(tmp_path, **{"--space": "chain", "--alphabet": "2", "--count": "30",
+                                         "--min-len": "4", "--max-len": "4"})
+        model = _fit_model(tmp_path, data, "--space", "chain")
+        x, y = "[[1.0, 2.0], [3.0, 4.0]]", "[0, 1]" if space == "chain-labeled" else "null"
+    narrow = tmp_path / "narrow.jsonl"
+    narrow.write_text(f'{{"id": 0, "x": {x}, "y": {y}}}\n')
+    capsys.readouterr()
+    assert _run("predict", "--model", str(model), "--data", str(narrow),
+                "--out", str(tmp_path / "out")) == 1
+    if space == "chain-labeled":  # the output is checked against its input first
+        expected = f"{narrow}:1: bad input: sequence input has shape (2, 2), expected (T, 3)"
+    else:
+        expected = f"{narrow}: id 0: input dimension 2 differs from 3"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("space", ["multiclass", "taxonomy", "chain"])
+def test_predictions_equal_one_json_dumps_per_record(tmp_path, space):
+    if space == "chain":  # fit on equal lengths, predict on lengths 1 to 6
+        chains = {"--space": "chain", "--alphabet": "3", "--count": "40"}
+        train = _synth_blobs(tmp_path, "train", **chains, **{"--min-len": "4", "--max-len": "4"})
+        data = _synth_blobs(tmp_path, **chains, **{"--min-len": "1"})
+        flags = ["--space", "chain"]
+    elif space == "taxonomy":
+        train = data = _synth_blobs(tmp_path, **{"--space": "taxonomy", "--per-leaf": "3"})
+        flags = ["--space", "taxonomy", "--taxonomy", str(data.parent / "taxonomy.json")]
+    else:
+        train = data = _synth_blobs(tmp_path)
+        flags = ["--space", "multiclass"]
+    model = _fit_model(tmp_path, train, *flags)
+    out = tmp_path / "pred"
+    assert _run("predict", "--model", str(model), "--data", str(data), "--out", str(out)) == 0
+    w, sp, _ = load_model(model)
+    ds = load_dataset(data, sp)
+    expected = "".join(json.dumps({"id": p.id, "y": sp.encode(y)}) + "\n"
+                       for p, y in zip(ds.points, sp.argmax_score_all(w, ds.inputs)))
+    assert len({line.split('"y": ')[1] for line in expected.splitlines()}) > 1
+    assert (out / "predictions.jsonl").read_text() == expected
