@@ -159,7 +159,7 @@ def cmd_predict(args):
     out = _out_dir(args)
     w, space, _ = load_model(args.model)
     ds = data_io.load_dataset(args.data, space, require_labeled=False)
-    ys = space.argmax_score_all(w, ds.inputs)
+    ys = space.argmax_score_all(w, ds.inputs).tolist()
     # one encoding per distinct output; each line equals
     # json.dumps({"id": p.id, "y": space.encode(y)}) plus a newline
     text = {y: json.dumps(space.encode(y)) for y in set(ys)}

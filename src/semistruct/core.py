@@ -8,12 +8,19 @@ space. Structured outputs use a canonical per-space encoding (int class
 index, int tree-node id, tuple of int labels) so equality and hashing are
 trivial; indicator-vector views are derived inside each space.
 
+Batches of outputs travel as *codes*: a 1-D numpy array with one entry per
+output, made by :meth:`OutputSpace.as_codes`. Its entries are the outputs
+themselves (ints in an int array for the finite label spaces, any object in
+an object array otherwise), so ``codes[i] == y`` holds and
+``codes.tolist()`` gives the outputs back.
+
 All types here are immutable after construction and every operation is a
 pure function, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import reprlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -89,7 +96,8 @@ class OutputSpace(ABC):
 
     ``delta`` must satisfy ``delta(y, y) == 0`` and ``delta(y1, y2) >= 0``.
     Every argmax/argmin oracle breaks ties toward the smallest canonical
-    encoding so results are deterministic.
+    encoding so results are deterministic. The whole-array oracles return
+    codes (see the module docstring) and accept codes or lists of outputs.
 
     Spaces are immutable and all methods are pure, hence thread-safe.
     """
@@ -139,23 +147,44 @@ class OutputSpace(ABC):
     def config(self) -> dict:
         """JSON-compatible dict from which the space can be rebuilt."""
 
+    # --- batches ---------------------------------------------------------------
+
+    def as_codes(self, ys) -> np.ndarray:
+        """Codes of the outputs ``ys``; ContractViolation if one is not a
+        member. An ndarray is taken to be codes already and returned as is.
+        The default is an object array of the outputs."""
+        if isinstance(ys, np.ndarray):
+            return ys
+        for y in ys:
+            if not self.contains(y):
+                raise ContractViolation(f"{reprlib.repr(y)} is not a {self.kind} output")
+        return object_array(ys)
+
+    def stack_inputs(self, xs):
+        """The inputs ``xs`` in the form the oracles read fastest; indexing
+        it with an id array selects those inputs. The default is an object
+        array of the inputs."""
+        return object_array(xs)
+
     # --- inference oracles -------------------------------------------------
     #
     # A space answers the whole-array forms; the solver calls only these, with
-    # lists of inputs and outputs. The defaults do exhaustive search over
+    # a stack of inputs and codes. The defaults do exhaustive search over
     # ``outputs(x)``, taking the first best candidate.
 
-    def argmax_score_all(self, w, xs) -> list:
+    def argmax_score_all(self, w, xs) -> np.ndarray:
         """Output maximizing the matching score ``w . phi(x, y)``, per input."""
-        return [max(self.outputs(x), key=lambda y: matching_score(w, x, y, self)) for x in xs]
+        return object_array([max(self.outputs(x), key=lambda y: matching_score(w, x, y, self))
+                             for x in xs])
 
-    def argmax_loss_augmented_all(self, w, xs, zs) -> list:
+    def argmax_loss_augmented_all(self, w, xs, zs) -> np.ndarray:
         """Most violating output against each reference ``zs[i]``: the
         maximizer of ``w . (phi(x, y) - phi(x, z)) + delta(y, z)``."""
-        return [max(self.outputs(x), key=lambda y: loss_augmented_value(w, x, z, y, self))
-                for x, z in zip(xs, zs)]
+        return object_array([
+            max(self.outputs(x), key=lambda y: loss_augmented_value(w, x, z, y, self))
+            for x, z in zip(xs, zs)])
 
-    def argmin_slack_all(self, w, xs, upsilons, neighbors, c1) -> list:
+    def argmin_slack_all(self, w, xs, upsilons, neighbors, c1) -> np.ndarray:
         """Minimizer of the per-point slack objective ``sum_nb weight *
         delta(y, output) + c1 * (-w . phi(x, y) + delta(upsilon, y))`` of
         every point. ``neighbors`` is a triple ``(owner, weight, outputs)``:
@@ -167,27 +196,27 @@ class OutputSpace(ABC):
         terms = [[] for _ in xs]
         for i, omega, z in zip(*neighbors):
             terms[i].append((float(omega), z))
-        return [
+        return object_array([
             min(self.outputs(x),
                 key=lambda y: slack_objective_value(w, x, upsilon, nb, c1, y, self))
             for x, upsilon, nb in zip(xs, upsilons, terms)
-        ]
+        ])
 
     def argmax_score(self, w, x):
         """:meth:`argmax_score_all` of one input."""
-        return self.argmax_score_all(w, [x])[0]
+        return self.argmax_score_all(w, [x]).tolist()[0]
 
     def argmax_loss_augmented(self, w, x, z):
         """:meth:`argmax_loss_augmented_all` of one input, with the objective
         value at it (the constant ``-w . phi(x, z)`` term included)."""
-        y = self.argmax_loss_augmented_all(w, [x], [z])[0]
+        y = self.argmax_loss_augmented_all(w, [x], [z]).tolist()[0]
         return y, loss_augmented_value(w, x, z, y, self)
 
     def argmin_slack(self, w, x, upsilon, neighbors, c1):
         """:meth:`argmin_slack_all` of one input; ``neighbors`` is a list of
         ``(weight, output)`` pairs covering both edge directions."""
         terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
-        return self.argmin_slack_all(w, [x], [upsilon], terms, c1)[0]
+        return self.argmin_slack_all(w, [x], [upsilon], terms, c1).tolist()[0]
 
     def delta_sum(self, ys1, ys2, weights=None) -> float:
         """``sum_i weights[i] * delta(ys1[i], ys2[i])``, unit weights if omitted."""
@@ -201,6 +230,12 @@ class OutputSpace(ABC):
             if y != z:  # the difference is exactly zero
                 acc += self.phi(x, y) - self.phi(x, z)
         return acc
+
+
+def object_array(items) -> np.ndarray:
+    """1-D object array holding ``items``; numpy would read a list of
+    equal-length tuples or arrays as one array with another axis."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 def as_weights(w, dim):

@@ -28,12 +28,13 @@ SWEEP_PARAMS = ("c1", "c2")
 
 
 def asl(predictions, truths, space) -> float:
-    """Average structured loss of predictions against true outputs."""
+    """Average structured loss of predictions against true outputs; either
+    may be codes or a list of outputs."""
     if len(predictions) != len(truths):
         raise ContractViolation(
             f"got {len(predictions)} predictions for {len(truths)} truths"
         )
-    if not predictions:
+    if not len(predictions):
         raise ContractViolation("cannot average over an empty set")
     return space.delta_sum(predictions, truths) / len(predictions)
 

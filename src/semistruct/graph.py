@@ -81,16 +81,21 @@ def k_nearest(Q, R, k, skip_self=False):
     center = R.mean(axis=0)
     Rc = R - center
     r2 = (Rc * Rc).sum(axis=1)
-    # a few (rows x m) arrays while filtering; 3 (candidates x d) in the
-    # direct form, with up to rows x m candidates
-    rows_per_block = max(1, _BLOCK_BYTES // (8 * m * (3 * d + 8)))
+    # per query row: the three float and one bool (rows x m) workspaces, then
+    # per candidate (up to m) its two ids, distance and sort position, and
+    # three d-vectors in the direct form
+    rows_per_block = max(1, _BLOCK_BYTES // (m * (3 * 8 + 1 + 8 * (4 + 3 * d))))
+    rows = min(rows_per_block, n)
+    work = (np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m)),
+            np.empty((rows, m), dtype=bool))
     ids = np.empty((n, k), dtype=int)
     d2 = np.empty((n, k))
     for lo in range(0, n, rows_per_block):
         q = Q[lo:lo + rows_per_block]
         b = len(q)
         self_ids = lo + np.arange(b) if skip_self else None
-        row, col = np.nonzero(_candidates(q - center, Rc, r2, k, self_ids))
+        mask = _candidates(q - center, Rc, r2, k, self_ids, [a[:b] for a in work])
+        row, col = np.nonzero(mask)
         dist = ((q[row] - R[col]) ** 2).sum(-1)
         order = np.lexsort((col, dist, row))
         counts = np.bincount(row, minlength=b)
@@ -100,7 +105,7 @@ def k_nearest(Q, R, k, skip_self=False):
     return ids, d2
 
 
-def _candidates(qc, Rc, r2, k, self_ids):
+def _candidates(qc, Rc, r2, k, self_ids, work):
     """Mask of the references that may be among each query's ``k`` nearest.
 
     ``qc`` and ``Rc`` are the queries and references minus one center, and
@@ -112,16 +117,24 @@ def _candidates(qc, Rc, r2, k, self_ids):
     kept unless its expanded form exceeds the row's k-th smallest by more
     than two margins, so every reference whose direct distance is at most
     the k-th smallest is kept, ties included. ``self_ids[i]``, when given,
-    is never kept for row ``i``.
+    is never kept for row ``i``. ``work`` holds three float and one bool
+    ``len(qc) x len(Rc)`` arrays to compute in; the returned mask is the
+    last of them.
     """
+    cross, approx, kth_part, mask = work
     q2 = (qc * qc).sum(axis=1)
-    approx = q2[:, None] + r2 - 2.0 * (qc @ Rc.T)
+    # approx = q2[:, None] + r2 - 2.0 * (qc @ Rc.T), in that operation order
+    np.matmul(qc, Rc.T, out=cross)
+    np.multiply(2.0, cross, out=cross)
+    np.add(q2[:, None], r2, out=approx)
+    np.subtract(approx, cross, out=approx)
     if self_ids is not None:
         approx[np.arange(len(qc)), self_ids] = np.inf
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     margin = 4 * (qc.shape[1] + 4) * eps * (q2 + r2.max() + tiny)
-    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-    return approx <= (kth + 2.0 * margin)[:, None]
+    np.copyto(kth_part, approx)
+    kth_part.partition(k - 1, axis=1)
+    return np.less_equal(approx, (kth_part[:, k - 1] + 2.0 * margin)[:, None], out=mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +142,9 @@ class NeighborGraph:
     """Directed kNN edge list with Gaussian weights.
 
     ``src[e] -> dst[e]`` with weight ``weight[e]`` in (0, 1]. Every node has
-    exactly ``min(k, n - 1)`` outgoing edges and no self-edges. Immutable
+    exactly ``min(k, n - 1)`` outgoing edges and no self-edges. ``points``
+    is the ``n x d`` point matrix the neighbors were found in (see
+    :func:`point_matrix`), or None for a graph given by its edges. Immutable
     and shareable once built.
     """
 
@@ -139,6 +154,7 @@ class NeighborGraph:
     src: np.ndarray = field(repr=False)
     dst: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
+    points: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def empty(cls, n):
@@ -181,18 +197,20 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
         med = float(np.median(edge_d2))
         sigma = med if med > 0 else 1.0
     weight = np.exp(-edge_d2 / (2.0 * float(sigma)))
-    return NeighborGraph(n=n, k=k, sigma=float(sigma), src=src, dst=dst, weight=weight)
+    return NeighborGraph(n=n, k=k, sigma=float(sigma), src=src, dst=dst, weight=weight,
+                         points=X)
 
 
 def manifold_term(g: NeighborGraph, z, space) -> float:
     """Total edge-weighted structured loss between slack outputs.
 
-    Sums ``weight * delta(z[src], z[dst])`` over every directed edge.
+    Sums ``weight * delta(z[src], z[dst])`` over every directed edge; ``z``
+    holds codes or a list of outputs.
     """
     if len(z) != g.n:
         raise ContractViolation(f"got {len(z)} outputs for a graph over {g.n} nodes")
-    return space.delta_sum([z[s] for s in g.src.tolist()],
-                           [z[t] for t in g.dst.tolist()], g.weight)
+    z = space.as_codes(z)
+    return space.delta_sum(z[g.src], z[g.dst], g.weight)
 
 
 def neighbor_terms(g: NeighborGraph, nodes):

@@ -14,6 +14,16 @@ Each iteration refreshes the most-violating outputs, updates every slack
 output by direct search (Jacobi style, reading only previous-iteration
 neighbors), and takes one gradient step on ``w``. Slack outputs of labeled
 points are pinned to their true outputs throughout.
+
+A fit runs on arrays. :func:`initialize` encodes every output once into
+codes (:meth:`OutputSpace.as_codes`: an int label array for the finite
+label spaces, an object array of the outputs otherwise), and builds once
+what no iteration changes (:class:`FitArrays`): the labeled and unlabeled
+ids, the inputs stacked for the space, and the neighbor terms of the graph.
+Each step then gathers neighbor outputs and edge endpoints by fancy
+indexing. Outputs are decoded (``codes.tolist()``) only where they leave
+the solver: the state :func:`fit` returns, and so the transductive outputs
+of cross validation, and predictions.
 """
 
 from __future__ import annotations
@@ -88,6 +98,10 @@ class TraceRow(NamedTuple):
 class SolverState:
     """Mutable optimizer state.
 
+    During a fit ``z`` and ``upsilon`` hold codes (see
+    :meth:`OutputSpace.as_codes`) and ``fixed`` the arrays that stay the same
+    between iterations; the state :func:`fit` returns holds lists of outputs
+    again. The update steps also accept a state built by hand from lists.
     ``trace`` holds one row per completed iteration plus the initial row;
     each row reports the objective of the state at that point, with the
     most-violating outputs refreshed so the loss bound is consistent with
@@ -95,18 +109,60 @@ class SolverState:
     """
 
     w: np.ndarray
-    z: list
-    upsilon: list
+    z: object
+    upsilon: object
     iteration: int = 0
     trace: list = field(default_factory=list)
+    fixed: FitArrays | None = field(default=None, repr=False)
+
+
+class FitArrays(NamedTuple):
+    """What every iteration of one fit reads and no iteration changes.
+
+    ``free`` and ``labeled``: the unlabeled and labeled ids; ``truth``: the
+    codes of the labeled outputs; ``inputs``: ``space.stack_inputs`` of all
+    inputs and ``free_inputs`` its unlabeled part; ``terms``:
+    ``neighbor_terms(g, free)``, None without a graph. ``ds``, ``g`` and
+    ``space`` are what they were built from.
+    """
+
+    ds: object
+    g: object
+    space: object
+    free: np.ndarray
+    labeled: np.ndarray
+    truth: np.ndarray
+    inputs: object
+    free_inputs: object
+    terms: tuple
+
+    @classmethod
+    def build(cls, ds, g, space):
+        has_y = np.fromiter((p.y is not None for p in ds.points), dtype=bool,
+                            count=len(ds.points))
+        free, labeled = np.flatnonzero(~has_y), np.flatnonzero(has_y)
+        truth = space.as_codes([ds.points[i].y for i in labeled.tolist()])
+        inputs = space.stack_inputs(ds.inputs)
+        terms = None if g is None else neighbor_terms(g, free)
+        return cls(ds, g, space, free, labeled, truth, inputs, inputs[free], terms)
+
+
+def _fixed(state, ds, space, g=None) -> FitArrays:
+    """``state.fixed`` when it was built from ``ds``, ``space`` and (when
+    given) ``g``; else the same arrays built now, for a state made by hand."""
+    f = state.fixed
+    if f is not None and f.ds is ds and f.space is space and (g is None or f.g is g):
+        return f
+    return FitArrays.build(ds, g, space)
 
 
 def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
     """Zero weights plus a first guess for every slack output.
 
     Labeled points take their true output. Unlabeled points copy the output
-    of the nearest labeled point (ties toward the smaller id) or draw
-    uniformly from the space, per ``cfg.z_init``. Raises
+    of the nearest labeled point (ties toward the smaller id; distances in
+    ``g.points`` when the graph has them) or draw uniformly from the space,
+    per ``cfg.z_init``. Every output is encoded here, once. Raises
     UnsupportedConfiguration when a graph edge joins inputs of different
     lengths or a copied output does not fit its point.
     """
@@ -124,24 +180,27 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
             f"graph edge {s} -> {t} joins inputs of lengths {length[s]} and {length[t]}; "
             f"outputs of different lengths cannot be compared"
         )
-    labeled = ds.labeled_ids
-    if not labeled:
+    fixed = FitArrays.build(ds, g, space)
+    free, labeled = fixed.free, fixed.labeled
+    if not len(labeled):
         raise ContractViolation("cannot initialize without labeled points")
 
     if cfg.z_init == "nearest-labeled":
-        free = ds.unlabeled_ids
-        source = np.arange(len(ds.points))
-        if free:
-            X = point_matrix(ds.points)
+        # position in ``labeled`` of every point's donor
+        pick = np.empty(len(ds.points), dtype=int)
+        pick[labeled] = np.arange(len(labeled))
+        if len(free):
+            X = g.points if g.points is not None else point_matrix(ds.points)
             nearest, _ = k_nearest(X[free], X[labeled], 1)
-            source[free] = np.asarray(labeled)[nearest[:, 0]]
-            _check_donors(ds, space, free, source[free], length[free])
-        z = [ds.points[j].y for j in source.tolist()]
+            pick[free] = nearest[:, 0]
+            _check_donors(ds, space, free.tolist(), labeled[nearest[:, 0]], length[free])
+        z = fixed.truth[pick]
     else:
         rng = np.random.default_rng((cfg.seed, _SEED_TAG_ZINIT))
-        z = [p.y if p.y is not None else space.random_output(p.x, rng) for p in ds.points]
+        z = space.as_codes([p.y if p.y is not None else space.random_output(p.x, rng)
+                            for p in ds.points])
 
-    state = SolverState(w=np.zeros(space.dim), z=z, upsilon=[], iteration=0)
+    state = SolverState(w=np.zeros(space.dim), z=z, upsilon=None, iteration=0, fixed=fixed)
     state.upsilon = update_upsilon(state, ds, space, cfg)
     state.trace.append(TraceRow(0, *objective(state, ds, g, space, cfg)))
     return state
@@ -165,35 +224,32 @@ def _check_donors(ds, space, free, donor, length):
         )
 
 
-def update_upsilon(state, ds, space, cfg) -> list:
-    """Most-violating output for every point at the current ``(w, z)``.
+def update_upsilon(state, ds, space, cfg) -> np.ndarray:
+    """Most-violating output for every point at the current ``(w, z)``, as codes.
 
     Runs loss-augmented inference for all points, labeled included; the
     loss bound sums over the whole training set. Independent of c1 and c2.
     """
-    return space.argmax_loss_augmented_all(state.w, ds.inputs, state.z)
+    f = _fixed(state, ds, space)
+    return space.argmax_loss_augmented_all(state.w, f.inputs, space.as_codes(state.z))
 
 
-def update_slack(state, ds, g, space, cfg) -> list:
-    """One sweep of slack-output updates.
+def update_slack(state, ds, g, space, cfg) -> np.ndarray:
+    """One sweep of slack-output updates, as codes.
 
     Labeled points keep their true output. Each unlabeled point minimizes
     its local objective against the neighbors' previous-iteration outputs.
     """
-    free = ds.unlabeled_ids
-    owner, neighbor, weight = neighbor_terms(g, free)
+    f = _fixed(state, ds, space, g)
+    owner, neighbor, weight = f.terms
+    z = space.as_codes(state.z)
     moved = space.argmin_slack_all(
-        state.w,
-        [ds.inputs[i] for i in free],
-        [state.upsilon[i] for i in free],
-        (owner, weight, [state.z[j] for j in neighbor]),
-        cfg.c1,
+        state.w, f.free_inputs, space.as_codes(state.upsilon)[f.free],
+        (owner, weight, z[neighbor]), cfg.c1,
     )
-    new = list(state.z)
-    for i in ds.labeled_ids:
-        new[i] = ds.points[i].y
-    for i, y in zip(free, moved):
-        new[i] = y
+    new = np.empty_like(z)
+    new[f.labeled] = f.truth
+    new[f.free] = moved
     return new
 
 
@@ -204,7 +260,8 @@ def update_weights(state, ds, space, cfg) -> np.ndarray:
     phi(x_i, z_i))`` with the most-violating and slack outputs held fixed.
     """
     eta = cfg.step_size
-    acc = space.phi_diff_sum(ds.inputs, state.upsilon, state.z)
+    f = _fixed(state, ds, space)
+    acc = space.phi_diff_sum(f.inputs, space.as_codes(state.upsilon), space.as_codes(state.z))
     with np.errstate(over="ignore", invalid="ignore"):
         w_new = (1.0 - eta * cfg.c2) * state.w - eta * cfg.c1 * acc
         # finite exactly when every weight is and ||w||^2 does not overflow
@@ -228,9 +285,11 @@ def objective(state, ds, g, space, cfg) -> ObjectiveParts:
     stored on the state, so refresh them first when measuring a new
     ``(w, z)`` pair.
     """
-    m = manifold_term(g, state.z, space)
-    diff = space.phi_diff_sum(ds.inputs, state.upsilon, state.z)
-    l = float(np.dot(state.w, diff)) + space.delta_sum(state.upsilon, state.z)
+    f = _fixed(state, ds, space)
+    z, upsilon = space.as_codes(state.z), space.as_codes(state.upsilon)
+    m = manifold_term(g, z, space)
+    diff = space.phi_diff_sum(f.inputs, upsilon, z)
+    l = float(np.dot(state.w, diff)) + space.delta_sum(upsilon, z)
     r = 0.5 * float(np.dot(state.w, state.w))
     return ObjectiveParts(m, l, r, m + cfg.c1 * l + cfg.c2 * r)
 
@@ -239,23 +298,27 @@ def fit(ds, g, space, cfg: SolverConfig, on_iteration=None) -> SolverState:
     """Run the full alternating optimization for ``cfg.max_iters`` rounds.
 
     Appends one trace row per iteration (plus the initial row) and returns
-    the final state. Deterministic given the config seed. A diverging
-    weight step raises :class:`Diverged` with the partial state attached.
-    ``on_iteration`` is called with the state after the initial row and
-    after every completed iteration, for instrumentation.
+    the final state, its outputs decoded to lists. Deterministic given the
+    config seed. A diverging weight step raises :class:`Diverged` with the
+    partial state attached, decoded the same way. ``on_iteration`` is
+    called with the state (holding codes) after the initial row and after
+    every completed iteration, for instrumentation.
     """
     state = initialize(ds, g, space, cfg)
     if on_iteration is not None:
         on_iteration(state)
-    for t in range(1, cfg.max_iters + 1):
-        # entering iteration t, state.upsilon already reflects (w, z) of t-1
-        state.z = update_slack(state, ds, g, space, cfg)
-        state.w = update_weights(state, ds, space, cfg)
-        state.iteration = t
-        state.upsilon = update_upsilon(state, ds, space, cfg)
-        state.trace.append(TraceRow(t, *objective(state, ds, g, space, cfg)))
-        if on_iteration is not None:
-            on_iteration(state)
+    try:
+        for t in range(1, cfg.max_iters + 1):
+            # entering iteration t, state.upsilon already reflects (w, z) of t-1
+            state.z = update_slack(state, ds, g, space, cfg)
+            state.w = update_weights(state, ds, space, cfg)
+            state.iteration = t
+            state.upsilon = update_upsilon(state, ds, space, cfg)
+            state.trace.append(TraceRow(t, *objective(state, ds, g, space, cfg)))
+            if on_iteration is not None:
+                on_iteration(state)
+    finally:  # the outputs leave the solver
+        state.z, state.upsilon, state.fixed = state.z.tolist(), state.upsilon.tolist(), None
     return state
 
 

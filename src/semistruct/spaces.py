@@ -51,13 +51,17 @@ class FiniteLabelSpace(OutputSpace):
         self._row_of[self._label_of] = np.arange(len(self.labels))
 
     def _rows(self, ys):
-        """Row of every output in ``ys``; ContractViolation if one is not a member."""
-        try:
-            a = np.asarray(ys)
-        except ValueError:  # ragged nesting, so not a flat list of labels
-            a = np.empty((0, 0))
+        """Row of every output in ``ys`` (codes or a list of outputs);
+        ContractViolation if one is not a member."""
+        if isinstance(ys, np.ndarray):
+            a = ys
+        else:
+            try:
+                a = np.asarray(ys)
+            except ValueError:  # ragged nesting, so not a flat list of labels
+                a = np.empty((0, 0))
         if a.ndim == 1 and (a.dtype.kind in "iu" or a.size == 0):
-            rows = self._row_of[np.clip(a.astype(int), -1, len(self._row_of) - 1)]
+            rows = self._row_of[np.clip(a.astype(int, copy=False), -1, len(self._row_of) - 1)]
             if np.all(rows >= 0):
                 return rows
         raise ContractViolation(
@@ -65,6 +69,7 @@ class FiniteLabelSpace(OutputSpace):
         )
 
     def _inputs(self, xs):
+        """``xs`` as an ``n x input_dim`` float matrix; one already is returned as is."""
         X = np.asarray(xs, dtype=float)
         if len(xs) and X.shape != (len(xs), self.input_dim):
             raise ContractViolation(f"inputs must have shape ({self.input_dim},)")
@@ -74,6 +79,13 @@ class FiniteLabelSpace(OutputSpace):
         """``S[i, r] = w . phi(xs[i], labels[r])``."""
         W = as_weights(w, self.dim).reshape(-1, self.input_dim)
         return self._inputs(xs) @ (self.incidence @ W).T
+
+    def as_codes(self, ys):
+        """Int array of the labels ``ys``."""
+        return ys if isinstance(ys, np.ndarray) else self._label_of[self._rows(ys)]
+
+    def stack_inputs(self, xs):
+        return self._inputs(xs)
 
     def contains(self, y, x=None):
         try:
@@ -101,25 +113,28 @@ class FiniteLabelSpace(OutputSpace):
         return value
 
     def argmax_score_all(self, w, xs):
-        return self._label_of[np.argmax(self._scores(w, xs), axis=1)].tolist()
+        return self._label_of[np.argmax(self._scores(w, xs), axis=1)]
 
     def argmax_loss_augmented_all(self, w, xs, zs):
         S = self._scores(w, xs)
         rz = self._rows(zs)
         V = S - S[np.arange(len(rz)), rz][:, None] + self.loss_matrix[rz]
-        return self._label_of[np.argmax(V, axis=1)].tolist()
+        return self._label_of[np.argmax(V, axis=1)]
 
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
         if c1 <= 0:
             raise ContractViolation(f"c1 must be positive, got {c1}")
         owner, weight, outputs = neighbors
-        # edge-weighted histogram of the neighbors' labels, one row per point
-        hist = np.zeros((len(xs), len(self.labels)))
-        np.add.at(hist, (np.asarray(owner, dtype=int), self._rows(outputs)), weight)
+        # edge-weighted histogram of the neighbors' labels, one row per point;
+        # bincount adds each cell's weights in term order, as a per-point loop
+        q = len(self.labels)
+        cell = np.asarray(owner, dtype=int) * q + self._rows(outputs)
+        hist = np.bincount(cell, np.asarray(weight, dtype=float),
+                           minlength=len(xs) * q).reshape(len(xs), q)
         cost = hist @ self.loss_matrix.T + c1 * (
             self.loss_matrix[self._rows(upsilons)] - self._scores(w, xs)
         )
-        return self._label_of[np.argmin(cost, axis=1)].tolist()
+        return self._label_of[np.argmin(cost, axis=1)]
 
     def delta_sum(self, ys1, ys2, weights=None):
         losses = self.loss_matrix[self._rows(ys1), self._rows(ys2)]
@@ -449,12 +464,12 @@ class ChainSequenceSpace(OutputSpace):
         return paths
 
     def _by_length(self, xs, solve):
-        """Label tuple of every input, in input order. Calls ``solve(idx, X)``
-        once per length, ``X`` stacking the inputs ``idx`` into ``(n, T, d)``;
-        it returns their ``(n, T)`` label paths."""
+        """Codes (label tuples) of every input, in input order. Calls
+        ``solve(idx, X)`` once per length, ``X`` stacking the inputs ``idx``
+        into ``(n, T, d)``; it returns their ``(n, T)`` label paths."""
         xs = [self._as_seq_input(x) for x in xs]
         lengths = np.array([x.shape[0] for x in xs], dtype=int)
-        out = [None] * len(xs)
+        out = np.empty(len(xs), dtype=object)
         for length in np.unique(lengths):
             idx = np.flatnonzero(lengths == length)
             paths = solve(idx, np.stack([xs[i] for i in idx]))

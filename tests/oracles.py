@@ -2,17 +2,21 @@
 
 Everything here enumerates or differentiates directly, without touching the
 library's inference oracles, so a bug in a dynamic program or gradient
-cannot hide behind itself.
+cannot hide behind itself. The list-based solver at the end is the one
+exception: it calls the library's oracles, and is the reference for how the
+solver stores, gathers and updates outputs around them.
 """
 
 import itertools
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from semistruct.core import DataPoint, Dataset, ValidationReport
-from semistruct.errors import ContractViolation, DataFormatError
-from semistruct.graph import NeighborGraph, point_vector
+from semistruct.errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
+from semistruct.graph import NeighborGraph, k_nearest, neighbor_terms, point_matrix, point_vector
+from semistruct.solver import _SEED_TAG_ZINIT, ObjectiveParts, TraceRow
 
 
 def enumerate_candidates(space, x):
@@ -267,3 +271,144 @@ def validate_dataset(ds, space) -> ValidationReport:
                 f"id {p.id}: output {p.y!r} is not in the output space"
             )
     return report
+
+
+# --- list-based solver: the alternating optimizer as it ran on Python lists ----
+#
+# The package's solver keeps slack and most-violating outputs as code arrays and
+# builds index arrays, neighbor terms and input stacks once per fit. These are
+# the list-based steps it replaced, kept as they were except that the whole-array
+# oracles' code arrays are turned back into lists with ``.tolist()``, as the
+# oracles once returned them. Every iteration must agree with them bit for bit.
+
+
+@dataclass
+class ListState:
+    """Mutable optimizer state."""
+
+    w: np.ndarray
+    z: list
+    upsilon: list
+    iteration: int = 0
+    trace: list = field(default_factory=list)
+
+
+def list_manifold_term(g, z, space) -> float:
+    if len(z) != g.n:
+        raise ContractViolation(f"got {len(z)} outputs for a graph over {g.n} nodes")
+    return space.delta_sum([z[s] for s in g.src.tolist()],
+                           [z[t] for t in g.dst.tolist()], g.weight)
+
+
+def list_initialize(ds, g, space, cfg) -> ListState:
+    cfg.validate()
+    if g.n != len(ds.points):
+        raise ContractViolation(
+            f"graph covers {g.n} nodes but the dataset has {len(ds.points)} points"
+        )
+    # the shipped losses compare outputs of one length only
+    length = np.array([len(x) for x in ds.inputs])
+    bad = np.flatnonzero(length[g.src] != length[g.dst])
+    if len(bad):
+        s, t = int(g.src[bad[0]]), int(g.dst[bad[0]])
+        raise UnsupportedConfiguration(
+            f"graph edge {s} -> {t} joins inputs of lengths {length[s]} and {length[t]}; "
+            f"outputs of different lengths cannot be compared"
+        )
+    labeled = ds.labeled_ids
+    if not labeled:
+        raise ContractViolation("cannot initialize without labeled points")
+
+    if cfg.z_init == "nearest-labeled":
+        free = ds.unlabeled_ids
+        source = np.arange(len(ds.points))
+        if free:
+            X = point_matrix(ds.points)
+            nearest, _ = k_nearest(X[free], X[labeled], 1)
+            source[free] = np.asarray(labeled)[nearest[:, 0]]
+            _list_check_donors(ds, space, free, source[free], length[free])
+        z = [ds.points[j].y for j in source.tolist()]
+    else:
+        rng = np.random.default_rng((cfg.seed, _SEED_TAG_ZINIT))
+        z = [p.y if p.y is not None else space.random_output(p.x, rng) for p in ds.points]
+
+    state = ListState(w=np.zeros(space.dim), z=z, upsilon=[], iteration=0)
+    state.upsilon = list_update_upsilon(state, ds, space, cfg)
+    state.trace.append(TraceRow(0, *list_objective(state, ds, g, space, cfg)))
+    return state
+
+
+def _list_check_donors(ds, space, free, donor, length):
+    key = donor * (length.max() + 1) + length
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    fits = np.array([space.contains(ds.points[donor[i]].y, x=ds.inputs[free[i]])
+                     for i in first.tolist()], dtype=bool)
+    bad = np.flatnonzero(~fits[inverse])
+    if len(bad):
+        raise UnsupportedConfiguration(
+            f"nearest-labeled init copied an output that does not fit "
+            f"point {free[bad[0]]} (sequence lengths differ?)"
+        )
+
+
+def list_update_upsilon(state, ds, space, cfg) -> list:
+    return space.argmax_loss_augmented_all(state.w, ds.inputs, state.z).tolist()
+
+
+def list_update_slack(state, ds, g, space, cfg) -> list:
+    free = ds.unlabeled_ids
+    owner, neighbor, weight = neighbor_terms(g, free)
+    moved = space.argmin_slack_all(
+        state.w,
+        [ds.inputs[i] for i in free],
+        [state.upsilon[i] for i in free],
+        (owner, weight, [state.z[j] for j in neighbor]),
+        cfg.c1,
+    ).tolist()
+    new = list(state.z)
+    for i in ds.labeled_ids:
+        new[i] = ds.points[i].y
+    for i, y in zip(free, moved):
+        new[i] = y
+    return new
+
+
+def list_update_weights(state, ds, space, cfg) -> np.ndarray:
+    eta = cfg.step_size
+    acc = space.phi_diff_sum(ds.inputs, state.upsilon, state.z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_new = (1.0 - eta * cfg.c2) * state.w - eta * cfg.c1 * acc
+        # finite exactly when every weight is and ||w||^2 does not overflow
+        norm2 = np.dot(w_new, w_new)
+    if not np.isfinite(norm2):
+        raise Diverged(
+            f"non-finite model weights at iteration {state.iteration + 1} "
+            f"(step size too large?)",
+            iteration=state.iteration + 1,
+            state=state,
+        )
+    return w_new
+
+
+def list_objective(state, ds, g, space, cfg) -> ObjectiveParts:
+    m = list_manifold_term(g, state.z, space)
+    diff = space.phi_diff_sum(ds.inputs, state.upsilon, state.z)
+    l = float(np.dot(state.w, diff)) + space.delta_sum(state.upsilon, state.z)
+    r = 0.5 * float(np.dot(state.w, state.w))
+    return ObjectiveParts(m, l, r, m + cfg.c1 * l + cfg.c2 * r)
+
+
+def list_fit(ds, g, space, cfg, on_iteration=None) -> ListState:
+    state = list_initialize(ds, g, space, cfg)
+    if on_iteration is not None:
+        on_iteration(state)
+    for t in range(1, cfg.max_iters + 1):
+        # entering iteration t, state.upsilon already reflects (w, z) of t-1
+        state.z = list_update_slack(state, ds, g, space, cfg)
+        state.w = list_update_weights(state, ds, space, cfg)
+        state.iteration = t
+        state.upsilon = list_update_upsilon(state, ds, space, cfg)
+        state.trace.append(TraceRow(t, *list_objective(state, ds, g, space, cfg)))
+        if on_iteration is not None:
+            on_iteration(state)
+    return state

@@ -47,13 +47,13 @@ def _flatten(neighbors):
 
 
 def _check_oracles(space, w, X, zs, ups, neighbors, c1):
-    assert space.argmax_score_all(w, X) == [
+    assert space.argmax_score_all(w, X).tolist() == [
         oracles.brute_argmax_score(space, w, x) for x in X
     ]
-    assert space.argmax_loss_augmented_all(w, X, zs) == [
+    assert space.argmax_loss_augmented_all(w, X, zs).tolist() == [
         oracles.brute_argmax_loss_augmented(space, w, x, z)[0] for x, z in zip(X, zs)
     ]
-    assert space.argmin_slack_all(w, X, ups, _flatten(neighbors), c1) == [
+    assert space.argmin_slack_all(w, X, ups, _flatten(neighbors), c1).tolist() == [
         oracles.brute_argmin_slack(space, w, x, u, nb, c1)
         for x, u, nb in zip(X, ups, neighbors)
     ]
@@ -111,7 +111,7 @@ def test_zero_weights_break_ties_toward_the_first_label(space):
     labels = list(space.outputs())
     X = rng.standard_normal((len(labels), space.input_dim))
     w = np.zeros(space.dim)
-    assert space.argmax_score_all(w, X) == [labels[0]] * len(labels)
+    assert space.argmax_score_all(w, X).tolist() == [labels[0]] * len(labels)
     # every label as the reference and as upsilon, without neighbors
     _check_oracles(space, w, X, labels, labels, [[] for _ in labels], 1.0)
 
@@ -176,7 +176,7 @@ def test_fit_passes_match_brute_force_every_iteration(kind):
     state = initialize(ds, g, space, cfg)
     for _ in range(cfg.max_iters):
         state.upsilon = update_upsilon(state, ds, space, cfg)
-        assert state.upsilon == [
+        assert state.upsilon.tolist() == [
             oracles.brute_argmax_loss_augmented(space, state.w, p.x, state.z[p.id])[0]
             for p in ds.points
         ]
@@ -222,7 +222,7 @@ def test_chain_ties_break_toward_the_smallest_sequence(loss):
     space = ChainSequenceSpace(3, 1, loss=loss)
     w = np.zeros(space.dim)
     X = [np.ones((t, 1)) for t in (3, 1, 2, 3)]
-    assert space.argmax_score_all(w, X) == [(0,) * len(x) for x in X]
+    assert space.argmax_score_all(w, X).tolist() == [(0,) * len(x) for x in X]
     # every candidate ties in score; without neighbors only upsilon and z decide
     zs = [(2, 1, 0), (1,), (0, 0), (1, 1, 1)]
     _check_oracles(space, w, X, zs, zs, [[] for _ in X], 1.0)
@@ -263,4 +263,4 @@ def test_chain_zero_one_whole_array_forms_reject_above_cap():
         space.argmax_loss_augmented_all(w, X, ys)
     with pytest.raises(UnsupportedConfiguration):
         space.argmin_slack_all(w, X, ys, ([], [], []), 1.0)
-    assert space.argmax_score_all(w, X) == [(0, 0), (0,) * 13]
+    assert space.argmax_score_all(w, X).tolist() == [(0, 0), (0,) * 13]

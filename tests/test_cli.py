@@ -368,6 +368,6 @@ def test_predictions_equal_one_json_dumps_per_record(tmp_path, space):
     w, sp, _ = load_model(model)
     ds = load_dataset(data, sp)
     expected = "".join(json.dumps({"id": p.id, "y": sp.encode(y)}) + "\n"
-                       for p, y in zip(ds.points, sp.argmax_score_all(w, ds.inputs)))
+                       for p, y in zip(ds.points, sp.argmax_score_all(w, ds.inputs).tolist()))
     assert len({line.split('"y": ')[1] for line in expected.splitlines()}) > 1
     assert (out / "predictions.jsonl").read_text() == expected
