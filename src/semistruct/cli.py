@@ -62,9 +62,9 @@ def _add_graph_flags(p):
 
 def _build_space(args, records):
     """Construct the output space from flags, inferring sizes from records."""
-    _, x0, _ = next(iter(records.values()))
+    x0 = records.inputs[0]
     dim = int(x0.shape[-1]) if x0.ndim else 1
-    ys = [y for _, _, y in records.values() if y is not None]
+    ys = [y for y in records.ys if y is not None]
     if args.space == "multiclass":
         labels = [y for y in ys if isinstance(y, int)]
         return MulticlassSpace(_label_count(args.classes, labels, "--classes"), dim)
@@ -132,7 +132,7 @@ def cmd_synth(args):
         space = ChainSequenceSpace(args.alphabet or 3, args.dim)
     path = out / "data.jsonl"
     data_io.save_dataset(ds, path, space)
-    print(f"wrote {len(ds.points)} points to {path}")
+    print(f"wrote {len(ds)} points to {path}")
     return 0
 
 
@@ -160,13 +160,13 @@ def cmd_predict(args):
     w, space, _ = load_model(args.model)
     ds = data_io.load_dataset(args.data, space, require_labeled=False)
     ys = space.argmax_score_all(w, ds.inputs).tolist()
-    # one encoding per distinct output; each line equals
-    # json.dumps({"id": p.id, "y": space.encode(y)}) plus a newline
+    # one encoding per distinct output; line i equals
+    # json.dumps({"id": i, "y": space.encode(ys[i])}) plus a newline
     text = {y: json.dumps(space.encode(y)) for y in set(ys)}
     path = out / "predictions.jsonl"
     with open(path, "w") as f:
-        f.writelines('{"id": %d, "y": %s}\n' % (p.id, text[y]) for p, y in zip(ds.points, ys))
-    print(f"wrote {len(ds.points)} predictions to {path}")
+        f.writelines('{"id": %d, "y": %s}\n' % (i, text[y]) for i, y in enumerate(ys))
+    print(f"wrote {len(ys)} predictions to {path}")
     return 0
 
 
@@ -183,14 +183,19 @@ def _write_report(report, out):
         raise Diverged(report.failure)
 
 
+def _score(mean):
+    """A mean score for the console; ``n/a`` when no fold has one."""
+    return "n/a" if mean is None else f"{mean:.4f}"
+
+
 def cmd_cv(args):
     out = _out_dir(args)
     space, ds = _load_training_data(args)
     report = evaluate.run_cv(ds, space, _solver_config(args),
                              k=args.k, sigma=args.sigma, seed=args.seed)
     _write_report(report, out)
-    print(f"mean test ASL {report.mean_test_asl:.4f}, "
-          f"mean transductive ASL {report.mean_transductive_asl:.4f} "
+    print(f"mean test ASL {_score(report.mean_test_asl)}, "
+          f"mean transductive ASL {_score(report.mean_transductive_asl)} "
           f"({report.folds_diverged} diverged folds, {report.total_seconds:.1f}s)")
     print(f"wrote {out / 'report.json'}")
     return 0
@@ -202,7 +207,7 @@ def cmd_baseline(args):
     report = evaluate.run_baseline_supervised(ds, space, _solver_config(args),
                                               seed=args.seed)
     _write_report(report, out)
-    print(f"mean test ASL {report.mean_test_asl:.4f} "
+    print(f"mean test ASL {_score(report.mean_test_asl)} "
           f"({report.folds_diverged} diverged folds, {report.total_seconds:.1f}s)")
     print(f"wrote {out / 'report.json'}")
     return 0
@@ -217,7 +222,7 @@ def cmd_sweep(args):
     path = out / "sweep.csv"
     path.write_text(evaluate.sweep_csv(args.param, rows))
     for r in rows:
-        status = f"{r.mean_test_asl:.4f}" if r.mean_test_asl is not None else f"failed: {r.error}"
+        status = _score(r.mean_test_asl) if r.error is None else f"failed: {r.error}"
         print(f"{args.param}={r.value:g}: {status}")
     print(f"wrote {path}")
     return 0

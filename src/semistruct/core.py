@@ -8,6 +8,11 @@ space. Structured outputs use a canonical per-space encoding (int class
 index, int tree-node id, tuple of int labels) so equality and hashing are
 trivial; indicator-vector views are derived inside each space.
 
+A :class:`Dataset` holds its inputs stacked the way the spaces read them
+(one ``n x d`` float matrix for flat data read from a file) and its outputs
+as one list; :class:`DataPoint` objects are made only when ``points`` is
+read.
+
 Batches of outputs travel as *codes*: a 1-D numpy array with one entry per
 output, made by :meth:`OutputSpace.as_codes`. Its entries are the outputs
 themselves (ints in an int array for the finite label spaces, any object in
@@ -47,35 +52,77 @@ class DataPoint:
         return self.y is not None
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """Ordered collection of points sharing one output space.
 
-    Ids must be unique and contiguous from 0, in list order. Use
-    :func:`validate_dataset` to check the full contract.
+    ``inputs`` holds the inputs stacked the way the spaces read them and
+    ``outputs`` the outputs, ``None`` where unlabeled. A set made by
+    :meth:`from_arrays` numbers its points by position and builds
+    :class:`DataPoint` objects only when ``points`` is first read; one made
+    from points lists their inputs, outputs and ids. Ids must be unique and
+    contiguous from 0, in list order. Use :func:`validate_dataset` to check
+    the full contract.
     """
 
-    points: tuple
-    space_id: str = ""
+    def __init__(self, points, space_id=""):
+        self.points = tuple(points)
+        self.space_id = space_id
+
+    @classmethod
+    def from_arrays(cls, inputs, outputs, space_id=""):
+        """The set whose point ``i`` has id ``i``, input ``inputs[i]`` and
+        output ``outputs[i]``. ``inputs`` is one array whose rows are the
+        inputs when they share a shape (an ``n x d`` float matrix for flat
+        data), else a list of arrays; ``outputs`` is a list."""
+        ds = cls.__new__(cls)
+        ds.inputs, ds.outputs, ds.space_id = inputs, outputs, space_id
+        ds.ids = range(len(outputs))
+        return ds
 
     def __len__(self):
-        return len(self.points)
+        return len(self.outputs)
 
     def __iter__(self):
         return iter(self.points)
 
-    @property
-    def labeled_ids(self):
-        return [p.id for p in self.points if p.y is not None]
-
-    @property
-    def unlabeled_ids(self):
-        return [p.id for p in self.points if p.y is None]
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(DataPoint(i, x, y) for i, x, y in zip(self.ids, self.inputs, self.outputs))
 
     @cached_property
     def inputs(self) -> list:
         """All inputs in id order."""
         return [p.x for p in self.points]
+
+    @cached_property
+    def outputs(self) -> list:
+        """All outputs in id order, ``None`` where unlabeled."""
+        return [p.y for p in self.points]
+
+    @cached_property
+    def ids(self):
+        """Point ids in order: a ``range`` for a set made from arrays."""
+        return tuple(p.id for p in self.points)
+
+    @cached_property
+    def labeled(self) -> np.ndarray:
+        """Bool array: which points have an output."""
+        return np.fromiter((y is not None for y in self.outputs), dtype=bool, count=len(self))
+
+    @property
+    def labeled_ids(self):
+        return [i for i, y in zip(self.ids, self.outputs) if y is not None]
+
+    @property
+    def unlabeled_ids(self):
+        return [i for i, y in zip(self.ids, self.outputs) if y is None]
+
+
+def take_inputs(inputs, idx):
+    """The inputs at positions ``idx`` (an int array), in the same form."""
+    if isinstance(inputs, np.ndarray):
+        return inputs[idx]
+    return [inputs[i] for i in idx.tolist()]
 
 
 class OutputSpace(ABC):
@@ -293,13 +340,14 @@ def validate_dataset(ds, space) -> ValidationReport:
 
     Never raises for a fault of the data; all violations are collected into
     the returned report so callers can surface them at once, in point order.
-    Inputs are checked once per group of equal shape (number of dimensions,
-    emptiness, the last axis against ``space.input_dim``) and for finiteness
-    in blocks of at most 1024 inputs. A space that declares no positive
-    integer ``input_dim`` raises ContractViolation.
+    Inputs stacked in one array are checked as one group; a list of inputs
+    is checked once per group of equal shape. Per group: the number of
+    dimensions, emptiness, the last axis against ``space.input_dim``, and
+    finiteness in blocks of at most 1024 inputs. A space that declares no
+    positive integer ``input_dim`` raises ContractViolation.
     """
     report = ValidationReport()
-    if len(ds.points) == 0:
+    if len(ds) == 0:
         report.violations.append("dataset is empty")
         return report
 
@@ -308,28 +356,28 @@ def validate_dataset(ds, space) -> ValidationReport:
             f"dataset space_id {ds.space_id!r} does not match space kind {space.kind!r}"
         )
 
-    for pos, p in enumerate(ds.points):
-        if p.id != pos:
-            report.violations.append(
-                f"point at position {pos} has id {p.id}; ids must be contiguous from 0"
-            )
+    ids = ds.ids
+    if not isinstance(ids, range):  # a set made from arrays is numbered by position
+        for pos, pid in enumerate(ids):
+            if pid != pos:
+                report.violations.append(
+                    f"point at position {pos} has id {pid}; ids must be contiguous from 0"
+                )
 
-    report.violations.extend(_input_violations(ds.points, space))
+    report.violations.extend(f"id {ids[i]}: {problem}"
+                             for i, problem in _input_violations(ds.inputs, space))
 
-    if not any(p.y is not None for p in ds.points):
+    if not ds.labeled.any():
         report.violations.append("dataset has no labeled points")
 
-    for p in ds.points:
-        if p.y is None:
-            continue
+    for i in np.flatnonzero(ds.labeled).tolist():
+        y = ds.outputs[i]
         try:
-            ok = space.contains(p.y, x=p.x)
+            ok = space.contains(y, x=ds.inputs[i])
         except ContractViolation:
             ok = False
         if not ok:
-            report.violations.append(
-                f"id {p.id}: output {p.y!r} is not in the output space"
-            )
+            report.violations.append(f"id {ids[i]}: output {y!r} is not in the output space")
     return report
 
 
@@ -337,21 +385,25 @@ def validate_dataset(ds, space) -> ValidationReport:
 _FINITE_BLOCK_ROWS = 1024
 
 
-def _input_violations(points, space) -> list:
-    """Input violations of ``points`` in point order, each point's in the
-    order non-finite, then dimension."""
+def _input_violations(xs, space) -> list:
+    """``(position, problem)`` of every input violation of ``xs`` (one array
+    whose rows are the inputs, or a list of inputs) in position order, each
+    input's in the order non-finite, then dimension."""
     dim = getattr(space, "input_dim", None)
     if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
         raise ContractViolation(
             f"{type(space).__name__} must declare input_dim, a positive integer; got {dim!r}"
         )
-    xs = [p.x if isinstance(p.x, np.ndarray) else np.asarray(p.x) for p in points]
-    shapes = {}  # shape -> group number
-    group = np.fromiter((shapes.setdefault(x.shape, len(shapes)) for x in xs),
-                        dtype=np.intp, count=len(xs))
-    found = []  # (position, problem); a stable sort by position keeps each point's order
-    for shape, number in shapes.items():
-        members = np.flatnonzero(group == number)
+    if isinstance(xs, np.ndarray):
+        groups = {xs.shape[1:]: np.arange(len(xs))}
+    else:
+        xs = [x if isinstance(x, np.ndarray) else np.asarray(x) for x in xs]
+        shapes = {}  # shape -> group number
+        group = np.fromiter((shapes.setdefault(x.shape, len(shapes)) for x in xs),
+                            dtype=np.intp, count=len(xs))
+        groups = {shape: np.flatnonzero(group == number) for shape, number in shapes.items()}
+    found = []  # (position, problem); a stable sort by position keeps each input's order
+    for shape, members in groups.items():
         if len(shape) != space.input_ndim:
             problem = f"input has {len(shape)} dimension(s), space expects {space.input_ndim}"
         elif 0 in shape:
@@ -359,7 +411,9 @@ def _input_violations(points, space) -> list:
         else:
             for lo in range(0, len(members), _FINITE_BLOCK_ROWS):
                 block = members[lo : lo + _FINITE_BLOCK_ROWS]
-                joined = np.concatenate([xs[i] for i in block.tolist()])
+                joined = (xs[lo : lo + len(block)]  # a stack is one group: block == lo..
+                          if isinstance(xs, np.ndarray)
+                          else np.concatenate([xs[i] for i in block.tolist()]))
                 finite = np.isfinite(joined).reshape(len(block), -1).all(axis=1)
                 found += [(i, "input has non-finite entries") for i in block[~finite].tolist()]
             if shape[-1] == dim:
@@ -367,4 +421,4 @@ def _input_violations(points, space) -> list:
             problem = f"input dimension {shape[-1]} differs from {dim}"
         found += [(i, problem) for i in members.tolist()]
     found.sort(key=lambda item: item[0])
-    return [f"id {points[i].id}: {problem}" for i, problem in found]
+    return found

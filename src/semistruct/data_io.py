@@ -10,13 +10,19 @@ list of int labels) and is null for unlabeled points.
 
 Reading checks each line once, and errors name it: one JSON parse with the
 decoder's scanner (``json.loads`` runs only to word a parse error), the
-``id``/``x`` fields, an integer id seen once, ``x`` as a float array (not
-ragged, numeric, within float range), its number of dimensions, and a
-labeled output decoded and valid for its input. Inputs are then checked
-once per group of equal shape, one group for flat data and one per
-sequence length for chains (see :func:`semistruct.core.validate_dataset`):
-empty inputs, the width against the space's ``input_dim``, and finiteness
-over bounded blocks of stacked inputs.
+``id``/``x`` fields and an integer id seen once. The ``x`` lists are
+converted to floats in blocks of records, one ``np.array`` call per block
+(per sequence length when lengths differ); only a block that call rejects
+is read record by record, to name the first ragged, non-numeric or too
+large ``x``. The inputs of a file end up stacked: one ``n x d`` float matrix
+for flat data, one ``n x T x d`` array for sequences of one length, and a
+list of arrays otherwise. Then each ``x``'s number of dimensions and each
+labeled output, decoded and valid for its input, are checked, and the
+dataset is built from the stack and the outputs (:meth:`Dataset.from_arrays`)
+without a :class:`DataPoint` per record. Its inputs are checked as one
+group, or once per group of equal shape (see
+:func:`semistruct.core.validate_dataset`): empty inputs, the width against
+the space's ``input_dim``, and finiteness over bounded blocks.
 
 Taxonomy files are JSON documents ``{"nodes": [{"id": 0, "parent": null,
 "name": "root"}, ...]}`` with exactly one null parent and ids contiguous
@@ -30,12 +36,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataPoint, Dataset, validate_dataset
+from .core import DataPoint, Dataset, take_inputs, validate_dataset
 from .errors import ContractViolation, DataFormatError
 from .spaces import Taxonomy
 
@@ -51,10 +57,32 @@ NUM_LABELED_FOLDS = 2
 # --- dataset files ----------------------------------------------------------
 
 
-def read_records(path) -> dict:
-    """Parse a JSONL dataset file into ``{id: (line, x, raw y)}`` in file
-    order, checking all that needs no output space; errors name the line."""
-    records = {}
+class Records(NamedTuple):
+    """What :func:`read_records` found, in file order: every record's line
+    number, id, input and raw output. ``inputs`` is one float array whose
+    rows are the inputs when every ``x`` has one shape, else a list of
+    arrays."""
+
+    lines: list
+    ids: list
+    inputs: object
+    ys: list
+
+
+# records whose ``x`` lists one conversion reads; bounds the float lists held at once
+_BLOCK_RECORDS = 1024
+
+
+def read_records(path) -> Records:
+    """Parse a JSONL dataset file, checking all that needs no output space;
+    errors name the line. The ``x`` lists are converted in blocks of
+    ``_BLOCK_RECORDS`` records (see :func:`_convert_block`); a block is
+    converted before a later line's error is raised, so the first bad line
+    is the one named."""
+    lines, ids, ys = [], [], []
+    seen = set()
+    blocks, pending = [], []  # converted blocks; the x lists not converted yet
+    error = None
     with open(path) as f:
         try:
             for ln, line in enumerate(f, 1):
@@ -67,24 +95,64 @@ def read_records(path) -> dict:
                 pid = rec["id"]
                 if not isinstance(pid, int) or isinstance(pid, bool):
                     raise DataFormatError(f"{path}:{ln}: id must be an integer, got {pid!r}")
-                if pid in records:
+                if pid in seen:
                     raise DataFormatError(f"{path}:{ln}: duplicate id {pid}")
-                try:
-                    x = np.asarray(rec["x"], dtype=float)
-                except (ValueError, TypeError):
-                    raise DataFormatError(f"{path}:{ln}: ragged or non-numeric x") from None
-                except OverflowError:
-                    raise DataFormatError(
-                        f"{path}:{ln}: x holds a number too large for a float"
-                    ) from None
-                records[pid] = (ln, x, rec.get("y"))
+                seen.add(pid)
+                lines.append(ln)
+                ids.append(pid)
+                ys.append(rec.get("y"))
+                pending.append(rec["x"])
+                if len(pending) == _BLOCK_RECORDS:
+                    block, pending = pending, []
+                    blocks.append(_convert_block(block, lines[-len(block):], path))
         except UnicodeDecodeError as e:
-            raise DataFormatError(
-                f"{path}:{_undecodable_line(path)}: not {f.encoding} text ({e.reason})"
-            ) from None
-    if not records:
+            error = DataFormatError(
+                f"{path}:{_undecodable_line(path)}: not {f.encoding} text ({e.reason})")
+        except DataFormatError as e:
+            error = e
+    if pending:
+        blocks.append(_convert_block(pending, lines[-len(pending):], path))
+    if error is not None:
+        raise error
+    if not lines:
         raise DataFormatError(f"{path}: no records")
-    return records
+    if all(isinstance(b, np.ndarray) for b in blocks) and len({b.shape[1:] for b in blocks}) == 1:
+        inputs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    else:
+        inputs = [x for b in blocks for x in b]
+    return Records(lines, ids, inputs, ys)
+
+
+def _convert_block(xs, lines, path):
+    """The ``x`` lists ``xs`` of the records on ``lines`` as float arrays:
+    one ``np.array`` whose rows are the inputs when they share a length,
+    else a list of the rows of one ``np.array`` per length (sequences of
+    several lengths), in record order. Only a block those calls reject is
+    read record by record, to raise the first bad record's error (naming its
+    line) or, when none is bad, to list inputs of several shapes."""
+    try:
+        if len(set(map(len, xs))) == 1:
+            return np.array(xs, dtype=float)
+        by_length = {}
+        for i, x in enumerate(xs):
+            by_length.setdefault(len(x), []).append(i)
+        rows = [None] * len(xs)
+        for members in by_length.values():
+            for i, row in zip(members, np.array([xs[i] for i in members], dtype=float)):
+                rows[i] = row
+        return rows
+    except (ValueError, TypeError, OverflowError):  # also an x without a length
+        return [_as_input(x, path, ln) for x, ln in zip(xs, lines)]
+
+
+def _as_input(x, path, ln):
+    """One record's ``x`` as a float array; errors name the line."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (ValueError, TypeError):
+        raise DataFormatError(f"{path}:{ln}: ragged or non-numeric x") from None
+    except OverflowError:
+        raise DataFormatError(f"{path}:{ln}: x holds a number too large for a float") from None
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -121,39 +189,46 @@ def _undecodable_line(path) -> int:
 
 def dataset_from_records(records, path, space, require_labeled=False) -> Dataset:
     """Decode :func:`read_records` output into a validated dataset of
-    ``space``. ``require_labeled`` additionally demands at least one labeled
-    point (prediction inputs may legitimately have none)."""
-    points = {}
-    for pid, (ln, x, raw_y) in records.items():
-        if x.ndim != space.input_ndim:
-            raise DataFormatError(
-                f"{path}:{ln}: x has {x.ndim} dimension(s), "
-                f"space expects {space.input_ndim}"
-            )
-        if raw_y is None:
-            y = None
-        else:
-            try:
-                y = space.decode(raw_y)
-            except ContractViolation as e:
-                raise DataFormatError(f"{path}:{ln}: bad output: {e}") from None
-            try:
-                ok = space.contains(y, x=x)
-            except ContractViolation as e:
-                raise DataFormatError(f"{path}:{ln}: bad input: {e}") from None
-            if not ok:
-                raise DataFormatError(
-                    f"{path}:{ln}: output {raw_y!r} is not valid for this input"
-                )
-        points[pid] = DataPoint(pid, x, y)
+    ``space``. Errors name the first record, in file order, whose ``x`` has
+    another number of dimensions than the space's or whose output is bad.
+    ``require_labeled`` additionally demands at least one labeled point
+    (prediction inputs may legitimately have none)."""
+    lines, ids, inputs, raw_ys = records
+    n = len(ids)
+    if isinstance(inputs, np.ndarray):
+        bad = 0 if inputs.ndim - 1 != space.input_ndim else n
+    else:
+        bad = next((i for i, x in enumerate(inputs) if x.ndim != space.input_ndim), n)
+    ys = [None] * n
+    for i in [i for i, y in enumerate(raw_ys[:bad]) if y is not None]:
+        where, raw_y = f"{path}:{lines[i]}", raw_ys[i]
+        try:
+            ys[i] = space.decode(raw_y)
+        except ContractViolation as e:
+            raise DataFormatError(f"{where}: bad output: {e}") from None
+        try:
+            ok = space.contains(ys[i], x=inputs[i])
+        except ContractViolation as e:
+            raise DataFormatError(f"{where}: bad input: {e}") from None
+        if not ok:
+            raise DataFormatError(f"{where}: output {raw_y!r} is not valid for this input")
+    if bad < n:
+        raise DataFormatError(
+            f"{path}:{lines[bad]}: x has {inputs[bad].ndim} dimension(s), "
+            f"space expects {space.input_ndim}"
+        )
 
-    n = len(points)
-    if sorted(points) != list(range(n)):
-        missing = sorted(set(range(n)) - set(points))[:5]
+    positions = list(range(n))
+    if sorted(ids) != positions:
+        missing = sorted(set(positions) - set(ids))[:5]
         raise DataFormatError(
             f"{path}: ids must be contiguous from 0 (missing {missing}, n={n})"
         )
-    ds = Dataset(tuple(points[i] for i in range(n)), space_id=space.kind)
+    if ids != positions:  # put the records in id order
+        at = np.empty(n, dtype=int)
+        at[ids] = np.arange(n)
+        inputs, ys = take_inputs(inputs, at), [ys[i] for i in at.tolist()]
+    ds = Dataset.from_arrays(inputs, ys, space.kind)
 
     report = validate_dataset(ds, space)
     problems = [
@@ -343,7 +418,7 @@ class FoldPlan:
 
 def make_folds(ds: Dataset, seed) -> FoldPlan:
     """Random ten-fold partition with sizes differing by at most one."""
-    n = len(ds.points)
+    n = len(ds)
     if n < NUM_FOLDS:
         raise ContractViolation(f"need at least {NUM_FOLDS} points, got {n}")
     rng = np.random.default_rng((seed, _SEED_TAG_FOLDS))
@@ -375,27 +450,22 @@ def mask_labels(ds: Dataset, plan: FoldPlan, run_index) -> MaskedSplit:
     The test fold keeps its outputs (they are the scoring truth); within the
     nine train folds only the two designated labeled folds keep theirs. The
     masked ground truth travels out-of-band. Inputs are never altered; both
-    subsets are re-indexed contiguously from 0.
+    subsets keep the points' order and are numbered from 0.
     """
     if not 0 <= run_index < NUM_FOLDS:
         raise ContractViolation(f"run_index must be in 0..{NUM_FOLDS - 1}, got {run_index}")
-    if plan.n != len(ds.points):
+    if plan.n != len(ds):
         raise ContractViolation("fold plan does not match this dataset")
-    keep_labeled = set(plan.labeled_folds[run_index])
-    train, test, truth = [], [], {}
-    for p in ds.points:
-        f = plan.fold_of[p.id]
-        if f == run_index:
-            test.append(replace(p, id=len(test)))
-        elif f in keep_labeled:
-            train.append(replace(p, id=len(train)))
-        else:
-            nid = len(train)
-            if p.y is not None:
-                truth[nid] = p.y
-            train.append(DataPoint(nid, p.x, None))
+    fold_of = np.asarray(plan.fold_of)
+    test, train = np.flatnonzero(fold_of == run_index), np.flatnonzero(fold_of != run_index)
+    keep = np.isin(fold_of[train], plan.labeled_folds[run_index]).tolist()
+    ys = ds.outputs
+    train_ys = [ys[i] if kept else None for i, kept in zip(train.tolist(), keep)]
+    truth = {nid: ys[i] for nid, (i, kept) in enumerate(zip(train.tolist(), keep))
+             if not kept and ys[i] is not None}
     return MaskedSplit(
-        Dataset(tuple(train), ds.space_id),
-        Dataset(tuple(test), ds.space_id),
+        Dataset.from_arrays(take_inputs(ds.inputs, train), train_ys, ds.space_id),
+        Dataset.from_arrays(take_inputs(ds.inputs, test), [ys[i] for i in test.tolist()],
+                            ds.space_id),
         truth,
     )

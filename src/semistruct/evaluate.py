@@ -18,7 +18,9 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 
-from .core import Dataset, validate_dataset
+import numpy as np
+
+from .core import Dataset, take_inputs, validate_dataset
 from .data_io import NUM_FOLDS, make_folds, mask_labels
 from .errors import ContractViolation, Diverged, SemistructError
 from .graph import NeighborGraph, build_knn_graph
@@ -139,7 +141,9 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
 
     Per fold, ``prepare(split)`` returns the training set and graph, and
     ``transductive(state, split, ids)`` the fit's outputs for the masked
-    train points ``ids``. A diverging fold is recorded and the run continues.
+    train points ``ids``. The test score covers the labeled points of the
+    test fold; a fold without one (or without a labeled masked point) has no
+    score of that kind. A diverging fold is recorded and the run continues.
     """
     valid = validate_dataset(ds, space)
     if not valid.ok:
@@ -159,16 +163,20 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
             fold.error = str(e)
             report.traces.append(list(e.state.trace) if e.state else [])
         else:
-            fold.test_asl = asl(
-                space.argmax_score_all(state.w, split.test.inputs),
-                [p.y for p in split.test.points],
-                space,
-            )
-            fold.transductive_asl = asl(
-                transductive(state, split, masked_ids),
-                [split.masked_truth[i] for i in masked_ids],
-                space,
-            )
+            test = split.test
+            scored = np.flatnonzero(test.labeled)
+            if len(scored):
+                fold.test_asl = asl(
+                    space.argmax_score_all(state.w, take_inputs(test.inputs, scored)),
+                    [test.outputs[i] for i in scored.tolist()],
+                    space,
+                )
+            if masked_ids:
+                fold.transductive_asl = asl(
+                    transductive(state, split, masked_ids),
+                    [split.masked_truth[i] for i in masked_ids],
+                    space,
+                )
             report.traces.append(list(state.trace))
         fold.seconds = time.perf_counter() - start
         report.folds.append(fold)
@@ -200,15 +208,14 @@ def run_baseline_supervised(ds, space, cfg: SolverConfig, seed=0) -> EvalReport:
     """
 
     def prepare(split):
-        labeled = [p for p in split.train.points if p.y is not None]
-        train = Dataset(
-            tuple(replace(p, id=i) for i, p in enumerate(labeled)),
-            split.train.space_id,
-        )
+        labeled = np.flatnonzero(split.train.labeled)
+        train = Dataset.from_arrays(take_inputs(split.train.inputs, labeled),
+                                    [split.train.outputs[i] for i in labeled.tolist()],
+                                    split.train.space_id)
         return train, NeighborGraph.empty(len(labeled))
 
     def transductive(state, split, ids):
-        return space.argmax_score_all(state.w, [split.train.inputs[i] for i in ids])
+        return space.argmax_score_all(state.w, take_inputs(split.train.inputs, np.array(ids)))
 
     return _fold_loop(
         ds, space, cfg, seed, "supervised-baseline", {"k": None, "sigma": None},

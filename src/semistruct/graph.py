@@ -39,26 +39,30 @@ def point_vector(x):
     return x if x.ndim == 1 else x.mean(axis=0)
 
 
-def point_matrix(points):
-    """Point vectors of ``points`` stacked into one ``n x d`` array.
+def point_matrix(xs):
+    """Point vectors of the inputs ``xs`` stacked into one ``n x d`` array;
+    an ``n x d`` float matrix of flat inputs is its own.
 
     Raises ContractViolation unless every vector is flat, of one length and
-    finite, with squared distances far from overflow.
+    finite, with squared distances far from overflow; errors name the point
+    by position.
     """
-    vectors = [point_vector(p.x) for p in points]
-    shapes = {v.shape for v in vectors}
-    if len(shapes) > 1 or any(len(s) != 1 for s in shapes):
-        raise ContractViolation(
-            f"point vectors must be flat and of one length, got shapes {sorted(shapes)}"
-        )
-    X = np.stack(vectors)
+    if isinstance(xs, np.ndarray) and xs.ndim == 2 and xs.dtype == float:
+        X = xs
+    else:
+        vectors = [point_vector(x) for x in xs]
+        shapes = {v.shape for v in vectors}
+        if len(shapes) > 1 or any(len(s) != 1 for s in shapes):
+            raise ContractViolation(
+                f"point vectors must be flat and of one length, got shapes {sorted(shapes)}"
+            )
+        X = np.stack(vectors)
     with np.errstate(over="ignore", invalid="ignore"):
         # every value k_nearest computes stays below 16 max ||x||^2
         bad = np.flatnonzero(~np.isfinite(16.0 * (X * X).sum(axis=1)))
     if len(bad):
         raise ContractViolation(
-            f"point {points[bad[0]].id}: vector is not finite or too large "
-            f"for squared distances"
+            f"point {bad[0]}: vector is not finite or too large for squared distances"
         )
     return X
 
@@ -179,7 +183,7 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
     is set to the median squared distance over the selected edges, falling
     back to 1 when that median is zero (duplicate-heavy data).
     """
-    n = len(ds.points)
+    n = len(ds)
     if n < 2:
         raise ContractViolation(f"need at least 2 points to build a graph, got {n}")
     if k < 1:
@@ -188,13 +192,16 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
         raise ContractViolation(f"sigma must be positive, got {sigma}")
 
     kk = min(k, n - 1)
-    X = point_matrix(ds.points)
+    X = point_matrix(ds.inputs)
     dst, edge_d2 = k_nearest(X, X, kk, skip_self=True)
     src = np.repeat(np.arange(n), kk)
     dst, edge_d2 = dst.ravel(), edge_d2.ravel()
 
     if sigma is None:
-        med = float(np.median(edge_d2))
+        # np.median's value, the mean of the middle one or two, without the
+        # numpy.ma import that np.median makes
+        mid = (len(edge_d2) - 1) // 2, len(edge_d2) // 2
+        med = float(np.mean(np.partition(edge_d2, mid)[mid[0]:mid[1] + 1]))
         sigma = med if med > 0 else 1.0
     weight = np.exp(-edge_d2 / (2.0 * float(sigma)))
     return NeighborGraph(n=n, k=k, sigma=float(sigma), src=src, dst=dst, weight=weight,

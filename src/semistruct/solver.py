@@ -138,10 +138,8 @@ class FitArrays(NamedTuple):
 
     @classmethod
     def build(cls, ds, g, space):
-        has_y = np.fromiter((p.y is not None for p in ds.points), dtype=bool,
-                            count=len(ds.points))
-        free, labeled = np.flatnonzero(~has_y), np.flatnonzero(has_y)
-        truth = space.as_codes([ds.points[i].y for i in labeled.tolist()])
+        free, labeled = np.flatnonzero(~ds.labeled), np.flatnonzero(ds.labeled)
+        truth = space.as_codes([ds.outputs[i] for i in labeled.tolist()])
         inputs = space.stack_inputs(ds.inputs)
         terms = None if g is None else neighbor_terms(g, free)
         return cls(ds, g, space, free, labeled, truth, inputs, inputs[free], terms)
@@ -167,12 +165,14 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
     lengths or a copied output does not fit its point.
     """
     cfg.validate()
-    if g.n != len(ds.points):
+    if g.n != len(ds):
         raise ContractViolation(
-            f"graph covers {g.n} nodes but the dataset has {len(ds.points)} points"
+            f"graph covers {g.n} nodes but the dataset has {len(ds)} points"
         )
     # the shipped losses compare outputs of one length only
-    length = np.array([len(x) for x in ds.inputs])
+    xs = ds.inputs
+    length = (np.full(len(xs), xs.shape[1]) if isinstance(xs, np.ndarray)
+              else np.array([len(x) for x in xs]))
     bad = np.flatnonzero(length[g.src] != length[g.dst])
     if len(bad):
         s, t = int(g.src[bad[0]]), int(g.dst[bad[0]])
@@ -187,18 +187,18 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
 
     if cfg.z_init == "nearest-labeled":
         # position in ``labeled`` of every point's donor
-        pick = np.empty(len(ds.points), dtype=int)
+        pick = np.empty(len(ds), dtype=int)
         pick[labeled] = np.arange(len(labeled))
         if len(free):
-            X = g.points if g.points is not None else point_matrix(ds.points)
+            X = g.points if g.points is not None else point_matrix(xs)
             nearest, _ = k_nearest(X[free], X[labeled], 1)
             pick[free] = nearest[:, 0]
             _check_donors(ds, space, free.tolist(), labeled[nearest[:, 0]], length[free])
         z = fixed.truth[pick]
     else:
         rng = np.random.default_rng((cfg.seed, _SEED_TAG_ZINIT))
-        z = space.as_codes([p.y if p.y is not None else space.random_output(p.x, rng)
-                            for p in ds.points])
+        z = space.as_codes([y if y is not None else space.random_output(x, rng)
+                            for x, y in zip(xs, ds.outputs)])
 
     state = SolverState(w=np.zeros(space.dim), z=z, upsilon=None, iteration=0, fixed=fixed)
     state.upsilon = update_upsilon(state, ds, space, cfg)
@@ -214,7 +214,7 @@ def _check_donors(ds, space, free, donor, length):
     """
     key = donor * (length.max() + 1) + length
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    fits = np.array([space.contains(ds.points[donor[i]].y, x=ds.inputs[free[i]])
+    fits = np.array([space.contains(ds.outputs[donor[i]], x=ds.inputs[free[i]])
                      for i in first.tolist()], dtype=bool)
     bad = np.flatnonzero(~fits[inverse])
     if len(bad):

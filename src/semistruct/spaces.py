@@ -55,6 +55,8 @@ class FiniteLabelSpace(OutputSpace):
         ContractViolation if one is not a member."""
         if isinstance(ys, np.ndarray):
             a = ys
+        elif not {bool, np.bool_}.isdisjoint(map(type, ys)):
+            a = np.empty((0, 0))  # numpy would read a bool among ints as 0 or 1
         else:
             try:
                 a = np.asarray(ys)
@@ -470,7 +472,8 @@ class ChainSequenceSpace(OutputSpace):
         xs = [self._as_seq_input(x) for x in xs]
         lengths = np.array([x.shape[0] for x in xs], dtype=int)
         out = np.empty(len(xs), dtype=object)
-        for length in np.unique(lengths):
+        # a plain np.unique imports numpy.ma
+        for length in sorted(set(lengths.tolist())):
             idx = np.flatnonzero(lengths == length)
             paths = solve(idx, np.stack([xs[i] for i in idx]))
             for i, path in zip(idx.tolist(), paths.tolist()):

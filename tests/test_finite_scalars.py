@@ -2,8 +2,8 @@
 finite label spaces do with values that are not plain member ints.
 
 Pinned as they behave today, so a faster scalar path keeps every answer and
-every ContractViolation: bools are not members (though ``delta`` reads one
-paired with an int as that int), numpy integers are members for everything
+every ContractViolation: bools are not members (``delta`` rejects one
+paired with an int too), numpy integers are members for everything
 but ``decode``, which takes only JSON's ints, and floats, strings, nested
 lists, negatives and non-member ints are rejected.
 """
@@ -18,8 +18,8 @@ X = np.array([1.0, 2.0])
 
 # value, contains, decode, delta(value, first label), the label whose phi it has
 MULTICLASS = [
-    (True, False, CV, 1.0, CV),
-    (False, False, CV, 0.0, CV),
+    (True, False, CV, CV, CV),
+    (False, False, CV, CV, CV),
     (np.int64(1), True, CV, 1.0, 1),
     (np.int8(1), True, CV, 1.0, 1),
     (2, True, 2, 1.0, 2),

@@ -237,7 +237,13 @@ def _two_duplicates(rng):
     return np.array([[3.0, 1.0], [3.0, 1.0]])
 
 
-@pytest.mark.parametrize("make", [_gaussian, _grid_duplicates, _offset_grid, _two_duplicates])
+def _seven_gaussian(rng):
+    # an odd edge count for odd k, so the default sigma is one middle value
+    return _gaussian(rng, n=7)
+
+
+@pytest.mark.parametrize("make", [_gaussian, _grid_duplicates, _offset_grid, _two_duplicates,
+                                  _seven_gaussian])
 @pytest.mark.parametrize("k", ["1", "5", "n-1", "n+3"])
 def test_blocked_builder_matches_dense_builder(make, k):
     rng = np.random.default_rng(83)

@@ -22,6 +22,7 @@ from semistruct import (
     three_level_taxonomy,
     validate_dataset,
 )
+from semistruct import data_io
 from semistruct.data_io import (
     load_dataset,
     save_dataset,
@@ -182,6 +183,10 @@ def test_read_path_matches_per_record_reference(tmp_path, name, kind, content,
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
 def test_read_path_matches_reference_on_generated_files(tmp_path, kind):
+    _check_generated_file(tmp_path, kind)
+
+
+def _check_generated_file(tmp_path, kind):
     if kind == "multiclass":
         ds = synth_blobs(3, 40, 2, 0.7, seed=3)
     elif kind == "taxonomy":
@@ -297,3 +302,103 @@ def test_read_path_memory_stays_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_read_path_matches_reference_in_small_blocks(tmp_path, monkeypatch, block):
+    """Every corpus file and a generated file per space, with a failing
+    record in a later conversion block than the first."""
+    monkeypatch.setattr(data_io, "_BLOCK_RECORDS", block)
+    for name, kind, content, require_labeled, _ in CORPUS:
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(content)
+        ref, new = _both(path, SPACES[kind](), require_labeled)
+        assert new == ref, name
+    for kind in sorted(SPACES):
+        _check_generated_file(tmp_path, kind)
+
+
+GOOD = [b'{"id": %d, "x": [%d, 1], "y": %d}' % (i, i, i % 3) for i in range(9)]
+
+# (lines replacing the good ones, by 0-based index; the line the error names)
+LATE_ERRORS = [
+    ({7: b'{"id": 7, "x": [[1, 2], [3]], "y": 0}'}, 8),  # ragged x
+    ({7: b'{"id": 7, "x": [1, "a"], "y": 0}'}, 8),  # non-numeric x
+    ({7: b'{"id": 7, "x": [1, 1e999999999999], "y": 0}'}, 8),  # parses as infinity: no error
+    ({7: b'{"id": 7, "x": [1, %d], "y": 0}' % 10**400}, 8),  # too large for a float
+    ({4: b'{"id": 4, "x": [1, "a"], "y": 0}', 5: b"{broken"}, 5),  # bad x before bad JSON
+    ({4: b"{broken", 5: b'{"id": 5, "x": [1, "a"], "y": 0}'}, 5),  # bad JSON before bad x
+    ({4: b'{"id": 4, "x": [1, "a"], "y": 0}', 8: b'{"id": 1, "x": [1, 2]}'}, 5),
+    ({7: b'{"id": 7, "x": [1, 2], "y": true}'}, 8),  # bool output
+    ({7: b'{"id": 7, "x": [[1, 2]], "y": 0}', 2: b'{"id": 2, "x": [1, 2], "y": 7}'}, 3),
+    ({6: b'{"id": 6, "x": [[1, 2]], "y": 0}', 7: b'{"id": 7, "x": [1], "y": 7}'}, 7),
+    ({7: b'{"id": 7, "x": [1, 2, 3], "y": 0}', 8: b'{"id": 8, "x": [], "y": 0}'}, None),
+]
+
+
+@pytest.mark.parametrize("block", [2, 3, 1024])
+@pytest.mark.parametrize("case", range(len(LATE_ERRORS)))
+def test_errors_in_later_blocks_read_as_the_reference(tmp_path, monkeypatch, block, case):
+    monkeypatch.setattr(data_io, "_BLOCK_RECORDS", block)
+    swaps, line = LATE_ERRORS[case]
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"\n".join(swaps.get(i, g) for i, g in enumerate(GOOD)) + b"\n")
+    space = SPACES["multiclass"]()
+    try:
+        ref = _outcome(_reference_load, path, space, True)
+    except OverflowError:  # the reference leaves this error unworded
+        ref = f"{path}:{line}: x holds a number too large for a float"
+    new = _outcome(load_dataset, path, space, True)
+    assert new == ref
+    if line is None:
+        assert new == f"{path}: id 7: input dimension 3 differs from 2; id 8: empty input"
+    elif case == 2:
+        assert isinstance(new, str) and "id 7: input has non-finite entries" in new
+    else:
+        assert isinstance(new, str) and new.startswith(f"{path}:{line}: ")
+
+
+def test_reader_stacks_flat_inputs_into_one_matrix(tmp_path):
+    ds = synth_blobs(3, 40, 4, 0.7, seed=3)
+    space = MulticlassSpace(3, 4)
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path, space)
+    # ids out of file order: the matrix is in id order
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[60:] + lines[:60]))
+    got = load_dataset(path, space)
+    assert type(got.inputs) is np.ndarray
+    assert got.inputs.dtype == float and got.inputs.shape == (120, 4)
+    ref = _reference_load(path, space, True)
+    assert [row.tobytes() for row in got.inputs] == [p.x.tobytes() for p in ref.points]
+    assert got.outputs == [p.y for p in ref.points]
+    assert got.ids == range(120)
+
+
+def test_reader_lists_sequences_of_several_lengths(tmp_path):
+    ds = synth_chains(3, (1, 5), 60, 2, seed=4)
+    space = SPACES["chain"]()
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path, space)
+    got = load_dataset(path, space)
+    assert type(got.inputs) is list
+    assert [x.shape for x in got.inputs] == [p.x.shape for p in ds.points]
+    assert {x.shape[0] for x in got.inputs} == {1, 2, 3, 4, 5}
+
+
+def test_hand_built_sets_keep_their_points(multiclass_space):
+    points = (DataPoint(0, [1.0, 2.0], 0), DataPoint(2, np.array([np.nan, 1.0, 2.0]), None),
+              DataPoint(1, np.array([3.0]), 1))
+    ds = Dataset(points, "multiclass")
+    assert ds.points is points and len(ds) == 3
+    assert ds.inputs == [p.x for p in points] and ds.outputs == [0, None, 1]
+    assert ds.ids == (0, 2, 1) and ds.labeled_ids == [0, 1] and ds.unlabeled_ids == [2]
+    assert validate_dataset(ds, multiclass_space).violations == [
+        "point at position 1 has id 2; ids must be contiguous from 0",
+        "point at position 2 has id 1; ids must be contiguous from 0",
+        "id 2: input has non-finite entries",
+        "id 2: input dimension 3 differs from 2",
+        "id 1: input dimension 1 differs from 2",
+    ]
+    assert validate_dataset(ds, multiclass_space).violations == (
+        oracles.validate_dataset(ds, multiclass_space).violations)
