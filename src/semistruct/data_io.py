@@ -11,12 +11,12 @@ list of int labels) and is null for unlabeled points.
 Reading checks each line once, and errors name it: one JSON parse with the
 decoder's scanner (``json.loads`` runs only to word a parse error), the
 ``id``/``x`` fields and an integer id seen once. The ``x`` lists are
-converted to floats in blocks of records, one ``np.array`` call per block
-(per sequence length when lengths differ); only a block that call rejects
-is read record by record, to name the first ragged, non-numeric or too
-large ``x``. The inputs of a file end up stacked: one ``n x d`` float matrix
-for flat data, one ``n x T x d`` array for sequences of one length, and a
-list of arrays otherwise. Then each ``x``'s number of dimensions and each
+converted to floats in blocks of records, one ``np.array`` call per block;
+only a block that call rejects (a bad ``x``, or sequences of several
+lengths) is read record by record, to name the first ragged, non-numeric
+or too large ``x``. The inputs of a file end up stacked: one ``n x d``
+float matrix for flat data, one ``n x T x d`` array for sequences of one
+length, and a list of arrays otherwise. Then each ``x``'s number of dimensions and each
 labeled output, decoded and valid for its input, are checked, and the
 dataset is built from the stack and the outputs (:meth:`Dataset.from_arrays`)
 without a :class:`DataPoint` per record. Its inputs are checked as one
@@ -124,24 +124,13 @@ def read_records(path) -> Records:
 
 
 def _convert_block(xs, lines, path):
-    """The ``x`` lists ``xs`` of the records on ``lines`` as float arrays:
-    one ``np.array`` whose rows are the inputs when they share a length,
-    else a list of the rows of one ``np.array`` per length (sequences of
-    several lengths), in record order. Only a block those calls reject is
-    read record by record, to raise the first bad record's error (naming its
+    """The ``x`` lists ``xs`` of the records on ``lines`` as one float array
+    whose rows are the inputs. Only a block that ``np.array`` rejects is read
+    record by record, to raise the first bad record's error (naming its
     line) or, when none is bad, to list inputs of several shapes."""
     try:
-        if len(set(map(len, xs))) == 1:
-            return np.array(xs, dtype=float)
-        by_length = {}
-        for i, x in enumerate(xs):
-            by_length.setdefault(len(x), []).append(i)
-        rows = [None] * len(xs)
-        for members in by_length.values():
-            for i, row in zip(members, np.array([xs[i] for i in members], dtype=float)):
-                rows[i] = row
-        return rows
-    except (ValueError, TypeError, OverflowError):  # also an x without a length
+        return np.array(xs, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # also ragged lengths
         return [_as_input(x, path, ln) for x, ln in zip(xs, lines)]
 
 

@@ -171,8 +171,7 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
         )
     # the shipped losses compare outputs of one length only
     xs = ds.inputs
-    length = (np.full(len(xs), xs.shape[1]) if isinstance(xs, np.ndarray)
-              else np.array([len(x) for x in xs]))
+    length = np.array([len(x) for x in xs])
     bad = np.flatnonzero(length[g.src] != length[g.dst])
     if len(bad):
         s, t = int(g.src[bad[0]]), int(g.dst[bad[0]])
@@ -190,7 +189,7 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
         pick = np.empty(len(ds), dtype=int)
         pick[labeled] = np.arange(len(labeled))
         if len(free):
-            X = g.points if g.points is not None else point_matrix(xs)
+            X = g.points if g.points is not None else point_matrix(xs, ds.ids)
             nearest, _ = k_nearest(X[free], X[labeled], 1)
             pick[free] = nearest[:, 0]
             _check_donors(ds, space, free.tolist(), labeled[nearest[:, 0]], length[free])

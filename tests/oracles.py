@@ -323,7 +323,7 @@ def list_initialize(ds, g, space, cfg) -> ListState:
         free = ds.unlabeled_ids
         source = np.arange(len(ds.points))
         if free:
-            X = point_matrix(ds.inputs)
+            X = point_matrix(ds.inputs, ds.ids)
             nearest, _ = k_nearest(X[free], X[labeled], 1)
             source[free] = np.asarray(labeled)[nearest[:, 0]]
             _list_check_donors(ds, space, free, source[free], length[free])

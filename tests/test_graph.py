@@ -291,6 +291,19 @@ def test_build_rejects_non_finite_point_vectors(bad):
         build_knn_graph(ds, k=1)
 
 
+def test_non_finite_point_errors_name_the_point_id():
+    points = (DataPoint(0, np.array([0.0, 0.0]), 0), DataPoint(2, np.array([1.0, math.nan]), 0),
+              DataPoint(1, np.array([2.0, 2.0]), 0))
+    with pytest.raises(ContractViolation) as e:
+        build_knn_graph(Dataset(points, "multiclass"), k=1)
+    assert str(e.value) == "point 2: vector is not finite or too large for squared distances"
+    X = np.array([[0.0], [1e200], [1.0]])
+    with pytest.raises(ContractViolation, match="^point 7: "):
+        graph.point_matrix(X, [5, 7, 6])
+    with pytest.raises(ContractViolation, match="^point 1: "):
+        graph.point_matrix(X)
+
+
 def test_build_rejects_ragged_point_vectors():
     ds = _flat_dataset([[0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ContractViolation, match="one length"):
