@@ -34,7 +34,6 @@ from .solver import (
     initialize,
     load_model,
     objective,
-    predict,
     save_model,
     update_slack,
     update_upsilon,
@@ -79,7 +78,6 @@ __all__ = [
     "matching_score",
     "neighbor_terms_for",
     "objective",
-    "predict",
     "run_baseline_supervised",
     "run_cv",
     "save_model",

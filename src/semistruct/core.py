@@ -8,10 +8,11 @@ space. Structured outputs use a canonical per-space encoding (int class
 index, int tree-node id, tuple of int labels) so equality and hashing are
 trivial; indicator-vector views are derived inside each space.
 
-A :class:`Dataset` holds its inputs stacked the way the spaces read them
-(one ``n x d`` float matrix for flat data read from a file) and its outputs
-as one list; :class:`DataPoint` objects are made only when ``points`` is
-read.
+A :class:`Dataset` has one storage: its inputs stacked the way the spaces
+read them (one ``n x d`` float matrix for flat data) and its outputs as one
+list, point ``i`` having id ``i``. :class:`DataPoint` objects are made only
+when ``points`` is read; ``Dataset(points)`` is the one adapter for
+hand-built points.
 
 Batches of outputs travel as *codes*: a 1-D numpy array with one entry per
 output, made by :meth:`OutputSpace.as_codes`. Its entries are the outputs
@@ -37,85 +38,68 @@ from .errors import ContractViolation
 
 @dataclass(frozen=True, eq=False)
 class DataPoint:
-    """One training or test point.
-
-    ``y is None`` marks the point as unlabeled; a present output marks it as
-    labeled. There is no separate index set.
+    """One point of a :class:`Dataset`: its id (its position), input and
+    output. ``y is None`` marks the point as unlabeled; there is no separate
+    index set.
     """
 
     id: int
     x: np.ndarray
     y: object = None
 
-    @property
-    def labeled(self) -> bool:
-        return self.y is not None
-
 
 class Dataset:
     """Ordered collection of points sharing one output space.
 
-    ``inputs`` holds the inputs stacked the way the spaces read them and
-    ``outputs`` the outputs, ``None`` where unlabeled. A set made by
-    :meth:`from_arrays` numbers its points by position and builds
-    :class:`DataPoint` objects only when ``points`` is first read; one made
-    from points lists their inputs, outputs and ids. Ids must be unique and
-    contiguous from 0, in list order. Use :func:`validate_dataset` to check
-    the full contract.
+    Point ``i`` has id ``i``, input ``inputs[i]`` and output ``outputs[i]``
+    (``None`` where unlabeled). ``inputs`` is one float array whose rows are
+    the inputs when they share a shape (an ``n x d`` matrix for flat data),
+    else a list; ``outputs`` is a list. :class:`DataPoint` objects are built
+    only when ``points`` is first read. Use :func:`validate_dataset` to
+    check the full contract.
     """
 
     def __init__(self, points, space_id=""):
-        self.points = tuple(points)
+        """The set of hand-built ``points``, whose ids must count from 0 in
+        order; their inputs are stacked by :func:`stack_or_list`."""
+        points = tuple(points)
+        for pos, p in enumerate(points):
+            if p.id != pos:
+                raise ContractViolation(
+                    f"point at position {pos} has id {p.id}; ids must be contiguous from 0"
+                )
+        self.inputs = stack_or_list([p.x for p in points])
+        self.outputs = [p.y for p in points]
         self.space_id = space_id
 
     @classmethod
     def from_arrays(cls, inputs, outputs, space_id=""):
-        """The set whose point ``i`` has id ``i``, input ``inputs[i]`` and
-        output ``outputs[i]``. ``inputs`` is one array whose rows are the
-        inputs when they share a shape (an ``n x d`` float matrix for flat
-        data), else a list of arrays; ``outputs`` is a list."""
+        """The set whose point ``i`` has input ``inputs[i]`` and output
+        ``outputs[i]``; ``inputs`` and ``outputs`` are taken as they are."""
         ds = cls.__new__(cls)
         ds.inputs, ds.outputs, ds.space_id = inputs, outputs, space_id
-        ds.ids = range(len(outputs))
         return ds
 
     def __len__(self):
         return len(self.outputs)
 
-    def __iter__(self):
-        return iter(self.points)
-
     @cached_property
     def points(self) -> tuple:
-        return tuple(DataPoint(i, x, y) for i, x, y in zip(self.ids, self.inputs, self.outputs))
-
-    @cached_property
-    def inputs(self) -> list:
-        """All inputs in id order."""
-        return [p.x for p in self.points]
-
-    @cached_property
-    def outputs(self) -> list:
-        """All outputs in id order, ``None`` where unlabeled."""
-        return [p.y for p in self.points]
-
-    @cached_property
-    def ids(self):
-        """Point ids in order: a ``range`` for a set made from arrays."""
-        return tuple(p.id for p in self.points)
+        return tuple(DataPoint(i, x, y) for i, (x, y) in enumerate(zip(self.inputs, self.outputs)))
 
     @cached_property
     def labeled(self) -> np.ndarray:
         """Bool array: which points have an output."""
         return np.fromiter((y is not None for y in self.outputs), dtype=bool, count=len(self))
 
-    @property
-    def labeled_ids(self):
-        return [i for i, y in zip(self.ids, self.outputs) if y is not None]
 
-    @property
-    def unlabeled_ids(self):
-        return [i for i, y in zip(self.ids, self.outputs) if y is None]
+def stack_or_list(xs):
+    """The inputs ``xs`` as one float array whose rows are the inputs when
+    they share a shape, else as a list (mixed shapes or non-numeric values)."""
+    try:
+        return np.array(xs, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # also ragged shapes
+        return list(xs)
 
 
 def take_inputs(inputs, idx):
@@ -356,15 +340,7 @@ def validate_dataset(ds, space) -> ValidationReport:
             f"dataset space_id {ds.space_id!r} does not match space kind {space.kind!r}"
         )
 
-    ids = ds.ids
-    if not isinstance(ids, range):  # a set made from arrays is numbered by position
-        for pos, pid in enumerate(ids):
-            if pid != pos:
-                report.violations.append(
-                    f"point at position {pos} has id {pid}; ids must be contiguous from 0"
-                )
-
-    report.violations.extend(f"id {ids[i]}: {problem}"
+    report.violations.extend(f"id {i}: {problem}"
                              for i, problem in _input_violations(ds.inputs, space))
 
     if not ds.labeled.any():
@@ -377,7 +353,7 @@ def validate_dataset(ds, space) -> ValidationReport:
         except ContractViolation:
             ok = False
         if not ok:
-            report.violations.append(f"id {ids[i]}: output {y!r} is not in the output space")
+            report.violations.append(f"id {i}: output {y!r} is not in the output space")
     return report
 
 

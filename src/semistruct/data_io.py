@@ -16,10 +16,10 @@ only a block that call rejects (a bad ``x``, or sequences of several
 lengths) is read record by record, to name the first ragged, non-numeric
 or too large ``x``. The inputs of a file end up stacked: one ``n x d``
 float matrix for flat data, one ``n x T x d`` array for sequences of one
-length, and a list of arrays otherwise. Then each ``x``'s number of dimensions and each
-labeled output, decoded and valid for its input, are checked, and the
-dataset is built from the stack and the outputs (:meth:`Dataset.from_arrays`)
-without a :class:`DataPoint` per record. Its inputs are checked as one
+length, and a list of arrays otherwise. Then each ``x``'s number of
+dimensions and each labeled output, decoded and valid for its input, are
+checked, and the dataset is made from the stack and the outputs in id order
+(:meth:`Dataset.from_arrays`). Its inputs are checked as one
 group, or once per group of equal shape (see
 :func:`semistruct.core.validate_dataset`): empty inputs, the width against
 the space's ``input_dim``, and finiteness over bounded blocks.
@@ -29,7 +29,9 @@ Taxonomy files are JSON documents ``{"nodes": [{"id": 0, "parent": null,
 from 0.
 
 The synthetic generators stand in for benchmark corpora at desk scale; all
-of them are deterministic in their seed.
+of them are deterministic in their seed. They build their datasets from
+arrays in the form the reader gives, and :func:`save_dataset` writes
+``ds.inputs`` and ``ds.outputs`` back.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataPoint, Dataset, take_inputs, validate_dataset
+from .core import Dataset, stack_or_list, take_inputs, validate_dataset
 from .errors import ContractViolation, DataFormatError
 from .spaces import Taxonomy
 
@@ -238,11 +240,11 @@ def load_dataset(path, space, require_labeled=False) -> Dataset:
 def save_dataset(ds: Dataset, path, space):
     """Write a dataset as JSONL; inverse of :func:`load_dataset`."""
     with open(path, "w") as f:
-        for p in ds.points:
+        for i, (x, y) in enumerate(zip(ds.inputs, ds.outputs)):
             rec = {
-                "id": p.id,
-                "x": np.asarray(p.x, dtype=float).tolist(),
-                "y": None if p.y is None else space.encode(p.y),
+                "id": i,
+                "x": np.asarray(x, dtype=float).tolist(),
+                "y": None if y is None else space.encode(y),
             }
             f.write(json.dumps(rec) + "\n")
 
@@ -303,12 +305,9 @@ def synth_blobs(classes, per_class, dim, spread, seed) -> Dataset:
         means[np.arange(classes), np.arange(classes)] = 1.0 / math.sqrt(2.0)
     else:
         means = _ring(classes, 1.0 / (2.0 * math.sin(math.pi / classes)), dim)
-    points = []
-    for k in range(classes):
-        for _ in range(per_class):
-            x = means[k] + spread * rng.standard_normal(dim)
-            points.append(DataPoint(len(points), x, k))
-    return Dataset(tuple(points), space_id="multiclass")
+    ys = np.repeat(np.arange(classes), per_class)
+    xs = means[ys] + spread * rng.standard_normal((len(ys), dim))
+    return Dataset.from_arrays(xs, ys.tolist(), "multiclass")
 
 
 def taxonomy_leaf_centers(tree: Taxonomy, dim) -> dict:
@@ -341,12 +340,10 @@ def synth_taxonomy_blobs(tree: Taxonomy, per_leaf, dim, spread, seed) -> Dataset
     """Gaussian cluster per leaf, sibling leaves closer than cross-branch."""
     rng = np.random.default_rng((seed, _SEED_TAG_TAXO))
     centers = taxonomy_leaf_centers(tree, dim)
-    points = []
-    for leaf in tree.leaves:
-        for _ in range(per_leaf):
-            x = centers[leaf] + spread * rng.standard_normal(dim)
-            points.append(DataPoint(len(points), x, int(leaf)))
-    return Dataset(tuple(points), space_id="taxonomy")
+    means = np.array([centers[leaf] for leaf in tree.leaves]).repeat(per_leaf, axis=0)
+    ys = np.repeat(tree.leaves, per_leaf)
+    xs = means + spread * rng.standard_normal((len(ys), dim))
+    return Dataset.from_arrays(xs, ys.tolist(), "taxonomy")
 
 
 def synth_chains(num_labels, length_range, count, dim, seed,
@@ -374,15 +371,15 @@ def synth_chains(num_labels, length_range, count, dim, seed,
     means = np.zeros((num_labels, dim))
     means[:, 0] = np.arange(num_labels)
 
-    points = []
-    for i in range(count):
+    xs, ys = [], []
+    for _ in range(count):
         length = int(rng.integers(lo, hi + 1))
         labels = [int(rng.integers(num_labels))]
         for _ in range(length - 1):
             labels.append(int(rng.choice(num_labels, p=transition[labels[-1]])))
-        x = means[labels] + spread * rng.standard_normal((length, dim))
-        points.append(DataPoint(i, x, tuple(labels)))
-    return Dataset(tuple(points), space_id="chain")
+        xs.append(means[labels] + spread * rng.standard_normal((length, dim)))
+        ys.append(tuple(labels))
+    return Dataset.from_arrays(stack_or_list(xs), ys, "chain")
 
 
 # --- fold protocol ---------------------------------------------------------------

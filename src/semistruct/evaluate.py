@@ -143,7 +143,9 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
     ``transductive(state, split, ids)`` the fit's outputs for the masked
     train points ``ids``. The test score covers the labeled points of the
     test fold; a fold without one (or without a labeled masked point) has no
-    score of that kind. A diverging fold is recorded and the run continues.
+    score of that kind. A fold whose training split holds no labeled point
+    is not fit: it is recorded with an error, no scores and an empty trace.
+    A diverging fold is recorded and the run continues.
     """
     valid = validate_dataset(ds, space)
     if not valid.ok:
@@ -152,6 +154,10 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
     report = EvalReport(method, space.kind, seed, config_echo(cfg), graph)
     for run in range(NUM_FOLDS):
         split = mask_labels(ds, plan, run)
+        if not split.train.labeled.any():
+            report.folds.append(FoldResult(run, error="no labeled point in the training split"))
+            report.traces.append([])
+            continue
         masked_ids = sorted(split.masked_truth)
         start = time.perf_counter()
         fold = FoldResult(fold=run)

@@ -39,13 +39,13 @@ def point_vector(x):
     return x if x.ndim == 1 else x.mean(axis=0)
 
 
-def point_matrix(xs, ids=None):
+def point_matrix(xs):
     """Point vectors of the inputs ``xs`` stacked into one ``n x d`` array;
     an ``n x d`` float matrix of flat inputs is its own.
 
     Raises ContractViolation unless every vector is flat, of one length and
     finite, with squared distances far from overflow; errors name the point
-    by its entry in ``ids`` (by position when ``ids`` is None).
+    by its position (its id in a dataset).
     """
     if isinstance(xs, np.ndarray) and xs.ndim == 2 and xs.dtype == float:
         X = xs
@@ -61,9 +61,8 @@ def point_matrix(xs, ids=None):
         # every value k_nearest computes stays below 16 max ||x||^2
         bad = np.flatnonzero(~np.isfinite(16.0 * (X * X).sum(axis=1)))
     if len(bad):
-        pid = bad[0] if ids is None else ids[bad[0]]
         raise ContractViolation(
-            f"point {pid}: vector is not finite or too large for squared distances"
+            f"point {bad[0]}: vector is not finite or too large for squared distances"
         )
     return X
 
@@ -193,7 +192,7 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
         raise ContractViolation(f"sigma must be positive, got {sigma}")
 
     kk = min(k, n - 1)
-    X = point_matrix(ds.inputs, ds.ids)
+    X = point_matrix(ds.inputs)
     dst, edge_d2 = k_nearest(X, X, kk, skip_self=True)
     src = np.repeat(np.arange(n), kk)
     dst, edge_d2 = dst.ravel(), edge_d2.ravel()

@@ -189,7 +189,7 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
         pick = np.empty(len(ds), dtype=int)
         pick[labeled] = np.arange(len(labeled))
         if len(free):
-            X = g.points if g.points is not None else point_matrix(xs, ds.ids)
+            X = g.points if g.points is not None else point_matrix(xs)
             nearest, _ = k_nearest(X[free], X[labeled], 1)
             pick[free] = nearest[:, 0]
             _check_donors(ds, space, free.tolist(), labeled[nearest[:, 0]], length[free])
@@ -319,11 +319,6 @@ def fit(ds, g, space, cfg: SolverConfig, on_iteration=None) -> SolverState:
     finally:  # the outputs leave the solver
         state.z, state.upsilon, state.fixed = state.z.tolist(), state.upsilon.tolist(), None
     return state
-
-
-def predict(w, x, space):
-    """Highest-scoring output for a single input."""
-    return space.argmax_score(w, x)
 
 
 MODEL_FORMAT = "semistruct-model/1"

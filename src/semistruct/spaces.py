@@ -27,9 +27,11 @@ ENUMERATION_CAP = 4096
 class FiniteLabelSpace(OutputSpace):
     """Outputs from a finite label list, fixed by three things.
 
-    ``labels``: the outputs (non-negative ints) in tie-break order; the 0/1
-    incidence ``A`` (labels x feature blocks): ``phi(x, y) = kron(A[row(y)],
-    x)``; the loss matrix ``L``: ``delta(y1, y2) = L[row(y1), row(y2)]``.
+    ``labels``: the outputs (distinct non-negative ints) in tie-break order;
+    the 0/1 incidence ``A`` (labels x feature blocks): ``phi(x, y) =
+    kron(A[row(y)], x)``; the loss matrix ``L`` (labels x labels):
+    ``delta(y1, y2) = L[row(y1), row(y2)]``. The constructor raises
+    ContractViolation for any other labels or shapes.
     With the weights as a blocks x input_dim matrix ``W``, the label scores
     of inputs ``X`` are ``X (A W)^T``, so every oracle is a few matrix
     operations over a whole batch.
@@ -40,9 +42,19 @@ class FiniteLabelSpace(OutputSpace):
     def __init__(self, labels, incidence, loss_matrix, input_dim):
         if input_dim < 1:
             raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
+        labels = tuple(labels)
+        if not labels or not all(isinstance(y, (int, np.integer)) and not isinstance(y, bool)
+                                 and y >= 0 for y in labels) or len(set(labels)) < len(labels):
+            raise ContractViolation(
+                f"labels must be distinct non-negative ints, got {reprlib.repr(labels)}")
         self.labels = tuple(int(y) for y in labels)
         self.incidence = np.asarray(incidence, dtype=np.int8)
         self.loss_matrix = np.asarray(loss_matrix, dtype=float)
+        q = len(self.labels)
+        if self.incidence.ndim != 2 or len(self.incidence) != q or self.loss_matrix.shape != (q, q):
+            raise ContractViolation(
+                f"{q} labels need one incidence row each and a {q} x {q} loss matrix, got "
+                f"shapes {self.incidence.shape} and {self.loss_matrix.shape}")
         self.input_dim = int(input_dim)
         self.dim = self.incidence.shape[1] * self.input_dim
         self._label_of = np.asarray(self.labels)

@@ -315,15 +315,15 @@ def list_initialize(ds, g, space, cfg) -> ListState:
             f"graph edge {s} -> {t} joins inputs of lengths {length[s]} and {length[t]}; "
             f"outputs of different lengths cannot be compared"
         )
-    labeled = ds.labeled_ids
+    labeled = [p.id for p in ds.points if p.y is not None]
     if not labeled:
         raise ContractViolation("cannot initialize without labeled points")
 
     if cfg.z_init == "nearest-labeled":
-        free = ds.unlabeled_ids
+        free = [p.id for p in ds.points if p.y is None]
         source = np.arange(len(ds.points))
         if free:
-            X = point_matrix(ds.inputs, ds.ids)
+            X = point_matrix(ds.inputs)
             nearest, _ = k_nearest(X[free], X[labeled], 1)
             source[free] = np.asarray(labeled)[nearest[:, 0]]
             _list_check_donors(ds, space, free, source[free], length[free])
@@ -356,7 +356,7 @@ def list_update_upsilon(state, ds, space, cfg) -> list:
 
 
 def list_update_slack(state, ds, g, space, cfg) -> list:
-    free = ds.unlabeled_ids
+    free = [p.id for p in ds.points if p.y is None]
     owner, neighbor, weight = neighbor_terms(g, free)
     moved = space.argmin_slack_all(
         state.w,
@@ -366,7 +366,7 @@ def list_update_slack(state, ds, g, space, cfg) -> list:
         cfg.c1,
     ).tolist()
     new = list(state.z)
-    for i in ds.labeled_ids:
+    for i in np.flatnonzero(ds.labeled).tolist():
         new[i] = ds.points[i].y
     for i, y in zip(free, moved):
         new[i] = y

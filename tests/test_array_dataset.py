@@ -116,3 +116,34 @@ def test_no_command_imports_numpy_ma(tmp_path, kind):
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command", ["cv", "baseline"])
+def test_folds_without_a_labeled_training_point_are_recorded(tmp_path, command):
+    """100 points in four classes, 5 of them labeled: some folds keep no
+    labeled point in their two labeled folds, and the run goes on."""
+    ds = synth_blobs(4, 25, 3, 0.5, seed=2)
+    ds = Dataset(tuple(DataPoint(p.id, p.x, p.y if p.id % 20 == 0 else None)
+                       for p in ds.points), "multiclass")
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path, MulticlassSpace(4, 3))
+    flags = ["--space", "multiclass", "--c1", "1", "--c2", "4", "--eta", "0.05",
+             "--iters", "4", "--seed", "1"] + (["--k", "3"] if command == "cv" else [])
+    out = tmp_path / "out"
+    assert main([command, "--data", str(path), *flags, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+
+    plan = make_folds(ds, 1)
+    bare = [not mask_labels(ds, plan, run).train.labeled.any() for run in range(10)]
+    assert 0 < sum(bare) < 10
+    assert report["folds_diverged"] == 0
+    for run, fold in enumerate(report["folds"]):
+        trace = (out / f"trace_fold{run}.csv").read_text().splitlines()
+        if bare[run]:
+            assert fold == {"fold": run, "test_asl": None, "transductive_asl": None,
+                            "diverged": False,
+                            "error": "no labeled point in the training split"}
+            assert trace == ["iteration,manifold,loss,regularizer,objective"]
+        else:
+            assert fold["error"] is None
+            assert len(trace) == 6

@@ -133,10 +133,11 @@ def test_validate_requires_labeled_point(multiclass_space):
     assert any("no labeled" in v for v in report.violations)
 
 
-def test_validate_non_contiguous_ids(multiclass_space):
+def test_validate_non_contiguous_ids():
     points = (DataPoint(0, np.zeros(2), 0), DataPoint(2, np.zeros(2), 1))
-    report = validate_dataset(Dataset(points, "multiclass"), multiclass_space)
-    assert any("contiguous" in v for v in report.violations)
+    with pytest.raises(ContractViolation,
+                       match="^point at position 1 has id 2; ids must be contiguous from 0$"):
+        Dataset(points, "multiclass")
 
 
 def test_validate_space_id_mismatch(multiclass_space):

@@ -37,8 +37,7 @@ def test_load_mixed_labels(tmp_path):
         ['{"id": 0, "x": [1.0, 2.0], "y": 1}', '{"id": 1, "x": [0.0, 0.0], "y": null}'],
     )
     ds = load_dataset(path, space)
-    assert ds.labeled_ids == [0]
-    assert ds.unlabeled_ids == [1]
+    assert ds.labeled.tolist() == [True, False]
     assert ds.points[0].y == 1
 
 

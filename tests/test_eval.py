@@ -12,7 +12,6 @@ from semistruct import (
     asl,
     build_knn_graph,
     fit,
-    predict,
     three_level_taxonomy,
 )
 from semistruct.data_io import make_folds, synth_blobs
@@ -142,8 +141,8 @@ def test_manifold_term_does_not_move_fully_labeled_fit(blob_setup):
     without = fit(ds, NeighborGraph.empty(len(ds.points)), space, cfg)
     assert np.array_equal(with_graph.w, without.w)
     xs = [p.x for p in ds.points]
-    assert [predict(with_graph.w, x, space) for x in xs] == [
-        predict(without.w, x, space) for x in xs
+    assert [space.argmax_score(with_graph.w, x) for x in xs] == [
+        space.argmax_score(without.w, x) for x in xs
     ]
 
 

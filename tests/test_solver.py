@@ -14,7 +14,6 @@ from semistruct import (
     initialize,
     load_model,
     objective,
-    predict,
     save_model,
     slack_objective_value,
     update_slack,
@@ -427,18 +426,11 @@ def test_fit_descent_properties_small_run():
         state.iteration += 1
 
 
-def test_predict_delegates_to_argmax(tiny):
-    _, _, space = tiny
-    w = np.array([1.0, 3.0, 2.0, 0.0])
-    x = np.array([1.0, 0.0])
-    assert predict(w, x, space) == space.argmax_score(w, x)
-
-
 def test_predict_invariant_under_positive_scaling(tiny):
     ds, g, space = tiny
     state = fit(ds, g, space, SolverConfig(max_iters=10, c2=4.0, eta=0.05))
     x = np.array([0.1, 0.1])
-    assert predict(state.w, x, space) == predict(7.5 * state.w, x, space)
+    assert space.argmax_score(state.w, x) == space.argmax_score(7.5 * state.w, x)
 
 
 def test_trained_model_classifies_separable_labeled_points():
@@ -446,7 +438,7 @@ def test_trained_model_classifies_separable_labeled_points():
     space = MulticlassSpace(2, 2)
     g = build_knn_graph(ds, k=3)
     state = fit(ds, g, space, SolverConfig(c1=1.0, c2=10.0, eta=0.02, max_iters=40))
-    preds = [predict(state.w, p.x, space) for p in ds.points]
+    preds = [space.argmax_score(state.w, p.x) for p in ds.points]
     assert preds == [p.y for p in ds.points]
 
 

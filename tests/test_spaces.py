@@ -10,8 +10,43 @@ from semistruct import (
     space_from_config,
 )
 
+from semistruct.spaces import FiniteLabelSpace
+
 from . import oracles
 from .conftest import random_flat_space
+
+
+class _Labels(FiniteLabelSpace):
+    kind = "labels"
+
+    def config(self):
+        return {}
+
+
+@pytest.mark.parametrize("labels", [[-1, 0], [0, 0], [0, True], [0, 1.0], []],
+                         ids=["negative", "duplicate", "bool", "float", "empty"])
+def test_finite_label_space_rejects_bad_labels(labels):
+    eye = np.eye(len(labels))
+    with pytest.raises(ContractViolation, match="labels must be"):
+        _Labels(labels, eye, 1.0 - eye, 2)
+
+
+def test_finite_label_space_rejects_matrices_of_another_shape():
+    eye = np.eye(2)
+    need = "2 labels need one incidence row each and a 2 x 2 loss matrix"
+    with pytest.raises(ContractViolation, match=need):
+        _Labels([0, 1], np.eye(3), 1.0 - eye, 2)
+    with pytest.raises(ContractViolation, match=need):
+        _Labels([0, 1], np.ones(2), 1.0 - eye, 2)
+    with pytest.raises(ContractViolation, match=need):
+        _Labels([0, 1], eye, np.zeros((2, 3)), 2)
+
+
+def test_finite_label_space_knows_only_its_labels():
+    eye = np.eye(2)
+    space = _Labels([np.int64(3), 0], eye, 1.0 - eye, 2)
+    assert space.labels == (3, 0)
+    assert [space.contains(y) for y in (3, 0, 1, 2, 4, 7, -1)] == [True, True] + [False] * 5
 
 
 def test_multiclass_phi_block_structure():
