@@ -191,6 +191,19 @@ class OutputSpace(ABC):
                 raise ContractViolation(f"{reprlib.repr(y)} is not a {self.kind} output")
         return object_array(ys)
 
+    def contains_all(self, ys, xs=None) -> np.ndarray:
+        """Bool array: :meth:`contains` of every ``ys[i]``, checked against
+        the input ``xs[i]`` when ``xs`` is given. The default asks
+        :meth:`contains` once per output."""
+        xs = [None] * len(ys) if xs is None else xs
+        return np.fromiter((self.contains(y, x=x) for y, x in zip(ys, xs)), dtype=bool,
+                           count=len(ys))
+
+    def decode_all(self, values) -> list:
+        """:meth:`decode` of every value, in order; raises for the first bad
+        one. The default asks :meth:`decode` once per value."""
+        return [self.decode(v) for v in values]
+
     def stack_inputs(self, xs):
         """The inputs ``xs`` in the form the oracles read fastest; indexing
         it with an id array selects those inputs. The default is an object
@@ -346,15 +359,23 @@ def validate_dataset(ds, space) -> ValidationReport:
     if not ds.labeled.any():
         report.violations.append("dataset has no labeled points")
 
-    for i in np.flatnonzero(ds.labeled).tolist():
-        y = ds.outputs[i]
-        try:
-            ok = space.contains(y, x=ds.inputs[i])
-        except ContractViolation:
-            ok = False
-        if not ok:
-            report.violations.append(f"id {i}: output {y!r} is not in the output space")
+    labeled = np.flatnonzero(ds.labeled)
+    ys = [ds.outputs[i] for i in labeled.tolist()]
+    try:
+        fits = space.contains_all(ys, take_inputs(ds.inputs, labeled))
+    except ContractViolation:  # an input the space cannot read: ask point by point
+        fits = [_fits(space, y, ds.inputs[i]) for i, y in zip(labeled.tolist(), ys)]
+    report.violations.extend(f"id {i}: output {y!r} is not in the output space"
+                             for i, y, ok in zip(labeled.tolist(), ys, fits) if not ok)
     return report
+
+
+def _fits(space, y, x) -> bool:
+    """``space.contains(y, x=x)``, False where it raises ContractViolation."""
+    try:
+        return space.contains(y, x=x)
+    except ContractViolation:
+        return False
 
 
 # inputs joined at once by the finiteness check; bounds its working memory

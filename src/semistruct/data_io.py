@@ -190,19 +190,29 @@ def dataset_from_records(records, path, space, require_labeled=False) -> Dataset
         bad = 0 if inputs.ndim - 1 != space.input_ndim else n
     else:
         bad = next((i for i, x in enumerate(inputs) if x.ndim != space.input_ndim), n)
+    labeled = [i for i, y in enumerate(raw_ys[:bad]) if y is not None]
+    try:  # one batch call each; on a failure the loop below names the first bad record
+        decoded = space.decode_all([raw_ys[i] for i in labeled])
+        fits = space.contains_all(decoded, take_inputs(inputs, np.array(labeled, dtype=int)))
+    except ContractViolation:
+        fits = None
     ys = [None] * n
-    for i in [i for i, y in enumerate(raw_ys[:bad]) if y is not None]:
-        where, raw_y = f"{path}:{lines[i]}", raw_ys[i]
-        try:
-            ys[i] = space.decode(raw_y)
-        except ContractViolation as e:
-            raise DataFormatError(f"{where}: bad output: {e}") from None
-        try:
-            ok = space.contains(ys[i], x=inputs[i])
-        except ContractViolation as e:
-            raise DataFormatError(f"{where}: bad input: {e}") from None
-        if not ok:
-            raise DataFormatError(f"{where}: output {raw_y!r} is not valid for this input")
+    if fits is not None and fits.all():
+        for i, y in zip(labeled, decoded):
+            ys[i] = y
+    else:
+        for i in labeled:
+            where, raw_y = f"{path}:{lines[i]}", raw_ys[i]
+            try:
+                ys[i] = space.decode(raw_y)
+            except ContractViolation as e:
+                raise DataFormatError(f"{where}: bad output: {e}") from None
+            try:
+                ok = space.contains(ys[i], x=inputs[i])
+            except ContractViolation as e:
+                raise DataFormatError(f"{where}: bad input: {e}") from None
+            if not ok:
+                raise DataFormatError(f"{where}: output {raw_y!r} is not valid for this input")
     if bad < n:
         raise DataFormatError(
             f"{path}:{lines[bad]}: x has {inputs[bad].ndim} dimension(s), "
@@ -351,7 +361,8 @@ def synth_chains(num_labels, length_range, count, dim, seed,
     """Label sequences from a sticky Markov chain with Gaussian emissions.
 
     ``length_range`` is an inclusive (lo, hi) pair. ``transition`` overrides
-    the default 0.6-self-loop matrix; rows must sum to 1.
+    the default 0.6-self-loop matrix; its rows must be non-negative and sum
+    to 1 within ``sqrt(eps)``, else ContractViolation.
     """
     if num_labels < 2:
         raise ContractViolation(f"need at least 2 labels, got {num_labels}")
@@ -367,6 +378,16 @@ def synth_chains(num_labels, length_range, count, dim, seed,
         transition = np.asarray(transition, dtype=float)
         if transition.shape != (num_labels, num_labels):
             raise ContractViolation("transition matrix shape must be (a, a)")
+        bad = ~((transition >= 0).all(axis=1)
+                & (np.abs(transition.sum(axis=1) - 1.0) <= math.sqrt(np.finfo(float).eps)))
+        if bad.any():
+            r = int(np.flatnonzero(bad)[0])
+            raise ContractViolation(
+                f"transition row {r} must be non-negative and sum to 1, got {transition[r].tolist()}")
+    # Generator.choice(a, p=row) draws cdf.searchsorted(random(), side="right")
+    # over the row's cumulative sum divided by its last entry: the same draws
+    cdf = transition.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     # label emission centers a unit apart along the first axis
     means = np.zeros((num_labels, dim))
     means[:, 0] = np.arange(num_labels)
@@ -376,7 +397,7 @@ def synth_chains(num_labels, length_range, count, dim, seed,
         length = int(rng.integers(lo, hi + 1))
         labels = [int(rng.integers(num_labels))]
         for _ in range(length - 1):
-            labels.append(int(rng.choice(num_labels, p=transition[labels[-1]])))
+            labels.append(int(cdf[labels[-1]].searchsorted(rng.random(), side="right")))
         xs.append(means[labels] + spread * rng.standard_normal((length, dim)))
         ys.append(tuple(labels))
     return Dataset.from_arrays(stack_or_list(xs), ys, "chain")

@@ -9,14 +9,20 @@ per-point smoothing terms.
 Neighbors come from :func:`k_nearest`, which scans the points in row blocks
 of at most ``_BLOCK_BYTES`` of working memory each (at least one row), so
 the memory a search takes grows with block x n, never with n^2 * d. Ties in
-distance break toward the smaller id, also at the k-th place. The squared
+distance break toward the smaller id, also at the k-th place. Per block, one
+matrix product and one add rank the references by ``|b|^2 - 2 a.b`` of
+centered points, the expanded squared distance less the query's own
+``|a|^2``, and every reference within a proven rounding margin of a row's
+k-th smallest stays a candidate (see :func:`_candidates`). The squared
 distances it returns, and so every edge weight and the default ``sigma``,
-are computed in the direct form ``((a - b) ** 2).sum(-1)``.
+are computed for the candidates in the direct form
+``((a - b) ** 2).sum(-1)``.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,21 +91,21 @@ def k_nearest(Q, R, k, skip_self=False):
     center = R.mean(axis=0)
     Rc = R - center
     r2 = (Rc * Rc).sum(axis=1)
-    # per query row: the three float and one bool (rows x m) workspaces, then
+    Rm2 = -2.0 * Rc  # exact: a power-of-two scaling
+    # per query row: the two float and one bool (rows x m) workspaces, then
     # per candidate (up to m) its two ids, distance and sort position, and
     # three d-vectors in the direct form
-    rows_per_block = max(1, _BLOCK_BYTES // (m * (3 * 8 + 1 + 8 * (4 + 3 * d))))
+    rows_per_block = max(1, _BLOCK_BYTES // (m * (2 * 8 + 1 + 8 * (4 + 3 * d))))
     rows = min(rows_per_block, n)
-    work = (np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m)),
-            np.empty((rows, m), dtype=bool))
+    work = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m), dtype=bool)
     ids = np.empty((n, k), dtype=int)
     d2 = np.empty((n, k))
     for lo in range(0, n, rows_per_block):
         q = Q[lo:lo + rows_per_block]
         b = len(q)
         self_ids = lo + np.arange(b) if skip_self else None
-        mask = _candidates(q - center, Rc, r2, k, self_ids, [a[:b] for a in work])
-        row, col = np.nonzero(mask)
+        mask = _candidates(q - center, Rm2, r2, k, self_ids, [a[:b] for a in work])
+        row, col = np.divmod(np.flatnonzero(mask), m)
         dist = ((q[row] - R[col]) ** 2).sum(-1)
         order = np.lexsort((col, dist, row))
         counts = np.bincount(row, minlength=b)
@@ -109,32 +115,35 @@ def k_nearest(Q, R, k, skip_self=False):
     return ids, d2
 
 
-def _candidates(qc, Rc, r2, k, self_ids, work):
+def _candidates(qc, Rm2, r2, k, self_ids, work):
     """Mask of the references that may be among each query's ``k`` nearest.
 
-    ``qc`` and ``Rc`` are the queries and references minus one center, and
-    ``r2`` the squared norms of ``Rc``. The expanded form ``|a|^2 + |b|^2 -
-    2 a.b`` of a centered pair differs from its direct squared distance by
-    at most ``(4d + 11) u (|a|^2 + |b|^2)`` to first order in the unit
-    roundoff ``u = eps / 2``. ``margin`` is twice that for the row's query
-    and the farthest reference, plus a term for underflow. A reference is
-    kept unless its expanded form exceeds the row's k-th smallest by more
-    than two margins, so every reference whose direct distance is at most
-    the k-th smallest is kept, ties included. ``self_ids[i]``, when given,
-    is never kept for row ``i``. ``work`` holds three float and one bool
-    ``len(qc) x len(Rc)`` arrays to compute in; the returned mask is the
-    last of them.
+    ``qc`` holds the queries and ``Rc`` the references minus one center;
+    ``Rm2`` is ``-2 Rc`` and ``r2`` the squared norms of ``Rc``. For a
+    centered query ``a`` and reference ``b`` the value is ``|b|^2 - 2 a.b``,
+    computed as ``qc @ Rm2.T + r2``: the expanded form ``|a|^2 + |b|^2 - 2
+    a.b`` less ``|a|^2``, which is the same along a row, so leaving it out
+    shifts every value of the row and its k-th smallest alike. With ``|a|^2``
+    added back exactly, the value differs from the pair's direct squared
+    distance by at most ``(4d + 10) u (|a|^2 + |b|^2)`` to first order in
+    the unit roundoff ``u = eps / 2``: ``4u`` from centering, ``2(d + 2)u``
+    from the direct form, ``d u`` each from the product and from ``r2``, and
+    ``2u`` from the add. ``margin`` is ``4(d + 4) eps = (8d + 32) u`` times
+    that norm sum for the row's query and the farthest reference, plus a
+    term for underflow, so it exceeds the bound. A reference is kept unless
+    its value exceeds the row's k-th smallest by more than two margins, so
+    every reference whose direct distance is at most the k-th smallest is
+    kept, ties included. ``self_ids[i]``, when given, is never kept for row
+    ``i``. ``work`` holds two float and one bool ``len(qc) x len(Rm2)``
+    arrays to compute in; the returned mask is the last of them.
     """
-    cross, approx, kth_part, mask = work
-    q2 = (qc * qc).sum(axis=1)
-    # approx = q2[:, None] + r2 - 2.0 * (qc @ Rc.T), in that operation order
-    np.matmul(qc, Rc.T, out=cross)
-    np.multiply(2.0, cross, out=cross)
-    np.add(q2[:, None], r2, out=approx)
-    np.subtract(approx, cross, out=approx)
+    approx, kth_part, mask = work
+    np.matmul(qc, Rm2.T, out=approx)
+    approx += r2
     if self_ids is not None:
         approx[np.arange(len(qc)), self_ids] = np.inf
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    q2 = (qc * qc).sum(axis=1)
     margin = 4 * (qc.shape[1] + 4) * eps * (q2 + r2.max() + tiny)
     np.copyto(kth_part, approx)
     kth_part.partition(k - 1, axis=1)
@@ -179,7 +188,8 @@ class NeighborGraph:
 def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
     """Connect each point to its k nearest neighbors.
 
-    Distance ties break toward the smaller id. When ``sigma`` is omitted it
+    Distance ties break toward the smaller id. A given ``sigma`` must be
+    positive and finite. When ``sigma`` is omitted it
     is set to the median squared distance over the selected edges, falling
     back to 1 when that median is zero (duplicate-heavy data).
     """
@@ -188,8 +198,8 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
         raise ContractViolation(f"need at least 2 points to build a graph, got {n}")
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
-    if sigma is not None and sigma <= 0:
-        raise ContractViolation(f"sigma must be positive, got {sigma}")
+    if sigma is not None and not 0 < sigma < math.inf:  # also false for nan
+        raise ContractViolation(f"sigma must be positive and finite, got {sigma}")
 
     kk = min(k, n - 1)
     X = point_matrix(ds.inputs)

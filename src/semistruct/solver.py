@@ -29,11 +29,13 @@ of cross validation, and predictions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .core import take_inputs
 from .errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from .graph import k_nearest, manifold_term, neighbor_terms, point_matrix
 from .spaces import space_from_config
@@ -65,12 +67,11 @@ class SolverConfig:
         return self.eta if self.eta is not None else 1.0 / self.c2
 
     def validate(self):
-        if self.c1 <= 0:
-            raise ContractViolation(f"c1 must be positive, got {self.c1}")
-        if self.c2 <= 0:
-            raise ContractViolation(f"c2 must be positive, got {self.c2}")
-        if self.eta is not None and self.eta <= 0:
-            raise ContractViolation(f"eta must be positive, got {self.eta}")
+        for name, value in (("c1", self.c1), ("c2", self.c2), ("eta", self.eta)):
+            if name == "eta" and value is None:
+                continue
+            if not 0 < value < math.inf:  # also false for nan
+                raise ContractViolation(f"{name} must be positive and finite, got {value}")
         if self.max_iters < 1:
             raise ContractViolation(f"max_iters must be >= 1, got {self.max_iters}")
         if self.z_init not in Z_INIT_STRATEGIES:
@@ -171,7 +172,8 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
         )
     # the shipped losses compare outputs of one length only
     xs = ds.inputs
-    length = np.array([len(x) for x in xs])
+    length = (np.full(len(xs), xs.shape[1]) if isinstance(xs, np.ndarray)
+              else np.array([len(x) for x in xs]))
     bad = np.flatnonzero(length[g.src] != length[g.dst])
     if len(bad):
         s, t = int(g.src[bad[0]]), int(g.dst[bad[0]])
@@ -192,7 +194,7 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
             X = g.points if g.points is not None else point_matrix(xs)
             nearest, _ = k_nearest(X[free], X[labeled], 1)
             pick[free] = nearest[:, 0]
-            _check_donors(ds, space, free.tolist(), labeled[nearest[:, 0]], length[free])
+            _check_donors(ds, space, free, labeled[nearest[:, 0]], length[free])
         z = fixed.truth[pick]
     else:
         rng = np.random.default_rng((cfg.seed, _SEED_TAG_ZINIT))
@@ -208,13 +210,14 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
 def _check_donors(ds, space, free, donor, length):
     """UnsupportedConfiguration unless every copied output fits its point.
 
-    Asks ``space.contains`` once per distinct (donor, input length) pair and
-    names the first point, in id order, whose donor does not fit.
+    Checks each distinct (donor, input length) pair once, in one
+    ``space.contains_all`` call, and names the first point, in id order,
+    whose donor does not fit.
     """
     key = donor * (length.max() + 1) + length
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    fits = np.array([space.contains(ds.outputs[donor[i]], x=ds.inputs[free[i]])
-                     for i in first.tolist()], dtype=bool)
+    fits = space.contains_all([ds.outputs[i] for i in donor[first].tolist()],
+                              take_inputs(ds.inputs, free[first]))
     bad = np.flatnonzero(~fits[inverse])
     if len(bad):
         raise UnsupportedConfiguration(

@@ -101,6 +101,27 @@ class FiniteLabelSpace(OutputSpace):
     def stack_inputs(self, xs):
         return self._inputs(xs)
 
+    def _int_rows(self, ys):
+        """Row of every output (-1 for a non-member) when all are plain
+        ints, else None."""
+        if not set(map(type, ys)) <= {int}:
+            return None
+        try:
+            a = np.fromiter(ys, dtype=int, count=len(ys))
+        except OverflowError:  # past int64, so no label
+            return None
+        return self._row_of[np.clip(a, -1, len(self._row_of) - 1)]
+
+    def contains_all(self, ys, xs=None):
+        rows = self._int_rows(ys)
+        return super().contains_all(ys, xs) if rows is None else rows >= 0
+
+    def decode_all(self, values):
+        rows = self._int_rows(values)
+        if rows is None or not np.all(rows >= 0):
+            return super().decode_all(values)
+        return list(values)
+
     def contains(self, y, x=None):
         try:
             self._rows([y])

@@ -125,6 +125,15 @@ def brute_knn_graph(ds, k, sigma=None):
     return NeighborGraph(n=n, k=k, sigma=float(sigma), src=src, dst=dst, weight=weight)
 
 
+def brute_k_nearest(Q, R, k):
+    """The ``k`` nearest rows of ``R`` to every row of ``Q`` from the whole
+    ``len(Q) x len(R)`` direct-form distance matrix, stably argsorted, so
+    ties break toward the smaller id, also at the k-th place."""
+    d2 = ((Q[:, None, :] - R[None, :, :]) ** 2).sum(axis=-1)
+    ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return ids, np.take_along_axis(d2, ids, axis=1)
+
+
 def brute_nearest_labeled(ds):
     """Nearest labeled point of every unlabeled point, by a per-point argmin."""
     X = np.stack([point_vector(p.x) for p in ds.points])

@@ -216,6 +216,19 @@ def test_divergence_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--c1", "--c2", "--eta", "--sigma"])
+def test_non_finite_hyperparameters_are_validation_errors(tmp_path, capsys, flag, value):
+    data = _synth_blobs(tmp_path)
+    out = tmp_path / "out"
+    code = _run("fit", "--data", str(data), "--space", "multiclass", "--k", "3",
+                flag, value, "--out", str(out))
+    assert code == 1
+    name = flag[2:]
+    assert capsys.readouterr().err == f"error: {name} must be positive and finite, got {value}\n"
+    assert not (out / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["cv", "baseline"])
 def test_all_folds_diverged_exit_code(tmp_path, capsys, command):
     data = _synth_blobs(tmp_path)

@@ -264,14 +264,83 @@ def test_blocked_builder_matches_dense_builder_on_sequences():
     _byte_equal(build_knn_graph(ds, 6), oracles.brute_knn_graph(ds, 6))
 
 
+def _count_blocks(monkeypatch):
+    """Spy on ``graph._candidates``: per block, its rows and the most
+    candidates of one row."""
+    seen = []
+    candidates = graph._candidates
+
+    def spy(*args):
+        mask = candidates(*args)
+        seen.append((len(mask), int(mask.sum(axis=1).max())))
+        return mask
+
+    monkeypatch.setattr(graph, "_candidates", spy)
+    return seen
+
+
 @pytest.mark.parametrize("make", [_gaussian, _grid_duplicates, _offset_grid])
 def test_blocked_builder_matches_dense_builder_across_blocks(monkeypatch, make):
     X = make(np.random.default_rng(97), n=150)
     # a few rows per block, and a last block that is cut short
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 8 * len(X) * (3 * X.shape[1] + 8) * 7)
+    blocks = _count_blocks(monkeypatch)
     ds = _flat_dataset(X.tolist())
     for k in (1, 5, 149):
+        blocks.clear()
         _byte_equal(build_knn_graph(ds, k), oracles.brute_knn_graph(ds, k))
+        rows = [b for b, _ in blocks]
+        assert len(rows) >= 10 and rows[-1] < rows[0]
+
+
+def _far_queries(rng):
+    # references around 0, queries a thousand units away on one side
+    R = rng.standard_normal((60, 3))
+    return 1e3 + rng.standard_normal((25, 3)), R
+
+
+def _grid_ties(rng):
+    # integer grids with repeated points: equal distances at the k-th place
+    R = rng.integers(0, 3, (80, 2)).astype(float)
+    return rng.integers(-1, 4, (30, 2)).astype(float), R
+
+
+def _square_centers(rng):
+    # every query sits at the center of four references of one square
+    R = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+    return rng.integers(0, 4, (20, 2)) + 0.5, R
+
+
+def _offset_both(rng):
+    # both sets far from the origin and close to each other
+    R = 1e6 + 0.1 * rng.integers(0, 4, (50, 4))
+    return 1e6 + 0.1 * rng.integers(0, 4, (20, 4)) + 0.05, R
+
+
+@pytest.mark.parametrize("make", [_far_queries, _grid_ties, _square_centers, _offset_both])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("blocks", ["one", "rows", "few"])
+def test_k_nearest_of_other_queries_matches_brute_force(monkeypatch, make, k, blocks):
+    Q, R = make(np.random.default_rng(109))
+    # "rows": one query row per block; "few": a handful of rows per block
+    budget = {"one": graph._BLOCK_BYTES, "rows": 1,
+              "few": 8 * len(R) * (3 * Q.shape[1] + 8) * 3}[blocks]
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", budget)
+    seen = _count_blocks(monkeypatch)
+    ids, d2 = k_nearest(Q, R, k)
+    want_ids, want_d2 = oracles.brute_k_nearest(Q, R, k)
+    assert ids.tolist() == want_ids.tolist()
+    assert d2.tobytes() == want_d2.tobytes()
+    assert len(seen) == {"one": 1, "rows": len(Q)}.get(blocks, len(seen))
+    assert (len(seen) > 1) == (blocks != "one")
+
+
+def test_k_nearest_keeps_more_candidates_than_k_on_ties(monkeypatch):
+    Q, R = _square_centers(np.random.default_rng(109))
+    blocks = _count_blocks(monkeypatch)
+    ids, _ = k_nearest(Q, R, 2)
+    assert max(most for _, most in blocks) >= 4  # all four corners of the square tie
+    assert ids.tolist() == oracles.brute_k_nearest(Q, R, 2)[0].tolist()
 
 
 def test_k_nearest_breaks_ties_at_the_kth_distance_toward_smaller_ids():
