@@ -10,6 +10,7 @@ that cannot be read, 2 when the solver diverges (for ``cv`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -229,6 +230,9 @@ def cmd_sweep(args):
 
 
 def build_parser():
+    """A new parser for every subcommand. Each option is a plain store with
+    an immutable default, so one parser serves any number of
+    ``parse_args`` calls, each into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="semistruct",
         description="Semi-supervised structured output prediction with "
@@ -299,8 +303,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser :func:`main` builds on its first call and then reuses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Diverged as e:

@@ -189,7 +189,8 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
     """Connect each point to its k nearest neighbors.
 
     Distance ties break toward the smaller id. A given ``sigma`` must be
-    positive and finite. When ``sigma`` is omitted it
+    positive and finite, and large enough that some edge weight is not 0.
+    When ``sigma`` is omitted it
     is set to the median squared distance over the selected edges, falling
     back to 1 when that median is zero (duplicate-heavy data).
     """
@@ -213,7 +214,12 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
         mid = (len(edge_d2) - 1) // 2, len(edge_d2) // 2
         med = float(np.mean(np.partition(edge_d2, mid)[mid[0]:mid[1] + 1]))
         sigma = med if med > 0 else 1.0
-    weight = np.exp(-edge_d2 / (2.0 * float(sigma)))
+    with np.errstate(over="ignore"):  # d2 / (2 sigma) past the float range: weight 0
+        weight = np.exp(-edge_d2 / (2.0 * float(sigma)))
+    if not weight.any():  # never for the median: half the edges have weight >= exp(-1/2)
+        raise ContractViolation(
+            f"sigma {sigma} is too small: every edge weight exp(-d2 / (2 sigma)) is 0 "
+            f"(smallest squared edge distance {edge_d2.min():g})")
     return NeighborGraph(n=n, k=k, sigma=float(sigma), src=src, dst=dst, weight=weight,
                          points=X)
 

@@ -166,9 +166,12 @@ class FiniteLabelSpace(OutputSpace):
         cell = np.asarray(owner, dtype=int) * q + self._rows(outputs)
         hist = np.bincount(cell, np.asarray(weight, dtype=float),
                            minlength=len(xs) * q).reshape(len(xs), q)
-        cost = hist @ self.loss_matrix.T + c1 * (
-            self.loss_matrix[self._rows(upsilons)] - self._scores(w, xs)
-        )
+        # a huge c1 takes costs past the float range: they read +-inf, as the
+        # scalar slack objective's floats do, and no warning leaks
+        with np.errstate(over="ignore"):
+            cost = hist @ self.loss_matrix.T + c1 * (
+                self.loss_matrix[self._rows(upsilons)] - self._scores(w, xs)
+            )
         return self._label_of[np.argmin(cost, axis=1)]
 
     def delta_sum(self, ys1, ys2, weights=None):
@@ -498,17 +501,34 @@ class ChainSequenceSpace(OutputSpace):
             paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + best_to_go[:, t], axis=1)
         return paths
 
+    def _is_stack(self, xs):
+        """Whether ``xs`` is one ``(n, T, d)`` float array of this space's
+        inputs, so one group of equal length with nothing to check."""
+        return (isinstance(xs, np.ndarray) and xs.dtype == float and xs.ndim == 3
+                and xs.shape[1] >= 1 and xs.shape[2] == self.input_dim)
+
+    def stack_inputs(self, xs):
+        """A stack as it is; a list as an object array of the inputs."""
+        return xs if self._is_stack(xs) else super().stack_inputs(xs)
+
     def _by_length(self, xs, solve):
         """Codes (label tuples) of every input, in input order. Calls
         ``solve(idx, X)`` once per length, ``X`` stacking the inputs ``idx``
-        into ``(n, T, d)``; it returns their ``(n, T)`` label paths."""
-        xs = [self._as_seq_input(x) for x in xs]
-        lengths = np.array([x.shape[0] for x in xs], dtype=int)
+        into ``(n, T, d)``; it returns their ``(n, T)`` label paths. A stack
+        (see :meth:`_is_stack`) is solved as one group, as it is."""
         out = np.empty(len(xs), dtype=object)
-        # a plain np.unique imports numpy.ma
-        for length in sorted(set(lengths.tolist())):
-            idx = np.flatnonzero(lengths == length)
-            paths = solve(idx, np.stack([xs[i] for i in idx]))
+        if self._is_stack(xs):
+            xs = np.ascontiguousarray(xs)
+            groups = [np.arange(len(xs))] if len(xs) else []
+        else:
+            xs = [self._as_seq_input(x) for x in xs]
+            lengths = np.array([x.shape[0] for x in xs], dtype=int)
+            # a plain np.unique imports numpy.ma
+            groups = [np.flatnonzero(lengths == length)
+                      for length in sorted(set(lengths.tolist()))]
+        for idx in groups:
+            X = xs if isinstance(xs, np.ndarray) else np.stack([xs[i] for i in idx])
+            paths = solve(idx, X)
             for i, path in zip(idx.tolist(), paths.tolist()):
                 out[i] = tuple(path)
         return out
@@ -571,9 +591,12 @@ class ChainSequenceSpace(OutputSpace):
             for s in range(W.shape[1]):
                 cost += W[:, s, None, None]
                 cost[at_label + (Z[:, s],)] -= W[:, s, None]
-            cost += c1 * (1.0 - X @ emit.T)
-            cost[at_label + (U,)] -= c1
-            return self._best_paths(-cost, c1 * pairwise)
+            # as in FiniteLabelSpace, a huge c1 takes costs past the float range
+            # (+-inf, and nan where two infinities meet in the recursion)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cost += c1 * (1.0 - X @ emit.T)
+                cost[at_label + (U,)] -= c1
+                return self._best_paths(-cost, c1 * pairwise)
 
         return self._by_length(xs, solve)
 

@@ -165,3 +165,74 @@ def test_config_round_trip():
     assert rebuilt.dim == space.dim
     # model files written before the cap became a constant still load
     assert space_from_config({**space.config(), "enumeration_cap": 100}).dim == space.dim
+
+
+def _draws(space, xs, rng):
+    """Reference outputs, upsilons and neighbor terms (0 to 2 per point)
+    for the inputs ``xs``."""
+    zs = [space.random_output(x, rng) for x in xs]
+    ups = [space.random_output(x, rng) for x in xs]
+    owner = np.repeat(np.arange(len(xs)), rng.integers(0, 3, size=len(xs)))
+    terms = (owner, rng.uniform(0.1, 1.0, size=len(owner)),
+             [space.random_output(xs[i], rng) for i in owner.tolist()])
+    return zs, ups, terms
+
+
+def _codes(space, w, xs, zs, ups, terms):
+    """The three oracles' outputs for the inputs ``xs``, as lists."""
+    return [space.argmax_score_all(w, xs).tolist(),
+            space.argmax_loss_augmented_all(w, xs, zs).tolist(),
+            space.argmin_slack_all(w, xs, ups, terms, 0.7).tolist()]
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_oracles_read_a_stack_as_its_list_of_inputs(loss, monkeypatch):
+    rng = np.random.default_rng(61)
+    space = ChainSequenceSpace(3, 2, loss=loss)
+    w = rng.standard_normal(space.dim)
+    X = rng.standard_normal((9, 4, 2))
+    assert space.stack_inputs(X) is X
+    with monkeypatch.context() as m:  # a stack is read as it is, not input by input
+        m.setattr(space, "_as_seq_input", None)
+        space.argmax_score_all(w, X)
+    draws = _draws(space, X, rng)
+    from_stack = _codes(space, w, X, *draws)
+    assert from_stack == _codes(space, w, list(X), *draws)
+    assert all(len(y) == 4 for codes in from_stack for y in codes)
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_a_mixed_length_list_answers_as_one_stack_per_input(loss):
+    rng = np.random.default_rng(67)
+    space = ChainSequenceSpace(3, 2, loss=loss)
+    w = rng.standard_normal(space.dim)
+    xs = [rng.standard_normal((length, 2)) for length in (3, 5, 3, 2, 5, 4)]
+    assert space.stack_inputs(xs).dtype == object
+    zs, ups, (owner, weight, outputs) = _draws(space, xs, rng)
+    got = _codes(space, w, xs, zs, ups, (owner, weight, outputs))
+    for i, x in enumerate(xs):
+        mine = np.flatnonzero(owner == i)
+        terms = (np.zeros(len(mine), dtype=int), weight[mine], [outputs[e] for e in mine])
+        alone = _codes(space, w, x[None], [zs[i]], [ups[i]], terms)
+        assert alone == [[codes[i]] for codes in got]
+
+
+def test_a_stack_of_the_wrong_width_is_refused_as_a_list_is():
+    space = ChainSequenceSpace(3, 2)
+    w = np.zeros(space.dim)
+    for xs in (np.zeros((4, 3, 5)), list(np.zeros((4, 3, 5)))):
+        with pytest.raises(ContractViolation, match=r"expected \(T, 2\)"):
+            space.argmax_score_all(w, xs)
+
+
+def test_a_huge_c1_leaks_no_overflow_from_the_slack_oracle():
+    """Costs past the float range read +-inf without a RuntimeWarning."""
+    rng = np.random.default_rng(71)
+    space = ChainSequenceSpace(3, 2)
+    w = 500.0 * rng.standard_normal(space.dim)
+    X = rng.standard_normal((5, 4, 2))
+    ups = [space.random_output(x, rng) for x in X]
+    terms = ([0, 3], [0.5, 0.25], [space.random_output(X[0], rng),
+                                   space.random_output(X[3], rng)])
+    codes = space.argmin_slack_all(w, X, ups, terms, 1e308).tolist()
+    assert all(space.contains(y, x=x) for y, x in zip(codes, X))

@@ -1,12 +1,20 @@
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from semistruct import DataFormatError
+import semistruct
+from semistruct import DataFormatError, cli
 from semistruct.cli import main
 from semistruct.data_io import load_dataset
 from semistruct.solver import load_model
+
+SRC = Path(semistruct.__file__).resolve().parent.parent
 
 
 def _run(*argv):
@@ -384,3 +392,135 @@ def test_predictions_equal_one_json_dumps_per_record(tmp_path, space):
                        for p, y in zip(ds.points, sp.argmax_score_all(w, ds.inputs).tolist()))
     assert len({line.split('"y": ')[1] for line in expected.splitlines()}) > 1
     assert (out / "predictions.jsonl").read_text() == expected
+
+
+def _fresh(argv):
+    """``main(argv)`` as the first call of a new interpreter, warnings as errors."""
+    return subprocess.run([sys.executable, "-W", "error", "-m", "semistruct.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"})
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_one_process_runs_a_sequence_as_fresh_processes_do(tmp_path, capsys, monkeypatch):
+    """Every call of a sequence sharing one parser writes what the same
+    command writes as the first call of a new process."""
+    monkeypatch.setenv("COLUMNS", "80")
+    data = _synth_blobs(tmp_path)
+    sigmas = []
+
+    def graph_spy(*args):
+        g = build(*args)
+        sigmas.append(g.sigma)
+        return g
+
+    build = cli.build_knn_graph
+    monkeypatch.setattr(cli, "build_knn_graph", graph_spy)
+    flags = ["--data", str(data), "--space", "multiclass", "--iters", "3", "--k", "3",
+             "--seed", "1"]
+    model = str(tmp_path / "in0" / "model.json")
+    steps = [
+        ["fit", *flags, "--dump-graph"],
+        ["fit", *flags],
+        ["fit", *flags, "--sigma", "0.5", "--dump-graph"],
+        ["fit", *flags, "--dump-graph"],
+        ["fit", *flags, "--bogus"],
+        ["predict", "--model", model, "--data", str(data)],
+        ["cv", *flags],
+        ["predict", "--help"],
+    ]
+    for i, argv in enumerate(steps):
+        capsys.readouterr()
+        if "--bogus" in argv or "--help" in argv:
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            fresh = _fresh(argv)
+            assert stop.value.code == fresh.returncode == (2 if "--bogus" in argv else 0)
+            assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
+            continue
+        assert main([*argv, "--out", str(tmp_path / f"in{i}")]) == 0
+        fresh = _fresh([*argv, "--out", str(tmp_path / f"fresh{i}")])
+        assert fresh.returncode == 0, fresh.stderr
+        assert _files(tmp_path / f"in{i}") == _files(tmp_path / f"fresh{i}"), argv
+    assert not (tmp_path / "in1" / "graph.csv").exists()
+    assert (tmp_path / "in3" / "graph.csv").read_bytes() == (
+        tmp_path / "in0" / "graph.csv").read_bytes()
+    median = sigmas[0]
+    assert median != 0.5 and sigmas == [median, median, 0.5, median]
+    assert (tmp_path / "in6" / "report.json").exists()
+
+
+def test_predict_in_a_new_process_writes_the_in_process_bytes(tmp_path):
+    data = _synth_blobs(tmp_path)
+    model = _fit_model(tmp_path, data, "--space", "multiclass")
+    argv = ["predict", "--model", str(model), "--data", str(data)]
+    assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+    fresh = _fresh([*argv, "--out", str(tmp_path / "cold")])
+    assert fresh.returncode == 0, fresh.stderr
+    assert (tmp_path / "here" / "predictions.jsonl").read_bytes() == (
+        tmp_path / "cold" / "predictions.jsonl").read_bytes()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    data = _synth_blobs(tmp_path)  # a first main call
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
+    assert _run("fit", "--data", str(data), "--space", "multiclass", "--iters", "1",
+                "--k", "3", "--out", str(tmp_path / "fit")) == 0
+    assert cli._parser() is parser
+
+
+def _parsers(parser):
+    """``parser`` and every subcommand parser under it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_the_reused_parser_keeps_no_state_between_calls():
+    """One parser serves every call, so no action may add to a value a
+    namespace shares with the parser: no append or extend action, and no
+    list or dict default."""
+    parsers = list(_parsers(cli._parser()))
+    assert [p.prog for p in parsers] == ["semistruct"] + [
+        f"semistruct {name}" for name in ("synth", "fit", "predict", "cv", "baseline", "sweep")]
+    for p in parsers:
+        for action in p._actions:
+            assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction)), (
+                p.prog, action.dest)
+            assert not isinstance(action.default, (list, dict, set)), (p.prog, action.dest)
+        assert not any(isinstance(v, (list, dict, set)) for v in p._defaults.values()), p.prog
+
+
+def _partly_labeled_taxonomy(tmp_path):
+    """``fit`` flags for a small taxonomy file whose odd ids are unlabeled."""
+    data = _synth_blobs(tmp_path, "taxo", **{"--space": "taxonomy", "--per-leaf": "4"})
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    data.write_text("".join(json.dumps({**r, "y": None if r["id"] % 2 else r["y"]}) + "\n"
+                            for r in records))
+    return ["--data", str(data), "--space", "taxonomy",
+            "--taxonomy", str(data.parent / "taxonomy.json"), "--iters", "3", "--k", "3"]
+
+
+@pytest.mark.parametrize("sigma", ["1e-320", "1e-300"])
+def test_a_sigma_that_zeroes_every_edge_weight_is_a_validation_error(tmp_path, capsys, sigma):
+    flags = _partly_labeled_taxonomy(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run("fit", *flags, "--sigma", sigma, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sigma {sigma} is too small: every edge weight ")
+    assert not (out / "trace.csv").exists()
+
+
+def test_a_huge_c1_diverges_without_an_overflow_warning(tmp_path, capsys):
+    flags = _partly_labeled_taxonomy(tmp_path)
+    capsys.readouterr()
+    assert _run("fit", *flags, "--c1", "1e308", "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "diverged: non-finite model weights at iteration 1 (step size too large?)\n")
