@@ -6,9 +6,6 @@ from .core import (
     Dataset,
     OutputSpace,
     ValidationReport,
-    loss_augmented_value,
-    matching_score,
-    slack_objective_value,
     validate_dataset,
 )
 from .errors import (
@@ -26,7 +23,7 @@ from .evaluate import (
     sweep,
     trace_csv,
 )
-from .graph import NeighborGraph, build_knn_graph, manifold_term, neighbor_terms_for
+from .graph import NeighborGraph, build_knn_graph, manifold_term
 from .solver import (
     SolverConfig,
     SolverState,
@@ -73,15 +70,11 @@ __all__ = [
     "fit",
     "initialize",
     "load_model",
-    "loss_augmented_value",
     "manifold_term",
-    "matching_score",
-    "neighbor_terms_for",
     "objective",
     "run_baseline_supervised",
     "run_cv",
     "save_model",
-    "slack_objective_value",
     "space_from_config",
     "sweep",
     "three_level_taxonomy",

@@ -1,5 +1,9 @@
 """Shared domain types and the output-space contract.
 
+An :class:`OutputSpace` answers every question the learner asks over whole
+arrays of points; its one-point forms are views of those. The enumerating
+one-point references live in ``tests/oracles.py``.
+
 Inputs are plain numpy arrays: a flat feature vector of length ``d`` for
 vector-input tasks, or a ``(T, d)`` array of per-position features for
 sequence tasks. Model weights and joint feature vectors are numpy arrays of
@@ -112,9 +116,9 @@ def take_inputs(inputs, idx):
 class OutputSpace(ABC):
     """Contract an output space must satisfy.
 
-    A space bundles the joint feature map ``phi``, the structured loss
-    ``delta`` and the three inference oracles the optimizer needs. Concrete
-    spaces declare:
+    A space bundles the joint feature map ``phi``, the structured loss and
+    the three inference oracles the optimizer needs. Concrete spaces
+    declare:
 
     ``kind``
         short identifier ("multiclass", "taxonomy", "chain")
@@ -125,10 +129,14 @@ class OutputSpace(ABC):
     ``input_dim``
         length d of a flat input, or of each position of a sequence input
 
-    ``delta`` must satisfy ``delta(y, y) == 0`` and ``delta(y1, y2) >= 0``.
-    Every argmax/argmin oracle breaks ties toward the smallest canonical
-    encoding so results are deterministic. The whole-array oracles return
-    codes (see the module docstring) and accept codes or lists of outputs.
+    A space implements every question over whole arrays of points: the
+    abstract methods below. The one-item forms ``contains``, ``decode``,
+    ``delta``, ``argmax_score`` and ``argmax_loss_augmented`` are views that
+    ask them about one point. The loss must satisfy ``delta(y, y) == 0`` and
+    ``delta(y1, y2) >= 0``. Every argmax/argmin oracle breaks ties toward
+    the smallest canonical encoding so results are deterministic. The
+    whole-array oracles return codes (see the module docstring) and accept
+    codes or lists of outputs.
 
     Spaces are immutable and all methods are pure, hence thread-safe.
     """
@@ -138,47 +146,68 @@ class OutputSpace(ABC):
     input_dim: int  # no default: every space must declare it
     dim: int = 0
 
-    # --- loss and features -------------------------------------------------
-
-    @abstractmethod
-    def contains(self, y, x=None) -> bool:
-        """Whether ``y`` is a member of the output set.
-
-        When ``x`` is given, also checks compatibility with that input
-        (sequence spaces require matching lengths).
-        """
+    # --- the contract: features, draws, serialization ---------------------
 
     @abstractmethod
     def phi(self, x, y) -> np.ndarray:
         """Joint feature vector of length ``dim`` for the pair (x, y)."""
 
     @abstractmethod
-    def delta(self, y1, y2) -> float:
-        """Structured loss of predicting ``y2`` as ``y1`` (symmetric)."""
-
-    @abstractmethod
-    def outputs(self, x=None):
-        """Iterate candidate outputs in canonical (tie-break) order."""
-
-    @abstractmethod
     def random_output(self, x, rng):
         """Uniform draw from the output set for input ``x``."""
-
-    # --- serialization -----------------------------------------------------
-
-    def encode(self, y):
-        """JSON-compatible encoding of an output."""
-        return y
-
-    @abstractmethod
-    def decode(self, value):
-        """Inverse of :meth:`encode`; raises ContractViolation on bad input."""
 
     @abstractmethod
     def config(self) -> dict:
         """JSON-compatible dict from which the space can be rebuilt."""
 
-    # --- batches ---------------------------------------------------------------
+    # --- the contract: whole arrays ----------------------------------------
+
+    @abstractmethod
+    def contains_all(self, ys, xs=None) -> np.ndarray:
+        """Bool array: whether each ``ys[i]`` is a member of the output set.
+
+        When ``xs`` is given, also checks compatibility with the input
+        ``xs[i]`` (sequence spaces require matching lengths).
+        """
+
+    @abstractmethod
+    def decode_all(self, values) -> list:
+        """Inverse of :meth:`encode` for every value, in order; raises
+        ContractViolation naming the first bad one."""
+
+    @abstractmethod
+    def argmax_score_all(self, w, xs) -> np.ndarray:
+        """Output maximizing the matching score ``w . phi(x, y)``, per input."""
+
+    @abstractmethod
+    def argmax_loss_augmented_all(self, w, xs, zs) -> np.ndarray:
+        """Most violating output against each reference ``zs[i]``: the
+        maximizer of ``w . (phi(x, y) - phi(x, z)) + delta(y, z)``."""
+
+    @abstractmethod
+    def argmin_slack_all(self, w, xs, upsilons, neighbors, c1) -> np.ndarray:
+        """Minimizer of the per-point slack objective ``sum_nb weight *
+        delta(y, output) + c1 * (-w . phi(x, y) + delta(upsilon, y))`` of
+        every point. ``neighbors`` is a triple ``(owner, weight, outputs)``:
+        term ``e`` adds ``weight[e] * delta(y, outputs[e])`` to the objective
+        of point ``owner[e]`` (an index into ``xs``). Each point's terms keep
+        their order. ContractViolation unless ``c1 > 0``."""
+
+    @abstractmethod
+    def delta_sum(self, ys1, ys2, weights=None) -> float:
+        """``sum_i weights[i] * delta(ys1[i], ys2[i])``, unit weights if
+        omitted, where ``delta(y1, y2)`` is the structured loss of predicting
+        ``y2`` as ``y1`` (symmetric)."""
+
+    @abstractmethod
+    def phi_diff_sum(self, xs, ys, zs) -> np.ndarray:
+        """``sum_i phi(xs[i], ys[i]) - phi(xs[i], zs[i])``."""
+
+    # --- batches with defaults ---------------------------------------------
+
+    def encode(self, y):
+        """JSON-compatible encoding of an output."""
+        return y
 
     def as_codes(self, ys) -> np.ndarray:
         """Codes of the outputs ``ys``; ContractViolation if one is not a
@@ -186,23 +215,11 @@ class OutputSpace(ABC):
         The default is an object array of the outputs."""
         if isinstance(ys, np.ndarray):
             return ys
-        for y in ys:
-            if not self.contains(y):
-                raise ContractViolation(f"{reprlib.repr(y)} is not a {self.kind} output")
+        member = self.contains_all(ys)
+        if not member.all():
+            bad = ys[int(np.argmin(member))]
+            raise ContractViolation(f"{reprlib.repr(bad)} is not a {self.kind} output")
         return object_array(ys)
-
-    def contains_all(self, ys, xs=None) -> np.ndarray:
-        """Bool array: :meth:`contains` of every ``ys[i]``, checked against
-        the input ``xs[i]`` when ``xs`` is given. The default asks
-        :meth:`contains` once per output."""
-        xs = [None] * len(ys) if xs is None else xs
-        return np.fromiter((self.contains(y, x=x) for y, x in zip(ys, xs)), dtype=bool,
-                           count=len(ys))
-
-    def decode_all(self, values) -> list:
-        """:meth:`decode` of every value, in order; raises for the first bad
-        one. The default asks :meth:`decode` once per value."""
-        return [self.decode(v) for v in values]
 
     def stack_inputs(self, xs):
         """The inputs ``xs`` in the form the oracles read fastest; indexing
@@ -210,41 +227,20 @@ class OutputSpace(ABC):
         array of the inputs."""
         return object_array(xs)
 
-    # --- inference oracles -------------------------------------------------
-    #
-    # A space answers the whole-array forms; the solver calls only these, with
-    # a stack of inputs and codes. The defaults do exhaustive search over
-    # ``outputs(x)``, taking the first best candidate.
+    # --- one-item views of the whole-array forms ---------------------------
 
-    def argmax_score_all(self, w, xs) -> np.ndarray:
-        """Output maximizing the matching score ``w . phi(x, y)``, per input."""
-        return object_array([max(self.outputs(x), key=lambda y: matching_score(w, x, y, self))
-                             for x in xs])
+    def contains(self, y, x=None) -> bool:
+        """:meth:`contains_all` of one output (against ``x`` when given)."""
+        return bool(self.contains_all([y], None if x is None else [x])[0])
 
-    def argmax_loss_augmented_all(self, w, xs, zs) -> np.ndarray:
-        """Most violating output against each reference ``zs[i]``: the
-        maximizer of ``w . (phi(x, y) - phi(x, z)) + delta(y, z)``."""
-        return object_array([
-            max(self.outputs(x), key=lambda y: loss_augmented_value(w, x, z, y, self))
-            for x, z in zip(xs, zs)])
+    def decode(self, value):
+        """:meth:`decode_all` of one value."""
+        return self.decode_all([value])[0]
 
-    def argmin_slack_all(self, w, xs, upsilons, neighbors, c1) -> np.ndarray:
-        """Minimizer of the per-point slack objective ``sum_nb weight *
-        delta(y, output) + c1 * (-w . phi(x, y) + delta(upsilon, y))`` of
-        every point. ``neighbors`` is a triple ``(owner, weight, outputs)``:
-        term ``e`` adds ``weight[e] * delta(y, outputs[e])`` to the objective
-        of point ``owner[e]`` (an index into ``xs``). Each point's terms keep
-        their order."""
-        if c1 <= 0:
-            raise ContractViolation(f"c1 must be positive, got {c1}")
-        terms = [[] for _ in xs]
-        for i, omega, z in zip(*neighbors):
-            terms[i].append((float(omega), z))
-        return object_array([
-            min(self.outputs(x),
-                key=lambda y: slack_objective_value(w, x, upsilon, nb, c1, y, self))
-            for x, upsilon, nb in zip(xs, upsilons, terms)
-        ])
+    def delta(self, y1, y2) -> float:
+        """Structured loss of predicting ``y2`` as ``y1``: :meth:`delta_sum`
+        of one pair."""
+        return self.delta_sum([y1], [y2])
 
     def argmax_score(self, w, x):
         """:meth:`argmax_score_all` of one input."""
@@ -254,26 +250,9 @@ class OutputSpace(ABC):
         """:meth:`argmax_loss_augmented_all` of one input, with the objective
         value at it (the constant ``-w . phi(x, z)`` term included)."""
         y = self.argmax_loss_augmented_all(w, [x], [z]).tolist()[0]
-        return y, loss_augmented_value(w, x, z, y, self)
-
-    def argmin_slack(self, w, x, upsilon, neighbors, c1):
-        """:meth:`argmin_slack_all` of one input; ``neighbors`` is a list of
-        ``(weight, output)`` pairs covering both edge directions."""
-        terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
-        return self.argmin_slack_all(w, [x], [upsilon], terms, c1).tolist()[0]
-
-    def delta_sum(self, ys1, ys2, weights=None) -> float:
-        """``sum_i weights[i] * delta(ys1[i], ys2[i])``, unit weights if omitted."""
-        weights = [1.0] * len(ys1) if weights is None else weights
-        return float(sum(c * self.delta(a, b) for c, a, b in zip(weights, ys1, ys2)))
-
-    def phi_diff_sum(self, xs, ys, zs) -> np.ndarray:
-        """``sum_i phi(xs[i], ys[i]) - phi(xs[i], zs[i])``."""
-        acc = np.zeros(self.dim)
-        for x, y, z in zip(xs, ys, zs):
-            if y != z:  # the difference is exactly zero
-                acc += self.phi(x, y) - self.phi(x, z)
-        return acc
+        w = as_weights(w, self.dim)
+        return y, (float(np.dot(w, self.phi(x, y))) - float(np.dot(w, self.phi(x, z)))
+                   + self.delta(y, z))
 
 
 def object_array(items) -> np.ndarray:
@@ -292,33 +271,6 @@ def as_weights(w, dim):
     if not np.all(np.isfinite(w)):
         raise ContractViolation("weight vector contains non-finite entries")
     return w
-
-
-def matching_score(w, x, y, space) -> float:
-    """Linear matching score ``w . phi(x, y)`` of an input-output pair."""
-    w = as_weights(w, space.dim)
-    return float(np.dot(w, space.phi(x, y)))
-
-
-def loss_augmented_value(w, x, z, y, space) -> float:
-    """Value of the loss-augmented objective at candidate ``y``."""
-    return (
-        matching_score(w, x, y, space)
-        - matching_score(w, x, z, space)
-        + space.delta(y, z)
-    )
-
-
-def slack_objective_value(w, x, upsilon, neighbors, c1, y, space) -> float:
-    """Per-point slack objective at candidate ``y``.
-
-    This is the quantity :meth:`OutputSpace.argmin_slack` minimizes; exposing
-    it lets callers verify the per-point descent property directly.
-    """
-    acc = 0.0
-    for omega, z_nb in neighbors:
-        acc += omega * space.delta(y, z_nb)
-    return acc + c1 * (-matching_score(w, x, y, space) + space.delta(upsilon, y))
 
 
 @dataclass

@@ -22,7 +22,7 @@ class DataFormatError(SemistructError, ValueError):
 
 
 class Diverged(SemistructError, RuntimeError):
-    """The weight update produced non-finite values.
+    """The weight update or the objective produced non-finite values.
 
     Carries the iteration at which divergence was detected and the partial
     solver state (including the objective trace up to that point).

@@ -254,14 +254,6 @@ def neighbor_terms(g: NeighborGraph, nodes):
             np.concatenate([g.weight, g.weight])[kept])
 
 
-def neighbor_terms_for(g: NeighborGraph, i):
-    """``(weight, neighbor_id)`` pairs of node ``i``; see :func:`neighbor_terms`."""
-    if not 0 <= i < g.n:
-        raise ContractViolation(f"node id {i} out of range for graph of size {g.n}")
-    _, neighbor, weight = neighbor_terms(g, [i])
-    return list(zip(weight.tolist(), neighbor.tolist()))
-
-
 def edges_csv(g: NeighborGraph) -> str:
     """Edge list as ``i,j,omega`` CSV text, for debugging dumps."""
     buf = io.StringIO()

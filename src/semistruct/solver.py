@@ -163,7 +163,8 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
     ``g.points`` when the graph has them) or draw uniformly from the space,
     per ``cfg.z_init``. Every output is encoded here, once. Raises
     UnsupportedConfiguration when a graph edge joins inputs of different
-    lengths or a copied output does not fit its point.
+    lengths or a copied output does not fit its point, and Diverged when the
+    initial objective is not finite.
     """
     cfg.validate()
     if g.n != len(ds):
@@ -203,7 +204,7 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
 
     state = SolverState(w=np.zeros(space.dim), z=z, upsilon=None, iteration=0, fixed=fixed)
     state.upsilon = update_upsilon(state, ds, space, cfg)
-    state.trace.append(TraceRow(0, *objective(state, ds, g, space, cfg)))
+    state.trace.append(_trace_row(state, ds, g, space, cfg))
     return state
 
 
@@ -296,15 +297,26 @@ def objective(state, ds, g, space, cfg) -> ObjectiveParts:
     return ObjectiveParts(m, l, r, m + cfg.c1 * l + cfg.c2 * r)
 
 
+def _trace_row(state, ds, g, space, cfg) -> TraceRow:
+    """The trace row of ``state``; Diverged instead when a part is not finite."""
+    row = TraceRow(state.iteration, *objective(state, ds, g, space, cfg))
+    if not all(map(math.isfinite, row)):
+        raise Diverged(f"non-finite objective at iteration {state.iteration} "
+                       f"(c1 or c2 too large?)", iteration=state.iteration, state=state)
+    return row
+
+
 def fit(ds, g, space, cfg: SolverConfig, on_iteration=None) -> SolverState:
     """Run the full alternating optimization for ``cfg.max_iters`` rounds.
 
     Appends one trace row per iteration (plus the initial row) and returns
     the final state, its outputs decoded to lists. Deterministic given the
-    config seed. A diverging weight step raises :class:`Diverged` with the
-    partial state attached, decoded the same way. ``on_iteration`` is
-    called with the state (holding codes) after the initial row and after
-    every completed iteration, for instrumentation.
+    config seed. A diverging weight step or a non-finite objective raises
+    :class:`Diverged` with the partial state attached, decoded the same way;
+    a non-finite initial objective raises it from :func:`initialize`, with
+    the state it built. ``on_iteration`` is called with the state (holding
+    codes) after the initial row and after every completed iteration, for
+    instrumentation.
     """
     state = initialize(ds, g, space, cfg)
     if on_iteration is not None:
@@ -316,7 +328,7 @@ def fit(ds, g, space, cfg: SolverConfig, on_iteration=None) -> SolverState:
             state.w = update_weights(state, ds, space, cfg)
             state.iteration = t
             state.upsilon = update_upsilon(state, ds, space, cfg)
-            state.trace.append(TraceRow(t, *objective(state, ds, g, space, cfg)))
+            state.trace.append(_trace_row(state, ds, g, space, cfg))
             if on_iteration is not None:
                 on_iteration(state)
     finally:  # the outputs leave the solver
@@ -347,7 +359,7 @@ def save_model(path, state: SolverState, space, cfg: SolverConfig):
 
 def load_model(path):
     """Read a model file back; returns (weights, space, raw document). A file
-    that holds no model document raises DataFormatError naming it."""
+    that holds no valid model document raises DataFormatError naming it."""
     with open(path) as f:
         try:
             doc = json.load(f)
@@ -356,19 +368,20 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
-        raise ContractViolation(f"unrecognized model format {doc.get('format')!r}")
+        raise DataFormatError(f"{path}: unrecognized model format {doc.get('format')!r}")
     if not isinstance(doc.get("space"), dict) or "weights" not in doc:
         raise DataFormatError(f"{path}: model needs a 'space' object and 'weights'")
     try:
         space = space_from_config(doc["space"])
     except KeyError as e:
         raise DataFormatError(f"{path}: model space has no {e} field") from None
+    except ContractViolation as e:
+        raise DataFormatError(f"{path}: {e}") from None
     try:
         w = np.asarray(doc["weights"], dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise DataFormatError(f"{path}: model weights must be a list of numbers") from None
     if w.shape != (space.dim,):
-        raise ContractViolation(
-            f"model weights have length {w.shape}, space expects {space.dim}"
-        )
+        raise DataFormatError(f"{path}: model weights have shape {w.shape}, "
+                              f"space expects ({space.dim},)")
     return w, space, doc

@@ -1,11 +1,13 @@
 """Concrete output spaces: flat multiclass, taxonomy leaves, label chains.
 
-Each space fixes a canonical output encoding, a joint feature map, a
-structured loss and the three inference oracles. The multiclass and taxonomy
-spaces are finite label spaces with matrix oracles; the chain space answers
-score and Hamming-coupled queries with dynamic programs and falls back to
-capped enumeration for the non-decomposable whole-sequence zero-one loss.
-The dynamic programs run batched, once per group of equal-length inputs.
+Each space fixes a canonical output encoding, a joint feature map and a
+structured loss, and implements the whole-array contract of ``OutputSpace``.
+The multiclass and taxonomy spaces are finite label spaces answering it with
+array lookups and matrix products. The chain space answers score and
+Hamming-coupled queries with dynamic programs, batched once per group of
+equal-length inputs; it loops over pairs for its sums, and its loss-coupled
+oracles enumerate under ``ENUMERATION_CAP`` for the non-decomposable
+whole-sequence zero-one loss.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import OutputSpace, as_weights
+from .core import OutputSpace, as_weights, object_array
 from .errors import ContractViolation, UnsupportedConfiguration
 
 # most candidate sequences the zero-one oracles enumerate per input
@@ -43,8 +45,8 @@ class FiniteLabelSpace(OutputSpace):
         if input_dim < 1:
             raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
         labels = tuple(labels)
-        if not labels or not all(isinstance(y, (int, np.integer)) and not isinstance(y, bool)
-                                 and y >= 0 for y in labels) or len(set(labels)) < len(labels):
+        if not labels or not all(_is_int(y) and y >= 0 for y in labels) \
+                or len(set(labels)) < len(labels):
             raise ContractViolation(
                 f"labels must be distinct non-negative ints, got {reprlib.repr(labels)}")
         self.labels = tuple(int(y) for y in labels)
@@ -62,25 +64,30 @@ class FiniteLabelSpace(OutputSpace):
         self._row_of = np.full(max(self.labels) + 2, -1)
         self._row_of[self._label_of] = np.arange(len(self.labels))
 
+    def _member_rows(self, ys):
+        """Row of every output in ``ys`` (codes or a list of outputs), -1 for
+        a non-member. A list numpy reads as one flat int array, free of
+        bools, is looked up at once; any other list value by value."""
+        a = ys
+        if not isinstance(ys, np.ndarray):
+            try:  # numpy would read a bool among ints as 0 or 1
+                a = None if not {bool, np.bool_}.isdisjoint(map(type, ys)) else np.asarray(ys)
+            except (ValueError, OverflowError):  # ragged nesting, ints past int64
+                a = None
+        if a is not None and a.ndim == 1 and (a.dtype.kind in "iu" or a.size == 0):
+            return self._row_of[np.clip(a.astype(int, copy=False), -1, len(self._row_of) - 1)]
+        if len(ys) == 1:
+            return np.full(1, -1)
+        return np.concatenate([self._member_rows([y]) for y in ys])
+
     def _rows(self, ys):
         """Row of every output in ``ys`` (codes or a list of outputs);
         ContractViolation if one is not a member."""
-        if isinstance(ys, np.ndarray):
-            a = ys
-        elif not {bool, np.bool_}.isdisjoint(map(type, ys)):
-            a = np.empty((0, 0))  # numpy would read a bool among ints as 0 or 1
-        else:
-            try:
-                a = np.asarray(ys)
-            except ValueError:  # ragged nesting, so not a flat list of labels
-                a = np.empty((0, 0))
-        if a.ndim == 1 and (a.dtype.kind in "iu" or a.size == 0):
-            rows = self._row_of[np.clip(a.astype(int, copy=False), -1, len(self._row_of) - 1)]
-            if np.all(rows >= 0):
-                return rows
-        raise ContractViolation(
-            f"{reprlib.repr(ys)} holds a value that is not a {self.kind} output"
-        )
+        rows = self._member_rows(ys)
+        if rows.min(initial=0) < 0:
+            raise ContractViolation(
+                f"{reprlib.repr(ys)} holds a value that is not a {self.kind} output")
+        return rows
 
     def _inputs(self, xs):
         """``xs`` as an ``n x input_dim`` float matrix; one already is returned as is."""
@@ -101,51 +108,22 @@ class FiniteLabelSpace(OutputSpace):
     def stack_inputs(self, xs):
         return self._inputs(xs)
 
-    def _int_rows(self, ys):
-        """Row of every output (-1 for a non-member) when all are plain
-        ints, else None."""
-        if not set(map(type, ys)) <= {int}:
-            return None
-        try:
-            a = np.fromiter(ys, dtype=int, count=len(ys))
-        except OverflowError:  # past int64, so no label
-            return None
-        return self._row_of[np.clip(a, -1, len(self._row_of) - 1)]
-
     def contains_all(self, ys, xs=None):
-        rows = self._int_rows(ys)
-        return super().contains_all(ys, xs) if rows is None else rows >= 0
+        return self._member_rows(ys) >= 0
 
     def decode_all(self, values):
-        rows = self._int_rows(values)
-        if rows is None or not np.all(rows >= 0):
-            return super().decode_all(values)
+        """The labels ``values``; only JSON's ints decode (numpy integers do not)."""
+        ok = self.contains_all(values) & np.fromiter(
+            (isinstance(v, int) for v in values), dtype=bool, count=len(values))
+        if not ok.all():
+            raise ContractViolation(f"{values[int(np.argmin(ok))]!r} is not a {self.kind} output")
         return list(values)
-
-    def contains(self, y, x=None):
-        try:
-            self._rows([y])
-        except ContractViolation:
-            return False
-        return True
 
     def phi(self, x, y):
         return np.kron(self.incidence[self._rows([y])[0]], self._inputs([x])[0])
 
-    def delta(self, y1, y2):
-        r1, r2 = self._rows([y1, y2])
-        return float(self.loss_matrix[r1, r2])
-
-    def outputs(self, x=None):
-        return self.labels
-
     def random_output(self, x, rng):
         return self.labels[int(rng.integers(len(self.labels)))]
-
-    def decode(self, value):
-        if not (isinstance(value, int) and self.contains(value)):
-            raise ContractViolation(f"{value!r} is not a {self.kind} output")
-        return value
 
     def argmax_score_all(self, w, xs):
         return self._label_of[np.argmax(self._scores(w, xs), axis=1)]
@@ -231,8 +209,8 @@ class Taxonomy:
         if len(roots) != 1:
             raise ContractViolation(f"taxonomy must have exactly one root, found {len(roots)}")
         for i, p in enumerate(self.parents):
-            if p is not None and not (0 <= p < q):
-                raise ContractViolation(f"node {i} has parent {p} outside 0..{q - 1}")
+            if p is not None and not (_is_int(p) and 0 <= p < q):
+                raise ContractViolation(f"node {i} has parent {p!r} outside 0..{q - 1}")
         # reject cycles: every node must reach the root
         for i in range(q):
             seen = set()
@@ -249,9 +227,13 @@ class Taxonomy:
     @classmethod
     def from_nodes(cls, nodes):
         """Tree from ``[{"id", "parent", "name"?}, ...]``, ids contiguous from 0."""
-        nodes = sorted(nodes, key=lambda nd: nd["id"])
-        if [nd["id"] for nd in nodes] != list(range(len(nodes))):
+        if not isinstance(nodes, list) or not all(isinstance(nd, dict) for nd in nodes):
+            raise ContractViolation(
+                f"taxonomy nodes must be a list of objects, got {reprlib.repr(nodes)}")
+        ids = [nd["id"] for nd in nodes]
+        if not all(map(_is_int, ids)) or sorted(ids) != list(range(len(nodes))):
             raise ContractViolation("taxonomy node ids must be contiguous from 0")
+        nodes = sorted(nodes, key=lambda nd: nd["id"])
         return cls(tuple(nd["parent"] for nd in nodes),
                    tuple(str(nd.get("name", i)) for i, nd in enumerate(nodes)))
 
@@ -388,7 +370,8 @@ class ChainSequenceSpace(OutputSpace):
 
     # --- membership and encoding -------------------------------------------
 
-    def contains(self, y, x=None):
+    def _contains(self, y, x=None):
+        """Whether ``y`` is a label sequence (of the length of ``x`` when given)."""
         if not isinstance(y, tuple) or len(y) == 0:
             return False
         for v in y:
@@ -400,8 +383,12 @@ class ChainSequenceSpace(OutputSpace):
             return False
         return True
 
+    def contains_all(self, ys, xs=None):
+        xs = [None] * len(ys) if xs is None else xs
+        return np.fromiter(map(self._contains, ys, xs), dtype=bool, count=len(ys))
+
     def _check_member(self, y):
-        if not self.contains(y):
+        if not self._contains(y):
             raise ContractViolation(f"{y!r} is not a label sequence over {self.num_labels} labels")
         return tuple(int(v) for v in y)
 
@@ -413,10 +400,13 @@ class ChainSequenceSpace(OutputSpace):
             )
         return x
 
-    def decode(self, value):
-        if not isinstance(value, list):
-            raise ContractViolation(f"chain output must be a list, got {value!r}")
-        return self._check_member(tuple(value))
+    def decode_all(self, values):
+        out = []
+        for value in values:
+            if not isinstance(value, list):
+                raise ContractViolation(f"chain output must be a list, got {value!r}")
+            out.append(self._check_member(tuple(value)))
+        return out
 
     def encode(self, y):
         return list(self._check_member(y))
@@ -447,7 +437,7 @@ class ChainSequenceSpace(OutputSpace):
             out[base + label * d : base + (label + 1) * d] += x[t]
         return out
 
-    def delta(self, y1, y2):
+    def _delta(self, y1, y2):
         y1, y2 = self._check_member(y1), self._check_member(y2)
         if len(y1) != len(y2):
             raise ContractViolation(
@@ -456,18 +446,6 @@ class ChainSequenceSpace(OutputSpace):
         if self.loss == "zero-one":
             return 0.0 if y1 == y2 else 1.0
         return float(sum(1 for a, b in zip(y1, y2) if a != b))
-
-    # --- enumeration ----------------------------------------------------------
-
-    def outputs(self, x=None):
-        if x is None:
-            raise ContractViolation("chain enumeration needs the input (its length)")
-        length = self._as_seq_input(x).shape[0]
-        count = self.num_labels**length
-        if count > ENUMERATION_CAP:
-            raise UnsupportedConfiguration(
-                f"{count} candidate sequences exceed the enumeration cap of {ENUMERATION_CAP}")
-        return (tuple(y) for y in itertools.product(range(self.num_labels), repeat=length))
 
     def random_output(self, x, rng):
         length = self._as_seq_input(x).shape[0]
@@ -548,7 +526,7 @@ class ChainSequenceSpace(OutputSpace):
 
     def argmax_loss_augmented_all(self, w, xs, zs):
         if self.loss == "zero-one":  # does not decompose: enumerate under the cap
-            return super().argmax_loss_augmented_all(w, xs, zs)
+            return self._enumerate_loss_augmented(w, xs, zs)
         pairwise, emit = self._weight_tables(w)
 
         def solve(idx, X):
@@ -565,7 +543,7 @@ class ChainSequenceSpace(OutputSpace):
         if c1 <= 0:
             raise ContractViolation(f"c1 must be positive, got {c1}")
         if self.loss == "zero-one":  # does not decompose: enumerate under the cap
-            return super().argmin_slack_all(w, xs, upsilons, neighbors, c1)
+            return self._enumerate_slack(w, xs, upsilons, neighbors, c1)
         pairwise, emit = self._weight_tables(w)
         owner, weight, outputs = neighbors
         owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
@@ -600,16 +578,79 @@ class ChainSequenceSpace(OutputSpace):
 
         return self._by_length(xs, solve)
 
+    # --- per-pair loops and capped enumeration -----------------------------
+
+    def delta_sum(self, ys1, ys2, weights=None):
+        weights = [1.0] * len(ys1) if weights is None else weights
+        return float(sum(c * self._delta(a, b) for c, a, b in zip(weights, ys1, ys2)))
+
+    def phi_diff_sum(self, xs, ys, zs):
+        acc = np.zeros(self.dim)
+        for x, y, z in zip(xs, ys, zs):
+            if y != z:  # the difference is exactly zero
+                acc += self.phi(x, y) - self.phi(x, z)
+        return acc
+
+    def _outputs(self, x):
+        """Every label sequence of the length of ``x``, in tie-break order;
+        UnsupportedConfiguration past ``ENUMERATION_CAP`` of them."""
+        length = self._as_seq_input(x).shape[0]
+        count = self.num_labels**length
+        if count > ENUMERATION_CAP:
+            raise UnsupportedConfiguration(
+                f"{count} candidate sequences exceed the enumeration cap of {ENUMERATION_CAP}")
+        return (tuple(y) for y in itertools.product(range(self.num_labels), repeat=length))
+
+    def _enumerate_loss_augmented(self, w, xs, zs):
+        """:meth:`argmax_loss_augmented_all` as the first best candidate of
+        :meth:`_outputs`."""
+        w = as_weights(w, self.dim)
+        return object_array([
+            max(self._outputs(x), key=lambda y: float(np.dot(w, self.phi(x, y)))
+                - float(np.dot(w, self.phi(x, z))) + self._delta(y, z))
+            for x, z in zip(xs, zs)])
+
+    def _enumerate_slack(self, w, xs, upsilons, neighbors, c1):
+        """:meth:`argmin_slack_all` as the first best candidate of
+        :meth:`_outputs`."""
+        w = as_weights(w, self.dim)
+        terms = [[] for _ in xs]
+        for i, omega, z in zip(*neighbors):
+            terms[i].append((float(omega), z))
+
+        def value(x, upsilon, nb, y):
+            acc = 0.0
+            for omega, z_nb in nb:
+                acc += omega * self._delta(y, z_nb)
+            return acc + c1 * (-float(np.dot(w, self.phi(x, y))) + self._delta(upsilon, y))
+
+        return object_array([min(self._outputs(x), key=lambda y: value(x, upsilon, nb, y))
+                             for x, upsilon, nb in zip(xs, upsilons, terms)])
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _count(cfg, key):
+    """The count ``cfg[key]``; ContractViolation unless it is an int (a bool
+    or a float is not cut to one)."""
+    if not _is_int(cfg[key]):
+        raise ContractViolation(f"space field {key!r} must be an integer, got {cfg[key]!r}")
+    return cfg[key]
+
 
 def space_from_config(cfg: dict) -> OutputSpace:
-    """Rebuild a space from the dict produced by ``OutputSpace.config``."""
+    """Rebuild a space from the dict produced by ``OutputSpace.config``.
+    Raises KeyError for a missing field, ContractViolation for a bad one."""
     kind = cfg.get("kind")
     if kind == "multiclass":
-        return MulticlassSpace(cfg["num_classes"], cfg["input_dim"])
+        return MulticlassSpace(_count(cfg, "num_classes"), _count(cfg, "input_dim"))
     if kind == "taxonomy":
-        return TaxonomySpace(Taxonomy.from_nodes(cfg["nodes"]), cfg["input_dim"])
+        return TaxonomySpace(Taxonomy.from_nodes(cfg["nodes"]), _count(cfg, "input_dim"))
     if kind == "chain":
         # older model files also carry an "enumeration_cap", now a constant
-        return ChainSequenceSpace(cfg["num_labels"], cfg["input_dim"],
+        return ChainSequenceSpace(_count(cfg, "num_labels"), _count(cfg, "input_dim"),
                                   loss=cfg.get("loss", "hamming"))
     raise ContractViolation(f"unknown space kind {kind!r}")

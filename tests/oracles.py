@@ -2,9 +2,10 @@
 
 Everything here enumerates or differentiates directly, without touching the
 library's inference oracles, so a bug in a dynamic program or gradient
-cannot hide behind itself. The list-based solver at the end is the one
-exception: it calls the library's oracles, and is the reference for how the
-solver stores, gathers and updates outputs around them.
+cannot hide behind itself. Two exceptions call them: ``argmin_slack`` asks
+the whole-array slack oracle about one point, and the list-based solver at
+the end is the reference for how the solver stores, gathers and updates
+outputs around the oracles.
 """
 
 import itertools
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semistruct.core import DataPoint, Dataset, ValidationReport
+from semistruct.core import (
+    DataPoint, Dataset, OutputSpace, ValidationReport, as_weights, object_array)
 from semistruct.errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from semistruct.graph import NeighborGraph, k_nearest, neighbor_terms, point_matrix, point_vector
 from semistruct.solver import _SEED_TAG_ZINIT, ObjectiveParts, TraceRow
@@ -53,6 +55,104 @@ def brute_argmin_slack(space, w, x, upsilon, neighbors, c1):
         v += c1 * (-float(np.dot(w, space.phi(x, y))) + space.delta(upsilon, y))
         vals.append(v)
     return cands[int(np.argmin(vals))]
+
+
+# --- the scalar reference machinery -------------------------------------------
+#
+# The library asks its spaces only over whole arrays. These per-item forms
+# answer the same questions one output at a time, and ``EnumeratingSpace``
+# answers the whole-array contract from them, for custom test spaces.
+
+
+def matching_score(w, x, y, space) -> float:
+    """Linear matching score ``w . phi(x, y)`` of an input-output pair."""
+    w = as_weights(w, space.dim)
+    return float(np.dot(w, space.phi(x, y)))
+
+
+def loss_augmented_value(w, x, z, y, space) -> float:
+    """Value of the loss-augmented objective at candidate ``y``."""
+    return (
+        matching_score(w, x, y, space)
+        - matching_score(w, x, z, space)
+        + space.delta(y, z)
+    )
+
+
+def slack_objective_value(w, x, upsilon, neighbors, c1, y, space) -> float:
+    """Per-point slack objective at candidate ``y``: the quantity
+    ``argmin_slack_all`` minimizes for one point, whose ``neighbors`` are
+    ``(weight, output)`` pairs."""
+    acc = 0.0
+    for omega, z_nb in neighbors:
+        acc += omega * space.delta(y, z_nb)
+    return acc + c1 * (-matching_score(w, x, y, space) + space.delta(upsilon, y))
+
+
+def argmin_slack(space, w, x, upsilon, neighbors, c1):
+    """``space.argmin_slack_all`` of one input; ``neighbors`` is a list of
+    ``(weight, output)`` pairs covering both edge directions."""
+    terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
+    return space.argmin_slack_all(w, [x], [upsilon], terms, c1).tolist()[0]
+
+
+def neighbor_terms_for(g, i):
+    """``(weight, neighbor_id)`` pairs of node ``i``; see ``graph.neighbor_terms``."""
+    if not 0 <= i < g.n:
+        raise ContractViolation(f"node id {i} out of range for graph of size {g.n}")
+    _, neighbor, weight = neighbor_terms(g, [i])
+    return list(zip(weight.tolist(), neighbor.tolist()))
+
+
+class EnumeratingSpace(OutputSpace):
+    """The whole-array contract answered one output at a time.
+
+    A subclass defines the scalar ``contains``, ``decode`` and ``delta``
+    (in place of the base class's views of the batch forms) and
+    ``outputs(x)``, the candidates in tie-break order. Every oracle is then
+    an exhaustive search taking the first best candidate, and every batch
+    form a loop over the scalar ones.
+    """
+
+    def contains_all(self, ys, xs=None):
+        xs = [None] * len(ys) if xs is None else xs
+        return np.fromiter((self.contains(y, x=x) for y, x in zip(ys, xs)), dtype=bool,
+                           count=len(ys))
+
+    def decode_all(self, values):
+        return [self.decode(v) for v in values]
+
+    def argmax_score_all(self, w, xs):
+        return object_array([max(self.outputs(x), key=lambda y: matching_score(w, x, y, self))
+                             for x in xs])
+
+    def argmax_loss_augmented_all(self, w, xs, zs):
+        return object_array([
+            max(self.outputs(x), key=lambda y: loss_augmented_value(w, x, z, y, self))
+            for x, z in zip(xs, zs)])
+
+    def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
+        if c1 <= 0:
+            raise ContractViolation(f"c1 must be positive, got {c1}")
+        terms = [[] for _ in xs]
+        for i, omega, z in zip(*neighbors):
+            terms[i].append((float(omega), z))
+        return object_array([
+            min(self.outputs(x),
+                key=lambda y: slack_objective_value(w, x, upsilon, nb, c1, y, self))
+            for x, upsilon, nb in zip(xs, upsilons, terms)
+        ])
+
+    def delta_sum(self, ys1, ys2, weights=None):
+        weights = [1.0] * len(ys1) if weights is None else weights
+        return float(sum(c * self.delta(a, b) for c, a, b in zip(weights, ys1, ys2)))
+
+    def phi_diff_sum(self, xs, ys, zs):
+        acc = np.zeros(self.dim)
+        for x, y, z in zip(xs, ys, zs):
+            if y != z:  # the difference is exactly zero
+                acc += self.phi(x, y) - self.phi(x, z)
+        return acc
 
 
 def weight_subproblem_value(space, points, upsilon, z, w, c1, c2):

@@ -16,7 +16,6 @@ from semistruct import (
     Diverged,
     MulticlassSpace,
     NeighborGraph,
-    OutputSpace,
     SolverConfig,
     TaxonomySpace,
     build_knn_graph,
@@ -36,10 +35,10 @@ from semistruct.solver import (
 from . import oracles
 
 
-class PairSpace(OutputSpace):
-    """Two binary labels per input; Hamming loss. Relies on every default of
-    the base class, and its outputs are tuples, which numpy would read as
-    rows of a 2-D array."""
+class PairSpace(oracles.EnumeratingSpace):
+    """Two binary labels per input; Hamming loss. Answers the whole-array
+    contract by enumeration, and its outputs are tuples, which numpy would
+    read as rows of a 2-D array."""
 
     kind = "pairs"
 

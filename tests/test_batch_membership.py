@@ -17,7 +17,7 @@ from semistruct import (
     three_level_taxonomy,
 )
 from semistruct import cli, data_io
-from semistruct.core import Dataset, OutputSpace
+from semistruct.core import Dataset
 from semistruct.data_io import load_dataset, save_dataset, synth_blobs
 
 from . import oracles
@@ -96,47 +96,6 @@ def test_decode_all_raises_the_message_of_the_first_bad_value():
     with pytest.raises(ContractViolation) as one:
         space.decode(5)
     assert str(batch.value) == str(one.value)
-
-
-class _PairSpace(OutputSpace):
-    """Outputs are pairs (a, b) of ints below 3; uses the base-class batches."""
-
-    kind = "pairs"
-    input_dim = 1
-    dim = 1
-
-    def contains(self, y, x=None):
-        return isinstance(y, tuple) and len(y) == 2 and all(
-            type(v) is int and 0 <= v < 3 for v in y)
-
-    def decode(self, value):
-        if not isinstance(value, list) or not self.contains(tuple(value)):
-            raise ContractViolation(f"{value!r} is not a pair")
-        return tuple(value)
-
-    def phi(self, x, y):
-        return np.zeros(1)
-
-    def delta(self, y1, y2):
-        return float(y1 != y2)
-
-    def outputs(self, x=None):
-        return [(a, b) for a in range(3) for b in range(3)]
-
-    def random_output(self, x, rng):
-        return (0, 0)
-
-    def config(self):
-        return {"kind": self.kind}
-
-
-def test_base_class_batches_loop_over_the_scalar_forms():
-    space = _PairSpace()
-    values = [(0, 1), (2, 2), (3, 0), [0, 1], None, (True, 0)]
-    assert space.contains_all(values).tolist() == [space.contains(y) for y in values]
-    assert space.decode_all([[0, 1], [2, 0]]) == [(0, 1), (2, 0)]
-    with pytest.raises(ContractViolation, match=r"^\[3, 0\] is not a pair$"):
-        space.decode_all([[0, 1], [3, 0], None])
 
 
 # --- file messages: the batch path names the first bad record --------------------

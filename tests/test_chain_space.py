@@ -98,7 +98,7 @@ def test_dp_oracles_match_enumeration():
             for _ in range(int(rng.integers(0, 4)))
         ]
         c1 = float(rng.uniform(0.2, 3.0))
-        assert space.argmin_slack(w, x, upsilon, neighbors, c1) == (
+        assert oracles.argmin_slack(space, w, x, upsilon, neighbors, c1) == (
             oracles.brute_argmin_slack(space, w, x, upsilon, neighbors, c1)
         )
 
@@ -114,7 +114,7 @@ def test_zero_one_oracles_match_enumeration_under_cap():
         )
         upsilon = space.random_output(x, rng)
         neighbors = [(0.5, space.random_output(x, rng))]
-        assert space.argmin_slack(w, x, upsilon, neighbors, 1.0) == (
+        assert oracles.argmin_slack(space, w, x, upsilon, neighbors, 1.0) == (
             oracles.brute_argmin_slack(space, w, x, upsilon, neighbors, 1.0)
         )
 
@@ -126,16 +126,15 @@ def test_zero_one_oracles_reject_above_cap():
     with pytest.raises(UnsupportedConfiguration):
         space.argmax_loss_augmented(w, x, (0,) * 13)
     with pytest.raises(UnsupportedConfiguration):
-        space.argmin_slack(w, x, (0,) * 13, [], 1.0)
-    with pytest.raises(UnsupportedConfiguration):
-        list(space.outputs(x))
+        oracles.argmin_slack(space, w, x, (0,) * 13, [], 1.0)
 
 
 def test_hamming_slack_rejects_mismatched_neighbor_lengths(hamming_chain_space):
     x = np.zeros((3, 1))
     with pytest.raises(ContractViolation):
-        hamming_chain_space.argmin_slack(
-            np.zeros(hamming_chain_space.dim), x, (0, 0, 0), [(0.5, (0, 1))], 1.0
+        oracles.argmin_slack(
+            hamming_chain_space, np.zeros(hamming_chain_space.dim), x, (0, 0, 0),
+            [(0.5, (0, 1))], 1.0
         )
 
 

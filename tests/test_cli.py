@@ -317,8 +317,23 @@ def test_malformed_numbers_and_bytes_are_validation_errors(tmp_path, capsys, com
     }[case] in err
 
 
+# model space fields of the wrong type: no count is cut to an int
+_BAD_SPACES = {
+    "num-classes-str": {"kind": "multiclass", "num_classes": "3", "input_dim": 3},
+    "input-dim-null": {"kind": "multiclass", "num_classes": 4, "input_dim": None},
+    "input-dim-bool": {"kind": "multiclass", "num_classes": 4, "input_dim": True},
+    "num-labels-float": {"kind": "chain", "num_labels": 2.5, "input_dim": 3},
+    "nodes-int": {"kind": "taxonomy", "input_dim": 3, "nodes": 5},
+    "parent-str": {"kind": "taxonomy", "input_dim": 3,
+                   "nodes": [{"id": 0, "parent": None}, {"id": 1, "parent": "x"}]},
+    "id-str": {"kind": "taxonomy", "input_dim": 3,
+               "nodes": [{"id": "0", "parent": None}, {"id": 1, "parent": 0}]},
+}
+
+
 @pytest.mark.parametrize("case", ["invalid-json", "bad-bytes", "non-object", "no-space",
-                                  "no-weights", "space-missing-key", "bad-weights"])
+                                  "no-weights", "space-missing-key", "bad-weights",
+                                  "bad-format", "short-weights", *_BAD_SPACES])
 def test_corrupt_model_is_a_validation_error(tmp_path, capsys, case):
     data = _synth_blobs(tmp_path)
     good = json.loads(_fit_model(tmp_path, data, "--space", "multiclass").read_text())
@@ -337,6 +352,12 @@ def test_corrupt_model_is_a_validation_error(tmp_path, capsys, case):
             del doc["weights"]
         elif case == "space-missing-key":
             doc["space"] = {"kind": "multiclass", "input_dim": 3}
+        elif case in _BAD_SPACES:
+            doc["space"] = _BAD_SPACES[case]
+        elif case == "bad-format":
+            doc["format"] = "semistruct-model/0"
+        elif case == "short-weights":
+            doc["weights"] = good["weights"][:-1]
         else:
             doc["weights"] = ["a"] * len(good["weights"])
         model.write_text(json.dumps(doc))
@@ -523,4 +544,24 @@ def test_a_huge_c1_diverges_without_an_overflow_warning(tmp_path, capsys):
     capsys.readouterr()
     assert _run("fit", *flags, "--c1", "1e308", "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == (
-        "diverged: non-finite model weights at iteration 1 (step size too large?)\n")
+        "diverged: non-finite objective at iteration 0 (c1 or c2 too large?)\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_a_non_finite_objective_diverges_before_its_trace_row_is_written(tmp_path, capsys,
+                                                                         command):
+    flags = _partly_labeled_taxonomy(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run(command, *flags, "--c1", "1e307", "--c2", "1e307", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    message = "non-finite objective at iteration 0 (c1 or c2 too large?)"
+    if command == "fit":
+        assert err == f"diverged: {message}\n"
+        assert not (out / "trace.csv").exists()
+        return
+    assert err == "diverged: all 10 folds diverged\n"
+    report = json.loads((out / "report.json").read_text())
+    assert [(f["diverged"], f["error"]) for f in report["folds"]] == [(True, message)] * 10
+    for name in report["trace_paths"]:
+        assert (out / name).read_text() == "iteration,manifold,loss,regularizer,objective\n"

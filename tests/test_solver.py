@@ -15,13 +15,11 @@ from semistruct import (
     load_model,
     objective,
     save_model,
-    slack_objective_value,
     update_slack,
     update_upsilon,
     update_weights,
 )
 from semistruct.data_io import synth_blobs
-from semistruct.graph import neighbor_terms_for
 from semistruct.solver import Z_INIT_STRATEGIES, SolverState
 
 from . import oracles
@@ -406,11 +404,11 @@ def test_fit_descent_properties_small_run():
         for p in masked.points:
             if p.y is not None:
                 continue
-            neighbors = [(w_, z_prev[j]) for w_, j in neighbor_terms_for(g, p.id)]
-            before = slack_objective_value(
+            neighbors = [(w_, z_prev[j]) for w_, j in oracles.neighbor_terms_for(g, p.id)]
+            before = oracles.slack_objective_value(
                 state.w, p.x, state.upsilon[p.id], neighbors, cfg.c1, z_prev[p.id], space
             )
-            after = slack_objective_value(
+            after = oracles.slack_objective_value(
                 state.w, p.x, state.upsilon[p.id], neighbors, cfg.c1, state.z[p.id], space
             )
             assert after <= before

@@ -6,8 +6,8 @@ from semistruct import (
     MulticlassSpace,
     Taxonomy,
     TaxonomySpace,
-    slack_objective_value,
     space_from_config,
+    three_level_taxonomy,
 )
 
 from semistruct.spaces import FiniteLabelSpace
@@ -179,8 +179,8 @@ def test_loss_augmented_value_sandwich_sampled():
 
 
 def test_slack_without_neighbors_returns_upsilon(multiclass_space):
-    y = multiclass_space.argmin_slack(
-        np.zeros(multiclass_space.dim), np.ones(2), 2, [], 1.0
+    y = oracles.argmin_slack(
+        multiclass_space, np.zeros(multiclass_space.dim), np.ones(2), 2, [], 1.0
     )
     assert y == 2
 
@@ -191,8 +191,8 @@ def test_slack_follows_heavy_neighbor():
     x = np.ones(2)
     # candidate objectives with upsilon=0, neighbor k=2: y=0 -> omega,
     # y=1 -> omega + c1, y=2 -> c1; the neighbor wins when omega > c1
-    assert space.argmin_slack(w, x, 0, [(5.0, 2)], 1.0) == 2
-    assert space.argmin_slack(w, x, 0, [(0.5, 2)], 1.0) == 0
+    assert oracles.argmin_slack(space, w, x, 0, [(5.0, 2)], 1.0) == 2
+    assert oracles.argmin_slack(space, w, x, 0, [(0.5, 2)], 1.0) == 0
 
 
 def test_slack_matches_enumeration():
@@ -206,7 +206,7 @@ def test_slack_matches_enumeration():
             for _ in range(int(rng.integers(0, 4)))
         ]
         c1 = float(rng.uniform(0.2, 3.0))
-        got = space.argmin_slack(w, x, upsilon, neighbors, c1)
+        got = oracles.argmin_slack(space, w, x, upsilon, neighbors, c1)
         assert got == oracles.brute_argmin_slack(space, w, x, upsilon, neighbors, c1)
 
 
@@ -215,19 +215,33 @@ def test_slack_objective_value_is_the_minimized_quantity(multiclass_space):
     w = rng.standard_normal(multiclass_space.dim)
     x = rng.standard_normal(2)
     neighbors = [(0.7, 1), (0.3, 2)]
-    best = multiclass_space.argmin_slack(w, x, 0, neighbors, 2.0)
+    best = oracles.argmin_slack(multiclass_space, w, x, 0, neighbors, 2.0)
     values = [
-        slack_objective_value(w, x, 0, neighbors, 2.0, y, multiclass_space)
+        oracles.slack_objective_value(w, x, 0, neighbors, 2.0, y, multiclass_space)
         for y in range(3)
     ]
-    assert slack_objective_value(w, x, 0, neighbors, 2.0, best, multiclass_space) == min(
-        values
-    )
+    assert oracles.slack_objective_value(
+        w, x, 0, neighbors, 2.0, best, multiclass_space
+    ) == min(values)
+
+
+@pytest.mark.parametrize("space", [MulticlassSpace(3, 2),
+                                   TaxonomySpace(three_level_taxonomy(), 2)],
+                         ids=lambda s: s.kind)
+def test_a_huge_c1_leaks_no_overflow_from_the_slack_oracle(space):
+    """Costs past the float range read +-inf without a RuntimeWarning."""
+    rng = np.random.default_rng(73)
+    w = 500.0 * rng.standard_normal(space.dim)
+    X = rng.standard_normal((5, 2))
+    ups = [space.random_output(x, rng) for x in X]
+    terms = ([0, 3], [0.5, 0.25], list(space.labels[:2]))
+    codes = space.argmin_slack_all(w, X, ups, terms, 1e308).tolist()
+    assert space.contains_all(codes).all()
 
 
 def test_slack_rejects_nonpositive_c1(multiclass_space):
     with pytest.raises(ContractViolation):
-        multiclass_space.argmin_slack(np.zeros(6), np.ones(2), 0, [], 0.0)
+        oracles.argmin_slack(multiclass_space, np.zeros(6), np.ones(2), 0, [], 0.0)
 
 
 # --- structure validation and round trips --------------------------------------------
@@ -247,7 +261,7 @@ def test_space_config_round_trip(multiclass_space, taxonomy_space):
     for space in (multiclass_space, taxonomy_space):
         rebuilt = space_from_config(space.config())
         assert rebuilt.dim == space.dim
-        assert list(rebuilt.outputs()) == list(space.outputs())
+        assert rebuilt.labels == space.labels
 
 
 def test_multiclass_rejects_degenerate_sizes():
