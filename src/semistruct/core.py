@@ -22,7 +22,9 @@ Batches of outputs travel as *codes*: a 1-D numpy array with one entry per
 output, made by :meth:`OutputSpace.as_codes`. Its entries are the outputs
 themselves (ints in an int array for the finite label spaces, any object in
 an object array otherwise), so ``codes[i] == y`` holds and
-``codes.tolist()`` gives the outputs back.
+``codes.tolist()`` gives the outputs back. Membership is checked once, when
+``as_codes`` makes the codes; a space trusts codes after that and checks
+only what codes cannot promise, such as matching lengths.
 
 All types here are immutable after construction and every operation is a
 pure function, so instances can be shared freely across threads.
@@ -259,6 +261,13 @@ def object_array(items) -> np.ndarray:
     """1-D object array holding ``items``; numpy would read a list of
     equal-length tuples or arrays as one array with another axis."""
     return np.fromiter(items, dtype=object, count=len(items))
+
+
+def check_same_length(first, second, what) -> None:
+    """ContractViolation naming both lengths unless ``first`` and
+    ``second`` have the same length; ``what`` names the two, plural."""
+    if len(first) != len(second):
+        raise ContractViolation(f"{what} have lengths {len(first)} and {len(second)}")
 
 
 def as_weights(w, dim):

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import OutputSpace, as_weights, object_array
+from .core import OutputSpace, as_weights, check_same_length, object_array
 from .errors import ContractViolation, UnsupportedConfiguration
 
 # most candidate sequences the zero-one oracles enumerate per input
@@ -153,10 +153,12 @@ class FiniteLabelSpace(OutputSpace):
         return self._label_of[np.argmin(cost, axis=1)]
 
     def delta_sum(self, ys1, ys2, weights=None):
+        _check_pairs(ys1, ys2, weights)
         losses = self.loss_matrix[self._rows(ys1), self._rows(ys2)]
         return float(losses.sum() if weights is None else np.dot(weights, losses))
 
     def phi_diff_sum(self, xs, ys, zs):
+        _check_triples(xs, ys, zs)
         D = np.subtract(self.incidence[self._rows(ys)], self.incidence[self._rows(zs)],
                         dtype=float)
         return (D.T @ self._inputs(xs)).ravel()
@@ -422,8 +424,11 @@ class ChainSequenceSpace(OutputSpace):
     # --- features and loss ---------------------------------------------------
 
     def phi(self, x, y):
-        x = self._as_seq_input(x)
-        y = self._check_member(y)
+        return self._phi(self._as_seq_input(x), self._check_member(y))
+
+    def _phi(self, x, y):
+        """``phi`` of an input read by :meth:`_as_seq_input` and a label
+        tuple trusted to be a member (a code); checks only their lengths."""
         if len(y) != x.shape[0]:
             raise ContractViolation(
                 f"label sequence length {len(y)} does not match input length {x.shape[0]}"
@@ -437,8 +442,9 @@ class ChainSequenceSpace(OutputSpace):
             out[base + label * d : base + (label + 1) * d] += x[t]
         return out
 
-    def _delta(self, y1, y2):
-        y1, y2 = self._check_member(y1), self._check_member(y2)
+    def _pair_loss(self, y1, y2):
+        """Loss of two label tuples trusted to be members (codes); checks
+        only their lengths."""
         if len(y1) != len(y2):
             raise ContractViolation(
                 f"cannot compare label sequences of lengths {len(y1)} and {len(y2)}"
@@ -579,16 +585,23 @@ class ChainSequenceSpace(OutputSpace):
         return self._by_length(xs, solve)
 
     # --- per-pair loops and capped enumeration -----------------------------
+    #
+    # A list of outputs is checked once, by ``as_codes``; the loops then ask
+    # the unchecked ``_pair_loss`` and ``_phi``.
 
     def delta_sum(self, ys1, ys2, weights=None):
+        _check_pairs(ys1, ys2, weights)
         weights = [1.0] * len(ys1) if weights is None else weights
-        return float(sum(c * self._delta(a, b) for c, a, b in zip(weights, ys1, ys2)))
+        ys1, ys2 = self.as_codes(ys1), self.as_codes(ys2)
+        return float(sum(c * self._pair_loss(a, b) for c, a, b in zip(weights, ys1, ys2)))
 
     def phi_diff_sum(self, xs, ys, zs):
+        _check_triples(xs, ys, zs)
         acc = np.zeros(self.dim)
-        for x, y, z in zip(xs, ys, zs):
+        for x, y, z in zip(xs, self.as_codes(ys), self.as_codes(zs)):
             if y != z:  # the difference is exactly zero
-                acc += self.phi(x, y) - self.phi(x, z)
+                x = self._as_seq_input(x)
+                acc += self._phi(x, y) - self._phi(x, z)
         return acc
 
     def _outputs(self, x):
@@ -606,26 +619,41 @@ class ChainSequenceSpace(OutputSpace):
         :meth:`_outputs`."""
         w = as_weights(w, self.dim)
         return object_array([
-            max(self._outputs(x), key=lambda y: float(np.dot(w, self.phi(x, y)))
-                - float(np.dot(w, self.phi(x, z))) + self._delta(y, z))
-            for x, z in zip(xs, zs)])
+            max(self._outputs(x), key=lambda y: float(np.dot(w, self._phi(x, y)))
+                - float(np.dot(w, self._phi(x, z))) + self._pair_loss(y, z))
+            for x, z in zip(map(self._as_seq_input, xs), self.as_codes(zs))])
 
     def _enumerate_slack(self, w, xs, upsilons, neighbors, c1):
         """:meth:`argmin_slack_all` as the first best candidate of
         :meth:`_outputs`."""
         w = as_weights(w, self.dim)
+        owner, weight, outputs = neighbors
         terms = [[] for _ in xs]
-        for i, omega, z in zip(*neighbors):
+        for i, omega, z in zip(owner, weight, self.as_codes(outputs)):
             terms[i].append((float(omega), z))
 
         def value(x, upsilon, nb, y):
             acc = 0.0
             for omega, z_nb in nb:
-                acc += omega * self._delta(y, z_nb)
-            return acc + c1 * (-float(np.dot(w, self.phi(x, y))) + self._delta(upsilon, y))
+                acc += omega * self._pair_loss(y, z_nb)
+            return acc + c1 * (-float(np.dot(w, self._phi(x, y))) + self._pair_loss(upsilon, y))
 
+        xs, upsilons = map(self._as_seq_input, xs), self.as_codes(upsilons)
         return object_array([min(self._outputs(x), key=lambda y: value(x, upsilon, nb, y))
                              for x, upsilon, nb in zip(xs, upsilons, terms)])
+
+
+def _check_pairs(ys1, ys2, weights):
+    """The length checks of ``delta_sum``."""
+    check_same_length(ys1, ys2, "output lists")
+    if weights is not None:
+        check_same_length(weights, ys1, "weights and outputs")
+
+
+def _check_triples(xs, ys, zs):
+    """The length checks of ``phi_diff_sum``."""
+    check_same_length(xs, ys, "inputs and outputs")
+    check_same_length(ys, zs, "output lists")
 
 
 def _is_int(value) -> bool:

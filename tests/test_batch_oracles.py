@@ -263,3 +263,32 @@ def test_chain_zero_one_whole_array_forms_reject_above_cap():
     with pytest.raises(UnsupportedConfiguration):
         space.argmin_slack_all(w, X, ys, ([], [], []), 1.0)
     assert space.argmax_score_all(w, X).tolist() == [(0, 0), (0,) * 13]
+
+
+def _mismatched_sums():
+    """``(space, sum form, arguments, the two lengths)`` where the lengths
+    differ; ``zip`` would truncate and numpy broadcast them."""
+    mc, chain = MulticlassSpace(2, 2), ChainSequenceSpace(2, 2)
+    X = np.zeros((2, 2))
+    chains, X3 = [(0, 1), (1, 1)], np.zeros((2, 2, 2))
+    cases = [
+        (mc, "delta_sum", ([0, 1], [0]), (2, 1), "outputs"),
+        (mc, "delta_sum", ([0, 1], [0, 1], [1.0]), (1, 2), "weights"),
+        (mc, "phi_diff_sum", (X, [0], [1, 0]), (2, 1), "inputs"),
+        (mc, "phi_diff_sum", (X, [0, 1], [1]), (2, 1), "outputs"),
+        (chain, "delta_sum", (chains, [(0, 0)]), (2, 1), "outputs"),
+        (chain, "delta_sum", (chains, chains, [1.0]), (1, 2), "weights"),
+        (chain, "phi_diff_sum", (X3, chains[:1], chains), (2, 1), "inputs"),
+        (chain, "phi_diff_sum", (X3, chains, chains[:1]), (2, 1), "outputs"),
+    ]
+    return [pytest.param(*case[:4], id=f"{case[0].kind}-{case[1]}-{case[4]}") for case in cases]
+
+
+@pytest.mark.parametrize("space, form, args, lengths", _mismatched_sums())
+def test_sums_refuse_lists_of_different_lengths(space, form, args, lengths):
+    with pytest.raises(ContractViolation, match=r"have lengths {} and {}$".format(*lengths)):
+        getattr(space, form)(*args)
+    outputs_at = {"delta_sum": (0, 1), "phi_diff_sum": (1, 2)}[form]
+    codes = [space.as_codes(a) if i in outputs_at else a for i, a in enumerate(args)]
+    with pytest.raises(ContractViolation, match=r"have lengths {} and {}$".format(*lengths)):
+        getattr(space, form)(*codes)

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from semistruct import ChainSequenceSpace, ContractViolation, UnsupportedConfiguration
+from semistruct import (
+    ChainSequenceSpace,
+    ContractViolation,
+    DataPoint,
+    Dataset,
+    SolverConfig,
+    UnsupportedConfiguration,
+    build_knn_graph,
+    fit,
+)
+from semistruct.data_io import synth_chains
 from semistruct.spaces import space_from_config
 
 from . import oracles
@@ -235,3 +245,88 @@ def test_a_huge_c1_leaks_no_overflow_from_the_slack_oracle():
                                    space.random_output(X[3], rng)])
     codes = space.argmin_slack_all(w, X, ups, terms, 1e308).tolist()
     assert all(space.contains(y, x=x) for y, x in zip(codes, X))
+
+
+def _reference_delta(space, y1, y2):
+    """The chain loss from its definition."""
+    if space.loss == "zero-one":
+        return float(y1 != y2)
+    return float(sum(a != b for a, b in zip(y1, y2)))
+
+
+@pytest.mark.parametrize("as_codes", [False, True], ids=["lists", "codes"])
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_sums_equal_the_per_pair_reference(loss, as_codes):
+    rng = np.random.default_rng(73)
+    space = ChainSequenceSpace(3, 2, loss=loss)
+    ds = synth_chains(3, (4, 4), 30, 2, seed=5)
+    X = ds.inputs
+    z = [space.random_output(x, rng) for x in X]
+    ups = [space.random_output(x, rng) for x in X]
+    ups[:6] = z[:6]  # some equal pairs
+    g = build_knn_graph(ds, k=4)
+    src, dst = [z[i] for i in g.src.tolist()], [z[i] for i in g.dst.tolist()]
+    looped_phi = np.zeros(space.dim)
+    for x, u, zi in zip(X, ups, z):
+        if u != zi:
+            looped_phi += space.phi(x, u) - space.phi(x, zi)
+    unweighted = float(sum(1.0 * _reference_delta(space, u, zi) for u, zi in zip(ups, z)))
+    weighted = float(sum(c * _reference_delta(space, a, b)
+                         for c, a, b in zip(g.weight, src, dst)))
+    if as_codes:
+        z, ups, src, dst = map(space.as_codes, (z, ups, src, dst))
+    assert space.delta_sum(ups, z) == unweighted
+    assert space.delta_sum(src, dst, g.weight) == weighted
+    assert np.array_equal(space.phi_diff_sum(X, ups, z), looped_phi)
+    assert np.array_equal(space.phi_diff_sum(list(X), ups, z), looped_phi)
+
+
+_BAD_OUTPUTS = {
+    "bool label": (True, 0),
+    "label past the alphabet": (0, 2),
+    "a list": [0, 1],
+    "another length": (0, 1, 0),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_OUTPUTS.values(), ids=_BAD_OUTPUTS.keys())
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_checked_forms_refuse_a_bad_output(loss, bad):
+    space = ChainSequenceSpace(2, 1, loss=loss)
+    x, good = np.zeros((2, 1)), (1, 1)
+    calls = [
+        lambda: space.delta(bad, good),
+        lambda: space.delta(good, bad),
+        lambda: space.delta_sum([good, bad], [good, good]),
+        lambda: space.delta_sum([good, good], [good, bad], [0.5, 0.5]),
+        lambda: space.phi(x, bad),
+        lambda: space.phi_diff_sum([x, x], [good, bad], [good, good]),
+        lambda: space.phi_diff_sum([x, x], [good, good], [good, bad]),
+    ]
+    for call in calls:
+        with pytest.raises(ContractViolation):
+            call()
+
+
+def test_a_fit_checks_membership_as_often_at_every_k(monkeypatch):
+    """Lists are checked once, when encoded; codes are trusted after, so the
+    per-edge loss sums check nothing and the count does not grow with k."""
+    space = ChainSequenceSpace(3, 2)
+    points = synth_chains(3, (5, 5), 40, 2, seed=9).points
+    ds = Dataset(p if p.id % 4 == 0 else DataPoint(p.id, p.x) for p in points)
+    cfg = SolverConfig(c1=0.5, c2=1.0, max_iters=3, seed=1)
+    contains, calls = ChainSequenceSpace._contains, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return contains(self, *args, **kwargs)
+
+    counts = []
+    for k in (2, 8):
+        g = build_knn_graph(ds, k=k)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ChainSequenceSpace, "_contains", counted)
+            fit(ds, g, space, cfg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts

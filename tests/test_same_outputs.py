@@ -1,0 +1,40 @@
+"""The output comparison of ``tools/same_outputs.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "same_outputs", Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_outputs)
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def _report(seconds, asl):
+    return json.dumps({"folds": [{"fold": 0, "seconds": seconds, "test_asl": asl}],
+                       "seconds": seconds})
+
+
+def test_report_seconds_are_ignored_and_every_other_byte_counts(tmp_path):
+    base = {"a/cv/report.json": _report(1.5, 0.25), "a/fit/trace.csv": "t,total\n0,1.0\n"}
+    old = _tree(tmp_path / "old", base)
+    assert same_outputs.compare(old, _tree(tmp_path / "same", {
+        **base, "a/cv/report.json": _report(9.0, 0.25)})) == ([], 2)
+    assert same_outputs.compare(old, _tree(tmp_path / "asl", {
+        **base, "a/cv/report.json": _report(1.5, 0.5)})) == (["differs: a/cv/report.json"], 1)
+    assert same_outputs.compare(old, _tree(tmp_path / "trace", {
+        **base, "a/fit/trace.csv": "t,total\n0,1.0 \n"})) == (["differs: a/fit/trace.csv"], 1)
+
+
+def test_missing_and_extra_files_are_differences(tmp_path):
+    old = _tree(tmp_path / "old", {"fit/model.json": "{}", "fit/graph.csv": ""})
+    new = _tree(tmp_path / "new", {"fit/model.json": "{}", "fit/extra.csv": ""})
+    assert same_outputs.compare(old, new) == (
+        ["only in OLD: fit/graph.csv", "only in NEW: fit/extra.csv"], 1)
