@@ -263,13 +263,6 @@ def object_array(items) -> np.ndarray:
     return np.fromiter(items, dtype=object, count=len(items))
 
 
-def check_same_length(first, second, what) -> None:
-    """ContractViolation naming both lengths unless ``first`` and
-    ``second`` have the same length; ``what`` names the two, plural."""
-    if len(first) != len(second):
-        raise ContractViolation(f"{what} have lengths {len(first)} and {len(second)}")
-
-
 def as_weights(w, dim):
     """Coerce ``w`` to a finite 1-D float vector of length ``dim``."""
     w = np.asarray(w, dtype=float)

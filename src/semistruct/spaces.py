@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import OutputSpace, as_weights, check_same_length, object_array
+from .core import OutputSpace, as_weights, object_array
 from .errors import ContractViolation, UnsupportedConfiguration
 
 # most candidate sequences the zero-one oracles enumerate per input
@@ -394,6 +394,14 @@ class ChainSequenceSpace(OutputSpace):
             raise ContractViolation(f"{y!r} is not a label sequence over {self.num_labels} labels")
         return tuple(int(v) for v in y)
 
+    def as_codes(self, ys):
+        """An object array of the outputs as tuples of Python ints, so the
+        unchecked loops never compute in a narrow numpy integer type. An
+        ndarray is taken to be codes already and returned as is."""
+        if isinstance(ys, np.ndarray):
+            return ys
+        return object_array([self._check_member(y) for y in ys])
+
     def _as_seq_input(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_dim or x.shape[0] < 1:
@@ -442,7 +450,7 @@ class ChainSequenceSpace(OutputSpace):
             out[base + label * d : base + (label + 1) * d] += x[t]
         return out
 
-    def _pair_loss(self, y1, y2):
+    def _delta(self, y1, y2):
         """Loss of two label tuples trusted to be members (codes); checks
         only their lengths."""
         if len(y1) != len(y2):
@@ -587,13 +595,13 @@ class ChainSequenceSpace(OutputSpace):
     # --- per-pair loops and capped enumeration -----------------------------
     #
     # A list of outputs is checked once, by ``as_codes``; the loops then ask
-    # the unchecked ``_pair_loss`` and ``_phi``.
+    # the unchecked ``_delta`` and ``_phi``.
 
     def delta_sum(self, ys1, ys2, weights=None):
         _check_pairs(ys1, ys2, weights)
         weights = [1.0] * len(ys1) if weights is None else weights
         ys1, ys2 = self.as_codes(ys1), self.as_codes(ys2)
-        return float(sum(c * self._pair_loss(a, b) for c, a, b in zip(weights, ys1, ys2)))
+        return float(sum(c * self._delta(a, b) for c, a, b in zip(weights, ys1, ys2)))
 
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
@@ -620,7 +628,7 @@ class ChainSequenceSpace(OutputSpace):
         w = as_weights(w, self.dim)
         return object_array([
             max(self._outputs(x), key=lambda y: float(np.dot(w, self._phi(x, y)))
-                - float(np.dot(w, self._phi(x, z))) + self._pair_loss(y, z))
+                - float(np.dot(w, self._phi(x, z))) + self._delta(y, z))
             for x, z in zip(map(self._as_seq_input, xs), self.as_codes(zs))])
 
     def _enumerate_slack(self, w, xs, upsilons, neighbors, c1):
@@ -635,8 +643,8 @@ class ChainSequenceSpace(OutputSpace):
         def value(x, upsilon, nb, y):
             acc = 0.0
             for omega, z_nb in nb:
-                acc += omega * self._pair_loss(y, z_nb)
-            return acc + c1 * (-float(np.dot(w, self._phi(x, y))) + self._pair_loss(upsilon, y))
+                acc += omega * self._delta(y, z_nb)
+            return acc + c1 * (-float(np.dot(w, self._phi(x, y))) + self._delta(upsilon, y))
 
         xs, upsilons = map(self._as_seq_input, xs), self.as_codes(upsilons)
         return object_array([min(self._outputs(x), key=lambda y: value(x, upsilon, nb, y))
@@ -645,15 +653,22 @@ class ChainSequenceSpace(OutputSpace):
 
 def _check_pairs(ys1, ys2, weights):
     """The length checks of ``delta_sum``."""
-    check_same_length(ys1, ys2, "output lists")
+    _check_same_length(ys1, ys2, "output lists")
     if weights is not None:
-        check_same_length(weights, ys1, "weights and outputs")
+        _check_same_length(weights, ys1, "weights and outputs")
 
 
 def _check_triples(xs, ys, zs):
     """The length checks of ``phi_diff_sum``."""
-    check_same_length(xs, ys, "inputs and outputs")
-    check_same_length(ys, zs, "output lists")
+    _check_same_length(xs, ys, "inputs and outputs")
+    _check_same_length(ys, zs, "output lists")
+
+
+def _check_same_length(first, second, what):
+    """ContractViolation naming both lengths unless ``first`` and
+    ``second`` have the same length; ``what`` names the two, plural."""
+    if len(first) != len(second):
+        raise ContractViolation(f"{what} have lengths {len(first)} and {len(second)}")
 
 
 def _is_int(value) -> bool:

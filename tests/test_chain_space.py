@@ -281,6 +281,24 @@ def test_sums_equal_the_per_pair_reference(loss, as_codes):
     assert np.array_equal(space.phi_diff_sum(list(X), ups, z), looped_phi)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+def test_sums_of_narrow_int_labels_equal_the_per_pair_loop(dtype):
+    """Labels of a narrow numpy type give the features of the same ints:
+    ``19 * 20`` would wrap in ``uint8`` and pick a wrong transition."""
+    rng = np.random.default_rng(11)
+    space = ChainSequenceSpace(20, 2)
+    X = rng.standard_normal((6, 5, 2))
+    ys = [tuple(dtype(v) for v in rng.integers(15, 20, size=5)) for _ in X]
+    zs = [tuple(dtype(v) for v in rng.integers(15, 20, size=5)) for _ in X]
+    looped_phi = np.zeros(space.dim)
+    for x, y, z in zip(X, ys, zs):
+        looped_phi += space.phi(x, y) - space.phi(x, z)
+    looped_delta = float(sum(space.delta(y, z) for y, z in zip(ys, zs)))
+    assert np.array_equal(space.phi_diff_sum(X, ys, zs), looped_phi)
+    assert space.delta_sum(ys, zs) == looped_delta
+    assert all(type(v) is int for y in space.as_codes(ys) for v in y)
+
+
 _BAD_OUTPUTS = {
     "bool label": (True, 0),
     "label past the alphabet": (0, 2),

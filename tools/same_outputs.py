@@ -2,7 +2,7 @@
 
 Usage, from the root of a semistruct checkout::
 
-    python3 tools/same_outputs.py OLD_SRC NEW_SRC [--work DIR] [--seeds 0,1,2]
+    python3 tools/same_outputs.py OLD_SRC NEW_SRC [--work DIR]
 
 ``OLD_SRC`` and ``NEW_SRC`` are ``src`` directories (each holding a
 ``semistruct`` package), for example this checkout's ``src`` and the ``src``
@@ -10,8 +10,8 @@ of a copy of the parent commit made with ``git archive``.
 
 The inputs are written once, by this checkout's ``perfbench/inputs.py``
 (imported as it is, with ``NEW_SRC`` on the path): the three benchmark
-workloads for every seed, plus a 60-point zero-one chain set per seed with
-every third point unlabeled. Then, for each source tree, one child process
+workloads for each of ``SEEDS`` (0, 1 and 2), plus a 60-point zero-one
+chain set per seed with every third point unlabeled. Then, for each source tree, one child process
 runs every command through ``semistruct.cli.main``: ``fit --dump-graph``
 and ``cv`` with both ``--z-init`` values, and ``predict`` with each fitted
 model. Every file the commands write is compared byte for byte, except that
@@ -36,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)
 Z_INITS = ("nearest-labeled", "uniform-random")
 
 # Runs the JSON list of argv lists on stdin through cli.main in the current
@@ -88,11 +89,11 @@ def _write_zero_one_chains(seed, out):
     data_io.save_dataset(heldout, out / "heldout.jsonl", space)
 
 
-def write_cases(inputs, seeds, data):
+def write_cases(inputs, data):
     """Write every input set under ``data``; returns ``(name, dir, flags)``
     per set, ``flags`` being the space and solver flags of its commands."""
     cases = []
-    for seed in seeds:
+    for seed in SEEDS:
         for workload, spec in inputs.WORKLOADS.items():
             where = data / f"{workload}-{seed}"
             inputs.write_inputs(workload, seed, where)
@@ -170,7 +171,6 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--work", type=Path, default=None,
                         help="directory for inputs and outputs (default: a temporary one)")
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated workload seeds")
     args = parser.parse_args(argv)
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
     for src in (old_src, new_src):
@@ -180,8 +180,7 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp()) if args.work is None else args.work.resolve()
     try:
         inputs = _load_inputs(new_src)
-        seeds = [int(s) for s in args.seeds.split(",")]
-        calls = commands(write_cases(inputs, seeds, work / "data"))
+        calls = commands(write_cases(inputs, work / "data"))
         run_side(old_src, calls, work / "old")
         run_side(new_src, calls, work / "new")
         diffs, same = compare(work / "old", work / "new")
