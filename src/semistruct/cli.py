@@ -129,7 +129,7 @@ def cmd_synth(args):
     else:
         ds = data_io.synth_chains(args.alphabet or 3,
                                   (args.min_len, args.max_len),
-                                  args.count, args.dim, args.seed)
+                                  args.count, args.dim, args.seed, args.spread)
         space = ChainSequenceSpace(args.alphabet or 3, args.dim)
     path = out / "data.jsonl"
     data_io.save_dataset(ds, path, space)

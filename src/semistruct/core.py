@@ -12,11 +12,11 @@ space. Structured outputs use a canonical per-space encoding (int class
 index, int tree-node id, tuple of int labels) so equality and hashing are
 trivial; indicator-vector views are derived inside each space.
 
-A :class:`Dataset` has one storage: its inputs stacked the way the spaces
-read them (one ``n x d`` float matrix for flat data) and its outputs as one
-list, point ``i`` having id ``i``. :class:`DataPoint` objects are made only
-when ``points`` is read; ``Dataset(points)`` is the one adapter for
-hand-built points.
+A :class:`Dataset` has one storage: its inputs as one float array when they
+share a shape (one ``n x d`` matrix for flat data), else a list, which the
+spaces read as they are, and its outputs as one list, point ``i`` having id
+``i``. :class:`DataPoint` objects are made only when ``points`` is read;
+``Dataset(points)`` is the one adapter for hand-built points.
 
 Batches of outputs travel as *codes*: a 1-D numpy array with one entry per
 output, made by :meth:`OutputSpace.as_codes`. Its entries are the outputs
@@ -138,7 +138,8 @@ class OutputSpace(ABC):
     ``delta(y1, y2) >= 0``. Every argmax/argmin oracle breaks ties toward
     the smallest canonical encoding so results are deterministic. The
     whole-array oracles return codes (see the module docstring) and accept
-    codes or lists of outputs.
+    codes or lists of outputs; they take inputs as a :class:`Dataset` stores
+    them, one float stack or a list.
 
     Spaces are immutable and all methods are pure, hence thread-safe.
     """
@@ -222,12 +223,6 @@ class OutputSpace(ABC):
             bad = ys[int(np.argmin(member))]
             raise ContractViolation(f"{reprlib.repr(bad)} is not a {self.kind} output")
         return object_array(ys)
-
-    def stack_inputs(self, xs):
-        """The inputs ``xs`` in the form the oracles read fastest; indexing
-        it with an id array selects those inputs. The default is an object
-        array of the inputs."""
-        return object_array(xs)
 
     # --- one-item views of the whole-array forms ---------------------------
 

@@ -356,13 +356,13 @@ def synth_taxonomy_blobs(tree: Taxonomy, per_leaf, dim, spread, seed) -> Dataset
     return Dataset.from_arrays(xs, ys.tolist(), "taxonomy")
 
 
-def synth_chains(num_labels, length_range, count, dim, seed,
-                 transition=None, spread=0.5) -> Dataset:
+def synth_chains(num_labels, length_range, count, dim, seed, spread=0.5) -> Dataset:
     """Label sequences from a sticky Markov chain with Gaussian emissions.
 
-    ``length_range`` is an inclusive (lo, hi) pair. ``transition`` overrides
-    the default 0.6-self-loop matrix; its rows must be non-negative and sum
-    to 1 within ``sqrt(eps)``, else ContractViolation.
+    ``length_range`` is an inclusive (lo, hi) pair. Each label stays with
+    probability 0.6 and moves to each other label with equal probability.
+    Emissions are Gaussian with standard deviation ``spread`` around label
+    centers a unit apart along the first axis.
     """
     if num_labels < 2:
         raise ContractViolation(f"need at least 2 labels, got {num_labels}")
@@ -370,20 +370,8 @@ def synth_chains(num_labels, length_range, count, dim, seed,
     if lo < 1 or hi < lo:
         raise ContractViolation(f"bad length range {length_range}")
     rng = np.random.default_rng((seed, _SEED_TAG_CHAINS))
-    if transition is None:
-        off = 0.4 / (num_labels - 1)
-        transition = np.full((num_labels, num_labels), off)
-        np.fill_diagonal(transition, 0.6)
-    else:
-        transition = np.asarray(transition, dtype=float)
-        if transition.shape != (num_labels, num_labels):
-            raise ContractViolation("transition matrix shape must be (a, a)")
-        bad = ~((transition >= 0).all(axis=1)
-                & (np.abs(transition.sum(axis=1) - 1.0) <= math.sqrt(np.finfo(float).eps)))
-        if bad.any():
-            r = int(np.flatnonzero(bad)[0])
-            raise ContractViolation(
-                f"transition row {r} must be non-negative and sum to 1, got {transition[r].tolist()}")
+    transition = np.full((num_labels, num_labels), 0.4 / (num_labels - 1))
+    np.fill_diagonal(transition, 0.6)
     # Generator.choice(a, p=row) draws cdf.searchsorted(random(), side="right")
     # over the row's cumulative sum divided by its last entry: the same draws
     cdf = transition.cumsum(axis=1)
@@ -414,7 +402,6 @@ class FoldPlan:
     so repeated runs of the same plan are identical.
     """
 
-    seed: int
     fold_of: tuple
     labeled_folds: tuple
 
@@ -438,7 +425,7 @@ def make_folds(ds: Dataset, seed) -> FoldPlan:
         train_folds = [f for f in range(NUM_FOLDS) if f != run]
         pick = rng.choice(len(train_folds), size=NUM_LABELED_FOLDS, replace=False)
         labeled_pairs.append(tuple(sorted(train_folds[i] for i in pick)))
-    return FoldPlan(seed, tuple(int(f) for f in fold_of), tuple(labeled_pairs))
+    return FoldPlan(tuple(int(f) for f in fold_of), tuple(labeled_pairs))
 
 
 class MaskedSplit(NamedTuple):

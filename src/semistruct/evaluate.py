@@ -124,9 +124,7 @@ def folds_csv(report: EvalReport) -> str:
 
 def trace_csv(trace) -> str:
     """Objective trace as CSV, one row per iteration including the initial
-    row; the total column always equals manifold + c1 * loss + c2 * reg.
-    Accepts either a trace list or a fitted solver state."""
-    trace = getattr(trace, "trace", trace)
+    row; the total column always equals manifold + c1 * loss + c2 * reg."""
     buf = io.StringIO()
     buf.write("iteration,manifold,loss,regularizer,objective\n")
     for row in trace:

@@ -19,11 +19,12 @@ A fit runs on arrays. :func:`initialize` encodes every output once into
 codes (:meth:`OutputSpace.as_codes`: an int label array for the finite
 label spaces, an object array of the outputs otherwise), and builds once
 what no iteration changes (:class:`FitArrays`): the labeled and unlabeled
-ids, the inputs stacked for the space, and the neighbor terms of the graph.
-Each step then gathers neighbor outputs and edge endpoints by fancy
-indexing. Outputs are decoded (``codes.tolist()``) only where they leave
-the solver: the state :func:`fit` returns, and so the transductive outputs
-of cross validation, and predictions.
+ids, the unlabeled inputs, and the neighbor terms of the graph. The spaces
+read inputs as the dataset stores them. Each step then gathers neighbor
+outputs and edge endpoints by fancy indexing. Outputs are decoded
+(``codes.tolist()``) only where they leave the solver: the state
+:func:`fit` returns, and so the transductive outputs of cross validation,
+and predictions.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ class FitArrays(NamedTuple):
     """What every iteration of one fit reads and no iteration changes.
 
     ``free`` and ``labeled``: the unlabeled and labeled ids; ``truth``: the
-    codes of the labeled outputs; ``inputs``: ``space.stack_inputs`` of all
-    inputs and ``free_inputs`` its unlabeled part; ``terms``:
-    ``neighbor_terms(g, free)``, None without a graph. ``ds``, ``g`` and
-    ``space`` are what they were built from.
+    codes of the labeled outputs; ``free_inputs``: the unlabeled inputs, in
+    the form ``ds.inputs`` stores them (a float stack, or a list for
+    mixed-length chains); ``terms``: ``neighbor_terms(g, free)``. ``ds``,
+    ``g`` and ``space`` are what they were built from.
     """
 
     ds: object
@@ -133,7 +134,6 @@ class FitArrays(NamedTuple):
     free: np.ndarray
     labeled: np.ndarray
     truth: np.ndarray
-    inputs: object
     free_inputs: object
     terms: tuple
 
@@ -141,16 +141,15 @@ class FitArrays(NamedTuple):
     def build(cls, ds, g, space):
         free, labeled = np.flatnonzero(~ds.labeled), np.flatnonzero(ds.labeled)
         truth = space.as_codes([ds.outputs[i] for i in labeled.tolist()])
-        inputs = space.stack_inputs(ds.inputs)
-        terms = None if g is None else neighbor_terms(g, free)
-        return cls(ds, g, space, free, labeled, truth, inputs, inputs[free], terms)
+        return cls(ds, g, space, free, labeled, truth, take_inputs(ds.inputs, free),
+                   neighbor_terms(g, free))
 
 
-def _fixed(state, ds, space, g=None) -> FitArrays:
-    """``state.fixed`` when it was built from ``ds``, ``space`` and (when
-    given) ``g``; else the same arrays built now, for a state made by hand."""
+def _fixed(state, ds, g, space) -> FitArrays:
+    """``state.fixed`` when it was built from ``ds``, ``g`` and ``space``;
+    else the same arrays built now, for a state made by hand."""
     f = state.fixed
-    if f is not None and f.ds is ds and f.space is space and (g is None or f.g is g):
+    if f is not None and f.ds is ds and f.g is g and f.space is space:
         return f
     return FitArrays.build(ds, g, space)
 
@@ -233,8 +232,7 @@ def update_upsilon(state, ds, space, cfg) -> np.ndarray:
     Runs loss-augmented inference for all points, labeled included; the
     loss bound sums over the whole training set. Independent of c1 and c2.
     """
-    f = _fixed(state, ds, space)
-    return space.argmax_loss_augmented_all(state.w, f.inputs, space.as_codes(state.z))
+    return space.argmax_loss_augmented_all(state.w, ds.inputs, space.as_codes(state.z))
 
 
 def update_slack(state, ds, g, space, cfg) -> np.ndarray:
@@ -243,7 +241,7 @@ def update_slack(state, ds, g, space, cfg) -> np.ndarray:
     Labeled points keep their true output. Each unlabeled point minimizes
     its local objective against the neighbors' previous-iteration outputs.
     """
-    f = _fixed(state, ds, space, g)
+    f = _fixed(state, ds, g, space)
     owner, neighbor, weight = f.terms
     z = space.as_codes(state.z)
     moved = space.argmin_slack_all(
@@ -263,8 +261,7 @@ def update_weights(state, ds, space, cfg) -> np.ndarray:
     phi(x_i, z_i))`` with the most-violating and slack outputs held fixed.
     """
     eta = cfg.step_size
-    f = _fixed(state, ds, space)
-    acc = space.phi_diff_sum(f.inputs, space.as_codes(state.upsilon), space.as_codes(state.z))
+    acc = space.phi_diff_sum(ds.inputs, space.as_codes(state.upsilon), space.as_codes(state.z))
     with np.errstate(over="ignore", invalid="ignore"):
         w_new = (1.0 - eta * cfg.c2) * state.w - eta * cfg.c1 * acc
         # finite exactly when every weight is and ||w||^2 does not overflow
@@ -288,10 +285,9 @@ def objective(state, ds, g, space, cfg) -> ObjectiveParts:
     stored on the state, so refresh them first when measuring a new
     ``(w, z)`` pair.
     """
-    f = _fixed(state, ds, space)
     z, upsilon = space.as_codes(state.z), space.as_codes(state.upsilon)
     m = manifold_term(g, z, space)
-    diff = space.phi_diff_sum(f.inputs, upsilon, z)
+    diff = space.phi_diff_sum(ds.inputs, upsilon, z)
     l = float(np.dot(state.w, diff)) + space.delta_sum(upsilon, z)
     r = 0.5 * float(np.dot(state.w, state.w))
     return ObjectiveParts(m, l, r, m + cfg.c1 * l + cfg.c2 * r)

@@ -105,9 +105,6 @@ class FiniteLabelSpace(OutputSpace):
         """Int array of the labels ``ys``."""
         return ys if isinstance(ys, np.ndarray) else self._label_of[self._rows(ys)]
 
-    def stack_inputs(self, xs):
-        return self._inputs(xs)
-
     def contains_all(self, ys, xs=None):
         return self._member_rows(ys) >= 0
 
@@ -293,17 +290,16 @@ class Taxonomy:
         return self.root
 
 
-def three_level_taxonomy(branches=3, leaves_per_branch=5):
-    """Root with ``branches`` children, each carrying ``leaves_per_branch``
-    leaves. branches=3, leaves_per_branch=5 yields the canonical 19-node
-    scene-style tree."""
+def three_level_taxonomy():
+    """The canonical 19-node scene-style tree: a root with 3 children, each
+    carrying 5 leaves."""
     parents = [None]
     names = ["root"]
-    for b in range(branches):
+    for b in range(3):
         parents.append(0)
         names.append(f"branch-{b}")
-    for b in range(branches):
-        for l in range(leaves_per_branch):
+    for b in range(3):
+        for l in range(5):
             parents.append(1 + b)
             names.append(f"leaf-{b}-{l}")
     return Taxonomy(tuple(parents), tuple(names))
@@ -499,10 +495,6 @@ class ChainSequenceSpace(OutputSpace):
         return (isinstance(xs, np.ndarray) and xs.dtype == float and xs.ndim == 3
                 and xs.shape[1] >= 1 and xs.shape[2] == self.input_dim)
 
-    def stack_inputs(self, xs):
-        """A stack as it is; a list as an object array of the inputs."""
-        return xs if self._is_stack(xs) else super().stack_inputs(xs)
-
     def _by_length(self, xs, solve):
         """Codes (label tuples) of every input, in input order. Calls
         ``solve(idx, X)`` once per length, ``X`` stacking the inputs ``idx``
@@ -525,28 +517,26 @@ class ChainSequenceSpace(OutputSpace):
                 out[i] = tuple(path)
         return out
 
-    def _stack(self, ys, length, what):
-        """Outputs of one length as an ``(n, length)`` label array."""
+    @staticmethod
+    def _stack(ys, length, what):
+        """Codes of one length as an ``(n, length)`` label array."""
         if any(len(y) != length for y in ys):
             raise ContractViolation(f"{what} length does not match the input")
-        Y = np.array(ys, dtype=int).reshape(len(ys), length)
-        if Y.size and not 0 <= Y.min() <= Y.max() < self.num_labels:
-            raise ContractViolation(f"{what} holds a label outside 0..{self.num_labels - 1}")
-        return Y
+        return np.array(ys, dtype=int).reshape(len(ys), length)
 
     def argmax_score_all(self, w, xs):
         pairwise, emit = self._weight_tables(w)
         return self._by_length(xs, lambda idx, X: self._best_paths(X @ emit.T, pairwise))
 
     def argmax_loss_augmented_all(self, w, xs, zs):
+        zs = self.as_codes(zs)
         if self.loss == "zero-one":  # does not decompose: enumerate under the cap
             return self._enumerate_loss_augmented(w, xs, zs)
         pairwise, emit = self._weight_tables(w)
 
         def solve(idx, X):
             n, length, _ = X.shape
-            Z = self._stack([self._check_member(zs[i]) for i in idx], length,
-                            "reference output")
+            Z = self._stack([zs[i] for i in idx], length, "reference output")
             aug = X @ emit.T + 1.0
             aug[np.arange(n)[:, None], np.arange(length), Z] -= 1.0  # no reward for matches
             return self._best_paths(aug, pairwise)
@@ -556,10 +546,11 @@ class ChainSequenceSpace(OutputSpace):
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
         if c1 <= 0:
             raise ContractViolation(f"c1 must be positive, got {c1}")
-        if self.loss == "zero-one":  # does not decompose: enumerate under the cap
-            return self._enumerate_slack(w, xs, upsilons, neighbors, c1)
-        pairwise, emit = self._weight_tables(w)
         owner, weight, outputs = neighbors
+        upsilons, outputs = self.as_codes(upsilons), self.as_codes(outputs)
+        if self.loss == "zero-one":  # does not decompose: enumerate under the cap
+            return self._enumerate_slack(w, xs, upsilons, (owner, weight, outputs), c1)
+        pairwise, emit = self._weight_tables(w)
         owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
         # slot of every term among its owner's terms, in term order
         order = np.argsort(owner, kind="stable")
@@ -575,7 +566,7 @@ class ChainSequenceSpace(OutputSpace):
             W[at] = weight[mine]
             Z = np.zeros(W.shape + (length,), dtype=int)
             Z[at] = self._stack([outputs[e] for e in mine], length, "neighbor output")
-            U = self._stack([self._check_member(upsilons[i]) for i in idx], length, "upsilon")
+            U = self._stack([upsilons[i] for i in idx], length, "upsilon")
             # position-wise costs: neighbor disagreement + model score + upsilon loss,
             # the neighbor terms added one slot at a time as in a per-point loop
             at_label = (np.arange(n)[:, None], np.arange(length))
@@ -595,7 +586,7 @@ class ChainSequenceSpace(OutputSpace):
     # --- per-pair loops and capped enumeration -----------------------------
     #
     # A list of outputs is checked once, by ``as_codes``; the loops then ask
-    # the unchecked ``_delta`` and ``_phi``.
+    # the unchecked ``_delta`` and ``_phi``. The enumerations get codes.
 
     def delta_sum(self, ys1, ys2, weights=None):
         _check_pairs(ys1, ys2, weights)
@@ -629,7 +620,7 @@ class ChainSequenceSpace(OutputSpace):
         return object_array([
             max(self._outputs(x), key=lambda y: float(np.dot(w, self._phi(x, y)))
                 - float(np.dot(w, self._phi(x, z))) + self._delta(y, z))
-            for x, z in zip(map(self._as_seq_input, xs), self.as_codes(zs))])
+            for x, z in zip(map(self._as_seq_input, xs), zs)])
 
     def _enumerate_slack(self, w, xs, upsilons, neighbors, c1):
         """:meth:`argmin_slack_all` as the first best candidate of
@@ -637,7 +628,7 @@ class ChainSequenceSpace(OutputSpace):
         w = as_weights(w, self.dim)
         owner, weight, outputs = neighbors
         terms = [[] for _ in xs]
-        for i, omega, z in zip(owner, weight, self.as_codes(outputs)):
+        for i, omega, z in zip(owner, weight, outputs):
             terms[i].append((float(omega), z))
 
         def value(x, upsilon, nb, y):
@@ -646,7 +637,7 @@ class ChainSequenceSpace(OutputSpace):
                 acc += omega * self._delta(y, z_nb)
             return acc + c1 * (-float(np.dot(w, self._phi(x, y))) + self._delta(upsilon, y))
 
-        xs, upsilons = map(self._as_seq_input, xs), self.as_codes(upsilons)
+        xs = map(self._as_seq_input, xs)
         return object_array([min(self._outputs(x), key=lambda y: value(x, upsilon, nb, y))
                              for x, upsilon, nb in zip(xs, upsilons, terms)])
 

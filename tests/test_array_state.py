@@ -94,6 +94,18 @@ def _pair_dataset():
     return _masked(Dataset(tuple(DataPoint(i, X[i], ys[i]) for i in range(30))), 3)
 
 
+def _mixed_length_chains():
+    """Chains of lengths 4 and 6, the second group moved 100 away so no graph
+    edge joins two lengths; the inputs stay a list."""
+    short = synth_chains(3, (4, 4), 20, 2, seed=11).points
+    long = synth_chains(3, (6, 6), 20, 2, seed=12).points
+    xs = [p.x for p in short] + [p.x + 100.0 for p in long]
+    ys = [p.y for p in short + long]
+    ds = _masked(Dataset(tuple(DataPoint(i, x, y) for i, (x, y) in enumerate(zip(xs, ys)))), 3)
+    assert type(ds.inputs) is list
+    return ds
+
+
 def _case(name):
     """``(ds, g, space)`` of one named case."""
     if name == "multiclass":
@@ -106,6 +118,9 @@ def _case(name):
     if name == "chain-hamming":
         ds = _masked(synth_chains(3, (4, 4), 40, 3, seed=5), 3)
         return ds, build_knn_graph(ds, k=4), ChainSequenceSpace(3, 3)
+    if name == "chain-mixed-lengths":
+        ds = _mixed_length_chains()
+        return ds, build_knn_graph(ds, k=4), ChainSequenceSpace(3, 2)
     if name == "chain-zero-one":  # 27 candidates per input, under the cap
         ds = _masked(synth_chains(3, (3, 3), 24, 2, seed=6), 3)
         return ds, build_knn_graph(ds, k=3), ChainSequenceSpace(3, 2, loss="zero-one")
@@ -123,8 +138,8 @@ def _case(name):
     return ds, build_knn_graph(ds, k=4), PairSpace(2)
 
 
-CASES = ("multiclass", "taxonomy", "chain-hamming", "chain-zero-one", "fully-labeled",
-         "empty-graph", "integer-grid", "custom-space")
+CASES = ("multiclass", "taxonomy", "chain-hamming", "chain-mixed-lengths", "chain-zero-one",
+         "fully-labeled", "empty-graph", "integer-grid", "custom-space")
 
 
 def _snapshot(state):

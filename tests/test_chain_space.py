@@ -200,7 +200,6 @@ def test_oracles_read_a_stack_as_its_list_of_inputs(loss, monkeypatch):
     space = ChainSequenceSpace(3, 2, loss=loss)
     w = rng.standard_normal(space.dim)
     X = rng.standard_normal((9, 4, 2))
-    assert space.stack_inputs(X) is X
     with monkeypatch.context() as m:  # a stack is read as it is, not input by input
         m.setattr(space, "_as_seq_input", None)
         space.argmax_score_all(w, X)
@@ -216,7 +215,6 @@ def test_a_mixed_length_list_answers_as_one_stack_per_input(loss):
     space = ChainSequenceSpace(3, 2, loss=loss)
     w = rng.standard_normal(space.dim)
     xs = [rng.standard_normal((length, 2)) for length in (3, 5, 3, 2, 5, 4)]
-    assert space.stack_inputs(xs).dtype == object
     zs, ups, (owner, weight, outputs) = _draws(space, xs, rng)
     got = _codes(space, w, xs, zs, ups, (owner, weight, outputs))
     for i, x in enumerate(xs):
@@ -348,3 +346,31 @@ def test_a_fit_checks_membership_as_often_at_every_k(monkeypatch):
             fit(ds, g, space, cfg)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0, counts
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_the_oracles_trust_codes_and_check_lists(loss, monkeypatch):
+    """Codes reach the oracles unchecked; a list of outputs is checked, so a
+    neighbor output of floats is refused instead of being cut to ints."""
+    rng = np.random.default_rng(79)
+    space = ChainSequenceSpace(3, 2, loss=loss)
+    w = rng.standard_normal(space.dim)
+    X = rng.standard_normal((6, 3, 2))
+    zs, ups, (owner, weight, outputs) = _draws(space, X, rng)
+    zs, ups, outputs = space.as_codes(zs), space.as_codes(ups), space.as_codes(outputs)
+    contains, calls = ChainSequenceSpace._contains, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return contains(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ChainSequenceSpace, "_contains", counted)
+        space.argmax_loss_augmented_all(w, X, zs)
+        space.argmin_slack_all(w, X, ups, (owner, weight, outputs), 0.7)
+    assert calls == []
+    bad = (0.5, 2.9, 1.0)
+    with pytest.raises(ContractViolation):
+        space.argmin_slack_all(w, X[:1], ups[:1], ([0], [1.0], [bad]), 0.7)
+    with pytest.raises(ContractViolation):
+        space.argmax_loss_augmented_all(w, X[:1], [bad])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import semistruct
-from semistruct import DataFormatError, cli
+from semistruct import ChainSequenceSpace, DataFormatError, cli
 from semistruct.cli import main
 from semistruct.data_io import load_dataset
 from semistruct.solver import load_model
@@ -150,6 +150,18 @@ def test_chain_synth_and_fit(tmp_path):
         "--k", "2", "--seed", "3", "--out", str(fit_out),
     )
     assert code == 0
+
+
+def test_chain_synth_reads_spread(tmp_path):
+    space = ChainSequenceSpace(3, 10)
+    made = []
+    for spread in ("0.1", "2.0"):
+        out = tmp_path / spread
+        assert _run("synth", "--space", "chain", "--spread", spread, "--out", str(out)) == 0
+        made.append(load_dataset(out / "data.jsonl", space))
+    # the same labels, their emissions scaled by the spread
+    assert made[0].outputs == made[1].outputs
+    assert [x.tolist() for x in made[0].inputs] != [x.tolist() for x in made[1].inputs]
 
 
 @pytest.mark.parametrize("z_init", ["nearest-labeled", "uniform-random"])

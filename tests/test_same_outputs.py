@@ -1,8 +1,11 @@
 """The output comparison of ``tools/same_outputs.py``."""
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
+
+from semistruct import cli
 
 spec = importlib.util.spec_from_file_location(
     "same_outputs", Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py")
@@ -38,3 +41,13 @@ def test_missing_and_extra_files_are_differences(tmp_path):
     new = _tree(tmp_path / "new", {"fit/model.json": "{}", "fit/extra.csv": ""})
     assert same_outputs.compare(old, new) == (
         ["only in OLD: fit/graph.csv", "only in NEW: fit/extra.csv"], 1)
+
+
+def test_the_commands_cover_every_subcommand():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    case = ("case", Path("data"), ["--space", "chain"], ["--k", "3"])
+    called = {argv[0] for argv in same_outputs.commands([case])}
+    assert called == set(sub.choices)
+    for argv in same_outputs.commands([case]):  # every call parses
+        parser.parse_args(argv)

@@ -11,13 +11,15 @@ of a copy of the parent commit made with ``git archive``.
 The inputs are written once, by this checkout's ``perfbench/inputs.py``
 (imported as it is, with ``NEW_SRC`` on the path): the three benchmark
 workloads for each of ``SEEDS`` (0, 1 and 2), plus a 60-point zero-one
-chain set per seed with every third point unlabeled. Then, for each source tree, one child process
-runs every command through ``semistruct.cli.main``: ``fit --dump-graph``
-and ``cv`` with both ``--z-init`` values, and ``predict`` with each fitted
-model. Every file the commands write is compared byte for byte, except that
-``report.json`` is compared with its ``seconds`` fields dropped; each
-command's exit code is compared too. Stdout is not compared, since it holds
-wall times.
+chain set per seed with every third point unlabeled. Then, for each source
+tree, one child process runs every command through ``semistruct.cli.main``:
+``synth`` for each space with default flags; per input set, ``fit
+--dump-graph``, ``cv`` and ``baseline`` with both ``--z-init`` values, and
+``predict`` with each fitted model; and one two-value ``sweep`` of ``c1``
+on the first input set. Every file the commands write is compared byte for
+byte, except that ``report.json`` is compared with its ``seconds`` fields
+dropped; each command's exit code is compared too. Stdout is not compared,
+since it holds wall times.
 
 Prints one line per difference and exits 1 if there is any, else prints the
 number of identical files and exits 0.
@@ -38,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 Z_INITS = ("nearest-labeled", "uniform-random")
+SPACES = ("multiclass", "taxonomy", "chain")
 
 # Runs the JSON list of argv lists on stdin through cli.main in the current
 # directory, then writes their exit codes to exit_codes.json.
@@ -90,8 +93,9 @@ def _write_zero_one_chains(seed, out):
 
 
 def write_cases(inputs, data):
-    """Write every input set under ``data``; returns ``(name, dir, flags)``
-    per set, ``flags`` being the space and solver flags of its commands."""
+    """Write every input set under ``data``; returns ``(name, dir, flags,
+    graph)`` per set, ``flags`` being the space and solver flags of its
+    commands and ``graph`` the graph flags of those that build one."""
     cases = []
     for seed in SEEDS:
         for workload, spec in inputs.WORKLOADS.items():
@@ -106,29 +110,34 @@ def write_cases(inputs, data):
                 flags += ["--classes", str(inputs.MC_CLASSES)]
             flags += ["--c1", repr(inputs.C1), "--c2", repr(inputs.C2),
                       "--eta", repr(inputs.ETA), "--iters", str(spec.iters),
-                      "--k", str(spec.k), "--seed", str(seed)]
-            cases.append((f"{workload}-{seed}", where, flags))
+                      "--seed", str(seed)]
+            cases.append((f"{workload}-{seed}", where, flags, ["--k", str(spec.k)]))
         where = data / f"zero-one-{seed}"
         _write_zero_one_chains(seed, where)
         cases.append((f"zero-one-{seed}", where, [
             "--space", "chain", "--alphabet", "3", "--loss", "zero-one", "--c1", "0.5",
-            "--c2", "1.0", "--iters", "5", "--k", "4", "--seed", str(seed)]))
+            "--c2", "1.0", "--iters", "5", "--seed", str(seed)], ["--k", "4"]))
     return cases
 
 
 def commands(cases):
     """Every CLI call, writing into output directories relative to the
     child's working directory."""
-    calls = []
-    for name, where, flags in cases:
+    calls = [["synth", "--space", space, "--out", f"synth/{space}"] for space in SPACES]
+    for name, where, flags, graph in cases:
         train, heldout = str(where / "train.jsonl"), str(where / "heldout.jsonl")
         for z_init in Z_INITS:
             tag = f"{name}/{z_init}"
             both = [*flags, "--z-init", z_init]
-            calls.append(["fit", "--data", train, *both, "--dump-graph", "--out", f"{tag}/fit"])
+            calls.append(["fit", "--data", train, *both, *graph, "--dump-graph",
+                          "--out", f"{tag}/fit"])
             calls.append(["predict", "--model", f"{tag}/fit/model.json", "--data", heldout,
                           "--out", f"{tag}/predict"])
-            calls.append(["cv", "--data", train, *both, "--out", f"{tag}/cv"])
+            calls.append(["cv", "--data", train, *both, *graph, "--out", f"{tag}/cv"])
+            calls.append(["baseline", "--data", train, *both, "--out", f"{tag}/baseline"])
+    name, where, flags, graph = cases[0]
+    calls.append(["sweep", "--param", "c1", "--values", "0.5,2", "--data",
+                  str(where / "train.jsonl"), *flags, *graph, "--out", f"{name}/sweep"])
     return calls
 
 
