@@ -72,7 +72,7 @@ class Records(NamedTuple):
 
 
 # records whose ``x`` lists one conversion reads; bounds the float lists held at once
-_BLOCK_RECORDS = 1024
+_BLOCK_RECORDS = 128
 
 
 def read_records(path) -> Records:

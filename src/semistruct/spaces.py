@@ -5,7 +5,8 @@ structured loss, and implements the whole-array contract of ``OutputSpace``.
 The multiclass and taxonomy spaces are finite label spaces answering it with
 array lookups and matrix products. The chain space answers score and
 Hamming-coupled queries with dynamic programs, batched once per group of
-equal-length inputs; it loops over pairs for its sums, and its loss-coupled
+equal-length inputs; it computes its sums over label arrays padded to one
+length, adding floats in the order of a per-pair loop, and its loss-coupled
 oracles enumerate under ``ENUMERATION_CAP`` for the non-decomposable
 whole-sequence zero-one loss.
 """
@@ -583,25 +584,81 @@ class ChainSequenceSpace(OutputSpace):
 
         return self._by_length(xs, solve)
 
-    # --- per-pair loops and capped enumeration -----------------------------
+    # --- whole-array sums and capped enumeration ---------------------------
     #
-    # A list of outputs is checked once, by ``as_codes``; the loops then ask
-    # the unchecked ``_delta`` and ``_phi``. The enumerations get codes.
+    # A list of outputs is checked once, by ``as_codes``; the sums then read
+    # the codes as ``(n, T)`` label arrays (see ``_padded``) and add their
+    # floats in the order of a per-pair loop, so that they give the same
+    # bits. The enumerations get codes.
+
+    @staticmethod
+    def _padded(*code_lists):
+        """Each list of codes as an ``(n, T)`` label array, padded with -1
+        past each code's end, ``T`` being the longest code of them all; then
+        each list's code lengths."""
+        lengths = [np.fromiter(map(len, codes), dtype=int, count=len(codes))
+                   for codes in code_lists]
+        width = max(int(lens.max(initial=0)) for lens in lengths)
+        arrays = []
+        for codes, lens in zip(code_lists, lengths):
+            P = np.full((len(codes), width), -1)
+            P[np.arange(width) < lens[:, None]] = np.fromiter(
+                itertools.chain.from_iterable(codes), dtype=int, count=int(lens.sum()))
+            arrays.append(P)
+        return arrays, lengths
 
     def delta_sum(self, ys1, ys2, weights=None):
         _check_pairs(ys1, ys2, weights)
-        weights = [1.0] * len(ys1) if weights is None else weights
-        ys1, ys2 = self.as_codes(ys1), self.as_codes(ys2)
-        return float(sum(c * self._delta(a, b) for c, a, b in zip(weights, ys1, ys2)))
+        (Y1, Y2), (l1, l2) = self._padded(self.as_codes(ys1), self.as_codes(ys2))
+        bad = np.flatnonzero(l1 != l2)
+        if bad.size:
+            raise ContractViolation(f"cannot compare label sequences of lengths "
+                                    f"{l1[bad[0]]} and {l2[bad[0]]}")
+        differ = Y1 != Y2
+        losses = differ.any(axis=1) if self.loss == "zero-one" else differ.sum(axis=1)
+        if weights is None:  # integer losses: exact in any order
+            return float(losses.sum())
+        # added left to right from 0.0, as a per-pair loop adds them
+        terms = np.asarray(weights, dtype=float) * losses
+        return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
-        acc = np.zeros(self.dim)
-        for x, y, z in zip(xs, self.as_codes(ys), self.as_codes(zs)):
-            if y != z:  # the difference is exactly zero
-                x = self._as_seq_input(x)
-                acc += self._phi(x, y) - self._phi(x, z)
-        return acc
+        (Y, Z), (ly, lz) = self._padded(self.as_codes(ys), self.as_codes(zs))
+        idx = np.flatnonzero((Y != Z).any(axis=1))  # equal pairs add exactly zero
+        if not idx.size:
+            return np.zeros(self.dim)
+        if self._is_stack(xs):
+            X = xs[idx]
+            lx = np.full(len(idx), X.shape[1])
+        else:  # each differing pair's input is read once, zero past its end
+            seqs = [self._as_seq_input(xs[i]) for i in idx.tolist()]
+            lx = np.fromiter(map(len, seqs), dtype=int, count=len(seqs))
+            X = np.zeros((len(seqs), lx.max(), self.input_dim))
+            X[np.arange(X.shape[1]) < lx[:, None]] = np.concatenate(seqs)
+        ly, lz = ly[idx], lz[idx]
+        bad = np.flatnonzero((ly != lx) | (lz != lx))
+        if bad.size:
+            i = bad[0]
+            raise ContractViolation(f"label sequence length {ly[i] if ly[i] != lx[i] else lz[i]}"
+                                    f" does not match input length {lx[i]}")
+        a, d, length = self.num_labels, self.input_dim, X.shape[1]
+        pairs = np.stack([Y[idx, :length], Z[idx, :length]])  # (2, m, length)
+        # transition counts: integers, exact in any order
+        cell = pairs[:, :, :-1] * a + pairs[:, :, 1:]
+        inside = pairs[0, :, 1:] >= 0
+        trans = np.bincount(cell[:, inside].ravel(), np.repeat([1.0, -1.0], inside.sum()),
+                            minlength=a * a)
+        # emissions of each side, summed over positions in order; label -1
+        # (padding) adds to the spare block ``a``
+        emit = np.zeros((2, len(idx), a + 1, d))
+        side, rows = np.ogrid[:2, :len(idx)]
+        for t in range(length):
+            emit[side, rows, pairs[:, :, t]] += X[:, t]
+        diff = (emit[0, :, :a] - emit[1, :, :a]).reshape(len(idx), a * d)
+        # the pairs' differences added in pair order from 0.0
+        acc = np.cumsum(np.concatenate((np.zeros((1, a * d)), diff)), axis=0)[-1]
+        return np.concatenate((trans, acc))
 
     def _outputs(self, x):
         """Every label sequence of the length of ``x``, in tie-break order;

@@ -297,6 +297,142 @@ def test_sums_of_narrow_int_labels_equal_the_per_pair_loop(dtype):
     assert all(type(v) is int for y in space.as_codes(ys) for v in y)
 
 
+def _looped_sums(space, xs, ys, zs, weights):
+    """``delta_sum`` and ``phi_diff_sum`` as per-pair loops, adding left to
+    right from 0.0; as float64 bytes, so that -0.0 differs from 0.0."""
+    delta = 0.0
+    for c, y, z in zip(weights, ys, zs):
+        delta += c * _reference_delta(space, y, z)
+    phi = np.zeros(space.dim)
+    for x, y, z in zip(xs, ys, zs):
+        if y != z:
+            phi += space.phi(x, y) - space.phi(x, z)
+    return np.float64(delta).tobytes(), phi.tobytes()
+
+
+def _sums(space, xs, ys, zs, weights):
+    """The space's two sums, as :func:`_looped_sums` returns them."""
+    return (np.float64(space.delta_sum(ys, zs, weights)).tobytes(),
+            space.phi_diff_sum(xs, ys, zs).tobytes())
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_a_weighted_loss_sum_adds_left_to_right(loss):
+    """1.0 then fifty 1e-16: each small term is lost when added to 1.0 in
+    pair order, while numpy's pairwise sum keeps them."""
+    space = ChainSequenceSpace(2, 1, loss=loss)
+    weights = [1.0] + [1e-16] * 50
+    ys, zs = [(0, 1)] * 51, [(1, 1)] * 51
+    want = _looped_sums(space, [], ys, zs, weights)[0]
+    assert np.frombuffer(want)[0] == 1.0 != np.sum(weights)
+    assert np.float64(space.delta_sum(ys, zs, weights)).tobytes() == want
+    # a negative weight on an equal pair gives -0.0, and 0.0 + -0.0 is 0.0
+    got = space.delta_sum([(0, 1)], [(0, 1)], [-1.0])
+    assert np.float64(got).tobytes() == np.float64(0.0).tobytes()
+
+
+def test_feature_sums_add_positions_then_pairs_in_order():
+    """Label 0 against label 1 at every position: 1.0 then 1e-16 inputs
+    within one label block, and a first pair of 1.0 before fifty pairs of
+    1e-16, so any other order of either sum gives other bits."""
+    space = ChainSequenceSpace(2, 1)
+    X = np.full((51, 3, 1), 1e-16)
+    X[0, 0] = 1.0
+    ys, zs = [(0, 0, 0)] * 51, [(1, 1, 1)] * 51
+    want = _looped_sums(space, X, ys, zs, [1.0] * 51)[1]
+    per_pair = np.array([space.phi(x, y) - space.phi(x, z) for x, y, z in zip(X, ys, zs)])
+    assert per_pair[::-1].sum(axis=0).tobytes() != want  # pairs in reverse
+    assert 1e-16 + 1e-16 + 1.0 != 1.0 + 1e-16 + 1e-16  # positions in reverse
+    for xs in (X, list(X)):
+        assert space.phi_diff_sum(xs, ys, zs).tobytes() == want
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_sums_of_mixed_lengths_and_of_nothing_equal_the_loops(loss):
+    rng = np.random.default_rng(83)
+    space = ChainSequenceSpace(4, 2, loss=loss)
+    xs = [rng.standard_normal((length, 2)) for length in (3, 6, 1, 3, 5, 6, 2, 4)]
+    ys = [space.random_output(x, rng) for x in xs]
+    zs = [y if i % 3 == 0 else space.random_output(x, rng)
+          for i, (x, y) in enumerate(zip(xs, ys))]
+    weights = rng.uniform(-1.0, 1.0, size=len(xs))
+    want = _looped_sums(space, xs, ys, zs, weights)
+    assert _sums(space, xs, ys, zs, weights) == want
+    assert _sums(space, xs, space.as_codes(ys), space.as_codes(zs), weights) == want
+    assert space.delta_sum(ys, zs) == sum(_reference_delta(space, y, z) for y, z in zip(ys, zs))
+    empty = (np.float64(0.0).tobytes(), np.zeros(space.dim).tobytes())
+    for none in ([], np.zeros((0, 3, 2))):
+        assert _sums(space, none, [], [], []) == empty
+    assert space.delta_sum([], []) == 0.0
+    assert _sums(space, xs[:2], ys[:2], ys[:2], [1.0, 1.0]) == empty
+
+
+_X = np.zeros((2, 1))
+
+# a call on ChainSequenceSpace(2, 1), given the form of its inputs; its message
+_LENGTH_ERRORS = {
+    "first unequal pair": (
+        lambda s, form: s.delta_sum([(0,), (0, 1), (1, 1)], [(1,), (0, 1, 1), (1,)]),
+        "cannot compare label sequences of lengths 2 and 3"),
+    "weighted pair": (
+        lambda s, form: s.delta_sum([(0,)], [(0, 1)], [0.5]),
+        "cannot compare label sequences of lengths 1 and 2"),
+    "output lists": (
+        lambda s, form: s.delta_sum([(0,)], [(0,), (1,)]),
+        "output lists have lengths 1 and 2"),
+    "weights": (
+        lambda s, form: s.delta_sum([(0,)], [(1,)], [1.0, 2.0]),
+        "weights and outputs have lengths 2 and 1"),
+    "first output against its input": (
+        lambda s, form: s.phi_diff_sum(form([_X, _X]), [(0, 1), (0, 1, 1)], [(1, 1), (1, 1)]),
+        "label sequence length 3 does not match input length 2"),
+    "second output against its input": (
+        lambda s, form: s.phi_diff_sum(form([_X, _X]), [(0, 1), (0, 1)], [(1, 1), (1,)]),
+        "label sequence length 1 does not match input length 2"),
+    "inputs and outputs": (
+        lambda s, form: s.phi_diff_sum(form([_X]), [(0,), (1,)], [(1,), (0,)]),
+        "inputs and outputs have lengths 1 and 2"),
+    "feature output lists": (
+        lambda s, form: s.phi_diff_sum(form([_X, _X]), [(0, 1), (1, 1)], [(1, 1)]),
+        "output lists have lengths 2 and 1"),
+}
+
+
+@pytest.mark.parametrize("form", [list, np.stack], ids=["list", "stack"])
+@pytest.mark.parametrize("call, message", _LENGTH_ERRORS.values(), ids=_LENGTH_ERRORS.keys())
+def test_sums_name_the_first_pair_of_other_lengths(call, message, form):
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        call(ChainSequenceSpace(2, 1), form)
+
+
+def test_the_feature_sum_reads_each_differing_input_once(monkeypatch):
+    """A list input is read by ``_as_seq_input`` once if its pair differs
+    and not at all if it does not; a stack is not read input by input."""
+    rng = np.random.default_rng(89)
+    space = ChainSequenceSpace(3, 2)
+    xs = [rng.standard_normal((length, 2)) for length in (3, 5, 3, 4, 5, 2)]
+    ys = [space.random_output(x, rng) for x in xs]
+    zs = list(ys)
+    zs[1], zs[4] = space.random_output(xs[1], rng), space.random_output(xs[4], rng)
+    assert zs[1] != ys[1] and zs[4] != ys[4]
+    as_seq_input, calls = ChainSequenceSpace._as_seq_input, []
+
+    def counted(self, x):
+        calls.append(1)
+        return as_seq_input(self, x)
+
+    X = rng.standard_normal((6, 4, 2))
+    Y, Z = ([space.random_output(x, rng) for x in X] for _ in range(2))
+    with monkeypatch.context() as m:
+        m.setattr(ChainSequenceSpace, "_as_seq_input", counted)
+        got = space.phi_diff_sum(xs, ys, zs)
+        assert len(calls) == 2
+        calls.clear()
+        space.phi_diff_sum(X, Y, Z)
+        assert calls == []
+    assert got.tobytes() == _looped_sums(space, xs, ys, zs, [1.0] * 6)[1]
+
+
 _BAD_OUTPUTS = {
     "bool label": (True, 0),
     "label past the alphabet": (0, 2),

@@ -304,6 +304,25 @@ def test_read_path_memory_stays_bounded(tmp_path):
     assert peak < 5 * 2**20
 
 
+def test_chain_read_path_memory_stays_bounded(tmp_path):
+    """A 1000 x (6, 6) unlabeled chain file, the shape of a held-out chain
+    set: 128-record blocks keep the peak near 1 MiB; 1024-record ones held
+    the float lists of the whole file at once (2.2 MiB)."""
+    space = ChainSequenceSpace(4, 6)
+    points = synth_chains(4, (6, 6), 1000, 6, seed=0).points
+    path = tmp_path / "heldout.jsonl"
+    save_dataset(Dataset(tuple(DataPoint(p.id, p.x) for p in points), "chain"), path, space)
+    load_dataset(path, space)  # warm up lazily built state
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.inputs.shape == (1000, 6, 6)
+    assert peak < 1.5 * 2**20
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_read_path_matches_reference_in_small_blocks(tmp_path, monkeypatch, block):
     """Every corpus file and a generated file per space, with a failing

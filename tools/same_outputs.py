@@ -10,13 +10,14 @@ of a copy of the parent commit made with ``git archive``.
 
 The inputs are written once, by this checkout's ``perfbench/inputs.py``
 (imported as it is, with ``NEW_SRC`` on the path): the three benchmark
-workloads for each of ``SEEDS`` (0, 1 and 2), plus a 60-point zero-one
-chain set per seed with every third point unlabeled. Then, for each source
-tree, one child process runs every command through ``semistruct.cli.main``:
-``synth`` for each space with default flags; per input set, ``fit
---dump-graph``, ``cv`` and ``baseline`` with both ``--z-init`` values, and
-``predict`` with each fitted model; and one two-value ``sweep`` of ``c1``
-on the first input set. Every file the commands write is compared byte for
+workloads for each of ``SEEDS`` (0, 1 and 2), plus two 60-point chain sets
+per seed with every third point unlabeled: one for the zero-one loss, and
+one of Hamming chains of two lengths, read as a list of inputs. Then, for
+each source tree, one child process runs every command through
+``semistruct.cli.main``: ``synth`` for each space with default flags; per
+input set, ``fit --dump-graph``, ``cv`` and ``baseline`` with both
+``--z-init`` values, and ``predict`` with each fitted model; and one
+two-value ``sweep`` of ``c1`` on the first input set. Every file the commands write is compared byte for
 byte, except that ``report.json`` is compared with its ``seconds`` fields
 dropped; each command's exit code is compared too. Stdout is not compared,
 since it holds wall times.
@@ -92,6 +93,28 @@ def _write_zero_one_chains(seed, out):
     data_io.save_dataset(heldout, out / "heldout.jsonl", space)
 
 
+def _write_mixed_length_chains(seed, out):
+    """60 training chains (every third unlabeled) and 20 held-out ones,
+    3 labels, half of length 4 and half of length 6 with their inputs
+    moved 10 away, so that no neighbour edge joins two lengths."""
+    from semistruct import data_io
+    from semistruct.core import DataPoint, Dataset
+    from semistruct.spaces import ChainSequenceSpace
+
+    space = ChainSequenceSpace(3, 3)
+    short = data_io.synth_chains(3, (4, 4), 40, 3, seed).points
+    long = data_io.synth_chains(3, (6, 6), 40, 3, seed + 100).points
+    points = [(p.x, p.y) for p in short] + [(p.x + 10.0, p.y) for p in long]
+    train = points[:30] + points[40:70]
+    heldout = points[30:40] + points[70:]
+    out.mkdir(parents=True, exist_ok=True)
+    data_io.save_dataset(Dataset(DataPoint(i, x, None if i % 3 == 2 else y)
+                                 for i, (x, y) in enumerate(train)),
+                         out / "train.jsonl", space)
+    data_io.save_dataset(Dataset(DataPoint(i, x) for i, (x, _) in enumerate(heldout)),
+                         out / "heldout.jsonl", space)
+
+
 def write_cases(inputs, data):
     """Write every input set under ``data``; returns ``(name, dir, flags,
     graph)`` per set, ``flags`` being the space and solver flags of its
@@ -117,6 +140,11 @@ def write_cases(inputs, data):
         cases.append((f"zero-one-{seed}", where, [
             "--space", "chain", "--alphabet", "3", "--loss", "zero-one", "--c1", "0.5",
             "--c2", "1.0", "--iters", "5", "--seed", str(seed)], ["--k", "4"]))
+        where = data / f"mixed-lengths-{seed}"
+        _write_mixed_length_chains(seed, where)
+        cases.append((f"mixed-lengths-{seed}", where, [
+            "--space", "chain", "--alphabet", "3", "--c1", "0.5", "--c2", "1.0",
+            "--iters", "5", "--seed", str(seed)], ["--k", "4"]))
     return cases
 
 
