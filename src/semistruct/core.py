@@ -194,7 +194,9 @@ class OutputSpace(ABC):
         every point. ``neighbors`` is a triple ``(owner, weight, outputs)``:
         term ``e`` adds ``weight[e] * delta(y, outputs[e])`` to the objective
         of point ``owner[e]`` (an index into ``xs``). Each point's terms keep
-        their order. ContractViolation unless ``c1 > 0``."""
+        their order. ContractViolation unless ``c1 > 0`` (and, for zero-one
+        chains, every weight >= 0). Costs past the float range (a huge
+        ``c1``) may tie otherwise than an enumeration's costs do."""
 
     @abstractmethod
     def delta_sum(self, ys1, ys2, weights=None) -> float:

@@ -12,8 +12,8 @@ class ContractViolation(SemistructError, ValueError):
 class UnsupportedConfiguration(SemistructError, ValueError):
     """A space or solver configuration that cannot be executed.
 
-    Raised, for example, when an inference oracle would require enumerating
-    more candidate outputs than the enumeration cap allows.
+    Raised, for example, when a graph edge joins sequences of different
+    lengths, whose outputs no shipped loss can compare.
     """
 
 

@@ -3,12 +3,11 @@
 Each space fixes a canonical output encoding, a joint feature map and a
 structured loss, and implements the whole-array contract of ``OutputSpace``.
 The multiclass and taxonomy spaces are finite label spaces answering it with
-array lookups and matrix products. The chain space answers score and
-Hamming-coupled queries with dynamic programs, batched once per group of
-equal-length inputs; it computes its sums over label arrays padded to one
-length, adding floats in the order of a per-pair loop, and its loss-coupled
-oracles enumerate under ``ENUMERATION_CAP`` for the non-decomposable
-whole-sequence zero-one loss.
+array lookups and matrix products. The chain space answers every oracle
+with dynamic programs, batched once per group of equal-length inputs, under
+the Hamming and the whole-sequence zero-one loss alike; it computes its sums
+over label arrays padded to one length, adding floats in the order of a
+per-pair loop.
 """
 
 from __future__ import annotations
@@ -21,10 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import OutputSpace, as_weights, object_array
-from .errors import ContractViolation, UnsupportedConfiguration
-
-# most candidate sequences the zero-one oracles enumerate per input
-ENUMERATION_CAP = 4096
+from .errors import ContractViolation
 
 
 class FiniteLabelSpace(OutputSpace):
@@ -343,11 +339,10 @@ class ChainSequenceSpace(OutputSpace):
     a transition histogram (``num_labels**2`` counts, row-major by previous
     label) with per-label summed emissions (``num_labels * d``).
 
-    ``loss="hamming"`` counts differing positions and keeps every oracle
-    solvable by dynamic programming. ``loss="zero-one"`` is 1 whenever the
-    sequences differ; it does not decompose, so the loss-coupled oracles
-    enumerate candidates and refuse inputs whose candidate count exceeds
-    ``ENUMERATION_CAP``.
+    ``loss="hamming"`` counts differing positions. ``loss="zero-one"`` is 1
+    whenever the sequences differ; it does not decompose, but both of its
+    loss-coupled oracles are still dynamic programs, exact on any length
+    (see :meth:`_best_paths_off` and :meth:`_cheapest`).
     """
 
     kind = "chain"
@@ -429,11 +424,7 @@ class ChainSequenceSpace(OutputSpace):
     # --- features and loss ---------------------------------------------------
 
     def phi(self, x, y):
-        return self._phi(self._as_seq_input(x), self._check_member(y))
-
-    def _phi(self, x, y):
-        """``phi`` of an input read by :meth:`_as_seq_input` and a label
-        tuple trusted to be a member (a code); checks only their lengths."""
+        x, y = self._as_seq_input(x), self._check_member(y)
         if len(y) != x.shape[0]:
             raise ContractViolation(
                 f"label sequence length {len(y)} does not match input length {x.shape[0]}"
@@ -446,17 +437,6 @@ class ChainSequenceSpace(OutputSpace):
         for t, label in enumerate(y):
             out[base + label * d : base + (label + 1) * d] += x[t]
         return out
-
-    def _delta(self, y1, y2):
-        """Loss of two label tuples trusted to be members (codes); checks
-        only their lengths."""
-        if len(y1) != len(y2):
-            raise ContractViolation(
-                f"cannot compare label sequences of lengths {len(y1)} and {len(y2)}"
-            )
-        if self.loss == "zero-one":
-            return 0.0 if y1 == y2 else 1.0
-        return float(sum(1 for a, b in zip(y1, y2) if a != b))
 
     def random_output(self, x, rng):
         length = self._as_seq_input(x).shape[0]
@@ -488,6 +468,31 @@ class ChainSequenceSpace(OutputSpace):
         paths[:, 0] = np.argmax(best_to_go[:, 0], axis=1)
         for t in range(1, length):
             paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + best_to_go[:, t], axis=1)
+        return paths
+
+    @staticmethod
+    def _best_paths_off(unary, pairwise, ref):
+        """:meth:`_best_paths` for ``score(y) + [y != ref]``, ``ref`` an
+        ``(n, T)`` label array. ``gone`` is the best to go once a path has
+        left ``ref`` (its 1 added at the end), ``stay`` the best to go from
+        ``ref[t]`` on ``ref`` so far; the forward pass adds what the
+        backward one added, so its first-argmax ties are the recursion's."""
+        n, length, _ = unary.shape
+        rows = np.arange(n)
+        on_ref = np.arange(unary.shape[2]) == ref[:, :, None]  # (n, T, a)
+        gone, stay = np.empty_like(unary), np.empty((n, length))
+        gone[:, -1] = unary[:, -1] + 1.0
+        stay[:, -1] = unary[rows, -1, ref[:, -1]]
+        for t in range(length - 2, -1, -1):
+            gone[:, t] = unary[:, t] + np.max(pairwise[None] + gone[:, t + 1, None, :], axis=2)
+            ahead = np.where(on_ref[:, t + 1], stay[:, t + 1, None], gone[:, t + 1])
+            stay[:, t] = unary[rows, t, ref[:, t]] + np.max(pairwise[ref[:, t]] + ahead, axis=1)
+        paths = np.empty((n, length), dtype=int)
+        still = np.ones(n, dtype=bool)  # whether the path so far is ref's
+        for t in range(length):
+            ahead = np.where(still[:, None] & on_ref[:, t], stay[:, t, None], gone[:, t])
+            paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + ahead if t else ahead, axis=1)
+            still &= on_ref[rows, t, paths[:, t]]
         return paths
 
     def _is_stack(self, xs):
@@ -531,13 +536,13 @@ class ChainSequenceSpace(OutputSpace):
 
     def argmax_loss_augmented_all(self, w, xs, zs):
         zs = self.as_codes(zs)
-        if self.loss == "zero-one":  # does not decompose: enumerate under the cap
-            return self._enumerate_loss_augmented(w, xs, zs)
         pairwise, emit = self._weight_tables(w)
 
         def solve(idx, X):
             n, length, _ = X.shape
             Z = self._stack([zs[i] for i in idx], length, "reference output")
+            if self.loss == "zero-one":
+                return self._best_paths_off(X @ emit.T, pairwise, Z)
             aug = X @ emit.T + 1.0
             aug[np.arange(n)[:, None], np.arange(length), Z] -= 1.0  # no reward for matches
             return self._best_paths(aug, pairwise)
@@ -549,10 +554,11 @@ class ChainSequenceSpace(OutputSpace):
             raise ContractViolation(f"c1 must be positive, got {c1}")
         owner, weight, outputs = neighbors
         upsilons, outputs = self.as_codes(upsilons), self.as_codes(outputs)
-        if self.loss == "zero-one":  # does not decompose: enumerate under the cap
-            return self._enumerate_slack(w, xs, upsilons, (owner, weight, outputs), c1)
         pairwise, emit = self._weight_tables(w)
         owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
+        if self.loss == "zero-one" and weight.min(initial=0.0) < 0:
+            raise ContractViolation(
+                f"zero-one slack needs neighbor weights >= 0, got {weight.min()}")
         # slot of every term among its owner's terms, in term order
         order = np.argsort(owner, kind="stable")
         slot = np.empty_like(owner)
@@ -568,6 +574,8 @@ class ChainSequenceSpace(OutputSpace):
             Z = np.zeros(W.shape + (length,), dtype=int)
             Z[at] = self._stack([outputs[e] for e in mine], length, "neighbor output")
             U = self._stack([upsilons[i] for i in idx], length, "upsilon")
+            if self.loss == "zero-one":
+                return self._cheapest(X @ emit.T, pairwise, U, W, Z, c1)
             # position-wise costs: neighbor disagreement + model score + upsilon loss,
             # the neighbor terms added one slot at a time as in a per-point loop
             at_label = (np.arange(n)[:, None], np.arange(length))
@@ -584,12 +592,39 @@ class ChainSequenceSpace(OutputSpace):
 
         return self._by_length(xs, solve)
 
-    # --- whole-array sums and capped enumeration ---------------------------
+    def _cheapest(self, unary, pairwise, U, W, Z, c1):
+        """Zero-one slack minimizers of one length group from the upsilons
+        ``U`` and the neighbor weights ``W`` and outputs ``Z`` by slot. With
+        weights >= 0 only these or the best path ``y*`` can win: any other
+        ``y`` costs ``c1 * (s(y*) - s(y)) >= 0``, plus what ``y*`` saves by
+        matching some, more than ``y*``, and ties only as a later path."""
+        n, length, _ = unary.shape
+        C = np.concatenate((self._best_paths(unary, pairwise)[:, None], U[:, None], Z), axis=1)
+        flat = C.reshape(-1, length)
+        # rank of each candidate in lexicographic order; equal paths share one
+        order = np.lexsort(flat.T[::-1])
+        rank = np.zeros(len(flat), dtype=int)
+        rank[order[1:]] = np.cumsum((flat[order[1:]] != flat[order[:-1]]).any(axis=1))
+        rank = rank.reshape(C.shape[:2])
+        differ = rank[:, :, None] != rank[:, None]  # zero-one loss between candidates
+        acc = np.zeros(rank.shape)
+        for s in range(W.shape[1]):  # in term order, as a per-point loop
+            acc += W[:, s, None] * differ[:, :, 2 + s]
+        score = (unary[np.arange(n)[:, None, None], np.arange(length), C].sum(axis=2)
+                 + pairwise[C[..., :-1], C[..., 1:]].sum(axis=2))
+        # a huge c1 takes costs past the float range (see OutputSpace.argmin_slack_all)
+        with np.errstate(over="ignore"):
+            cost = acc + c1 * (-score + differ[:, :, 1])
+        # the first cheapest in lexicographic order, per point
+        first = np.lexsort((rank.ravel(), cost.ravel(), np.repeat(np.arange(n), rank.shape[1])))
+        return flat[first[::rank.shape[1]]]
+
+    # --- whole-array sums --------------------------------------------------
     #
     # A list of outputs is checked once, by ``as_codes``; the sums then read
     # the codes as ``(n, T)`` label arrays (see ``_padded``) and add their
     # floats in the order of a per-pair loop, so that they give the same
-    # bits. The enumerations get codes.
+    # bits.
 
     @staticmethod
     def _padded(*code_lists):
@@ -660,44 +695,6 @@ class ChainSequenceSpace(OutputSpace):
         acc = np.cumsum(np.concatenate((np.zeros((1, a * d)), diff)), axis=0)[-1]
         return np.concatenate((trans, acc))
 
-    def _outputs(self, x):
-        """Every label sequence of the length of ``x``, in tie-break order;
-        UnsupportedConfiguration past ``ENUMERATION_CAP`` of them."""
-        length = self._as_seq_input(x).shape[0]
-        count = self.num_labels**length
-        if count > ENUMERATION_CAP:
-            raise UnsupportedConfiguration(
-                f"{count} candidate sequences exceed the enumeration cap of {ENUMERATION_CAP}")
-        return (tuple(y) for y in itertools.product(range(self.num_labels), repeat=length))
-
-    def _enumerate_loss_augmented(self, w, xs, zs):
-        """:meth:`argmax_loss_augmented_all` as the first best candidate of
-        :meth:`_outputs`."""
-        w = as_weights(w, self.dim)
-        return object_array([
-            max(self._outputs(x), key=lambda y: float(np.dot(w, self._phi(x, y)))
-                - float(np.dot(w, self._phi(x, z))) + self._delta(y, z))
-            for x, z in zip(map(self._as_seq_input, xs), zs)])
-
-    def _enumerate_slack(self, w, xs, upsilons, neighbors, c1):
-        """:meth:`argmin_slack_all` as the first best candidate of
-        :meth:`_outputs`."""
-        w = as_weights(w, self.dim)
-        owner, weight, outputs = neighbors
-        terms = [[] for _ in xs]
-        for i, omega, z in zip(owner, weight, outputs):
-            terms[i].append((float(omega), z))
-
-        def value(x, upsilon, nb, y):
-            acc = 0.0
-            for omega, z_nb in nb:
-                acc += omega * self._delta(y, z_nb)
-            return acc + c1 * (-float(np.dot(w, self._phi(x, y))) + self._delta(upsilon, y))
-
-        xs = map(self._as_seq_input, xs)
-        return object_array([min(self._outputs(x), key=lambda y: value(x, upsilon, nb, y))
-                             for x, upsilon, nb in zip(xs, upsilons, terms)])
-
 
 def _check_pairs(ys1, ys2, weights):
     """The length checks of ``delta_sum``."""
@@ -741,7 +738,7 @@ def space_from_config(cfg: dict) -> OutputSpace:
     if kind == "taxonomy":
         return TaxonomySpace(Taxonomy.from_nodes(cfg["nodes"]), _count(cfg, "input_dim"))
     if kind == "chain":
-        # older model files also carry an "enumeration_cap", now a constant
+        # older model files also carry an "enumeration_cap": accepted and ignored
         return ChainSequenceSpace(_count(cfg, "num_labels"), _count(cfg, "input_dim"),
                                   loss=cfg.get("loss", "hamming"))
     raise ContractViolation(f"unknown space kind {kind!r}")

@@ -97,11 +97,12 @@ def test_criterion_1_bound_sandwich():
     )
 
 
-def test_criterion_2_chain_oracles_match_enumeration():
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_criterion_2_chain_oracles_match_enumeration(loss):
     rng = np.random.default_rng(1002)
     start = time.perf_counter()
     for _ in range(200):
-        space, x = random_chain_instance(rng, max_labels=3, max_len=5)
+        space, x = random_chain_instance(rng, max_labels=3, max_len=5, loss=loss)
         w = rng.standard_normal(space.dim)
         z = space.random_output(x, rng)
         assert space.argmax_score(w, x) == oracles.brute_argmax_score(space, w, x)
@@ -120,7 +121,7 @@ def test_criterion_2_chain_oracles_match_enumeration():
     elapsed = time.perf_counter() - start
     _criterion(
         2,
-        "chain dynamic programs equal exhaustive enumeration",
+        f"chain dynamic programs equal exhaustive enumeration ({loss} loss)",
         elapsed < 30.0,
         f"(200 instances in {elapsed:.1f}s)",
     )

@@ -121,7 +121,7 @@ def _case(name):
     if name == "chain-mixed-lengths":
         ds = _mixed_length_chains()
         return ds, build_knn_graph(ds, k=4), ChainSequenceSpace(3, 2)
-    if name == "chain-zero-one":  # 27 candidates per input, under the cap
+    if name == "chain-zero-one":  # 27 candidates per input, few enough to enumerate
         ds = _masked(synth_chains(3, (3, 3), 24, 2, seed=6), 3)
         return ds, build_knn_graph(ds, k=3), ChainSequenceSpace(3, 2, loss="zero-one")
     if name == "fully-labeled":

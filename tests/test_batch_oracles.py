@@ -18,7 +18,6 @@ from semistruct import (
     MulticlassSpace,
     SolverConfig,
     TaxonomySpace,
-    UnsupportedConfiguration,
     build_knn_graph,
     initialize,
     manifold_term,
@@ -253,16 +252,14 @@ def test_chain_whole_array_forms_reject_wrong_lengths(loss):
         space.argmin_slack_all(w, X, good, ([], [], []), 0.0)
 
 
-def test_chain_zero_one_whole_array_forms_reject_above_cap():
+def test_chain_zero_one_whole_array_forms_answer_long_chains():
     space = ChainSequenceSpace(2, 1, loss="zero-one")
     w = np.zeros(space.dim)
     X = [np.zeros((2, 1)), np.zeros((13, 1))]  # 4 and 8192 candidates
     ys = [(0, 0), (0,) * 13]
-    with pytest.raises(UnsupportedConfiguration):
-        space.argmax_loss_augmented_all(w, X, ys)
-    with pytest.raises(UnsupportedConfiguration):
-        space.argmin_slack_all(w, X, ys, ([], [], []), 1.0)
-    assert space.argmax_score_all(w, X).tolist() == [(0, 0), (0,) * 13]
+    assert space.argmax_loss_augmented_all(w, X, ys).tolist() == [(0, 1), (0,) * 12 + (1,)]
+    assert space.argmin_slack_all(w, X, ys, ([], [], []), 1.0).tolist() == ys
+    assert space.argmax_score_all(w, X).tolist() == ys
 
 
 def _mismatched_sums():

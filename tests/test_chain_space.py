@@ -7,7 +7,6 @@ from semistruct import (
     DataPoint,
     Dataset,
     SolverConfig,
-    UnsupportedConfiguration,
     build_knn_graph,
     fit,
 )
@@ -74,10 +73,10 @@ def test_argmax_score_zero_weights_is_all_zeros(hamming_chain_space):
 
 
 def test_argmax_score_beyond_cap_still_works():
-    # score decomposes along the chain, so the cap never applies to it
+    # score decomposes along the chain: no candidate is enumerated
     space = ChainSequenceSpace(3, 2)
     rng = np.random.default_rng(47)
-    x = rng.standard_normal((10, 2))  # 3**10 candidates, above the cap of 4096
+    x = rng.standard_normal((10, 2))  # 3**10 candidates
     y = space.argmax_score(rng.standard_normal(space.dim), x)
     assert len(y) == 10
 
@@ -129,14 +128,49 @@ def test_zero_one_oracles_match_enumeration_under_cap():
         )
 
 
-def test_zero_one_oracles_reject_above_cap():
+def test_zero_one_oracles_answer_long_chains():
     space = ChainSequenceSpace(2, 1, loss="zero-one")
-    x = np.zeros((13, 1))  # 8192 candidates, above the cap of 4096
+    x = np.zeros((13, 1))  # 8192 candidates, all scoring 0
     w = np.zeros(space.dim)
-    with pytest.raises(UnsupportedConfiguration):
-        space.argmax_loss_augmented(w, x, (0,) * 13)
-    with pytest.raises(UnsupportedConfiguration):
-        oracles.argmin_slack(space, w, x, (0,) * 13, [], 1.0)
+    # every other sequence gains the loss; the smallest of them is all zeros but one
+    assert space.argmax_loss_augmented(w, x, (0,) * 13) == ((0,) * 12 + (1,), 1.0)
+    assert oracles.argmin_slack(space, w, x, (0,) * 13, [], 1.0) == (0,) * 13
+
+
+def test_zero_one_oracles_match_brute_force_on_integer_ties():
+    # integer weights and inputs keep every score exact, so equal values are
+    # true ties the rule toward the smallest sequence has to settle
+    rng = np.random.default_rng(67)
+    for case in range(200):
+        space = ChainSequenceSpace(int(rng.integers(2, 4)), 1, loss="zero-one")
+        x = rng.integers(-1, 2, size=(int(rng.integers(1, 6)), 1)).astype(float)
+        w = rng.integers(-1, 2, size=space.dim).astype(float) * (case % 3 != 0)
+        z, upsilon = space.random_output(x, rng), space.random_output(x, rng)
+        assert space.argmax_loss_augmented(w, x, z) == (
+            oracles.brute_argmax_loss_augmented(space, w, x, z))
+        neighbors = [(float(rng.integers(0, 3)) / 2, space.random_output(x, rng))
+                     for _ in range(int(rng.integers(0, 4)))]
+        c1 = float(rng.choice([0.5, 1.0, 2.0]))
+        assert oracles.argmin_slack(space, w, x, upsilon, neighbors, c1) == (
+            oracles.brute_argmin_slack(space, w, x, upsilon, neighbors, c1))
+
+
+def test_zero_one_slack_rejects_negative_neighbor_weights():
+    space = ChainSequenceSpace(2, 1, loss="zero-one")
+    x = np.zeros((2, 1))
+    with pytest.raises(ContractViolation, match="weights >= 0"):
+        oracles.argmin_slack(space, np.zeros(space.dim), x, (0, 0),
+                             [(0.5, (1, 1)), (-0.25, (0, 1))], 1.0)
+
+
+def test_zero_one_slack_past_the_float_range_picks_the_first_cheapest_candidate():
+    # c1 * (delta - score) is -inf for every sequence: enumeration keeps the
+    # first of all, the oracle the first of upsilon and the best-scoring path
+    space = ChainSequenceSpace(2, 1, loss="zero-one")
+    x, w = np.ones((3, 1)), np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
+    assert space.argmax_score(w, x) == (1, 1, 1)
+    assert oracles.brute_argmin_slack(space, w, x, (1, 0, 1), [], 1e308) == (0, 0, 0)
+    assert oracles.argmin_slack(space, w, x, (1, 0, 1), [], 1e308) == (1, 0, 1)
 
 
 def test_hamming_slack_rejects_mismatched_neighbor_lengths(hamming_chain_space):
@@ -172,7 +206,7 @@ def test_config_round_trip():
     assert rebuilt.num_labels == 3
     assert rebuilt.loss == "zero-one"
     assert rebuilt.dim == space.dim
-    # model files written before the cap became a constant still load
+    # model files that carry the old enumeration cap still load
     assert space_from_config({**space.config(), "enumeration_cap": 100}).dim == space.dim
 
 

@@ -152,6 +152,14 @@ def test_chain_synth_and_fit(tmp_path):
     assert code == 0
 
 
+def test_zero_one_cv_runs_on_long_chains(tmp_path):
+    # 2**13 = 8192 candidate sequences per chain
+    data = _synth_blobs(tmp_path, **{"--space": "chain", "--alphabet": "2", "--count": "30",
+                                     "--min-len": "13", "--max-len": "13", "--dim": "2"})
+    assert _run("cv", "--data", str(data), "--space", "chain", "--loss", "zero-one",
+                "--iters", "3", "--k", "3", "--out", str(tmp_path / "cv")) == 0
+
+
 def test_chain_synth_reads_spread(tmp_path):
     space = ChainSequenceSpace(3, 10)
     made = []
