@@ -51,3 +51,21 @@ def test_the_commands_cover_every_subcommand():
     assert called == set(sub.choices)
     for argv in same_outputs.commands([case]):  # every call parses
         parser.parse_args(argv)
+
+
+def test_fixed_seed_outputs_match_the_golden_manifest(tmp_path):
+    recorded_env, recorded = same_outputs.read_manifest(same_outputs.MANIFEST)
+    env = same_outputs.environment()
+    assert recorded_env == env, (
+        f"the manifest was written with {recorded_env}, this run has {env}; rewrite it "
+        f"with `python3 tools/same_outputs.py --write-manifest src` on a tree known to be good")
+    got = same_outputs.seed_digests(same_outputs.ROOT / "src", tmp_path)
+    differing = sorted(name for name in recorded.keys() | got.keys()
+                       if recorded.get(name) != got.get(name))
+    assert not differing, f"{len(differing)} seed-0 output files differ: {differing}"
+
+
+def test_the_manifest_round_trips(tmp_path):
+    env, files = {"numpy": "1.0", "machine": "m"}, {"a/b.csv": "0" * 64, "c d.json": "1" * 64}
+    same_outputs.write_manifest(tmp_path / "m.sha256", env, files)
+    assert same_outputs.read_manifest(tmp_path / "m.sha256") == (env, files)

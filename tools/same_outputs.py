@@ -3,6 +3,7 @@
 Usage, from the root of a semistruct checkout::
 
     python3 tools/same_outputs.py OLD_SRC NEW_SRC [--work DIR]
+    python3 tools/same_outputs.py --write-manifest SRC
 
 ``OLD_SRC`` and ``NEW_SRC`` are ``src`` directories (each holding a
 ``semistruct`` package), for example this checkout's ``src`` and the ``src``
@@ -24,21 +25,32 @@ since it holds wall times.
 
 Prints one line per difference and exits 1 if there is any, else prints the
 number of identical files and exits 0.
+
+``--write-manifest SRC`` runs only the seed-0 commands, importing
+semistruct from ``SRC``, and writes ``tests/golden/outputs.sha256``: the
+SHA-256 of every file they write (``report.json`` without its ``seconds``
+fields), headed by the numpy version and machine it was written on. A
+tier-1 test rewrites the files and compares their digests with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "golden" / "outputs.sha256"
 SEEDS = (0, 1, 2)
 Z_INITS = ("nearest-labeled", "uniform-random")
 SPACES = ("multiclass", "taxonomy", "chain")
@@ -115,12 +127,12 @@ def _write_mixed_length_chains(seed, out):
                          out / "heldout.jsonl", space)
 
 
-def write_cases(inputs, data):
-    """Write every input set under ``data``; returns ``(name, dir, flags,
-    graph)`` per set, ``flags`` being the space and solver flags of its
-    commands and ``graph`` the graph flags of those that build one."""
+def write_cases(inputs, data, seeds=SEEDS):
+    """Write every input set of ``seeds`` under ``data``; returns ``(name,
+    dir, flags, graph)`` per set, ``flags`` being the space and solver flags
+    of its commands and ``graph`` the graph flags of those that build one."""
     cases = []
-    for seed in SEEDS:
+    for seed in seeds:
         for workload, spec in inputs.WORKLOADS.items():
             where = data / f"{workload}-{seed}"
             inputs.write_inputs(workload, seed, where)
@@ -192,6 +204,54 @@ def _same(a, b):
     return a.read_bytes() == b.read_bytes()
 
 
+def _digest(path):
+    if path.name == "report.json":
+        data = json.dumps(_without_seconds(json.loads(path.read_text())), sort_keys=True)
+        return hashlib.sha256(data.encode()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def digests(root):
+    """SHA-256 of every file under ``root`` by relative path (a POSIX
+    string); ``report.json`` is hashed without its ``seconds`` fields."""
+    return {p.relative_to(root).as_posix(): _digest(p)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def environment():
+    """What the digests may depend on besides the code: BLAS rounding can
+    differ with the numpy build and the CPU."""
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+def seed_digests(src, work):
+    """:func:`digests` of the seed-0 outputs of ``src``, written under ``work``."""
+    calls = commands(write_cases(_load_inputs(src), work / "data", seeds=(0,)))
+    run_side(src, calls, work / "out")
+    return digests(work / "out")
+
+
+def write_manifest(path, env, files):
+    """Write ``env`` as ``# key value`` lines, then ``digest  path`` lines."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [f"# {k} {v}" for k, v in env.items()]
+    lines += [f"{digest}  {name}" for name, digest in sorted(files.items())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def read_manifest(path):
+    """``(env, files)`` as :func:`write_manifest` was given them."""
+    env, files = {}, {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(" ", 1)
+            env[key] = value
+        else:
+            digest, name = line.split("  ", 1)
+            files[name] = digest
+    return env, files
+
+
 def compare(old, new):
     """``(differences, identical file count)`` of two output trees."""
     files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
@@ -204,17 +264,31 @@ def compare(old, new):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_src", type=Path)
-    parser.add_argument("new_src", type=Path)
+    parser.add_argument("srcs", type=Path, nargs="+", metavar="SRC",
+                        help="OLD_SRC NEW_SRC, or one SRC with --write-manifest")
     parser.add_argument("--work", type=Path, default=None,
                         help="directory for inputs and outputs (default: a temporary one)")
+    parser.add_argument("--write-manifest", action="store_true",
+                        help=f"write {MANIFEST.relative_to(ROOT)} from one SRC's seed-0 outputs")
     args = parser.parse_args(argv)
-    old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
-    for src in (old_src, new_src):
+    srcs = [src.resolve() for src in args.srcs]
+    if len(srcs) != (1 if args.write_manifest else 2):
+        parser.error("give OLD_SRC and NEW_SRC, or one SRC with --write-manifest")
+    for src in srcs:
         if not (src / "semistruct" / "cli.py").is_file():
             parser.error(f"{src} holds no semistruct package")
 
     work = Path(tempfile.mkdtemp()) if args.work is None else args.work.resolve()
+    if args.write_manifest:
+        try:
+            files = seed_digests(srcs[0], work)
+        finally:
+            if args.work is None:
+                shutil.rmtree(work, ignore_errors=True)
+        write_manifest(MANIFEST, environment(), files)
+        print(f"{len(files)} digests written to {MANIFEST.relative_to(ROOT)}")
+        return 0
+    old_src, new_src = srcs
     try:
         inputs = _load_inputs(new_src)
         calls = commands(write_cases(inputs, work / "data"))
