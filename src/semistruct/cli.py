@@ -160,7 +160,7 @@ def cmd_predict(args):
     out = _out_dir(args)
     w, space, _ = load_model(args.model)
     ds = data_io.load_dataset(args.data, space, require_labeled=False)
-    ys = space.argmax_score_all(w, ds.inputs).tolist()
+    ys = space.from_codes(space.argmax_score_all(w, ds.inputs))
     # one encoding per distinct output; line i equals
     # json.dumps({"id": i, "y": space.encode(ys[i])}) plus a newline
     text = {y: json.dumps(space.encode(y)) for y in set(ys)}

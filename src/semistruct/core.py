@@ -19,10 +19,10 @@ spaces read as they are, and its outputs as one list, point ``i`` having id
 ``Dataset(points)`` is the one adapter for hand-built points.
 
 Batches of outputs travel as *codes*: a 1-D numpy array with one entry per
-output, made by :meth:`OutputSpace.as_codes`. Its entries are the outputs
-themselves (ints in an int array for the finite label spaces, any object in
-an object array otherwise), so ``codes[i] == y`` holds and
-``codes.tolist()`` gives the outputs back. Membership is checked once, when
+output, made by :meth:`OutputSpace.as_codes` and decoded only by
+:meth:`OutputSpace.from_codes`: labels in an int array for the finite label
+spaces, -1-padded label rows read as fixed-width records for chains, an
+object array of the outputs by default. Membership is checked once, when
 ``as_codes`` makes the codes; a space trusts codes after that and checks
 only what codes cannot promise, such as matching lengths.
 
@@ -224,7 +224,11 @@ class OutputSpace(ABC):
         if not member.all():
             bad = ys[int(np.argmin(member))]
             raise ContractViolation(f"{reprlib.repr(bad)} is not a {self.kind} output")
-        return object_array(ys)
+        return np.fromiter(ys, dtype=object, count=len(ys))  # not np.array: tuples read as rows
+
+    def from_codes(self, codes) -> list:
+        """The outputs ``codes`` stand for, as a list; the default is ``codes.tolist()``."""
+        return codes.tolist()
 
     # --- one-item views of the whole-array forms ---------------------------
 
@@ -243,21 +247,15 @@ class OutputSpace(ABC):
 
     def argmax_score(self, w, x):
         """:meth:`argmax_score_all` of one input."""
-        return self.argmax_score_all(w, [x]).tolist()[0]
+        return self.from_codes(self.argmax_score_all(w, [x]))[0]
 
     def argmax_loss_augmented(self, w, x, z):
         """:meth:`argmax_loss_augmented_all` of one input, with the objective
         value at it (the constant ``-w . phi(x, z)`` term included)."""
-        y = self.argmax_loss_augmented_all(w, [x], [z]).tolist()[0]
+        y = self.from_codes(self.argmax_loss_augmented_all(w, [x], [z]))[0]
         w = as_weights(w, self.dim)
         return y, (float(np.dot(w, self.phi(x, y))) - float(np.dot(w, self.phi(x, z)))
                    + self.delta(y, z))
-
-
-def object_array(items) -> np.ndarray:
-    """1-D object array holding ``items``; numpy would read a list of
-    equal-length tuples or arrays as one array with another axis."""
-    return np.fromiter(items, dtype=object, count=len(items))
 
 
 def as_weights(w, dim):

@@ -16,15 +16,14 @@ neighbors), and takes one gradient step on ``w``. Slack outputs of labeled
 points are pinned to their true outputs throughout.
 
 A fit runs on arrays. :func:`initialize` encodes every output once into
-codes (:meth:`OutputSpace.as_codes`: an int label array for the finite
-label spaces, an object array of the outputs otherwise), and builds once
-what no iteration changes (:class:`FitArrays`): the labeled and unlabeled
-ids, the unlabeled inputs, and the neighbor terms of the graph. The spaces
-read inputs as the dataset stores them. Each step then gathers neighbor
-outputs and edge endpoints by fancy indexing. Outputs are decoded
-(``codes.tolist()``) only where they leave the solver: the state
-:func:`fit` returns, and so the transductive outputs of cross validation,
-and predictions.
+codes (:meth:`OutputSpace.as_codes`; for chains, padded label rows of one
+width throughout the fit), and builds once what no iteration changes
+(:class:`FitArrays`): the labeled and unlabeled ids, the unlabeled inputs,
+and the neighbor terms of the graph. The spaces read inputs as the dataset
+stores them. Each step then gathers neighbor outputs and edge endpoints by
+fancy indexing. Outputs are decoded (:meth:`OutputSpace.from_codes`) only
+where they leave the solver: the state :func:`fit` returns, and so the
+transductive outputs of cross validation, and predictions.
 """
 
 from __future__ import annotations
@@ -50,10 +49,10 @@ _SEED_TAG_ZINIT = 101
 class SolverConfig:
     """Knobs of the alternating optimizer.
 
-    ``eta=None`` selects the step size ``1 / c2``, which makes every weight
-    step a guaranteed descent step on the weight subproblem (its curvature
-    is ``c2`` in every direction). Smaller values damp the update and keep a
-    running average of past steps.
+    ``eta=None`` selects the step size ``1 / c2``, which lands on the
+    minimizer of the weight subproblem while the most-violating outputs are
+    held fixed; refreshing them can still raise the objective. Smaller
+    values damp the update and keep a running average of past steps.
     """
 
     c1: float = 1.0
@@ -100,10 +99,11 @@ class TraceRow(NamedTuple):
 class SolverState:
     """Mutable optimizer state.
 
-    During a fit ``z`` and ``upsilon`` hold codes (see
-    :meth:`OutputSpace.as_codes`) and ``fixed`` the arrays that stay the same
-    between iterations; the state :func:`fit` returns holds lists of outputs
-    again. The update steps also accept a state built by hand from lists.
+    During a fit ``z`` and ``upsilon`` hold codes in the form of
+    ``fixed.truth`` and ``fixed`` the arrays that stay the same between
+    iterations; the state :func:`fit` returns holds lists of outputs again
+    (:meth:`OutputSpace.from_codes`). The update steps also accept a state
+    built by hand from lists.
     ``trace`` holds one row per completed iteration plus the initial row;
     each row reports the objective of the state at that point, with the
     most-violating outputs refreshed so the loss bound is consistent with
@@ -200,6 +200,7 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
         rng = np.random.default_rng((cfg.seed, _SEED_TAG_ZINIT))
         z = space.as_codes([y if y is not None else space.random_output(x, rng)
                             for x, y in zip(xs, ds.outputs)])
+        fixed = fixed._replace(truth=z[labeled])  # the truth in the code form of z
 
     state = SolverState(w=np.zeros(space.dim), z=z, upsilon=None, iteration=0, fixed=fixed)
     state.upsilon = update_upsilon(state, ds, space, cfg)
@@ -248,6 +249,9 @@ def update_slack(state, ds, g, space, cfg) -> np.ndarray:
         state.w, f.free_inputs, space.as_codes(state.upsilon)[f.free],
         (owner, weight, z[neighbor]), cfg.c1,
     )
+    if not f.truth.dtype == moved.dtype == z.dtype:  # a state built by hand, encoded apart
+        ys = space.from_codes(f.truth) + space.from_codes(moved)
+        return space.as_codes([ys[j] for j in np.argsort(np.concatenate((f.labeled, f.free)))])
     new = np.empty_like(z)
     new[f.labeled] = f.truth
     new[f.free] = moved
@@ -328,7 +332,8 @@ def fit(ds, g, space, cfg: SolverConfig, on_iteration=None) -> SolverState:
             if on_iteration is not None:
                 on_iteration(state)
     finally:  # the outputs leave the solver
-        state.z, state.upsilon, state.fixed = state.z.tolist(), state.upsilon.tolist(), None
+        state.z, state.upsilon = space.from_codes(state.z), space.from_codes(state.upsilon)
+        state.fixed = None
     return state
 
 

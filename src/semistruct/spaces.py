@@ -5,9 +5,9 @@ structured loss, and implements the whole-array contract of ``OutputSpace``.
 The multiclass and taxonomy spaces are finite label spaces answering it with
 array lookups and matrix products. The chain space answers every oracle
 with dynamic programs, batched once per group of equal-length inputs, under
-the Hamming and the whole-sequence zero-one loss alike; it computes its sums
-over label arrays padded to one length, adding floats in the order of a
-per-pair loop.
+the Hamming and the whole-sequence zero-one loss alike; its codes are rows
+of one -1-padded label matrix, read as fixed-width records, and its sums
+read that matrix, adding floats in the order of a per-pair loop.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import OutputSpace, as_weights, object_array
+from .core import OutputSpace, as_weights
 from .errors import ContractViolation
 
 
@@ -366,16 +366,9 @@ class ChainSequenceSpace(OutputSpace):
 
     def _contains(self, y, x=None):
         """Whether ``y`` is a label sequence (of the length of ``x`` when given)."""
-        if not isinstance(y, tuple) or len(y) == 0:
-            return False
-        for v in y:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                return False
-            if not 0 <= int(v) < self.num_labels:
-                return False
-        if x is not None and len(y) != self._as_seq_input(x).shape[0]:
-            return False
-        return True
+        return (isinstance(y, tuple) and len(y) > 0
+                and all(_is_int(v) and 0 <= v < self.num_labels for v in y)
+                and (x is None or len(y) == self._as_seq_input(x).shape[0]))
 
     def contains_all(self, ys, xs=None):
         xs = [None] * len(ys) if xs is None else xs
@@ -387,12 +380,29 @@ class ChainSequenceSpace(OutputSpace):
         return tuple(int(v) for v in y)
 
     def as_codes(self, ys):
-        """An object array of the outputs as tuples of Python ints, so the
-        unchecked loops never compute in a narrow numpy integer type. An
-        ndarray is taken to be codes already and returned as is."""
+        """The outputs as the rows of an int64 label matrix, padded with -1 to
+        the longest one's length (1 for none) and read as byte records (see
+        :meth:`_labels`). An ndarray is taken to be codes already."""
         if isinstance(ys, np.ndarray):
             return ys
-        return object_array([self._check_member(y) for y in ys])
+        for y in itertools.compress(ys, ~self.contains_all(ys)):
+            self._check_member(y)  # raises, naming the first non-member
+        lengths = np.fromiter(map(len, ys), dtype=int, count=len(ys))
+        M = np.full((len(ys), int(lengths.max(initial=1))), -1)
+        M[np.arange(M.shape[1]) < lengths[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(ys), dtype=np.int64, count=int(lengths.sum()))
+        return _records(M)
+
+    def _labels(self, ys):
+        """The label matrix of the codes of ``ys`` and each output's length."""
+        codes = self.as_codes(ys)
+        M = np.ascontiguousarray(codes).view(np.int64).reshape(len(codes), codes.itemsize // 8)
+        return M, (M >= 0).sum(axis=1)
+
+    def from_codes(self, codes):
+        """Every output as a tuple of Python ints, the padding cut off."""
+        M, lengths = self._labels(codes)
+        return [tuple(row[:n]) for row, n in zip(M.tolist(), lengths.tolist())]
 
     def _as_seq_input(self, x):
         x = np.asarray(x, dtype=float)
@@ -429,14 +439,19 @@ class ChainSequenceSpace(OutputSpace):
             raise ContractViolation(
                 f"label sequence length {len(y)} does not match input length {x.shape[0]}"
             )
-        a, d = self.num_labels, self.input_dim
-        out = np.zeros(self.dim)
-        for t in range(1, len(y)):
-            out[y[t - 1] * a + y[t]] += 1.0
-        base = a * a
-        for t, label in enumerate(y):
-            out[base + label * d : base + (label + 1) * d] += x[t]
-        return out
+        return self._features(x[None], np.array([y]))[0]
+
+    def _features(self, X, Y):
+        """``phi`` of every row of the label matrix ``Y`` (-1 past each end)
+        with the ``(m, T, d)`` inputs ``X``, emissions added in position order."""
+        a, (m, length) = self.num_labels, Y.shape
+        cell = np.where(Y[:, 1:] >= 0, Y[:, :-1] * a + Y[:, 1:], a * a)  # a * a: into padding
+        trans = np.bincount((np.arange(m)[:, None] * (a * a + 1) + cell).ravel(),
+                            minlength=m * (a * a + 1)).reshape(m, a * a + 1)
+        emit = np.zeros((m, a + 1, self.input_dim))  # label -1 adds to the spare block a
+        for t in range(length):
+            emit[np.arange(m), Y[:, t]] += X[:, t]
+        return np.concatenate((trans[:, :-1], emit[:, :a].reshape(m, -1)), axis=1)
 
     def random_output(self, x, rng):
         length = self._as_seq_input(x).shape[0]
@@ -495,65 +510,61 @@ class ChainSequenceSpace(OutputSpace):
             still &= on_ref[rows, t, paths[:, t]]
         return paths
 
-    def _is_stack(self, xs):
-        """Whether ``xs`` is one ``(n, T, d)`` float array of this space's
-        inputs, so one group of equal length with nothing to check."""
-        return (isinstance(xs, np.ndarray) and xs.dtype == float and xs.ndim == 3
-                and xs.shape[1] >= 1 and xs.shape[2] == self.input_dim)
+    def _is_stack(self, xs, ndim=3):
+        """Whether ``xs`` is one ``(n, T, d)`` float stack of inputs of one
+        length (or, with ``ndim=2``, one input) to be read as it is."""
+        return (isinstance(xs, np.ndarray) and xs.dtype == float and xs.ndim == ndim
+                and xs.shape[-2] >= 1 and xs.shape[-1] == self.input_dim)
 
-    def _by_length(self, xs, solve):
-        """Codes (label tuples) of every input, in input order. Calls
-        ``solve(idx, X)`` once per length, ``X`` stacking the inputs ``idx``
-        into ``(n, T, d)``; it returns their ``(n, T)`` label paths. A stack
-        (see :meth:`_is_stack`) is solved as one group, as it is."""
-        out = np.empty(len(xs), dtype=object)
+    def _by_length(self, xs, solve, width=None):
+        """Codes ``width`` labels wide (default: the longest input's length)
+        of every input's label path. Calls ``solve(idx, X)`` once per length,
+        ``X`` stacking the inputs ``idx`` into ``(n, T, d)``; it returns their
+        ``(n, T)`` label paths. A stack is one group, read as it is."""
         if self._is_stack(xs):
             xs = np.ascontiguousarray(xs)
-            groups = [np.arange(len(xs))] if len(xs) else []
+            lengths = np.full(len(xs), xs.shape[1])
         else:
-            xs = [self._as_seq_input(x) for x in xs]
+            xs = [x if self._is_stack(x, ndim=2) else self._as_seq_input(x) for x in xs]
             lengths = np.array([x.shape[0] for x in xs], dtype=int)
-            # a plain np.unique imports numpy.ma
-            groups = [np.flatnonzero(lengths == length)
-                      for length in sorted(set(lengths.tolist()))]
-        for idx in groups:
+        M = np.full((len(xs), int(lengths.max(initial=1)) if width is None else width), -1)
+        for length in sorted(set(lengths.tolist())):  # a plain np.unique imports numpy.ma
+            idx = np.flatnonzero(lengths == length)
             X = xs if isinstance(xs, np.ndarray) else np.stack([xs[i] for i in idx])
-            paths = solve(idx, X)
-            for i, path in zip(idx.tolist(), paths.tolist()):
-                out[i] = tuple(path)
-        return out
+            M[idx, : X.shape[1]] = solve(idx, X)
+        return _records(M)
 
     @staticmethod
-    def _stack(ys, length, what):
-        """Codes of one length as an ``(n, length)`` label array."""
-        if any(len(y) != length for y in ys):
+    def _cut(M, lengths, idx, length, what):
+        """Rows ``idx`` of the label matrix ``M``, outputs of ``length``."""
+        if (lengths[idx] != length).any():
             raise ContractViolation(f"{what} length does not match the input")
-        return np.array(ys, dtype=int).reshape(len(ys), length)
+        return M[idx, :length]
 
     def argmax_score_all(self, w, xs):
         pairwise, emit = self._weight_tables(w)
         return self._by_length(xs, lambda idx, X: self._best_paths(X @ emit.T, pairwise))
 
     def argmax_loss_augmented_all(self, w, xs, zs):
-        zs = self.as_codes(zs)
+        zs, lz = self._labels(zs)
         pairwise, emit = self._weight_tables(w)
 
         def solve(idx, X):
             n, length, _ = X.shape
-            Z = self._stack([zs[i] for i in idx], length, "reference output")
+            Z = self._cut(zs, lz, idx, length, "reference output")
             if self.loss == "zero-one":
                 return self._best_paths_off(X @ emit.T, pairwise, Z)
             aug = X @ emit.T + 1.0
             aug[np.arange(n)[:, None], np.arange(length), Z] -= 1.0  # no reward for matches
             return self._best_paths(aug, pairwise)
 
-        return self._by_length(xs, solve)
+        return self._by_length(xs, solve, zs.shape[1])
 
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
         if c1 <= 0:
             raise ContractViolation(f"c1 must be positive, got {c1}")
         owner, weight, outputs = neighbors
-        upsilons, outputs = self.as_codes(upsilons), self.as_codes(outputs)
+        (upsilons, lu), (outputs, lo) = self._labels(upsilons), self._labels(outputs)
         pairwise, emit = self._weight_tables(w)
         owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
         if self.loss == "zero-one" and weight.min(initial=0.0) < 0:
@@ -572,8 +583,8 @@ class ChainSequenceSpace(OutputSpace):
             W = np.zeros((n, int(slot[mine].max(initial=-1)) + 1))
             W[at] = weight[mine]
             Z = np.zeros(W.shape + (length,), dtype=int)
-            Z[at] = self._stack([outputs[e] for e in mine], length, "neighbor output")
-            U = self._stack([upsilons[i] for i in idx], length, "upsilon")
+            Z[at] = self._cut(outputs, lo, mine, length, "neighbor output")
+            U = self._cut(upsilons, lu, idx, length, "upsilon")
             if self.loss == "zero-one":
                 return self._cheapest(X @ emit.T, pairwise, U, W, Z, c1)
             # position-wise costs: neighbor disagreement + model score + upsilon loss,
@@ -590,7 +601,7 @@ class ChainSequenceSpace(OutputSpace):
                 cost[at_label + (U,)] -= c1
                 return self._best_paths(-cost, c1 * pairwise)
 
-        return self._by_length(xs, solve)
+        return self._by_length(xs, solve, upsilons.shape[1])
 
     def _cheapest(self, unary, pairwise, U, W, Z, c1):
         """Zero-one slack minimizers of one length group from the upsilons
@@ -622,29 +633,21 @@ class ChainSequenceSpace(OutputSpace):
     # --- whole-array sums --------------------------------------------------
     #
     # A list of outputs is checked once, by ``as_codes``; the sums then read
-    # the codes as ``(n, T)`` label arrays (see ``_padded``) and add their
+    # the label matrices of the codes (see ``_matrices``) and add their
     # floats in the order of a per-pair loop, so that they give the same
     # bits.
 
-    @staticmethod
-    def _padded(*code_lists):
-        """Each list of codes as an ``(n, T)`` label array, padded with -1
-        past each code's end, ``T`` being the longest code of them all; then
-        each list's code lengths."""
-        lengths = [np.fromiter(map(len, codes), dtype=int, count=len(codes))
-                   for codes in code_lists]
-        width = max(int(lens.max(initial=0)) for lens in lengths)
-        arrays = []
-        for codes, lens in zip(code_lists, lengths):
-            P = np.full((len(codes), width), -1)
-            P[np.arange(width) < lens[:, None]] = np.fromiter(
-                itertools.chain.from_iterable(codes), dtype=int, count=int(lens.sum()))
-            arrays.append(P)
-        return arrays, lengths
+    def _matrices(self, ys1, ys2):
+        """:meth:`_labels` of two lists of outputs or codes, the wider matrix
+        cut to the narrower one's width, past which pairs of equal lengths
+        hold only padding."""
+        (M1, l1), (M2, l2) = self._labels(ys1), self._labels(ys2)
+        width = min(M1.shape[1], M2.shape[1])
+        return (M1[:, :width], M2[:, :width]), (l1, l2)
 
     def delta_sum(self, ys1, ys2, weights=None):
         _check_pairs(ys1, ys2, weights)
-        (Y1, Y2), (l1, l2) = self._padded(self.as_codes(ys1), self.as_codes(ys2))
+        (Y1, Y2), (l1, l2) = self._matrices(ys1, ys2)
         bad = np.flatnonzero(l1 != l2)
         if bad.size:
             raise ContractViolation(f"cannot compare label sequences of lengths "
@@ -659,8 +662,8 @@ class ChainSequenceSpace(OutputSpace):
 
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
-        (Y, Z), (ly, lz) = self._padded(self.as_codes(ys), self.as_codes(zs))
-        idx = np.flatnonzero((Y != Z).any(axis=1))  # equal pairs add exactly zero
+        (Y, Z), (ly, lz) = self._matrices(ys, zs)
+        idx = np.flatnonzero((Y != Z).any(axis=1) | (ly != lz))  # equal pairs add exactly 0
         if not idx.size:
             return np.zeros(self.dim)
         if self._is_stack(xs):
@@ -677,23 +680,16 @@ class ChainSequenceSpace(OutputSpace):
             i = bad[0]
             raise ContractViolation(f"label sequence length {ly[i] if ly[i] != lx[i] else lz[i]}"
                                     f" does not match input length {lx[i]}")
-        a, d, length = self.num_labels, self.input_dim, X.shape[1]
-        pairs = np.stack([Y[idx, :length], Z[idx, :length]])  # (2, m, length)
-        # transition counts: integers, exact in any order
-        cell = pairs[:, :, :-1] * a + pairs[:, :, 1:]
-        inside = pairs[0, :, 1:] >= 0
-        trans = np.bincount(cell[:, inside].ravel(), np.repeat([1.0, -1.0], inside.sum()),
-                            minlength=a * a)
-        # emissions of each side, summed over positions in order; label -1
-        # (padding) adds to the spare block ``a``
-        emit = np.zeros((2, len(idx), a + 1, d))
-        side, rows = np.ogrid[:2, :len(idx)]
-        for t in range(length):
-            emit[side, rows, pairs[:, :, t]] += X[:, t]
-        diff = (emit[0, :, :a] - emit[1, :, :a]).reshape(len(idx), a * d)
-        # the pairs' differences added in pair order from 0.0
-        acc = np.cumsum(np.concatenate((np.zeros((1, a * d)), diff)), axis=0)[-1]
-        return np.concatenate((trans, acc))
+        diff = self._features(X, Y[idx, : X.shape[1]]) - self._features(X, Z[idx, : X.shape[1]])
+        # the pairs' differences added in pair order from 0.0 (transition
+        # counts are integers, exact in any order)
+        return np.cumsum(np.concatenate((np.zeros((1, self.dim)), diff)), axis=0)[-1]
+
+
+def _records(M):
+    """Chain codes: the rows of the label matrix ``M`` as byte records."""
+    M = np.ascontiguousarray(M, dtype=np.int64)
+    return M.view(np.dtype((np.void, 8 * M.shape[1]))).ravel()
 
 
 def _check_pairs(ys1, ys2, weights):

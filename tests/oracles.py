@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semistruct.core import (
-    DataPoint, Dataset, OutputSpace, ValidationReport, as_weights, object_array)
+from semistruct.core import DataPoint, Dataset, OutputSpace, ValidationReport, as_weights
 from semistruct.errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from semistruct.graph import NeighborGraph, k_nearest, neighbor_terms, point_matrix, point_vector
 from semistruct.solver import _SEED_TAG_ZINIT, ObjectiveParts, TraceRow
+
+
+def object_array(items) -> np.ndarray:
+    """1-D object array holding ``items``; numpy would read a list of
+    equal-length tuples as one array with another axis."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 def enumerate_candidates(space, x):
@@ -93,7 +98,7 @@ def argmin_slack(space, w, x, upsilon, neighbors, c1):
     """``space.argmin_slack_all`` of one input; ``neighbors`` is a list of
     ``(weight, output)`` pairs covering both edge directions."""
     terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
-    return space.argmin_slack_all(w, [x], [upsilon], terms, c1).tolist()[0]
+    return space.from_codes(space.argmin_slack_all(w, [x], [upsilon], terms, c1))[0]
 
 
 def neighbor_terms_for(g, i):
@@ -387,7 +392,7 @@ def validate_dataset(ds, space) -> ValidationReport:
 # The package's solver keeps slack and most-violating outputs as code arrays and
 # builds index arrays, neighbor terms and input stacks once per fit. These are
 # the list-based steps it replaced, kept as they were except that the whole-array
-# oracles' code arrays are turned back into lists with ``.tolist()``, as the
+# oracles' codes are turned back into lists with ``space.from_codes``, as the
 # oracles once returned them. Every iteration must agree with them bit for bit.
 
 
@@ -461,19 +466,19 @@ def _list_check_donors(ds, space, free, donor, length):
 
 
 def list_update_upsilon(state, ds, space, cfg) -> list:
-    return space.argmax_loss_augmented_all(state.w, ds.inputs, state.z).tolist()
+    return space.from_codes(space.argmax_loss_augmented_all(state.w, ds.inputs, state.z))
 
 
 def list_update_slack(state, ds, g, space, cfg) -> list:
     free = [p.id for p in ds.points if p.y is None]
     owner, neighbor, weight = neighbor_terms(g, free)
-    moved = space.argmin_slack_all(
+    moved = space.from_codes(space.argmin_slack_all(
         state.w,
         [ds.inputs[i] for i in free],
         [state.upsilon[i] for i in free],
         (owner, weight, [state.z[j] for j in neighbor]),
         cfg.c1,
-    ).tolist()
+    ))
     new = list(state.z)
     for i in np.flatnonzero(ds.labeled).tolist():
         new[i] = ds.points[i].y

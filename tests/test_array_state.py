@@ -142,10 +142,10 @@ CASES = ("multiclass", "taxonomy", "chain-hamming", "chain-mixed-lengths", "chai
          "fully-labeled", "empty-graph", "integer-grid", "custom-space")
 
 
-def _snapshot(state):
+def _snapshot(state, space):
     """Decoded outputs, weight bytes and last trace row of a state that holds
     either codes or lists."""
-    as_list = lambda ys: ys.tolist() if isinstance(ys, np.ndarray) else list(ys)
+    as_list = lambda ys: space.from_codes(ys) if isinstance(ys, np.ndarray) else list(ys)
     return (as_list(state.z), as_list(state.upsilon), state.w.tobytes(), state.trace[-1])
 
 
@@ -155,15 +155,39 @@ def test_every_iteration_equals_the_list_based_solver(name, z_init):
     ds, g, space = _case(name)
     cfg = SolverConfig(c1=0.5, c2=4.0, eta=0.05, max_iters=5, seed=2, z_init=z_init)
     got, want = [], []
-    state = fit(ds, g, space, cfg, on_iteration=lambda s: got.append(_snapshot(s)))
-    ref = oracles.list_fit(ds, g, space, cfg, on_iteration=lambda s: want.append(_snapshot(s)))
+    state = fit(ds, g, space, cfg, on_iteration=lambda s: got.append(_snapshot(s, space)))
+    ref = oracles.list_fit(ds, g, space, cfg,
+                           on_iteration=lambda s: want.append(_snapshot(s, space)))
     assert len(got) == len(want) == cfg.max_iters + 1
     for t, (a, b) in enumerate(zip(got, want)):
         assert a == b, f"iteration {t} differs"
     # the returned state holds lists of outputs again
     assert type(state.z) is list and type(state.upsilon) is list
-    assert _snapshot(state) == _snapshot(ref)
+    assert _snapshot(state, space) == _snapshot(ref, space)
     assert state.trace == ref.trace
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_a_fit_whose_longest_chains_are_all_unlabeled_equals_the_list_based_solver(loss):
+    """The true outputs are narrower than the random initial slack outputs;
+    every code of the fit still shares one width and decodes unpadded."""
+    short = synth_chains(3, (4, 4), 20, 2, seed=11).points
+    long = synth_chains(3, (6, 6), 20, 2, seed=12).points
+    points = [(p.x, p.y if p.id % 3 == 0 else None) for p in short]
+    points += [(p.x + 100.0, None) for p in long]
+    ds = Dataset(tuple(DataPoint(i, x, y) for i, (x, y) in enumerate(points)))
+    g, space = build_knn_graph(ds, k=4), ChainSequenceSpace(3, 2, loss=loss)
+    cfg = SolverConfig(c1=0.5, c2=4.0, eta=0.05, max_iters=5, seed=2, z_init="uniform-random")
+    got, want, widths = [], [], set()
+
+    def record(s):
+        got.append(_snapshot(s, space))
+        widths.update((s.z.dtype, s.upsilon.dtype, s.fixed.truth.dtype))
+
+    state = fit(ds, g, space, cfg, on_iteration=record)
+    oracles.list_fit(ds, g, space, cfg, on_iteration=lambda s: want.append(_snapshot(s, space)))
+    assert got == want and len(widths) == 1
+    assert [len(y) for y in state.z] == [len(x) for x in ds.inputs]
 
 
 def test_a_diverged_fit_carries_the_same_decoded_partial_state():
@@ -175,7 +199,7 @@ def test_a_diverged_fit_carries_the_same_decoded_partial_state():
         oracles.list_fit(ds, g, space, cfg)
     assert str(got.value) == str(want.value)
     assert type(got.value.state.z) is list
-    assert _snapshot(got.value.state) == _snapshot(want.value.state)
+    assert _snapshot(got.value.state, space) == _snapshot(want.value.state, space)
     assert got.value.state.trace == want.value.state.trace
 
 
@@ -201,9 +225,9 @@ def test_a_hand_made_state_of_lists_steps_like_the_reference(name):
     w = rng.standard_normal(space.dim)
     state = SolverState(w=w, z=list(z), upsilon=list(ups))
     ref = oracles.ListState(w=w, z=list(z), upsilon=list(ups))
-    assert update_slack(state, ds, g, space, cfg).tolist() == \
+    assert space.from_codes(update_slack(state, ds, g, space, cfg)) == \
         oracles.list_update_slack(ref, ds, g, space, cfg)
-    assert update_upsilon(state, ds, space, cfg).tolist() == \
+    assert space.from_codes(update_upsilon(state, ds, space, cfg)) == \
         oracles.list_update_upsilon(ref, ds, space, cfg)
     assert update_weights(state, ds, space, cfg).tobytes() == \
         oracles.list_update_weights(ref, ds, space, cfg).tobytes()

@@ -45,13 +45,13 @@ def _flatten(neighbors):
 
 
 def _check_oracles(space, w, X, zs, ups, neighbors, c1):
-    assert space.argmax_score_all(w, X).tolist() == [
+    assert space.from_codes(space.argmax_score_all(w, X)) == [
         oracles.brute_argmax_score(space, w, x) for x in X
     ]
-    assert space.argmax_loss_augmented_all(w, X, zs).tolist() == [
+    assert space.from_codes(space.argmax_loss_augmented_all(w, X, zs)) == [
         oracles.brute_argmax_loss_augmented(space, w, x, z)[0] for x, z in zip(X, zs)
     ]
-    assert space.argmin_slack_all(w, X, ups, _flatten(neighbors), c1).tolist() == [
+    assert space.from_codes(space.argmin_slack_all(w, X, ups, _flatten(neighbors), c1)) == [
         oracles.brute_argmin_slack(space, w, x, u, nb, c1)
         for x, u, nb in zip(X, ups, neighbors)
     ]
@@ -220,7 +220,7 @@ def test_chain_ties_break_toward_the_smallest_sequence(loss):
     space = ChainSequenceSpace(3, 1, loss=loss)
     w = np.zeros(space.dim)
     X = [np.ones((t, 1)) for t in (3, 1, 2, 3)]
-    assert space.argmax_score_all(w, X).tolist() == [(0,) * len(x) for x in X]
+    assert space.from_codes(space.argmax_score_all(w, X)) == [(0,) * len(x) for x in X]
     # every candidate ties in score; without neighbors only upsilon and z decide
     zs = [(2, 1, 0), (1,), (0, 0), (1, 1, 1)]
     _check_oracles(space, w, X, zs, zs, [[] for _ in X], 1.0)
@@ -257,9 +257,10 @@ def test_chain_zero_one_whole_array_forms_answer_long_chains():
     w = np.zeros(space.dim)
     X = [np.zeros((2, 1)), np.zeros((13, 1))]  # 4 and 8192 candidates
     ys = [(0, 0), (0,) * 13]
-    assert space.argmax_loss_augmented_all(w, X, ys).tolist() == [(0, 1), (0,) * 12 + (1,)]
-    assert space.argmin_slack_all(w, X, ys, ([], [], []), 1.0).tolist() == ys
-    assert space.argmax_score_all(w, X).tolist() == ys
+    assert space.from_codes(space.argmax_loss_augmented_all(w, X, ys)) == [
+        (0, 1), (0,) * 12 + (1,)]
+    assert space.from_codes(space.argmin_slack_all(w, X, ys, ([], [], []), 1.0)) == ys
+    assert space.from_codes(space.argmax_score_all(w, X)) == ys
 
 
 def _mismatched_sums():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -223,9 +225,9 @@ def _draws(space, xs, rng):
 
 def _codes(space, w, xs, zs, ups, terms):
     """The three oracles' outputs for the inputs ``xs``, as lists."""
-    return [space.argmax_score_all(w, xs).tolist(),
-            space.argmax_loss_augmented_all(w, xs, zs).tolist(),
-            space.argmin_slack_all(w, xs, ups, terms, 0.7).tolist()]
+    return [space.from_codes(space.argmax_score_all(w, xs)),
+            space.from_codes(space.argmax_loss_augmented_all(w, xs, zs)),
+            space.from_codes(space.argmin_slack_all(w, xs, ups, terms, 0.7))]
 
 
 @pytest.mark.parametrize("loss", ["hamming", "zero-one"])
@@ -275,7 +277,7 @@ def test_a_huge_c1_leaks_no_overflow_from_the_slack_oracle():
     ups = [space.random_output(x, rng) for x in X]
     terms = ([0, 3], [0.5, 0.25], [space.random_output(X[0], rng),
                                    space.random_output(X[3], rng)])
-    codes = space.argmin_slack_all(w, X, ups, terms, 1e308).tolist()
+    codes = space.from_codes(space.argmin_slack_all(w, X, ups, terms, 1e308))
     assert all(space.contains(y, x=x) for y, x in zip(codes, X))
 
 
@@ -429,6 +431,12 @@ _LENGTH_ERRORS = {
     "feature output lists": (
         lambda s, form: s.phi_diff_sum(form([_X, _X]), [(0, 1), (1, 1)], [(1, 1)]),
         "output lists have lengths 2 and 1"),
+    "a prefix of a longer output": (
+        lambda s, form: s.delta_sum([(0, 1), (1, 0)], [(0, 1), (1, 0, 1)]),
+        "cannot compare label sequences of lengths 2 and 3"),
+    "a longer output with a matching prefix": (
+        lambda s, form: s.phi_diff_sum(form([_X, _X]), [(0, 1), (1, 0)], [(0, 1), (1, 0, 0)]),
+        "label sequence length 3 does not match input length 2"),
 }
 
 
@@ -437,6 +445,93 @@ _LENGTH_ERRORS = {
 def test_sums_name_the_first_pair_of_other_lengths(call, message, form):
     with pytest.raises(ContractViolation, match=f"^{message}$"):
         call(ChainSequenceSpace(2, 1), form)
+
+
+class _EncodedApart(ChainSequenceSpace):
+    """Encodes each list of outputs on its own before the sums read it, so
+    the sums meet codes of different widths."""
+
+    def delta_sum(self, ys1, ys2, weights=None):
+        return super().delta_sum(self.as_codes(ys1), self.as_codes(ys2), weights)
+
+    def phi_diff_sum(self, xs, ys, zs):
+        return super().phi_diff_sum(xs, self.as_codes(ys), self.as_codes(zs))
+
+
+@pytest.mark.parametrize("form", [list, np.stack], ids=["list", "stack"])
+@pytest.mark.parametrize("call, message", _LENGTH_ERRORS.values(), ids=_LENGTH_ERRORS.keys())
+def test_sums_of_codes_of_other_widths_name_the_same_pair(call, message, form):
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        call(_EncodedApart(2, 1), form)
+
+
+@pytest.mark.parametrize("ys", [[(0,), (1, 2, 0), (2, 2), (1, 2, 0)], [(1,), (0,), (2,)], []],
+                         ids=["mixed-lengths", "length-1", "empty"])
+def test_codes_decode_to_the_outputs_they_were_made_from(ys):
+    space = ChainSequenceSpace(3, 1)
+    codes = space.as_codes(ys)
+    assert codes.shape == (len(ys),)
+    assert space.from_codes(codes) == ys
+    assert all(type(v) is int for y in space.from_codes(codes) for v in y)
+    assert space.from_codes(codes[::-1]) == ys[::-1]
+    for i in range(len(ys)):  # entries compare by value
+        assert [bool(codes[i] == c) for c in codes] == [ys[i] == y for y in ys]
+
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_oracle_codes_take_the_width_of_their_reference_codes(loss):
+    rng = np.random.default_rng(97)
+    space = ChainSequenceSpace(3, 2, loss=loss)
+    w = rng.standard_normal(space.dim)
+    xs = [rng.standard_normal((length, 2)) for length in (2, 3, 2)]
+    zs, ups, terms = _draws(space, xs, rng)
+    narrow, wide = space.as_codes(zs), space.as_codes(zs + [(0,) * 5])[:3]
+    assert (narrow.dtype.itemsize, wide.dtype.itemsize) == (3 * 8, 5 * 8)
+    for ref in (narrow, wide):
+        for got in (space.argmax_loss_augmented_all(w, xs, ref),
+                    space.argmin_slack_all(w, xs, ref, terms, 0.7)):
+            assert got.dtype == ref.dtype
+    assert space.argmax_score_all(w, xs).dtype == narrow.dtype  # the longest input
+    assert _codes(space, w, xs, wide, wide, terms) == _codes(space, w, xs, zs, zs, terms)
+
+
+def test_empty_batches_give_empty_codes():
+    space = ChainSequenceSpace(3, 2)
+    w = np.zeros(space.dim)
+    for xs in ([], np.zeros((0, 4, 2))):
+        for codes in (space.as_codes([]), space.argmax_score_all(w, xs),
+                      space.argmax_loss_augmented_all(w, xs, []),
+                      space.argmin_slack_all(w, xs, [], ([], [], []), 1.0)):
+            assert codes.shape == (0,) and space.from_codes(codes) == []
+
+
+def test_the_oracles_read_list_inputs_of_the_space_without_rechecking_them(monkeypatch):
+    """``(T, d)`` float inputs in a list go to the dynamic programs as they
+    are; any other input is still read, and so checked, by ``_as_seq_input``."""
+    space = ChainSequenceSpace(3, 2)
+    short = synth_chains(3, (4, 4), 20, 2, seed=11).points
+    long = synth_chains(3, (6, 6), 20, 2, seed=12).points
+    ds = Dataset(DataPoint(i, x, y if i % 3 == 0 else None) for i, (x, y) in
+                 enumerate([(p.x, p.y) for p in short] + [(p.x + 100.0, p.y) for p in long]))
+    assert type(ds.inputs) is list
+    as_seq_input, callers = ChainSequenceSpace._as_seq_input, []
+
+    def counted(self, x):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return as_seq_input(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(ChainSequenceSpace, "_as_seq_input", counted)
+        fit(ds, build_knn_graph(ds, k=4), space, SolverConfig(c1=0.5, max_iters=3))
+        assert callers and "_by_length" not in callers
+        w = np.zeros(space.dim)
+        assert space.from_codes(space.argmax_score_all(w, [[[0.0, 1.0]]])) == [(0,)]
+        assert callers[-1] == "_by_length"
+        with pytest.raises(ContractViolation, match=r"expected \(T, 2\)"):
+            space.argmax_score_all(w, [np.zeros((3, 2)), np.zeros((3, 3))])
 
 
 def test_the_feature_sum_reads_each_differing_input_once(monkeypatch):

@@ -430,7 +430,7 @@ def test_predictions_equal_one_json_dumps_per_record(tmp_path, space):
     w, sp, _ = load_model(model)
     ds = load_dataset(data, sp)
     expected = "".join(json.dumps({"id": p.id, "y": sp.encode(y)}) + "\n"
-                       for p, y in zip(ds.points, sp.argmax_score_all(w, ds.inputs).tolist()))
+                       for p, y in zip(ds.points, sp.from_codes(sp.argmax_score_all(w, ds.inputs))))
     assert len({line.split('"y": ')[1] for line in expected.splitlines()}) > 1
     assert (out / "predictions.jsonl").read_text() == expected
 

@@ -111,10 +111,14 @@ def test_initialize_rejects_copying_across_sequence_lengths():
         initialize(ds, g, space, SolverConfig(z_init="nearest-labeled"))
     # per-position random init has no length problem, but mixed-length
     # sequences cannot be compared across edges, so drop the graph
-    state = initialize(
-        ds, NeighborGraph.empty(2), space, SolverConfig(z_init="uniform-random", seed=2)
-    )
-    assert len(state.z[1]) == 3
+    empty = NeighborGraph.empty(2)
+    state = initialize(ds, empty, space, SolverConfig(z_init="uniform-random", seed=2))
+    assert len(space.from_codes(state.z)[1]) == 3
+    # the labeled output, shorter than the codes are wide, stays as it is, also
+    # in a state built by hand from lists
+    by_hand = SolverState(w=state.w, z=[(1, 1), (0, 0, 0)], upsilon=[(1, 0), (1, 1, 1)])
+    for s in (state, by_hand):
+        assert space.from_codes(update_slack(s, ds, empty, space, SolverConfig()))[0] == (0, 1)
 
 
 def test_initialize_rejects_graph_edges_across_sequence_lengths():
