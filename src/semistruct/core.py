@@ -230,6 +230,14 @@ class OutputSpace(ABC):
         """The outputs ``codes`` stand for, as a list; the default is ``codes.tolist()``."""
         return codes.tolist()
 
+    def merge_codes(self, n, *parts) -> np.ndarray:
+        """Codes of ``n`` outputs whose entries ``idx`` are ``codes``, for
+        every ``(idx, codes)`` of ``parts``; the parts cover every entry."""
+        out = np.empty(n, dtype=parts[0][1].dtype)
+        for idx, codes in parts:
+            out[idx] = codes
+        return out
+
     # --- one-item views of the whole-array forms ---------------------------
 
     def contains(self, y, x=None) -> bool:

@@ -16,8 +16,8 @@ neighbors), and takes one gradient step on ``w``. Slack outputs of labeled
 points are pinned to their true outputs throughout.
 
 A fit runs on arrays. :func:`initialize` encodes every output once into
-codes (:meth:`OutputSpace.as_codes`; for chains, padded label rows of one
-width throughout the fit), and builds once what no iteration changes
+codes (:meth:`OutputSpace.as_codes`; for chains, -1-padded label rows
+read as fixed-width records), and builds once what no iteration changes
 (:class:`FitArrays`): the labeled and unlabeled ids, the unlabeled inputs,
 and the neighbor terms of the graph. The spaces read inputs as the dataset
 stores them. Each step then gathers neighbor outputs and edge endpoints by
@@ -99,11 +99,11 @@ class TraceRow(NamedTuple):
 class SolverState:
     """Mutable optimizer state.
 
-    During a fit ``z`` and ``upsilon`` hold codes in the form of
-    ``fixed.truth`` and ``fixed`` the arrays that stay the same between
-    iterations; the state :func:`fit` returns holds lists of outputs again
-    (:meth:`OutputSpace.from_codes`). The update steps also accept a state
-    built by hand from lists.
+    During a fit ``z`` and ``upsilon`` hold codes (see
+    :meth:`OutputSpace.as_codes`) and ``fixed`` the arrays that stay the same
+    between iterations; the state :func:`fit` returns holds lists of outputs
+    again (:meth:`OutputSpace.from_codes`). The update steps also accept a
+    state built by hand from lists.
     ``trace`` holds one row per completed iteration plus the initial row;
     each row reports the objective of the state at that point, with the
     most-violating outputs refreshed so the loss bound is consistent with
@@ -200,7 +200,6 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
         rng = np.random.default_rng((cfg.seed, _SEED_TAG_ZINIT))
         z = space.as_codes([y if y is not None else space.random_output(x, rng)
                             for x, y in zip(xs, ds.outputs)])
-        fixed = fixed._replace(truth=z[labeled])  # the truth in the code form of z
 
     state = SolverState(w=np.zeros(space.dim), z=z, upsilon=None, iteration=0, fixed=fixed)
     state.upsilon = update_upsilon(state, ds, space, cfg)
@@ -249,13 +248,7 @@ def update_slack(state, ds, g, space, cfg) -> np.ndarray:
         state.w, f.free_inputs, space.as_codes(state.upsilon)[f.free],
         (owner, weight, z[neighbor]), cfg.c1,
     )
-    if not f.truth.dtype == moved.dtype == z.dtype:  # a state built by hand, encoded apart
-        ys = space.from_codes(f.truth) + space.from_codes(moved)
-        return space.as_codes([ys[j] for j in np.argsort(np.concatenate((f.labeled, f.free)))])
-    new = np.empty_like(z)
-    new[f.labeled] = f.truth
-    new[f.free] = moved
-    return new
+    return space.merge_codes(len(z), (f.labeled, f.truth), (f.free, moved))
 
 
 def update_weights(state, ds, space, cfg) -> np.ndarray:

@@ -404,6 +404,14 @@ class ChainSequenceSpace(OutputSpace):
         M, lengths = self._labels(codes)
         return [tuple(row[:n]) for row, n in zip(M.tolist(), lengths.tolist())]
 
+    def merge_codes(self, n, *parts):
+        """Codes of different widths are merged at the widest width."""
+        mats = [self._labels(codes)[0] for _, codes in parts]
+        M = np.full((n, max(L.shape[1] for L in mats)), -1)
+        for (idx, _), L in zip(parts, mats):
+            M[idx, : L.shape[1]] = L
+        return _records(M)
+
     def _as_seq_input(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_dim or x.shape[0] < 1:
@@ -638,12 +646,12 @@ class ChainSequenceSpace(OutputSpace):
     # bits.
 
     def _matrices(self, ys1, ys2):
-        """:meth:`_labels` of two lists of outputs or codes, the wider matrix
-        cut to the narrower one's width, past which pairs of equal lengths
-        hold only padding."""
+        """:meth:`_labels` of two lists of outputs or codes, the narrower
+        matrix padded with -1 to the wider one's width."""
         (M1, l1), (M2, l2) = self._labels(ys1), self._labels(ys2)
-        width = min(M1.shape[1], M2.shape[1])
-        return (M1[:, :width], M2[:, :width]), (l1, l2)
+        width = max(M1.shape[1], M2.shape[1])
+        return [np.pad(M, ((0, 0), (0, width - M.shape[1])), constant_values=-1)
+                if M.shape[1] < width else M for M in (M1, M2)], (l1, l2)
 
     def delta_sum(self, ys1, ys2, weights=None):
         _check_pairs(ys1, ys2, weights)
@@ -663,7 +671,7 @@ class ChainSequenceSpace(OutputSpace):
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
         (Y, Z), (ly, lz) = self._matrices(ys, zs)
-        idx = np.flatnonzero((Y != Z).any(axis=1) | (ly != lz))  # equal pairs add exactly 0
+        idx = np.flatnonzero((Y != Z).any(axis=1))  # equal pairs add exactly zero
         if not idx.size:
             return np.zeros(self.dim)
         if self._is_stack(xs):

@@ -330,7 +330,11 @@ def test_sums_of_narrow_int_labels_equal_the_per_pair_loop(dtype):
     looped_delta = float(sum(space.delta(y, z) for y, z in zip(ys, zs)))
     assert np.array_equal(space.phi_diff_sum(X, ys, zs), looped_phi)
     assert space.delta_sum(ys, zs) == looped_delta
-    assert all(type(v) is int for y in space.as_codes(ys) for v in y)
+    # the codes hold the labels as int64 and decode to Python ints
+    assert space._labels(ys)[0].dtype == np.int64
+    decoded = space.from_codes(space.as_codes(ys))
+    assert decoded == [tuple(int(v) for v in y) for y in ys]
+    assert all(type(v) is int for y in decoded for v in y)
 
 
 def _looped_sums(space, xs, ys, zs, weights):

@@ -114,11 +114,12 @@ def test_initialize_rejects_copying_across_sequence_lengths():
     empty = NeighborGraph.empty(2)
     state = initialize(ds, empty, space, SolverConfig(z_init="uniform-random", seed=2))
     assert len(space.from_codes(state.z)[1]) == 3
-    # the labeled output, shorter than the codes are wide, stays as it is, also
-    # in a state built by hand from lists
+    # the labeled output, shorter than the codes are wide, stays as it is, and
+    # the unlabeled one keeps its length, also in a state built by hand from lists
     by_hand = SolverState(w=state.w, z=[(1, 1), (0, 0, 0)], upsilon=[(1, 0), (1, 1, 1)])
     for s in (state, by_hand):
-        assert space.from_codes(update_slack(s, ds, empty, space, SolverConfig()))[0] == (0, 1)
+        y0, y1 = space.from_codes(update_slack(s, ds, empty, space, SolverConfig()))
+        assert y0 == (0, 1) and len(y1) == 3
 
 
 def test_initialize_rejects_graph_edges_across_sequence_lengths():
