@@ -13,7 +13,8 @@ The inputs are written once, by this checkout's ``perfbench/inputs.py``
 (imported as it is, with ``NEW_SRC`` on the path): the three benchmark
 workloads for each of ``SEEDS`` (0, 1 and 2), plus two 60-point chain sets
 per seed with every third point unlabeled: one for the zero-one loss, and
-one of Hamming chains of two lengths, read as a list of inputs. Then, for
+one of chains of two lengths, read as a list of inputs and run under the
+Hamming and the zero-one loss alike. Then, for
 each source tree, one child process runs every command through
 ``semistruct.cli.main``: ``synth`` for each space with default flags; per
 input set, ``fit --dump-graph``, ``cv`` and ``baseline`` with both
@@ -154,9 +155,11 @@ def write_cases(inputs, data, seeds=SEEDS):
             "--c2", "1.0", "--iters", "5", "--seed", str(seed)], ["--k", "4"]))
         where = data / f"mixed-lengths-{seed}"
         _write_mixed_length_chains(seed, where)
-        cases.append((f"mixed-lengths-{seed}", where, [
-            "--space", "chain", "--alphabet", "3", "--c1", "0.5", "--c2", "1.0",
-            "--iters", "5", "--seed", str(seed)], ["--k", "4"]))
+        flags = ["--space", "chain", "--alphabet", "3", "--c1", "0.5", "--c2", "1.0",
+                 "--iters", "5", "--seed", str(seed)]
+        cases.append((f"mixed-lengths-{seed}", where, flags, ["--k", "4"]))
+        cases.append((f"mixed-lengths-zero-one-{seed}", where,
+                      [*flags, "--loss", "zero-one"], ["--k", "4"]))
     return cases
 
 
