@@ -194,9 +194,9 @@ class OutputSpace(ABC):
         every point. ``neighbors`` is a triple ``(owner, weight, outputs)``:
         term ``e`` adds ``weight[e] * delta(y, outputs[e])`` to the objective
         of point ``owner[e]`` (an index into ``xs``). Each point's terms keep
-        their order. ContractViolation unless ``c1 > 0`` (and, for zero-one
-        chains, every weight >= 0). Costs past the float range (a huge
-        ``c1``) may tie otherwise than an enumeration's costs do."""
+        their order. ContractViolation unless ``c1 > 0``, every owner indexes
+        ``xs`` and, for zero-one chains, every weight is >= 0. Costs past the
+        float range (a huge ``c1``) may tie otherwise than an enumeration's."""
 
     @abstractmethod
     def delta_sum(self, ys1, ys2, weights=None) -> float:
@@ -328,9 +328,9 @@ def validate_dataset(ds, space) -> ValidationReport:
 
 
 def _fits(space, y, x) -> bool:
-    """``space.contains(y, x=x)``, False where it raises ContractViolation."""
+    """``space.contains_all`` of one point, False where it raises ContractViolation."""
     try:
-        return space.contains(y, x=x)
+        return bool(space.contains_all([y], [x])[0])
     except ContractViolation:
         return False
 

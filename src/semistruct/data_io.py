@@ -204,11 +204,11 @@ def dataset_from_records(records, path, space, require_labeled=False) -> Dataset
         for i in labeled:
             where, raw_y = f"{path}:{lines[i]}", raw_ys[i]
             try:
-                ys[i] = space.decode(raw_y)
+                ys[i] = space.decode_all([raw_y])[0]
             except ContractViolation as e:
                 raise DataFormatError(f"{where}: bad output: {e}") from None
             try:
-                ok = space.contains(ys[i], x=inputs[i])
+                ok = space.contains_all([ys[i]], [inputs[i]])[0]
             except ContractViolation as e:
                 raise DataFormatError(f"{where}: bad input: {e}") from None
             if not ok:

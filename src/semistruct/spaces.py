@@ -4,7 +4,7 @@ Each space fixes a canonical output encoding, a joint feature map and a
 structured loss, and implements the whole-array contract of ``OutputSpace``.
 The multiclass and taxonomy spaces are finite label spaces answering it with
 array lookups and matrix products. The chain space answers every oracle
-with dynamic programs, batched once per group of equal-length inputs, under
+with one dynamic program over a zero-padded stack of all its inputs, under
 the Hamming and the whole-sequence zero-one loss alike; its codes are rows
 of one -1-padded label matrix, read as fixed-width records, and its sums
 read that matrix, adding floats in the order of a per-pair loop.
@@ -129,15 +129,12 @@ class FiniteLabelSpace(OutputSpace):
         return self._label_of[np.argmax(V, axis=1)]
 
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
-        if c1 <= 0:
-            raise ContractViolation(f"c1 must be positive, got {c1}")
-        owner, weight, outputs = neighbors
+        owner, weight, outputs = _slack_terms(len(xs), neighbors, c1)
         # edge-weighted histogram of the neighbors' labels, one row per point;
         # bincount adds each cell's weights in term order, as a per-point loop
         q = len(self.labels)
-        cell = np.asarray(owner, dtype=int) * q + self._rows(outputs)
-        hist = np.bincount(cell, np.asarray(weight, dtype=float),
-                           minlength=len(xs) * q).reshape(len(xs), q)
+        cell = owner * q + self._rows(outputs)
+        hist = np.bincount(cell, weight, minlength=len(xs) * q).reshape(len(xs), q)
         # a huge c1 takes costs past the float range: they read +-inf, as the
         # scalar slack objective's floats do, and no warning leaks
         with np.errstate(over="ignore"):
@@ -465,7 +462,7 @@ class ChainSequenceSpace(OutputSpace):
         length = self._as_seq_input(x).shape[0]
         return tuple(int(v) for v in rng.integers(self.num_labels, size=length))
 
-    # --- dynamic programs, batched over inputs of one length ----------------
+    # --- dynamic programs, one masked pass over a padded stack ---------------
 
     def _weight_tables(self, w):
         """Transition matrix ``(a, a)`` and per-label emission weights ``(a, d)``."""
@@ -474,127 +471,117 @@ class ChainSequenceSpace(OutputSpace):
         return w[: a * a].reshape(a, a), w[a * a :].reshape(a, self.input_dim)
 
     @staticmethod
-    def _best_paths(unary, pairwise):
-        """Max-sum path through each chain of an ``(n, T, a)`` unary stack.
+    def _best_paths(unary, pairwise, lengths):
+        """Max-sum path through each chain of an ``(n, T, a)`` unary stack, ``lengths`` long.
 
         Runs the recursion backward then rebuilds every path greedily from
         the front with first-argmax ties, so each returned row is the
-        lexicographically smallest maximizer.
+        lexicographically smallest maximizer, -1 past its end.
         """
         n, length, _ = unary.shape
-        best_to_go = np.empty_like(unary)
-        best_to_go[:, -1] = unary[:, -1]
+        past = np.arange(length) >= lengths[:, None]
+        best_to_go = unary.copy()  # at a chain's last position, its unary term alone
         for t in range(length - 2, -1, -1):
-            best_to_go[:, t] = unary[:, t] + np.max(
-                pairwise[None] + best_to_go[:, t + 1, None, :], axis=2)
+            on = ~past[:, t + 1]  # the chains that go on after t
+            best_to_go[on, t] += np.max(pairwise[None] + best_to_go[on, t + 1][:, None], axis=2)
         paths = np.empty((n, length), dtype=int)
         paths[:, 0] = np.argmax(best_to_go[:, 0], axis=1)
         for t in range(1, length):
             paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + best_to_go[:, t], axis=1)
+        paths[past] = -1
         return paths
 
     @staticmethod
-    def _best_paths_off(unary, pairwise, ref):
+    def _best_paths_off(unary, pairwise, ref, lengths):
         """:meth:`_best_paths` for ``score(y) + [y != ref]``, ``ref`` an
-        ``(n, T)`` label array. ``gone`` is the best to go once a path has
+        ``(n, T)`` label matrix. ``gone`` is the best to go once a path has
         left ``ref`` (its 1 added at the end), ``stay`` the best to go from
         ``ref[t]`` on ``ref`` so far; the forward pass adds what the
         backward one added, so its first-argmax ties are the recursion's."""
         n, length, _ = unary.shape
-        rows = np.arange(n)
+        rows, past = np.arange(n), np.arange(length) >= lengths[:, None]
         on_ref = np.arange(unary.shape[2]) == ref[:, :, None]  # (n, T, a)
-        gone, stay = np.empty_like(unary), np.empty((n, length))
-        gone[:, -1] = unary[:, -1] + 1.0
-        stay[:, -1] = unary[rows, -1, ref[:, -1]]
+        gone, stay = unary + 1.0, unary[rows[:, None], np.arange(length), ref]
         for t in range(length - 2, -1, -1):
-            gone[:, t] = unary[:, t] + np.max(pairwise[None] + gone[:, t + 1, None, :], axis=2)
-            ahead = np.where(on_ref[:, t + 1], stay[:, t + 1, None], gone[:, t + 1])
-            stay[:, t] = unary[rows, t, ref[:, t]] + np.max(pairwise[ref[:, t]] + ahead, axis=1)
+            on = ~past[:, t + 1]  # the chains that go on after t
+            ahead = np.where(on_ref[on, t + 1], stay[on, t + 1, None], gone[on, t + 1])
+            gone[on, t] = unary[on, t] + np.max(pairwise[None] + gone[on, t + 1][:, None], axis=2)
+            stay[on, t] += np.max(pairwise[ref[on, t]] + ahead, axis=1)
         paths = np.empty((n, length), dtype=int)
         still = np.ones(n, dtype=bool)  # whether the path so far is ref's
         for t in range(length):
             ahead = np.where(still[:, None] & on_ref[:, t], stay[:, t, None], gone[:, t])
             paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + ahead if t else ahead, axis=1)
             still &= on_ref[rows, t, paths[:, t]]
+        paths[past] = -1
         return paths
 
     def _is_stack(self, xs, ndim=3):
-        """Whether ``xs`` is one ``(n, T, d)`` float stack of inputs of one
-        length (or, with ``ndim=2``, one input) to be read as it is."""
+        """Whether ``xs`` is an ``(n, T, d)`` float stack (``ndim=2``: one input) read as it is."""
         return (isinstance(xs, np.ndarray) and xs.dtype == float and xs.ndim == ndim
                 and xs.shape[-2] >= 1 and xs.shape[-1] == self.input_dim)
 
-    def _by_length(self, xs, solve, width=None):
-        """Codes ``width`` labels wide (default: the longest input's length)
-        of every input's label path. Calls ``solve(idx, X)`` once per length,
-        ``X`` stacking the inputs ``idx`` into ``(n, T, d)``; it returns their
-        ``(n, T)`` label paths. A stack is one group, read as it is."""
+    def _stack(self, xs):
+        """``(X, lengths)`` of the inputs ``xs``: a stack as it is; a list zero-padded
+        to its longest input, its ``(T, d)`` float arrays taken as they are and
+        any other input read, and so checked, by :meth:`_as_seq_input`."""
         if self._is_stack(xs):
-            xs = np.ascontiguousarray(xs)
-            lengths = np.full(len(xs), xs.shape[1])
-        else:
-            xs = [x if self._is_stack(x, ndim=2) else self._as_seq_input(x) for x in xs]
-            lengths = np.array([x.shape[0] for x in xs], dtype=int)
-        M = np.full((len(xs), int(lengths.max(initial=1)) if width is None else width), -1)
-        for length in sorted(set(lengths.tolist())):  # a plain np.unique imports numpy.ma
-            idx = np.flatnonzero(lengths == length)
-            X = xs if isinstance(xs, np.ndarray) else np.stack([xs[i] for i in idx])
-            M[idx, : X.shape[1]] = solve(idx, X)
-        return _records(M)
+            return np.ascontiguousarray(xs), np.full(len(xs), xs.shape[1])
+        xs = [x if self._is_stack(x, ndim=2) else self._as_seq_input(x) for x in xs]
+        lengths = np.fromiter(map(len, xs), dtype=int, count=len(xs))
+        X = np.zeros((len(xs), int(lengths.max(initial=1)), self.input_dim))
+        X[np.arange(X.shape[1]) < lengths[:, None]] = np.concatenate(xs) if xs else 0.0
+        return X, lengths
 
     @staticmethod
-    def _cut(M, lengths, idx, length, what):
-        """Rows ``idx`` of the label matrix ``M``, outputs of ``length``."""
-        if (lengths[idx] != length).any():
+    def _cut(M, lm, lengths, width, what):
+        """``M`` at ``width`` columns; ContractViolation unless its lengths ``lm`` match."""
+        if not np.array_equal(lm, lengths):
             raise ContractViolation(f"{what} length does not match the input")
-        return M[idx, :length]
+        return _to_width(M, width)
 
     def argmax_score_all(self, w, xs):
         pairwise, emit = self._weight_tables(w)
-        return self._by_length(xs, lambda idx, X: self._best_paths(X @ emit.T, pairwise))
+        X, lengths = self._stack(xs)
+        return _records(self._best_paths(X @ emit.T, pairwise, lengths))
 
     def argmax_loss_augmented_all(self, w, xs, zs):
         zs, lz = self._labels(zs)
         pairwise, emit = self._weight_tables(w)
-
-        def solve(idx, X):
-            n, length, _ = X.shape
-            Z = self._cut(zs, lz, idx, length, "reference output")
-            if self.loss == "zero-one":
-                return self._best_paths_off(X @ emit.T, pairwise, Z)
+        X, lengths = self._stack(xs)
+        n, length, _ = X.shape
+        Z = self._cut(zs, lz, lengths, length, "reference output")
+        if self.loss == "zero-one":
+            paths = self._best_paths_off(X @ emit.T, pairwise, Z, lengths)
+        else:
             aug = X @ emit.T + 1.0
             aug[np.arange(n)[:, None], np.arange(length), Z] -= 1.0  # no reward for matches
-            return self._best_paths(aug, pairwise)
-
-        return self._by_length(xs, solve, zs.shape[1])
+            paths = self._best_paths(aug, pairwise, lengths)
+        return _records(_to_width(paths, zs.shape[1]))
 
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
-        if c1 <= 0:
-            raise ContractViolation(f"c1 must be positive, got {c1}")
-        owner, weight, outputs = neighbors
+        owner, weight, outputs = _slack_terms(len(xs), neighbors, c1)
         (upsilons, lu), (outputs, lo) = self._labels(upsilons), self._labels(outputs)
         pairwise, emit = self._weight_tables(w)
-        owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
         if self.loss == "zero-one" and weight.min(initial=0.0) < 0:
             raise ContractViolation(
                 f"zero-one slack needs neighbor weights >= 0, got {weight.min()}")
+        X, lengths = self._stack(xs)
+        n, length, _ = X.shape
         # slot of every term among its owner's terms, in term order
         order = np.argsort(owner, kind="stable")
         slot = np.empty_like(owner)
         slot[order] = np.arange(len(owner)) - np.searchsorted(owner[order], owner[order])
-
-        def solve(idx, X):
-            n, length, _ = X.shape
-            mine = np.flatnonzero(np.isin(owner, idx))
-            at = (np.searchsorted(idx, owner[mine]), slot[mine])
-            # slot s holds every point's s-th term; zero weight pads the rest
-            W = np.zeros((n, int(slot[mine].max(initial=-1)) + 1))
-            W[at] = weight[mine]
-            Z = np.zeros(W.shape + (length,), dtype=int)
-            Z[at] = self._cut(outputs, lo, mine, length, "neighbor output")
-            U = self._cut(upsilons, lu, idx, length, "upsilon")
-            if self.loss == "zero-one":
-                return self._cheapest(X @ emit.T, pairwise, U, W, Z, c1)
+        U = self._cut(upsilons, lu, lengths, length, "upsilon")
+        # slot s holds every point's s-th term; zero weight pads the rest, with
+        # label-0 paths of the point's own length (-1 past its end, as U)
+        W = np.zeros((n, int(slot.max(initial=-1)) + 1))
+        W[owner, slot] = weight
+        Z = np.repeat(np.minimum(U, 0)[:, None], W.shape[1], axis=1)
+        Z[owner, slot] = self._cut(outputs, lo, lengths[owner], length, "neighbor output")
+        if self.loss == "zero-one":
+            paths = self._cheapest(X @ emit.T, pairwise, U, W, Z, c1, lengths)
+        else:
             # position-wise costs: neighbor disagreement + model score + upsilon loss,
             # the neighbor terms added one slot at a time as in a per-point loop
             at_label = (np.arange(n)[:, None], np.arange(length))
@@ -607,18 +594,18 @@ class ChainSequenceSpace(OutputSpace):
             with np.errstate(over="ignore", invalid="ignore"):
                 cost += c1 * (1.0 - X @ emit.T)
                 cost[at_label + (U,)] -= c1
-                return self._best_paths(-cost, c1 * pairwise)
+                paths = self._best_paths(-cost, c1 * pairwise, lengths)
+        return _records(_to_width(paths, upsilons.shape[1]))
 
-        return self._by_length(xs, solve, upsilons.shape[1])
-
-    def _cheapest(self, unary, pairwise, U, W, Z, c1):
-        """Zero-one slack minimizers of one length group from the upsilons
-        ``U`` and the neighbor weights ``W`` and outputs ``Z`` by slot. With
-        weights >= 0 only these or the best path ``y*`` can win: any other
-        ``y`` costs ``c1 * (s(y*) - s(y)) >= 0``, plus what ``y*`` saves by
-        matching some, more than ``y*``, and ties only as a later path."""
+    def _cheapest(self, unary, pairwise, U, W, Z, c1, lengths):
+        """Zero-one slack minimizers from the upsilons ``U`` and the neighbor
+        weights ``W`` and outputs ``Z`` by slot. With weights >= 0 only these
+        or the best path ``y*`` can win: any other ``y`` costs ``c1 * (s(y*)
+        - s(y)) >= 0``, plus what ``y*`` saves by matching some, more than
+        ``y*``, and ties only as a later path."""
         n, length, _ = unary.shape
-        C = np.concatenate((self._best_paths(unary, pairwise)[:, None], U[:, None], Z), axis=1)
+        best = self._best_paths(unary, pairwise, lengths)
+        C = np.concatenate((best[:, None], U[:, None], Z), axis=1)  # -1 past each end
         flat = C.reshape(-1, length)
         # rank of each candidate in lexicographic order; equal paths share one
         order = np.lexsort(flat.T[::-1])
@@ -629,6 +616,8 @@ class ChainSequenceSpace(OutputSpace):
         acc = np.zeros(rank.shape)
         for s in range(W.shape[1]):  # in term order, as a per-point loop
             acc += W[:, s, None] * differ[:, :, 2 + s]
+        # a spare label of zeros: -1 past each end adds 0.0 to the sums
+        unary, pairwise = np.pad(unary, ((0, 0), (0, 0), (0, 1))), np.pad(pairwise, (0, 1))
         score = (unary[np.arange(n)[:, None, None], np.arange(length), C].sum(axis=2)
                  + pairwise[C[..., :-1], C[..., 1:]].sum(axis=2))
         # a huge c1 takes costs past the float range (see OutputSpace.argmin_slack_all)
@@ -650,8 +639,7 @@ class ChainSequenceSpace(OutputSpace):
         matrix padded with -1 to the wider one's width."""
         (M1, l1), (M2, l2) = self._labels(ys1), self._labels(ys2)
         width = max(M1.shape[1], M2.shape[1])
-        return [np.pad(M, ((0, 0), (0, width - M.shape[1])), constant_values=-1)
-                if M.shape[1] < width else M for M in (M1, M2)], (l1, l2)
+        return [_to_width(M, width) for M in (M1, M2)], (l1, l2)
 
     def delta_sum(self, ys1, ys2, weights=None):
         _check_pairs(ys1, ys2, weights)
@@ -671,17 +659,10 @@ class ChainSequenceSpace(OutputSpace):
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
         (Y, Z), (ly, lz) = self._matrices(ys, zs)
-        idx = np.flatnonzero((Y != Z).any(axis=1))  # equal pairs add exactly zero
+        idx = np.flatnonzero((Y != Z).any(axis=1))  # equal pairs add exactly zero, unread
         if not idx.size:
             return np.zeros(self.dim)
-        if self._is_stack(xs):
-            X = xs[idx]
-            lx = np.full(len(idx), X.shape[1])
-        else:  # each differing pair's input is read once, zero past its end
-            seqs = [self._as_seq_input(xs[i]) for i in idx.tolist()]
-            lx = np.fromiter(map(len, seqs), dtype=int, count=len(seqs))
-            X = np.zeros((len(seqs), lx.max(), self.input_dim))
-            X[np.arange(X.shape[1]) < lx[:, None]] = np.concatenate(seqs)
+        X, lx = self._stack(xs[idx] if self._is_stack(xs) else [xs[i] for i in idx.tolist()])
         ly, lz = ly[idx], lz[idx]
         bad = np.flatnonzero((ly != lx) | (lz != lx))
         if bad.size:
@@ -698,6 +679,24 @@ def _records(M):
     """Chain codes: the rows of the label matrix ``M`` as byte records."""
     M = np.ascontiguousarray(M, dtype=np.int64)
     return M.view(np.dtype((np.void, 8 * M.shape[1]))).ravel()
+
+
+def _to_width(M, width):
+    """The label matrix ``M`` cut, or padded with -1, to ``width`` columns."""
+    return np.pad(M[:, :width], ((0, 0), (0, max(0, width - M.shape[1]))), constant_values=-1)
+
+
+def _slack_terms(n, neighbors, c1):
+    """``argmin_slack_all``'s ``neighbors``, owners and weights as arrays; ContractViolation
+    unless ``c1 > 0`` and every owner indexes one of ``n`` points (naming the first)."""
+    if c1 <= 0:
+        raise ContractViolation(f"c1 must be positive, got {c1}")
+    owner, weight, outputs = neighbors
+    owner = np.asarray(owner, dtype=int)
+    bad = owner[(owner < 0) | (owner >= n)]
+    if bad.size:
+        raise ContractViolation(f"neighbor term owner {bad[0]} is not an index into {n} points")
+    return owner, np.asarray(weight, dtype=float), outputs
 
 
 def _check_pairs(ys1, ys2, weights):

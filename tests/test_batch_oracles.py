@@ -216,6 +216,18 @@ def test_chain_whole_array_oracles_match_brute_force(loss):
 
 
 @pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_chain_slack_answers_inputs_longer_than_every_neighbor_output(loss):
+    # only the short chain has neighbor terms, so the neighbor codes are
+    # narrower than the long chain
+    rng = np.random.default_rng(239)
+    space = ChainSequenceSpace(3, 2, loss=loss)
+    X = [rng.standard_normal((t, 2)) for t in (2, 5)]
+    w = rng.standard_normal(space.dim)
+    ups = [_chain_draw(rng, space, len(x)) for x in X]
+    neighbors = [[(0.5, _chain_draw(rng, space, 2)), (0.25, _chain_draw(rng, space, 2))], []]
+    _check_oracles(space, w, X, ups, ups, neighbors, 0.7)
+
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
 def test_chain_ties_break_toward_the_smallest_sequence(loss):
     space = ChainSequenceSpace(3, 1, loss=loss)
     w = np.zeros(space.dim)
@@ -261,6 +273,26 @@ def test_chain_zero_one_whole_array_forms_answer_long_chains():
         (0, 1), (0,) * 12 + (1,)]
     assert space.from_codes(space.argmin_slack_all(w, X, ys, ([], [], []), 1.0)) == ys
     assert space.from_codes(space.argmax_score_all(w, X)) == ys
+
+
+_SLACK_SPACES = [MulticlassSpace(3, 2), ChainSequenceSpace(3, 2, loss="hamming"),
+                 ChainSequenceSpace(3, 2, loss="zero-one")]
+
+
+@pytest.mark.parametrize("bad", [3, -1], ids=["past-the-end", "negative"])
+@pytest.mark.parametrize("space", _SLACK_SPACES,
+                         ids=["multiclass", "chain-hamming", "chain-zero-one"])
+def test_slack_refuses_a_neighbor_owner_outside_the_points(space, bad):
+    rng = np.random.default_rng(233)
+    shape = (3, 2) if space.kind == "multiclass" else (3, 4, 2)
+    xs = rng.standard_normal(shape)
+    ys = [space.random_output(x, rng) for x in xs]
+    w = rng.standard_normal(space.dim)
+    terms = ([0, bad, 1, 2 - bad], [0.5] * 4, ys + ys[:1])  # bad, then the other bad owner
+    with pytest.raises(ContractViolation, match=f"^neighbor term owner {bad} is not an index"):
+        space.argmin_slack_all(w, xs, ys, terms, 1.0)
+    with pytest.raises(ContractViolation, match=f"owner {bad} "):
+        space.argmin_slack_all(w, list(xs), ys, terms, 1.0)
 
 
 def _mismatched_sums():

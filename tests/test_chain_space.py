@@ -530,17 +530,18 @@ def test_the_oracles_read_list_inputs_of_the_space_without_rechecking_them(monke
     with monkeypatch.context() as m:
         m.setattr(ChainSequenceSpace, "_as_seq_input", counted)
         fit(ds, build_knn_graph(ds, k=4), space, SolverConfig(c1=0.5, max_iters=3))
-        assert callers and "_by_length" not in callers
+        assert callers and "_stack" not in callers
         w = np.zeros(space.dim)
         assert space.from_codes(space.argmax_score_all(w, [[[0.0, 1.0]]])) == [(0,)]
-        assert callers[-1] == "_by_length"
+        assert callers[-1] == "_stack"
         with pytest.raises(ContractViolation, match=r"expected \(T, 2\)"):
             space.argmax_score_all(w, [np.zeros((3, 2)), np.zeros((3, 3))])
 
 
 def test_the_feature_sum_reads_each_differing_input_once(monkeypatch):
-    """A list input is read by ``_as_seq_input`` once if its pair differs
-    and not at all if it does not; a stack is not read input by input."""
+    """A nested-list input is read by ``_as_seq_input`` once if its pair
+    differs and not at all if it does not; ``(T, d)`` float arrays in a list
+    and a stack are not read input by input."""
     rng = np.random.default_rng(89)
     space = ChainSequenceSpace(3, 2)
     xs = [rng.standard_normal((length, 2)) for length in (3, 5, 3, 4, 5, 2)]
@@ -551,16 +552,19 @@ def test_the_feature_sum_reads_each_differing_input_once(monkeypatch):
     as_seq_input, calls = ChainSequenceSpace._as_seq_input, []
 
     def counted(self, x):
-        calls.append(1)
+        calls.append(x)
         return as_seq_input(self, x)
 
+    nested = [x.tolist() for x in xs]
     X = rng.standard_normal((6, 4, 2))
     Y, Z = ([space.random_output(x, rng) for x in X] for _ in range(2))
     with monkeypatch.context() as m:
         m.setattr(ChainSequenceSpace, "_as_seq_input", counted)
-        got = space.phi_diff_sum(xs, ys, zs)
-        assert len(calls) == 2
+        got = space.phi_diff_sum(nested, ys, zs)
+        assert calls == [nested[1], nested[4]]
         calls.clear()
+        assert space.phi_diff_sum(xs, ys, zs).tobytes() == got.tobytes()
+        assert calls == []
         space.phi_diff_sum(X, Y, Z)
         assert calls == []
     assert got.tobytes() == _looped_sums(space, xs, ys, zs, [1.0] * 6)[1]
