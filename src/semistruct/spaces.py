@@ -474,16 +474,15 @@ class ChainSequenceSpace(OutputSpace):
     def _best_paths(unary, pairwise, lengths):
         """Max-sum path through each chain of an ``(n, T, a)`` unary stack, ``lengths`` long.
 
-        Runs the recursion backward then rebuilds every path greedily from
-        the front with first-argmax ties, so each returned row is the
-        lexicographically smallest maximizer, -1 past its end.
-        """
+        Runs the recursion backward then rebuilds every path greedily from the
+        front with first-argmax ties, so each returned row is the
+        lexicographically smallest maximizer, -1 past its end."""
         n, length, _ = unary.shape
         past = np.arange(length) >= lengths[:, None]
         best_to_go = unary.copy()  # at a chain's last position, its unary term alone
         for t in range(length - 2, -1, -1):
-            on = ~past[:, t + 1]  # the chains that go on after t
-            best_to_go[on, t] += np.max(pairwise[None] + best_to_go[on, t + 1][:, None], axis=2)
+            ahead = unary[:, t] + np.max(pairwise[None] + best_to_go[:, t + 1, None, :], axis=2)
+            best_to_go[:, t] = np.where(past[:, t + 1, None], unary[:, t], ahead)
         paths = np.empty((n, length), dtype=int)
         paths[:, 0] = np.argmax(best_to_go[:, 0], axis=1)
         for t in range(1, length):
@@ -502,11 +501,12 @@ class ChainSequenceSpace(OutputSpace):
         rows, past = np.arange(n), np.arange(length) >= lengths[:, None]
         on_ref = np.arange(unary.shape[2]) == ref[:, :, None]  # (n, T, a)
         gone, stay = unary + 1.0, unary[rows[:, None], np.arange(length), ref]
-        for t in range(length - 2, -1, -1):
-            on = ~past[:, t + 1]  # the chains that go on after t
-            ahead = np.where(on_ref[on, t + 1], stay[on, t + 1, None], gone[on, t + 1])
-            gone[on, t] = unary[on, t] + np.max(pairwise[None] + gone[on, t + 1][:, None], axis=2)
-            stay[on, t] += np.max(pairwise[ref[on, t]] + ahead, axis=1)
+        for t in range(length - 2, -1, -1):  # at a chain's last position both keep their start
+            ahead = np.where(on_ref[:, t + 1], stay[:, t + 1, None], gone[:, t + 1])
+            gone[:, t] = np.where(past[:, t + 1, None], gone[:, t], unary[:, t] + np.max(
+                pairwise[None] + gone[:, t + 1, None, :], axis=2))
+            stay[:, t] = np.where(past[:, t + 1], stay[:, t],
+                                  stay[:, t] + np.max(pairwise[ref[:, t]] + ahead, axis=1))
         paths = np.empty((n, length), dtype=int)
         still = np.ones(n, dtype=bool)  # whether the path so far is ref's
         for t in range(length):
@@ -522,9 +522,8 @@ class ChainSequenceSpace(OutputSpace):
                 and xs.shape[-2] >= 1 and xs.shape[-1] == self.input_dim)
 
     def _stack(self, xs):
-        """``(X, lengths)`` of the inputs ``xs``: a stack as it is; a list zero-padded
-        to its longest input, its ``(T, d)`` float arrays taken as they are and
-        any other input read, and so checked, by :meth:`_as_seq_input`."""
+        """``(X, lengths)`` of the inputs ``xs``: a stack as it is, a list zero-padded to its
+        longest; items other than ``(T, d)`` float arrays are read by :meth:`_as_seq_input`."""
         if self._is_stack(xs):
             return np.ascontiguousarray(xs), np.full(len(xs), xs.shape[1])
         xs = [x if self._is_stack(x, ndim=2) else self._as_seq_input(x) for x in xs]
@@ -604,8 +603,7 @@ class ChainSequenceSpace(OutputSpace):
         - s(y)) >= 0``, plus what ``y*`` saves by matching some, more than
         ``y*``, and ties only as a later path."""
         n, length, _ = unary.shape
-        best = self._best_paths(unary, pairwise, lengths)
-        C = np.concatenate((best[:, None], U[:, None], Z), axis=1)  # -1 past each end
+        C = np.concatenate((self._best_paths(unary, pairwise, lengths)[:, None], U[:, None], Z), 1)
         flat = C.reshape(-1, length)
         # rank of each candidate in lexicographic order; equal paths share one
         order = np.lexsort(flat.T[::-1])
@@ -683,7 +681,9 @@ def _records(M):
 
 def _to_width(M, width):
     """The label matrix ``M`` cut, or padded with -1, to ``width`` columns."""
-    return np.pad(M[:, :width], ((0, 0), (0, max(0, width - M.shape[1]))), constant_values=-1)
+    out = np.full((len(M), width), -1)
+    out[:, : M.shape[1]] = M[:, :width]
+    return out
 
 
 def _slack_terms(n, neighbors, c1):

@@ -227,6 +227,7 @@ def test_chain_slack_answers_inputs_longer_than_every_neighbor_output(loss):
     neighbors = [[(0.5, _chain_draw(rng, space, 2)), (0.25, _chain_draw(rng, space, 2))], []]
     _check_oracles(space, w, X, ups, ups, neighbors, 0.7)
 
+
 @pytest.mark.parametrize("loss", ["hamming", "zero-one"])
 def test_chain_ties_break_toward_the_smallest_sequence(loss):
     space = ChainSequenceSpace(3, 1, loss=loss)
