@@ -464,19 +464,21 @@ class ChainSequenceSpace(OutputSpace):
 
     # --- dynamic programs, one masked pass over a padded stack ---------------
 
-    def _weight_tables(self, w):
-        """Transition matrix ``(a, a)`` and per-label emission weights ``(a, d)``."""
-        w = as_weights(w, self.dim)
-        a = self.num_labels
-        return w[: a * a].reshape(a, a), w[a * a :].reshape(a, self.input_dim)
+    def _unary(self, w, xs):
+        """``(unary, pairwise, lengths)``: the ``(n, T, a)`` emission scores of the
+        :meth:`_stack` of ``xs``, the ``(a, a)`` transition weights, each input's length."""
+        w, a = as_weights(w, self.dim), self.num_labels
+        X, lengths = self._stack(xs)
+        return X @ w[a * a :].reshape(a, self.input_dim).T, w[: a * a].reshape(a, a), lengths
 
     @staticmethod
     def _best_paths(unary, pairwise, lengths):
         """Max-sum path through each chain of an ``(n, T, a)`` unary stack, ``lengths`` long.
 
-        Runs the recursion backward then rebuilds every path greedily from the
-        front with first-argmax ties, so each returned row is the
-        lexicographically smallest maximizer, -1 past its end."""
+        Runs the recursion backward then rebuilds every path greedily from
+        the front with first-argmax ties, so each returned row is the
+        lexicographically smallest maximizer, -1 past its end.
+        """
         n, length, _ = unary.shape
         past = np.arange(length) >= lengths[:, None]
         best_to_go = unary.copy()  # at a chain's last position, its unary term alone
@@ -501,9 +503,9 @@ class ChainSequenceSpace(OutputSpace):
         rows, past = np.arange(n), np.arange(length) >= lengths[:, None]
         on_ref = np.arange(unary.shape[2]) == ref[:, :, None]  # (n, T, a)
         gone, stay = unary + 1.0, unary[rows[:, None], np.arange(length), ref]
-        for t in range(length - 2, -1, -1):  # at a chain's last position both keep their start
+        for t in range(length - 2, -1, -1):  # at a chain's last position: gone its 1, stay as is
             ahead = np.where(on_ref[:, t + 1], stay[:, t + 1, None], gone[:, t + 1])
-            gone[:, t] = np.where(past[:, t + 1, None], gone[:, t], unary[:, t] + np.max(
+            gone[:, t] = unary[:, t] + np.where(past[:, t + 1, None], 1.0, np.max(
                 pairwise[None] + gone[:, t + 1, None, :], axis=2))
             stay[:, t] = np.where(past[:, t + 1], stay[:, t],
                                   stay[:, t] + np.max(pairwise[ref[:, t]] + ahead, axis=1))
@@ -517,7 +519,8 @@ class ChainSequenceSpace(OutputSpace):
         return paths
 
     def _is_stack(self, xs, ndim=3):
-        """Whether ``xs`` is an ``(n, T, d)`` float stack (``ndim=2``: one input) read as it is."""
+        """Whether ``xs`` is one ``(n, T, d)`` float stack of inputs of one
+        length (or, with ``ndim=2``, one input) to be read as it is."""
         return (isinstance(xs, np.ndarray) and xs.dtype == float and xs.ndim == ndim
                 and xs.shape[-2] >= 1 and xs.shape[-1] == self.input_dim)
 
@@ -540,20 +543,17 @@ class ChainSequenceSpace(OutputSpace):
         return _to_width(M, width)
 
     def argmax_score_all(self, w, xs):
-        pairwise, emit = self._weight_tables(w)
-        X, lengths = self._stack(xs)
-        return _records(self._best_paths(X @ emit.T, pairwise, lengths))
+        return _records(self._best_paths(*self._unary(w, xs)))
 
     def argmax_loss_augmented_all(self, w, xs, zs):
         zs, lz = self._labels(zs)
-        pairwise, emit = self._weight_tables(w)
-        X, lengths = self._stack(xs)
-        n, length, _ = X.shape
+        unary, pairwise, lengths = self._unary(w, xs)
+        n, length, _ = unary.shape
         Z = self._cut(zs, lz, lengths, length, "reference output")
         if self.loss == "zero-one":
-            paths = self._best_paths_off(X @ emit.T, pairwise, Z, lengths)
+            paths = self._best_paths_off(unary, pairwise, Z, lengths)
         else:
-            aug = X @ emit.T + 1.0
+            aug = unary + 1.0
             aug[np.arange(n)[:, None], np.arange(length), Z] -= 1.0  # no reward for matches
             paths = self._best_paths(aug, pairwise, lengths)
         return _records(_to_width(paths, zs.shape[1]))
@@ -561,12 +561,11 @@ class ChainSequenceSpace(OutputSpace):
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
         owner, weight, outputs = _slack_terms(len(xs), neighbors, c1)
         (upsilons, lu), (outputs, lo) = self._labels(upsilons), self._labels(outputs)
-        pairwise, emit = self._weight_tables(w)
         if self.loss == "zero-one" and weight.min(initial=0.0) < 0:
             raise ContractViolation(
                 f"zero-one slack needs neighbor weights >= 0, got {weight.min()}")
-        X, lengths = self._stack(xs)
-        n, length, _ = X.shape
+        unary, pairwise, lengths = self._unary(w, xs)
+        n, length, _ = unary.shape
         # slot of every term among its owner's terms, in term order
         order = np.argsort(owner, kind="stable")
         slot = np.empty_like(owner)
@@ -579,7 +578,7 @@ class ChainSequenceSpace(OutputSpace):
         Z = np.repeat(np.minimum(U, 0)[:, None], W.shape[1], axis=1)
         Z[owner, slot] = self._cut(outputs, lo, lengths[owner], length, "neighbor output")
         if self.loss == "zero-one":
-            paths = self._cheapest(X @ emit.T, pairwise, U, W, Z, c1, lengths)
+            paths = self._cheapest(unary, pairwise, U, W, Z, c1, lengths)
         else:
             # position-wise costs: neighbor disagreement + model score + upsilon loss,
             # the neighbor terms added one slot at a time as in a per-point loop
@@ -591,7 +590,7 @@ class ChainSequenceSpace(OutputSpace):
             # as in FiniteLabelSpace, a huge c1 takes costs past the float range
             # (+-inf, and nan where two infinities meet in the recursion)
             with np.errstate(over="ignore", invalid="ignore"):
-                cost += c1 * (1.0 - X @ emit.T)
+                cost += c1 * (1.0 - unary)
                 cost[at_label + (U,)] -= c1
                 paths = self._best_paths(-cost, c1 * pairwise, lengths)
         return _records(_to_width(paths, upsilons.shape[1]))
@@ -603,7 +602,8 @@ class ChainSequenceSpace(OutputSpace):
         - s(y)) >= 0``, plus what ``y*`` saves by matching some, more than
         ``y*``, and ties only as a later path."""
         n, length, _ = unary.shape
-        C = np.concatenate((self._best_paths(unary, pairwise, lengths)[:, None], U[:, None], Z), 1)
+        best = self._best_paths(unary, pairwise, lengths)
+        C = np.concatenate((best[:, None], U[:, None], Z), axis=1)  # -1 past each end
         flat = C.reshape(-1, length)
         # rank of each candidate in lexicographic order; equal paths share one
         order = np.lexsort(flat.T[::-1])
