@@ -14,12 +14,16 @@ The inputs are written once, by this checkout's ``perfbench/inputs.py``
 workloads for each of ``SEEDS`` (0, 1 and 2), plus two 60-point chain sets
 per seed with every third point unlabeled: one for the zero-one loss, and
 one of chains of two lengths, read as a list of inputs and run under the
-Hamming and the zero-one loss alike. Then, for
+Hamming and the zero-one loss alike; and one 60-point multiclass set with
+duplicated inputs, on which ``cv`` and ``sweep`` need a fold graph that a
+search of the whole set's ``2k`` nearest does not give (see
+:func:`_write_duplicates`). Then, for
 each source tree, one child process runs every command through
 ``semistruct.cli.main``: ``synth`` for each space with default flags; per
 input set, ``fit --dump-graph``, ``cv`` and ``baseline`` with both
 ``--z-init`` values, and ``predict`` with each fitted model; and one
-two-value ``sweep`` of ``c1`` on the first input set. Every file the commands write is compared byte for
+two-value ``sweep`` of ``c1`` on the first input set and on each duplicated
+one. Every file the commands write is compared byte for
 byte, except that ``report.json`` is compared with its ``seconds`` fields
 dropped; each command's exit code is compared too. Stdout is not compared,
 since it holds wall times.
@@ -128,6 +132,31 @@ def _write_mixed_length_chains(seed, out):
                          out / "heldout.jsonl", space)
 
 
+def _write_duplicates(seed, out):
+    """60 training points (every third unlabeled) and 20 held-out ones, 3
+    classes in 2-D. The six points of the first test fold of ``cv --seed
+    seed`` share one input, and one point of another fold lies 1e-3 from it.
+    At ``--k 5``, one less than the fold size, that point's ten nearest in
+    the whole set hold all six, so in the first fold it has only four
+    training neighbours among them."""
+    from semistruct import data_io
+    from semistruct.core import DataPoint, Dataset
+    from semistruct.spaces import MulticlassSpace
+
+    blobs = data_io.synth_blobs(3, 27, 2, 0.5, seed)
+    X, ys = np.array(blobs.inputs[:80]), blobs.outputs[:80]
+    fold_of = np.array(data_io.make_folds(Dataset.from_arrays(X[:60], ys[:60]), seed).fold_of)
+    first, other = np.flatnonzero(fold_of == 0), np.flatnonzero(fold_of == 1)[0]
+    X[first] = X[first[0]]
+    X[other] = X[first[0]] + 1e-3
+    out.mkdir(parents=True, exist_ok=True)
+    space = MulticlassSpace(3, 2)
+    data_io.save_dataset(Dataset(DataPoint(i, X[i], None if i % 3 == 2 else ys[i])
+                                 for i in range(60)), out / "train.jsonl", space)
+    data_io.save_dataset(Dataset(DataPoint(i, x) for i, x in enumerate(X[60:])),
+                         out / "heldout.jsonl", space)
+
+
 def write_cases(inputs, data, seeds=SEEDS):
     """Write every input set of ``seeds`` under ``data``; returns ``(name,
     dir, flags, graph)`` per set, ``flags`` being the space and solver flags
@@ -160,6 +189,11 @@ def write_cases(inputs, data, seeds=SEEDS):
         cases.append((f"mixed-lengths-{seed}", where, flags, ["--k", "4"]))
         cases.append((f"mixed-lengths-zero-one-{seed}", where,
                       [*flags, "--loss", "zero-one"], ["--k", "4"]))
+        where = data / f"duplicates-{seed}"
+        _write_duplicates(seed, where)
+        cases.append((f"duplicates-{seed}", where, [
+            "--space", "multiclass", "--classes", "3", "--c1", "0.5", "--c2", "1.0",
+            "--iters", "5", "--seed", str(seed)], ["--k", "5"]))
     return cases
 
 
@@ -178,9 +212,10 @@ def commands(cases):
                           "--out", f"{tag}/predict"])
             calls.append(["cv", "--data", train, *both, *graph, "--out", f"{tag}/cv"])
             calls.append(["baseline", "--data", train, *both, "--out", f"{tag}/baseline"])
-    name, where, flags, graph = cases[0]
-    calls.append(["sweep", "--param", "c1", "--values", "0.5,2", "--data",
-                  str(where / "train.jsonl"), *flags, *graph, "--out", f"{name}/sweep"])
+    for name, where, flags, graph in [cases[0], *(c for c in cases[1:]
+                                                   if c[0].startswith("duplicates-"))]:
+        calls.append(["sweep", "--param", "c1", "--values", "0.5,2", "--data",
+                      str(where / "train.jsonl"), *flags, *graph, "--out", f"{name}/sweep"])
     return calls
 
 
