@@ -6,6 +6,11 @@ seven. Each run reports the inductive test score (predictions of the
 learned weights on the held-out fold) and the transductive score (the final
 slack outputs against the masked ground truth).
 
+The folds' training splits are subsets of one point set, so one
+neighbor search of that set serves every fold's graph
+(:class:`~semistruct.graph.SubsetGraphs`), and a sweep shares it across all
+its values.
+
 Wall-clock timings live only on the in-memory report; serialized reports
 and traces contain no volatile fields, so repeated seeded runs are
 byte-identical.
@@ -23,7 +28,7 @@ import numpy as np
 from .core import Dataset, take_inputs, validate_dataset
 from .data_io import NUM_FOLDS, make_folds, mask_labels
 from .errors import ContractViolation, Diverged, SemistructError
-from .graph import NeighborGraph, build_knn_graph
+from .graph import NeighborGraph, SubsetGraphs
 from .solver import SolverConfig, config_echo, fit
 
 SWEEP_PARAMS = ("c1", "c2")
@@ -137,7 +142,8 @@ def trace_csv(trace) -> str:
 def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> EvalReport:
     """Ten-fold run shared by the learner and its baseline.
 
-    Per fold, ``prepare(split)`` returns the training set and graph, and
+    Per fold, ``prepare(split, train)`` returns the training set and graph,
+    ``train`` holding the ids of the training split's points, and
     ``transductive(state, split, ids)`` the fit's outputs for the masked
     train points ``ids``. The test score covers the labeled points of the
     test fold; a fold without one (or without a labeled masked point) has no
@@ -149,6 +155,7 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
     if not valid.ok:
         raise ContractViolation("invalid dataset: " + "; ".join(valid.violations))
     plan = make_folds(ds, seed)
+    fold_of = np.asarray(plan.fold_of)
     report = EvalReport(method, space.kind, seed, config_echo(cfg), graph)
     for run in range(NUM_FOLDS):
         split = mask_labels(ds, plan, run)
@@ -160,7 +167,7 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
         start = time.perf_counter()
         fold = FoldResult(fold=run)
         try:
-            train, g = prepare(split)
+            train, g = prepare(split, np.flatnonzero(fold_of != run))
             state = fit(train, g, space, cfg)
         except Diverged as e:
             fold.diverged = True
@@ -190,13 +197,20 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
 def run_cv(ds, space, cfg: SolverConfig, k=5, sigma=None, seed=0) -> EvalReport:
     """Ten-fold cross validation of the graph-regularized learner.
 
-    Per fold: mask, build the neighbor graph over the train inputs, fit,
+    Per fold: mask, take the neighbor graph over the train inputs, fit,
     then score the test fold inductively and the masked points
-    transductively, by their final slack outputs.
+    transductively, by their final slack outputs. Each fold's graph is
+    ``build_knn_graph(split.train, k, sigma)``, read off one search of the
+    whole set, which runs at the first fold that needs a graph.
     """
+    return _cv(ds, space, cfg, k, sigma, seed, SubsetGraphs(ds.inputs, k))
+
+
+def _cv(ds, space, cfg, k, sigma, seed, graphs) -> EvalReport:
+    """:func:`run_cv` with the fold graphs taken from ``graphs``."""
     return _fold_loop(
         ds, space, cfg, seed, "graph-regularized", {"k": k, "sigma": sigma},
-        prepare=lambda split: (split.train, build_knn_graph(split.train, k, sigma)),
+        prepare=lambda split, train: (split.train, graphs.graph(train, split.train, sigma)),
         transductive=lambda state, split, ids: [state.z[i] for i in ids],
     )
 
@@ -211,7 +225,7 @@ def run_baseline_supervised(ds, space, cfg: SolverConfig, seed=0) -> EvalReport:
     them.
     """
 
-    def prepare(split):
+    def prepare(split, train):
         labeled = np.flatnonzero(split.train.labeled)
         train = Dataset.from_arrays(take_inputs(split.train.inputs, labeled),
                                     [split.train.outputs[i] for i in labeled.tolist()],
@@ -241,17 +255,18 @@ def sweep(param, values, ds, space, base_cfg: SolverConfig,
     ``param`` is "c1" or "c2". A value whose run fails with a package error
     (an invalid setting, say) is recorded and the sweep continues; any other
     exception propagates. Note a swept c2 also moves the default step
-    size, which stays at 1 / c2 unless the base config pins eta.
+    size, which stays at 1 / c2 unless the base config pins eta. Every
+    value's cross validation reads its fold graphs off one neighbor search.
     """
     if param not in SWEEP_PARAMS:
         raise ContractViolation(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
     if not values:
         raise ContractViolation("sweep needs at least one value")
-    rows = []
+    rows, graphs = [], SubsetGraphs(ds.inputs, k)
     for v in values:
         cfg = replace(base_cfg, **{param: float(v)})
         try:
-            rep = run_cv(ds, space, cfg, k=k, sigma=sigma, seed=seed)
+            rep = _cv(ds, space, cfg, k, sigma, seed, graphs)
             rows.append(SweepRow(float(v), rep.mean_test_asl, rep.failure))
         except SemistructError as e:  # keep sweeping past bad configurations
             rows.append(SweepRow(float(v), None, str(e)))

@@ -17,6 +17,12 @@ k-th smallest stays a candidate (see :func:`_candidates`). The squared
 distances it returns, and so every edge weight and the default ``sigma``,
 are computed for the candidates in the direct form
 ``((a - b) ** 2).sum(-1)``.
+
+Cross validation builds one graph per training split. :class:`SubsetGraphs`
+derives them all, bit for bit as :func:`build_knn_graph` would build each,
+from one search of the whole set for every point's ``2k`` nearest: a split's
+lists are the whole set's with the other points struck out, and a row left
+with fewer than ``k`` is searched again within the split.
 """
 
 from __future__ import annotations
@@ -47,14 +53,15 @@ def point_vector(x):
 
 def point_matrix(xs):
     """Point vectors of the inputs ``xs`` stacked into one ``n x d`` array;
-    an ``n x d`` float matrix of flat inputs is its own.
+    an ``n x d`` float matrix of flat inputs is its own, and an ``(n, T, d)``
+    float stack of sequences is averaged over its positions at once.
 
     Raises ContractViolation unless every vector is flat, of one length and
     finite, with squared distances far from overflow; errors name the point
     by its position (its id in a dataset).
     """
-    if isinstance(xs, np.ndarray) and xs.ndim == 2 and xs.dtype == float:
-        X = xs
+    if isinstance(xs, np.ndarray) and xs.ndim in (2, 3) and xs.dtype == float:
+        X = xs if xs.ndim == 2 else xs.mean(axis=1)  # a stack: each point's own mean
     else:
         vectors = [point_vector(x) for x in xs]
         shapes = {v.shape for v in vectors}
@@ -194,17 +201,27 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
     is set to the median squared distance over the selected edges, falling
     back to 1 when that median is zero (duplicate-heavy data).
     """
-    n = len(ds)
+    kk = _edges_per_node(len(ds), k, sigma)
+    X = point_matrix(ds.inputs)
+    return _weighted(X, k, sigma, *k_nearest(X, X, kk, skip_self=True))
+
+
+def _edges_per_node(n, k, sigma):
+    """``min(k, n - 1)``; ContractViolation for the arguments no graph is built from."""
     if n < 2:
         raise ContractViolation(f"need at least 2 points to build a graph, got {n}")
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
     if sigma is not None and not 0 < sigma < math.inf:  # also false for nan
         raise ContractViolation(f"sigma must be positive and finite, got {sigma}")
+    return min(k, n - 1)
 
-    kk = min(k, n - 1)
-    X = point_matrix(ds.inputs)
-    dst, edge_d2 = k_nearest(X, X, kk, skip_self=True)
+
+def _weighted(X, k, sigma, dst, edge_d2) -> NeighborGraph:
+    """The graph over the points ``X`` whose row ``i`` of ``dst`` lists i's
+    neighbors, ``edge_d2`` their squared distances; ``sigma`` as in
+    :func:`build_knn_graph`."""
+    n, kk = dst.shape
     src = np.repeat(np.arange(n), kk)
     dst, edge_d2 = dst.ravel(), edge_d2.ravel()
 
@@ -222,6 +239,58 @@ def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
             f"(smallest squared edge distance {edge_d2.min():g})")
     return NeighborGraph(n=n, k=k, sigma=float(sigma), src=src, dst=dst, weight=weight,
                          points=X)
+
+
+class SubsetGraphs:
+    """:func:`build_knn_graph` of subsets of the point set ``inputs``, from one search.
+
+    ``graph(ids, sub, sigma)`` returns ``build_knn_graph(sub, k, sigma)``,
+    equal in every array, for the dataset ``sub`` of the points ``ids``
+    (increasing) of the set, and raises what that call raises. The first call
+    that gets past the argument checks runs one :func:`k_nearest` of the
+    whole set for every point's ``min(2k, n - 1)`` nearest, and only those
+    ``(n, 2k)`` lists are kept. Each call then keeps, per point of ``ids``,
+    the first ``min(k, len(ids) - 1)`` neighbors that lie in ``ids``,
+    renumbered by their place in it; since that place grows with the id, the
+    ``(d2, id)`` order holds. A point left with fewer is searched again
+    within the subset. A set holding a point unfit for distances (see
+    :func:`point_matrix`) is never searched whole: each subset then builds
+    its own graph.
+    """
+
+    def __init__(self, inputs, k):
+        self.inputs, self.k = inputs, k
+        self._search = None  # the whole set's (X, ids, d2), once found
+
+    def graph(self, ids, sub, sigma=None) -> NeighborGraph:
+        kk = _edges_per_node(len(sub), self.k, sigma)
+        if self._search is None:
+            try:
+                X = point_matrix(self.inputs)
+            except ContractViolation:  # raised, or not, as for the subset alone
+                return build_knn_graph(sub, self.k, sigma)
+            self._search = (X, *k_nearest(X, X, min(2 * self.k, len(X) - 1), skip_self=True))
+        X, near, near_d2 = self._search
+        place = np.full(len(X), -1)
+        place[ids] = np.arange(len(ids))
+        cand = place[near[ids]]
+        keep = _first(cand >= 0, kk)
+        short = keep.sum(axis=1) < kk
+        keep[short] = False
+        dst, d2 = np.empty((len(ids), kk), dtype=int), np.empty((len(ids), kk))
+        dst[~short], d2[~short] = cand[keep].reshape(-1, kk), near_d2[ids][keep].reshape(-1, kk)
+        X = X[ids]
+        if short.any():
+            rows = np.flatnonzero(short)
+            again, again_d2 = k_nearest(X[rows], X, kk + 1)
+            own = _first(again != rows[:, None], kk)  # the row itself struck out
+            dst[rows], d2[rows] = again[own].reshape(-1, kk), again_d2[own].reshape(-1, kk)
+        return _weighted(X, self.k, sigma, dst, d2)
+
+
+def _first(mask, count):
+    """``mask`` with only each row's first ``count`` true entries left true."""
+    return mask & (np.cumsum(mask, axis=1) <= count)
 
 
 def manifold_term(g: NeighborGraph, z, space) -> float:

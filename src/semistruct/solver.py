@@ -239,11 +239,14 @@ def update_slack(state, ds, g, space, cfg) -> np.ndarray:
     """One sweep of slack-output updates, as codes.
 
     Labeled points keep their true output. Each unlabeled point minimizes
-    its local objective against the neighbors' previous-iteration outputs.
+    its local objective against the neighbors' previous-iteration outputs;
+    with none, the slack oracle is not called.
     """
     f = _fixed(state, ds, g, space)
     owner, neighbor, weight = f.terms
     z = space.as_codes(state.z)
+    if not len(f.free):
+        return space.merge_codes(len(z), (f.labeled, f.truth))
     moved = space.argmin_slack_all(
         state.w, f.free_inputs, space.as_codes(state.upsilon)[f.free],
         (owner, weight, z[neighbor]), cfg.c1,

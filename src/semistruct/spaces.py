@@ -123,6 +123,7 @@ class FiniteLabelSpace(OutputSpace):
         return self._label_of[np.argmax(self._scores(w, xs), axis=1)]
 
     def argmax_loss_augmented_all(self, w, xs, zs):
+        _check_same_length(xs, zs, "inputs and reference outputs")
         S = self._scores(w, xs)
         rz = self._rows(zs)
         V = S - S[np.arange(len(rz)), rz][:, None] + self.loss_matrix[rz]
@@ -367,9 +368,37 @@ class ChainSequenceSpace(OutputSpace):
                 and all(_is_int(v) and 0 <= v < self.num_labels for v in y)
                 and (x is None or len(y) == self._as_seq_input(x).shape[0]))
 
+    def _flat(self, ys):
+        """``(labels, lengths, member)`` of a list of tuples of Python ints in
+        the int64 range: every label in one array, each tuple's length, and
+        whether it is a label sequence; None for a list of anything else."""
+        if not set(map(type, ys)) <= {tuple}:
+            return None
+        flat = list(itertools.chain.from_iterable(ys))
+        if not set(map(type, flat)) <= {int}:  # no bool, no numpy integer
+            return None
+        try:
+            labels = np.fromiter(flat, dtype=np.int64, count=len(flat))
+        except OverflowError:
+            return None
+        lengths = np.fromiter(map(len, ys), dtype=int, count=len(ys))
+        # bad labels up to each tuple's end, less those before its start
+        bad = np.concatenate(([0], np.cumsum((labels < 0) | (labels >= self.num_labels))))
+        end = np.cumsum(lengths)
+        return labels, lengths, (lengths > 0) & (bad[end] == bad[end - lengths])
+
     def contains_all(self, ys, xs=None):
-        xs = [None] * len(ys) if xs is None else xs
-        return np.fromiter(map(self._contains, ys, xs), dtype=bool, count=len(ys))
+        flat = self._flat(ys)
+        if flat is None:
+            xs = [None] * len(ys) if xs is None else xs
+            return np.fromiter(map(self._contains, ys, xs), dtype=bool, count=len(ys))
+        _, lengths, member = flat
+        if xs is not None:  # the input lengths of the members alone, as _contains reads them
+            at = np.flatnonzero(member)
+            member[at] = lengths[at] == (
+                xs.shape[1] if self._is_stack(xs)
+                else [self._as_seq_input(xs[i]).shape[0] for i in at.tolist()])
+        return member
 
     def _check_member(self, y):
         if not self._contains(y):
@@ -382,12 +411,18 @@ class ChainSequenceSpace(OutputSpace):
         :meth:`_labels`). An ndarray is taken to be codes already."""
         if isinstance(ys, np.ndarray):
             return ys
-        for y in itertools.compress(ys, ~self.contains_all(ys)):
-            self._check_member(y)  # raises, naming the first non-member
-        lengths = np.fromiter(map(len, ys), dtype=int, count=len(ys))
+        flat = self._flat(ys)
+        if flat is None or not flat[2].all():
+            for y in itertools.compress(ys, ~self.contains_all(ys)):
+                self._check_member(y)  # raises, naming the first non-member
+        if flat is None:  # members, some of their labels numpy integers
+            lengths = np.fromiter(map(len, ys), dtype=int, count=len(ys))
+            labels = np.fromiter(itertools.chain.from_iterable(ys), dtype=np.int64,
+                                 count=int(lengths.sum()))
+        else:
+            labels, lengths, _ = flat
         M = np.full((len(ys), int(lengths.max(initial=1))), -1)
-        M[np.arange(M.shape[1]) < lengths[:, None]] = np.fromiter(
-            itertools.chain.from_iterable(ys), dtype=np.int64, count=int(lengths.sum()))
+        M[np.arange(M.shape[1]) < lengths[:, None]] = labels
         return _records(M)
 
     def _labels(self, ys):
@@ -582,11 +617,17 @@ class ChainSequenceSpace(OutputSpace):
         else:
             # position-wise costs: neighbor disagreement + model score + upsilon loss,
             # the neighbor terms added one slot at a time as in a per-point loop
+            a, slots = self.num_labels, W.shape[1]
             at_label = (np.arange(n)[:, None], np.arange(length))
-            cost = np.zeros((n, length, self.num_labels))
-            for s in range(W.shape[1]):
+            cost = np.zeros((n, length, a))
+            # each slot's (point, position, label) cells as flat indices into cost;
+            # label -1 past a chain's end is label a - 1, as numpy reads it
+            cell = np.arange(n * length) * a + np.reshape((Z % a).transpose(1, 0, 2),
+                                                          (slots, n * length))
+            lost, flat = np.repeat(W.T, length, axis=1), cost.reshape(-1)
+            for s in range(slots):
                 cost += W[:, s, None, None]
-                cost[at_label + (Z[:, s],)] -= W[:, s, None]
+                flat[cell[s]] -= lost[s]
             # as in FiniteLabelSpace, a huge c1 takes costs past the float range
             # (+-inf, and nan where two infinities meet in the recursion)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -667,7 +708,9 @@ class ChainSequenceSpace(OutputSpace):
             i = bad[0]
             raise ContractViolation(f"label sequence length {ly[i] if ly[i] != lx[i] else lz[i]}"
                                     f" does not match input length {lx[i]}")
-        diff = self._features(X, Y[idx, : X.shape[1]]) - self._features(X, Z[idx, : X.shape[1]])
+        both = self._features(np.concatenate((X, X)),
+                              np.concatenate((Y[idx, : X.shape[1]], Z[idx, : X.shape[1]])))
+        diff = both[: idx.size] - both[idx.size :]
         # the pairs' differences added in pair order from 0.0 (transition
         # counts are integers, exact in any order)
         return np.cumsum(np.concatenate((np.zeros((1, self.dim)), diff)), axis=0)[-1]
@@ -688,10 +731,13 @@ def _to_width(M, width):
 
 def _slack_terms(n, neighbors, c1):
     """``argmin_slack_all``'s ``neighbors``, owners and weights as arrays; ContractViolation
-    unless ``c1 > 0`` and every owner indexes one of ``n`` points (naming the first)."""
+    unless ``c1 > 0``, the three have one length (naming both of two that differ) and
+    every owner indexes one of ``n`` points (naming the first)."""
     if c1 <= 0:
         raise ContractViolation(f"c1 must be positive, got {c1}")
     owner, weight, outputs = neighbors
+    _check_same_length(owner, weight, "neighbor term owners and weights")
+    _check_same_length(owner, outputs, "neighbor term owners and outputs")
     owner = np.asarray(owner, dtype=int)
     bad = owner[(owner < 0) | (owner >= n)]
     if bad.size:

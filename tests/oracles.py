@@ -2,10 +2,12 @@
 
 Everything here enumerates or differentiates directly, without touching the
 library's inference oracles, so a bug in a dynamic program or gradient
-cannot hide behind itself. Two exceptions call them: ``argmin_slack`` asks
-the whole-array slack oracle about one point, and the list-based solver at
-the end is the reference for how the solver stores, gathers and updates
-outputs around the oracles.
+cannot hide behind itself. Three exceptions call them: ``argmin_slack`` asks
+the whole-array slack oracle about one point; the chain space's per-slot
+Hamming slack oracle and two-pass feature sum are its earlier forms, built
+from its own helpers, that its faster loops must match bit for bit; and the
+list-based solver at the end is the reference for how the solver stores,
+gathers and updates outputs around the oracles.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from semistruct.core import DataPoint, Dataset, OutputSpace, ValidationReport, a
 from semistruct.errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from semistruct.graph import NeighborGraph, k_nearest, neighbor_terms, point_matrix, point_vector
 from semistruct.solver import _SEED_TAG_ZINIT, ObjectiveParts, TraceRow
+from semistruct.spaces import _records, _to_width
 
 
 def object_array(items) -> np.ndarray:
@@ -99,6 +102,46 @@ def argmin_slack(space, w, x, upsilon, neighbors, c1):
     ``(weight, output)`` pairs covering both edge directions."""
     terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
     return space.from_codes(space.argmin_slack_all(w, [x], [upsilon], terms, c1))[0]
+
+
+def per_slot_hamming_slack(space, w, xs, upsilons, neighbors, c1):
+    """The Hamming ``ChainSequenceSpace.argmin_slack_all`` with its neighbor
+    costs subtracted through one ``(point, position)`` index grid per slot."""
+    owner, weight, outputs = neighbors
+    owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
+    (upsilons, lu), (outputs, lo) = space._labels(upsilons), space._labels(outputs)
+    unary, pairwise, lengths = space._unary(w, xs)
+    n, length, _ = unary.shape
+    order = np.argsort(owner, kind="stable")
+    slot = np.empty_like(owner)
+    slot[order] = np.arange(len(owner)) - np.searchsorted(owner[order], owner[order])
+    U = space._cut(upsilons, lu, lengths, length, "upsilon")
+    W = np.zeros((n, int(slot.max(initial=-1)) + 1))
+    W[owner, slot] = weight
+    Z = np.repeat(np.minimum(U, 0)[:, None], W.shape[1], axis=1)
+    Z[owner, slot] = space._cut(outputs, lo, lengths[owner], length, "neighbor output")
+    at_label = (np.arange(n)[:, None], np.arange(length))
+    cost = np.zeros((n, length, space.num_labels))
+    for s in range(W.shape[1]):
+        cost += W[:, s, None, None]
+        cost[at_label + (Z[:, s],)] -= W[:, s, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost += c1 * (1.0 - unary)
+        cost[at_label + (U,)] -= c1
+        paths = space._best_paths(-cost, c1 * pairwise, lengths)
+    return _records(_to_width(paths, upsilons.shape[1]))
+
+
+def two_pass_phi_diff_sum(space, xs, ys, zs):
+    """``ChainSequenceSpace.phi_diff_sum`` with the features of ``ys`` and
+    of ``zs`` found in two separate passes."""
+    (Y, Z), _ = space._matrices(ys, zs)
+    idx = np.flatnonzero((Y != Z).any(axis=1))
+    if not idx.size:
+        return np.zeros(space.dim)
+    X, _ = space._stack(xs[idx] if space._is_stack(xs) else [xs[i] for i in idx.tolist()])
+    diff = space._features(X, Y[idx, : X.shape[1]]) - space._features(X, Z[idx, : X.shape[1]])
+    return np.cumsum(np.concatenate((np.zeros((1, space.dim)), diff)), axis=0)[-1]
 
 
 def neighbor_terms_for(g, i):

@@ -127,6 +127,9 @@ def _case(name):
     if name == "fully-labeled":
         ds = synth_blobs(classes=3, per_class=10, dim=2, spread=0.5, seed=7)
         return ds, build_knn_graph(ds, k=4), MulticlassSpace(3, 2)
+    if name == "chain-fully-labeled":  # no free point: the slack oracle is never asked
+        ds = synth_chains(3, (4, 4), 30, 3, seed=9)
+        return ds, build_knn_graph(ds, k=4), ChainSequenceSpace(3, 3)
     if name == "empty-graph":
         ds = _masked(synth_blobs(classes=3, per_class=10, dim=2, spread=0.5, seed=8), 3)
         return ds, NeighborGraph.empty(len(ds)), MulticlassSpace(3, 2)
@@ -139,7 +142,7 @@ def _case(name):
 
 
 CASES = ("multiclass", "taxonomy", "chain-hamming", "chain-mixed-lengths", "chain-zero-one",
-         "fully-labeled", "empty-graph", "integer-grid", "custom-space")
+         "fully-labeled", "chain-fully-labeled", "empty-graph", "integer-grid", "custom-space")
 
 
 def _snapshot(state, space):
@@ -215,7 +218,7 @@ def test_state_codes_are_label_ints_or_objects():
     assert all(type(y) is tuple for y in state.z)
 
 
-@pytest.mark.parametrize("name", ["taxonomy", "chain-hamming"])
+@pytest.mark.parametrize("name", ["taxonomy", "chain-hamming", "chain-fully-labeled"])
 def test_a_hand_made_state_of_lists_steps_like_the_reference(name):
     ds, g, space = _case(name)
     cfg = SolverConfig(c1=0.5, eta=0.05)
@@ -233,6 +236,16 @@ def test_a_hand_made_state_of_lists_steps_like_the_reference(name):
     assert update_weights(state, ds, space, cfg).tobytes() == \
         oracles.list_update_weights(ref, ds, space, cfg).tobytes()
     assert objective(state, ds, g, space, cfg) == oracles.list_objective(ref, ds, g, space, cfg)
+
+
+@pytest.mark.parametrize("name", ["fully-labeled", "chain-fully-labeled"])
+def test_a_fit_without_free_points_never_asks_the_slack_oracle(name, monkeypatch):
+    ds, g, space = _case(name)
+    calls = []
+    monkeypatch.setattr(type(space), "argmin_slack_all", lambda *args: calls.append(args))
+    state = fit(ds, g, space, SolverConfig(c1=0.5, c2=4.0, eta=0.05, max_iters=3))
+    assert calls == [] and state.iteration == 3
+    assert state.z == list(ds.outputs)
 
 
 @pytest.mark.parametrize("bad", [[0, 7, 1], [0, -1, 1], [0, (1,), 1]])

@@ -5,6 +5,8 @@
 kind of non-member, and a fit must not fall back to per-point scalar calls.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,36 @@ def test_contains_all_equals_contains_per_value(kind, with_inputs):
     members = _SPACES[kind][1]
     xs = None if xs is None else _chain_inputs(len(members))
     assert space.contains_all(members, xs).tolist() == [True] * len(members)
+
+
+@pytest.mark.parametrize("inputs", ["none", "stack", "list"])
+def test_chain_lists_of_int_tuples_are_checked_in_one_pass(inputs, monkeypatch):
+    space = ChainSequenceSpace(3, 2)
+    values = [(0, 1, 2), (2, 2, 2), (0, 1), (), (0, 1, 3), (0, 1, 2, 0), (-1, 0, 0),
+              (2**63 - 1, 0, 0), (-(2**63), 1, 2), (2, 0, 1), (1,)]
+    xs = {"none": None, "stack": _chain_inputs(len(values)),
+          "list": [np.zeros((t, 2)) for t in (3, 2, 2, 1, 3, 4, 3, 3, 3, 1, 1)]}[inputs]
+    # the per-item check, one value at a time
+    want = [space._contains(y, None if xs is None else xs[i]) for i, y in enumerate(values)]
+    assert True in want and False in want
+    monkeypatch.setattr(ChainSequenceSpace, "_contains", None)  # not called by the batch
+    assert space.contains_all(values, xs).tolist() == want
+    members = [y for y, ok in zip(values, want) if ok]
+    assert space.from_codes(space.as_codes(members)) == members
+    assert space.as_codes([]).shape == (0,)
+
+
+def test_chain_encoding_names_the_first_non_member():
+    space = ChainSequenceSpace(3, 2)
+    for values, bad in [([(0, 1), (0, 3), (-1, 0)], (0, 3)), ([(1, 1), ()], ()),
+                        ([(0, 1), (0, 2**70)], (0, 2**70)), ([(0,), (0, True)], (0, True)),
+                        ([(0,), [0, 1]], [0, 1])]:
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"{bad!r} is not a label sequence over 3 labels")):
+            space.as_codes(values)
+    # members that are not all Python ints take the per-item path, to the same codes
+    mixed = [(np.int64(1), 0), (2, np.uint8(1))]
+    assert space.as_codes(mixed).tobytes() == space.as_codes([(1, 0), (2, 1)]).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(_SPACES))

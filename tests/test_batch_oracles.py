@@ -323,3 +323,86 @@ def test_sums_refuse_lists_of_different_lengths(space, form, args, lengths):
     codes = [space.as_codes(a) if i in outputs_at else a for i, a in enumerate(args)]
     with pytest.raises(ContractViolation, match=r"have lengths {} and {}$".format(*lengths)):
         getattr(space, form)(*codes)
+
+
+@pytest.mark.parametrize("space", _SLACK_SPACES,
+                         ids=["multiclass", "chain-hamming", "chain-zero-one"])
+def test_slack_refuses_neighbor_terms_of_different_lengths(space):
+    rng = np.random.default_rng(251)
+    shape = (3, 2) if space.kind == "multiclass" else (3, 4, 2)
+    xs = rng.standard_normal(shape)
+    ys = [space.random_output(x, rng) for x in xs]
+    w = rng.standard_normal(space.dim)
+    for terms, what, lengths in [
+        (([0, 1], [0.5, 0.5], ys[:1]), "outputs", (2, 1)),  # one output for two terms
+        (([0, 1], [0.5], ys[:2]), "weights", (2, 1)),  # one weight for two terms
+        (([0], [0.5, 0.5], ys[:1]), "weights", (1, 2)),
+        (([0, 1, 2], [0.5] * 3, ys[:2] + ys), "outputs", (3, 5)),
+    ]:
+        for inputs in (xs, list(xs)):
+            with pytest.raises(ContractViolation,
+                               match=r"^neighbor term owners and {} have lengths {} and {}$"
+                               .format(what, *lengths)):
+                space.argmin_slack_all(w, inputs, ys, terms, 1.0)
+
+
+@pytest.mark.parametrize("space", _spaces(), ids=lambda s: s.kind)
+def test_finite_loss_augmented_inference_refuses_references_of_another_length(space):
+    rng = np.random.default_rng(257)
+    X = rng.standard_normal((3, space.input_dim))
+    zs = [space.labels[0], space.labels[-1], space.labels[0]]
+    w = rng.standard_normal(space.dim)
+    assert len(space.argmax_loss_augmented_all(w, X, zs)) == 3
+    for short in (zs[:1], zs[:2], zs + zs[:1]):
+        message = rf"^inputs and reference outputs have lengths 3 and {len(short)}$"
+        with pytest.raises(ContractViolation, match=message):
+            space.argmax_loss_augmented_all(w, X, short)
+
+
+def _tie_batch(rng, space, case):
+    """A mixed-length chain batch: inputs, weights, ``c1``, upsilons, slack
+    outputs and neighbor terms in shuffled owner order. ``integer-ties``
+    draws small integers, so that costs tie exactly; ``w=0`` zeroes the
+    weights; ``c1=1e300`` takes the costs past the float range."""
+    ties = case != "random"
+    lengths = rng.integers(1, 7, size=int(rng.integers(1, 12)))
+    X = [(rng.integers(-1, 2, (int(t), space.input_dim)).astype(float) if ties
+          else rng.standard_normal((int(t), space.input_dim))) for t in lengths]
+    w = (np.zeros(space.dim) if case == "w=0"
+         else rng.integers(-1, 2, space.dim).astype(float) if ties
+         else rng.standard_normal(space.dim))
+    c1 = {"c1=1e300": 1e300, "random": 0.7}.get(case, 1.0)
+    ups = [_chain_draw(rng, space, len(x)) for x in X]
+    zs = [_chain_draw(rng, space, len(x)) if rng.random() < 0.7 else u for x, u in zip(X, ups)]
+    owner = rng.integers(len(X), size=int(rng.integers(0, 4 * len(X))))
+    weight = (rng.integers(1, 3, len(owner)) / 2.0 if ties
+              else rng.uniform(0.1, 1.0, len(owner)))
+    outputs = [_chain_draw(rng, space, len(X[o])) for o in owner.tolist()]
+    return X, w, c1, ups, zs, (owner, weight, outputs)
+
+
+@pytest.mark.parametrize("case", ["random", "integer-ties", "w=0", "c1=1e300"])
+def test_chain_hamming_slack_equals_the_per_slot_reference(case):
+    rng = np.random.default_rng(263)
+    space = ChainSequenceSpace(3, 2)
+    for _ in range(60):
+        X, w, c1, ups, _, terms = _tie_batch(rng, space, case)
+        want = oracles.per_slot_hamming_slack(space, w, X, ups, terms, c1)
+        got = space.argmin_slack_all(w, X, ups, terms, c1)
+        assert got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("case", ["random", "integer-ties"])
+def test_chain_feature_sum_equals_the_two_pass_reference(case):
+    rng = np.random.default_rng(269)
+    space = ChainSequenceSpace(3, 2)
+    for _ in range(60):
+        X, _, _, ups, zs, _ = _tie_batch(rng, space, case)
+        want = oracles.two_pass_phi_diff_sum(space, X, ups, zs)
+        assert space.phi_diff_sum(X, ups, zs).tobytes() == want.tobytes()
+        same = [i for i, x in enumerate(X) if len(x) == len(X[0])]  # a stack of one length
+        stack = np.stack([X[i] for i in same])
+        ups, zs = [ups[i] for i in same], [zs[i] for i in same]
+        assert (space.phi_diff_sum(stack, ups, zs).tobytes()
+                == oracles.two_pass_phi_diff_sum(space, stack, ups, zs).tobytes())

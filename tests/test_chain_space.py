@@ -604,18 +604,21 @@ def test_a_fit_checks_membership_as_often_at_every_k(monkeypatch):
     points = synth_chains(3, (5, 5), 40, 2, seed=9).points
     ds = Dataset(p if p.id % 4 == 0 else DataPoint(p.id, p.x) for p in points)
     cfg = SolverConfig(c1=0.5, c2=1.0, max_iters=3, seed=1)
-    contains, calls = ChainSequenceSpace._contains, []
+    calls = []
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return contains(self, *args, **kwargs)
+    def counted(check):
+        def call(self, *args, **kwargs):
+            calls.append(1)
+            return check(self, *args, **kwargs)
+        return call
 
     counts = []
     for k in (2, 8):
         g = build_knn_graph(ds, k=k)
         calls.clear()
-        with monkeypatch.context() as m:
-            m.setattr(ChainSequenceSpace, "_contains", counted)
+        with monkeypatch.context() as m:  # the batch check of a list, and the per-item one
+            m.setattr(ChainSequenceSpace, "_flat", counted(ChainSequenceSpace._flat))
+            m.setattr(ChainSequenceSpace, "_contains", counted(ChainSequenceSpace._contains))
             fit(ds, g, space, cfg)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0, counts

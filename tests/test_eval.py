@@ -6,6 +6,7 @@ import pytest
 import semistruct.evaluate as ev
 from semistruct import (
     ContractViolation,
+    Dataset,
     MulticlassSpace,
     SolverConfig,
     TaxonomySpace,
@@ -14,6 +15,7 @@ from semistruct import (
     fit,
     three_level_taxonomy,
 )
+from semistruct import graph
 from semistruct.data_io import make_folds, synth_blobs
 from semistruct.graph import NeighborGraph
 
@@ -277,9 +279,70 @@ def test_run_cv_on_taxonomy_blobs():
 def test_sweep_propagates_programming_errors(blob_setup, monkeypatch):
     ds, space, cfg = blob_setup
 
-    def broken_run_cv(*args, **kwargs):
+    def broken_fit(*args, **kwargs):
         raise TypeError("a bug, not a bad setting")
 
-    monkeypatch.setattr(ev, "run_cv", broken_run_cv)
+    monkeypatch.setattr(ev, "fit", broken_fit)
     with pytest.raises(TypeError):
         ev.sweep("c1", [1.0], ds, space, cfg)
+
+
+def test_cv_and_a_sweep_search_the_whole_set_once(blob_setup, monkeypatch):
+    ds, space, cfg = blob_setup
+    searches = []
+    search = graph.k_nearest
+
+    def counted(Q, R, k, skip_self=False):
+        if skip_self:
+            searches.append((len(Q), k))
+        return search(Q, R, k, skip_self)
+
+    monkeypatch.setattr(graph, "k_nearest", counted)
+    ev.run_cv(ds, space, cfg, k=3, seed=21)
+    assert searches == [(len(ds), 6)]
+    searches.clear()
+    rows = ev.sweep("c1", [0.5, 1.0, 2.0], ds, space, cfg, k=3, seed=21)
+    assert searches == [(len(ds), 6)] and len(rows) == 3
+
+
+class _PerFoldGraphs:
+    """Fold graphs as one ``build_knn_graph`` per training split."""
+
+    def __init__(self, inputs, k):
+        self.k = k
+
+    def graph(self, ids, sub, sigma=None):
+        return build_knn_graph(sub, self.k, sigma)
+
+
+def _cv_cases():
+    """``(name, dataset, k, sigma)``: a valid set, a set holding a point too
+    far for squared distances in the first test fold and in a later one,
+    ``k = 0`` and a ``sigma`` too small for any edge weight."""
+    base = synth_blobs(classes=3, per_class=10, dim=2, spread=0.6, seed=23)
+    fold_of = np.asarray(make_folds(base, 23).fold_of)
+    cases = [("blobs", base, 3, None)]
+    for name, fold in (("far-point-first-test-fold", 0), ("far-point-later-fold", 6)):
+        X = np.array(base.inputs)
+        X[np.flatnonzero(fold_of == fold)[0]] = 1e200
+        cases.append((name, Dataset.from_arrays(X, base.outputs), 3, None))
+    return cases + [("k=0", base, 0, None), ("tiny-sigma", base, 3, 1e-300)]
+
+
+@pytest.mark.parametrize("name, ds, k, sigma", _cv_cases(), ids=lambda v: v if
+                         isinstance(v, str) else "")
+def test_cv_and_sweep_answer_as_with_one_search_per_fold(name, ds, k, sigma, monkeypatch):
+    space = MulticlassSpace(3, 2)
+    cfg = SolverConfig(c1=1.0, c2=4.0, eta=0.05, max_iters=3, seed=23)
+
+    def outcome():
+        try:
+            report = ev.report_json(ev.run_cv(ds, space, cfg, k=k, sigma=sigma, seed=23))
+        except ContractViolation as e:
+            report = f"{type(e).__name__}: {e}"
+        rows = ev.sweep("c2", [2.0, 4.0], ds, space, cfg, k=k, sigma=sigma, seed=23)
+        return report, ev.sweep_csv("c2", rows)
+
+    got = outcome()
+    monkeypatch.setattr(ev, "SubsetGraphs", _PerFoldGraphs)
+    assert got == outcome()

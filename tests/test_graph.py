@@ -14,7 +14,8 @@ from semistruct import (
     manifold_term,
 )
 from semistruct import graph
-from semistruct.graph import edges_csv, k_nearest, point_vector
+from semistruct.data_io import make_folds, mask_labels, synth_chains
+from semistruct.graph import SubsetGraphs, edges_csv, k_nearest, point_vector
 
 from . import oracles
 
@@ -389,3 +390,122 @@ def test_build_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_a_stack_of_sequences_averages_to_each_point_s_own_mean(d):
+    rng = np.random.default_rng(113)
+    for length in range(1, 301):
+        xs = rng.standard_normal((3, length, d)) * 10.0 ** float(rng.integers(-3, 4))
+        want = np.stack([point_vector(x) for x in xs])
+        got = graph.point_matrix(xs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), length
+
+
+# --- fold graphs read off one search of the whole set --------------------------
+
+
+def _fold_graphs_match(ds, k, sigma=None, seed=5):
+    """Check every fold's graph from one :class:`SubsetGraphs` against
+    ``build_knn_graph`` of the fold's training split."""
+    plan = make_folds(ds, seed)
+    fold_of = np.asarray(plan.fold_of)
+    graphs = SubsetGraphs(ds.inputs, k)
+    for run in range(10):
+        split = mask_labels(ds, plan, run)
+        got = graphs.graph(np.flatnonzero(fold_of != run), split.train, sigma)
+        want = build_knn_graph(split.train, k, sigma)
+        _byte_equal(got, want)
+        assert got.points.dtype == want.points.dtype
+        assert got.points.tobytes() == want.points.tobytes()
+
+
+def _folded(make):
+    """The points of ``make`` as a set that cross validation can split."""
+    def dataset(rng):
+        X = make(rng, n=60)
+        return Dataset.from_arrays(X, [0] * len(X), "multiclass")
+    return dataset
+
+
+def _chain_stack(rng):
+    xs = rng.integers(0, 3, (60, 4, 2)).astype(float)
+    return Dataset.from_arrays(xs, [(0,) * 4] * 60, "chain")
+
+
+def _mixed_length_chain_list(rng):
+    points = synth_chains(3, (2, 7), 60, 2, seed=int(rng.integers(100))).points
+    ds = Dataset.from_arrays([p.x for p in points], [p.y for p in points], "chain")
+    assert type(ds.inputs) is list and len({len(x) for x in ds.inputs}) > 1
+    return ds
+
+
+@pytest.mark.parametrize("make", [_folded(_gaussian), _folded(_grid_duplicates),
+                                  _folded(_offset_grid), _chain_stack, _mixed_length_chain_list],
+                         ids=["gaussian", "grid-ties", "offset-grid", "chain-stack",
+                              "mixed-length-chains"])
+@pytest.mark.parametrize("k", ["1", "5", "n-1"])
+def test_fold_graphs_equal_the_graph_of_each_training_split(make, k):
+    ds = make(np.random.default_rng(127))
+    kk = {"1": 1, "5": 5, "n-1": len(ds) - 1}[k]
+    _fold_graphs_match(ds, kk)
+    _fold_graphs_match(ds, kk, sigma=0.5)
+
+
+def _searches(monkeypatch):
+    """Spy on ``graph.k_nearest``: per call, its query count and ``skip_self``."""
+    seen = []
+    search = graph.k_nearest
+
+    def spy(Q, R, k, skip_self=False):
+        seen.append((len(Q), skip_self))
+        return search(Q, R, k, skip_self)
+
+    monkeypatch.setattr(graph, "k_nearest", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fold_graphs_search_again_where_the_whole_set_falls_short(monkeypatch, seed):
+    # the first test fold's six points share one input and one other point
+    # lies next to it: with k = 5 its ten nearest hold the six, leaving four
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((60, 2))
+    ds = Dataset.from_arrays(X, [0] * 60, "multiclass")
+    fold_of = np.asarray(make_folds(ds, seed).fold_of)
+    first = np.flatnonzero(fold_of == 0)
+    X[first] = X[first[0]]
+    X[np.flatnonzero(fold_of == 1)[0]] = X[first[0]] + 1e-3
+    seen = _searches(monkeypatch)
+    _fold_graphs_match(ds, 5, seed=seed)
+    within = [rows for rows, skip_self in seen if not skip_self]
+    assert seen[0] == (60, True) and within and all(rows >= 1 for rows in within)
+    assert sum(skip_self for _, skip_self in seen) == 1 + 10  # the one search, then each build
+
+
+def test_fold_graphs_raise_what_each_fold_s_own_build_raises():
+    X = np.random.default_rng(131).standard_normal((30, 2))
+    ds = Dataset.from_arrays(X, [0] * 30, "multiclass")
+    plan = make_folds(ds, 0)
+    fold_of = np.asarray(plan.fold_of)
+    far = int(np.flatnonzero(fold_of == 3)[0])
+    X[far] = 1e200  # squared distances past the float range
+    graphs = SubsetGraphs(ds.inputs, 2)
+    for run in range(10):
+        split = mask_labels(ds, plan, run)
+        train = np.flatnonzero(fold_of != run)
+        if run == 3:  # the point is in the test fold: both build the same graph
+            _byte_equal(graphs.graph(train, split.train), build_knn_graph(split.train, 2))
+            continue
+        with pytest.raises(ContractViolation) as want:
+            build_knn_graph(split.train, 2)
+        with pytest.raises(ContractViolation) as got:
+            graphs.graph(train, split.train)
+        assert str(got.value) == str(want.value) == (
+            f"point {int(np.searchsorted(train, far))}: "
+            f"vector is not finite or too large for squared distances")
+    for k, sigma, message in [(0, None, "k must be >= 1"), (2, -1.0, "sigma must be positive"),
+                              (2, 1e-300, "sigma 1e-300 is too small")]:
+        split = mask_labels(ds, plan, 3)
+        with pytest.raises(ContractViolation, match=message):
+            SubsetGraphs(ds.inputs, k).graph(np.flatnonzero(fold_of != 3), split.train, sigma)
