@@ -38,7 +38,7 @@ import numpy as np
 from .core import take_inputs
 from .errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from .graph import k_nearest, manifold_term, neighbor_terms, point_matrix
-from .spaces import space_from_config
+from .spaces import _is_int, space_from_config
 
 Z_INIT_STRATEGIES = ("nearest-labeled", "uniform-random")
 
@@ -72,6 +72,8 @@ class SolverConfig:
                 continue
             if not 0 < value < math.inf:  # also false for nan
                 raise ContractViolation(f"{name} must be positive and finite, got {value}")
+        if not _is_int(self.max_iters):
+            raise ContractViolation(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ContractViolation(f"max_iters must be >= 1, got {self.max_iters}")
         if self.z_init not in Z_INIT_STRATEGIES:

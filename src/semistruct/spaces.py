@@ -5,9 +5,11 @@ structured loss, and implements the whole-array contract of ``OutputSpace``.
 The multiclass and taxonomy spaces are finite label spaces answering it with
 array lookups and matrix products. The chain space answers every oracle
 with one dynamic program over a zero-padded stack of all its inputs, under
-the Hamming and the whole-sequence zero-one loss alike; its codes are rows
-of one -1-padded label matrix, read as fixed-width records, and its sums
-read that matrix, adding floats in the order of a per-pair loop.
+the Hamming and the whole-sequence zero-one loss alike. The programs' tables
+are label-major, ``(T, a, n)``, with the points on the contiguous last axis,
+so each recursion step is elementwise work over all points. Its codes are
+rows of one -1-padded label matrix, read as fixed-width records, and its
+sums read that matrix, adding floats in the order of a per-pair loop.
 """
 
 from __future__ import annotations
@@ -483,15 +485,18 @@ class ChainSequenceSpace(OutputSpace):
 
     def _features(self, X, Y):
         """``phi`` of every row of the label matrix ``Y`` (-1 past each end)
-        with the ``(m, T, d)`` inputs ``X``, emissions added in position order."""
-        a, (m, length) = self.num_labels, Y.shape
+        with the ``(m, T, d)`` inputs ``X``. Each emission cell adds its inputs
+        from 0.0 in position order: bincount visits ``X`` in ``(row, position)``
+        order, and label -1 adds to a spare block 0."""
+        a, d, (m, length) = self.num_labels, self.input_dim, Y.shape
         cell = np.where(Y[:, 1:] >= 0, Y[:, :-1] * a + Y[:, 1:], a * a)  # a * a: into padding
         trans = np.bincount((np.arange(m)[:, None] * (a * a + 1) + cell).ravel(),
                             minlength=m * (a * a + 1)).reshape(m, a * a + 1)
-        emit = np.zeros((m, a + 1, self.input_dim))  # label -1 adds to the spare block a
-        for t in range(length):
-            emit[np.arange(m), Y[:, t]] += X[:, t]
-        return np.concatenate((trans[:, :-1], emit[:, :a].reshape(m, -1)), axis=1)
+        block = np.arange(1, m * (a + 1), a + 1)[:, None] + Y  # row * (a + 1) + label + 1
+        emit = np.bincount((block[:, :, None] * d + np.arange(d)).ravel(),
+                           weights=X.ravel(), minlength=m * (a + 1) * d)
+        return np.concatenate((trans[:, :-1], emit.reshape(m, a + 1, d)[:, 1:].reshape(m, -1)),
+                              axis=1)
 
     def random_output(self, x, rng):
         length = self._as_seq_input(x).shape[0]
@@ -500,32 +505,37 @@ class ChainSequenceSpace(OutputSpace):
     # --- dynamic programs, one masked pass over a padded stack ---------------
 
     def _unary(self, w, xs):
-        """``(unary, pairwise, lengths)``: the ``(n, T, a)`` emission scores of the
-        :meth:`_stack` of ``xs``, the ``(a, a)`` transition weights, each input's length."""
+        """``(unary, pairwise, lengths)``: the label-major ``(T, a, n)`` emission
+        scores of the :meth:`_stack` of ``xs``, the ``(a, a)`` transition weights,
+        each input's length. Points lie on the contiguous last axis, so each
+        step of a dynamic program is elementwise work over them."""
         w, a = as_weights(w, self.dim), self.num_labels
         X, lengths = self._stack(xs)
-        return X @ w[a * a :].reshape(a, self.input_dim).T, w[: a * a].reshape(a, a), lengths
+        scores = X @ w[a * a :].reshape(a, self.input_dim).T
+        return np.ascontiguousarray(scores.transpose(1, 2, 0)), w[: a * a].reshape(a, a), lengths
 
     @staticmethod
     def _best_paths(unary, pairwise, lengths):
-        """Max-sum path through each chain of an ``(n, T, a)`` unary stack, ``lengths`` long.
+        """Max-sum path through each chain of a ``(T, a, n)`` unary stack, ``lengths``
+        long, as an ``(n, T)`` label matrix.
 
         Runs the recursion backward then rebuilds every path greedily from
         the front with first-argmax ties, so each returned row is the
         lexicographically smallest maximizer, -1 past its end.
         """
-        n, length, _ = unary.shape
-        past = np.arange(length) >= lengths[:, None]
+        length, _, n = unary.shape
+        past = np.arange(length)[:, None] >= lengths
+        into = pairwise[:, :, None]  # (label, next label, point)
         best_to_go = unary.copy()  # at a chain's last position, its unary term alone
         for t in range(length - 2, -1, -1):
-            ahead = unary[:, t] + np.max(pairwise[None] + best_to_go[:, t + 1, None, :], axis=2)
-            best_to_go[:, t] = np.where(past[:, t + 1, None], unary[:, t], ahead)
-        paths = np.empty((n, length), dtype=int)
-        paths[:, 0] = np.argmax(best_to_go[:, 0], axis=1)
+            ahead = unary[t] + np.max(into + best_to_go[t + 1], axis=1)
+            best_to_go[t] = np.where(past[t + 1], unary[t], ahead)
+        paths = np.empty((length, n), dtype=int)
+        paths[0] = np.argmax(best_to_go[0], axis=0)
         for t in range(1, length):
-            paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + best_to_go[:, t], axis=1)
+            paths[t] = np.argmax(pairwise.T[:, paths[t - 1]] + best_to_go[t], axis=0)
         paths[past] = -1
-        return paths
+        return paths.T
 
     @staticmethod
     def _best_paths_off(unary, pairwise, ref, lengths):
@@ -534,24 +544,24 @@ class ChainSequenceSpace(OutputSpace):
         left ``ref`` (its 1 added at the end), ``stay`` the best to go from
         ``ref[t]`` on ``ref`` so far; the forward pass adds what the
         backward one added, so its first-argmax ties are the recursion's."""
-        n, length, _ = unary.shape
-        rows, past = np.arange(n), np.arange(length) >= lengths[:, None]
-        on_ref = np.arange(unary.shape[2]) == ref[:, :, None]  # (n, T, a)
-        gone, stay = unary + 1.0, unary[rows[:, None], np.arange(length), ref]
+        length, a, n = unary.shape
+        cols, past, ref = np.arange(n), np.arange(length)[:, None] >= lengths, ref.T
+        on_ref = np.arange(a)[:, None] == ref[:, None]  # (T, a, n)
+        gone, stay = unary + 1.0, unary[np.arange(length)[:, None], ref, cols]
+        into = pairwise[:, :, None]
         for t in range(length - 2, -1, -1):  # at a chain's last position: gone its 1, stay as is
-            ahead = np.where(on_ref[:, t + 1], stay[:, t + 1, None], gone[:, t + 1])
-            gone[:, t] = unary[:, t] + np.where(past[:, t + 1, None], 1.0, np.max(
-                pairwise[None] + gone[:, t + 1, None, :], axis=2))
-            stay[:, t] = np.where(past[:, t + 1], stay[:, t],
-                                  stay[:, t] + np.max(pairwise[ref[:, t]] + ahead, axis=1))
-        paths = np.empty((n, length), dtype=int)
+            ahead = np.where(on_ref[t + 1], stay[t + 1], gone[t + 1])
+            gone[t] = unary[t] + np.where(past[t + 1], 1.0, np.max(into + gone[t + 1], axis=1))
+            stay[t] = np.where(past[t + 1], stay[t],
+                               stay[t] + np.max(pairwise.T[:, ref[t]] + ahead, axis=0))
+        paths = np.empty((length, n), dtype=int)
         still = np.ones(n, dtype=bool)  # whether the path so far is ref's
         for t in range(length):
-            ahead = np.where(still[:, None] & on_ref[:, t], stay[:, t, None], gone[:, t])
-            paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + ahead if t else ahead, axis=1)
-            still &= on_ref[rows, t, paths[:, t]]
+            ahead = np.where(still & on_ref[t], stay[t], gone[t])
+            paths[t] = np.argmax(pairwise.T[:, paths[t - 1]] + ahead if t else ahead, axis=0)
+            still &= on_ref[t, paths[t], cols]
         paths[past] = -1
-        return paths
+        return paths.T
 
     def _is_stack(self, xs, ndim=3):
         """Whether ``xs`` is one ``(n, T, d)`` float stack of inputs of one
@@ -583,13 +593,13 @@ class ChainSequenceSpace(OutputSpace):
     def argmax_loss_augmented_all(self, w, xs, zs):
         zs, lz = self._labels(zs)
         unary, pairwise, lengths = self._unary(w, xs)
-        n, length, _ = unary.shape
+        length, _, n = unary.shape
         Z = self._cut(zs, lz, lengths, length, "reference output")
         if self.loss == "zero-one":
             paths = self._best_paths_off(unary, pairwise, Z, lengths)
         else:
             aug = unary + 1.0
-            aug[np.arange(n)[:, None], np.arange(length), Z] -= 1.0  # no reward for matches
+            aug[np.arange(length)[:, None], Z.T, np.arange(n)] -= 1.0  # no reward for matches
             paths = self._best_paths(aug, pairwise, lengths)
         return _records(_to_width(paths, zs.shape[1]))
 
@@ -600,39 +610,46 @@ class ChainSequenceSpace(OutputSpace):
             raise ContractViolation(
                 f"zero-one slack needs neighbor weights >= 0, got {weight.min()}")
         unary, pairwise, lengths = self._unary(w, xs)
-        n, length, _ = unary.shape
-        # slot of every term among its owner's terms, in term order
-        order = np.argsort(owner, kind="stable")
-        slot = np.empty_like(owner)
-        slot[order] = np.arange(len(owner)) - np.searchsorted(owner[order], owner[order])
+        length, a, n = unary.shape
         U = self._cut(upsilons, lu, lengths, length, "upsilon")
-        # slot s holds every point's s-th term; zero weight pads the rest, with
-        # label-0 paths of the point's own length (-1 past its end, as U)
-        W = np.zeros((n, int(slot.max(initial=-1)) + 1))
-        W[owner, slot] = weight
-        Z = np.repeat(np.minimum(U, 0)[:, None], W.shape[1], axis=1)
-        Z[owner, slot] = self._cut(outputs, lo, lengths[owner], length, "neighbor output")
+        O = self._cut(outputs, lo, lengths[owner], length, "neighbor output")
+        # slot of every term among its owner's terms, in term order
+        count, order = np.bincount(owner, minlength=n), np.argsort(owner, kind="stable")
+        slot = np.empty_like(owner)
+        slot[order] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[order]]
         if self.loss == "zero-one":
+            # slot s holds every point's s-th term; zero weight pads the rest, with
+            # label-0 paths of the point's own length (-1 past its end, as U)
+            W = np.zeros((n, int(slot.max(initial=-1)) + 1))
+            W[owner, slot] = weight
+            Z = np.repeat(np.minimum(U, 0)[:, None], W.shape[1], axis=1)
+            Z[owner, slot] = O
             paths = self._cheapest(unary, pairwise, U, W, Z, c1, lengths)
         else:
             # position-wise costs: neighbor disagreement + model score + upsilon loss,
-            # the neighbor terms added one slot at a time as in a per-point loop
-            a, slots = self.num_labels, W.shape[1]
-            at_label = (np.arange(n)[:, None], np.arange(length))
-            cost = np.zeros((n, length, a))
-            # each slot's (point, position, label) cells as flat indices into cost;
-            # label -1 past a chain's end is label a - 1, as numpy reads it
-            cell = np.arange(n * length) * a + np.reshape((Z % a).transpose(1, 0, 2),
-                                                          (slots, n * length))
-            lost, flat = np.repeat(W.T, length, axis=1), cost.reshape(-1)
-            for s in range(slots):
-                cost += W[:, s, None, None]
-                flat[cell[s]] -= lost[s]
+            # the neighbor terms added one slot at a time as in a per-point loop. With
+            # the points ranked by term count, most first, slot s's owners are the
+            # first ones, in rank order (a missing term would add and take 0.0)
+            rank = np.empty(n, dtype=int)
+            rank[np.argsort(-count, kind="stable")] = np.arange(n)
+            by = np.argsort(slot * n + rank[owner])
+            starts = np.concatenate(([0], np.cumsum(np.bincount(slot))))
+            # each term's (position, label, point rank) cells as flat indices into
+            # cost; label -1 past a chain's end is label a - 1, as a negative index reads it
+            lab = O[by]
+            cell = ((np.where(lab < 0, a - 1, lab) * n + rank[owner[by], None]).T
+                    + np.arange(length)[:, None] * (a * n))
+            lost, cost = weight[by], np.zeros((length, a, n))
+            flat = cost.reshape(-1)
+            for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
+                cost[:, :, : stop - start] += lost[start:stop]
+                flat[cell[:, start:stop]] -= lost[start:stop]
+            cost = cost[:, :, rank]
             # as in FiniteLabelSpace, a huge c1 takes costs past the float range
             # (+-inf, and nan where two infinities meet in the recursion)
             with np.errstate(over="ignore", invalid="ignore"):
                 cost += c1 * (1.0 - unary)
-                cost[at_label + (U,)] -= c1
+                cost[np.arange(length)[:, None], U.T, np.arange(n)] -= c1
                 paths = self._best_paths(-cost, c1 * pairwise, lengths)
         return _records(_to_width(paths, upsilons.shape[1]))
 
@@ -642,7 +659,7 @@ class ChainSequenceSpace(OutputSpace):
         or the best path ``y*`` can win: any other ``y`` costs ``c1 * (s(y*)
         - s(y)) >= 0``, plus what ``y*`` saves by matching some, more than
         ``y*``, and ties only as a later path."""
-        n, length, _ = unary.shape
+        n, length = U.shape
         best = self._best_paths(unary, pairwise, lengths)
         C = np.concatenate((best[:, None], U[:, None], Z), axis=1)  # -1 past each end
         flat = C.reshape(-1, length)
@@ -655,9 +672,10 @@ class ChainSequenceSpace(OutputSpace):
         acc = np.zeros(rank.shape)
         for s in range(W.shape[1]):  # in term order, as a per-point loop
             acc += W[:, s, None] * differ[:, :, 2 + s]
-        # a spare label of zeros: -1 past each end adds 0.0 to the sums
-        unary, pairwise = np.pad(unary, ((0, 0), (0, 0), (0, 1))), np.pad(pairwise, (0, 1))
-        score = (unary[np.arange(n)[:, None, None], np.arange(length), C].sum(axis=2)
+        # a spare label of zeros: -1 past each end adds 0.0 to the sums, each
+        # candidate's positions summed along a contiguous row, as numpy pairs them
+        unary, pairwise = np.pad(unary, ((0, 0), (0, 1), (0, 0))), np.pad(pairwise, (0, 1))
+        score = (unary[np.arange(length), C, np.arange(n)[:, None, None]].sum(axis=2)
                  + pairwise[C[..., :-1], C[..., 1:]].sum(axis=2))
         # a huge c1 takes costs past the float range (see OutputSpace.argmin_slack_all)
         with np.errstate(over="ignore"):
@@ -731,18 +749,22 @@ def _to_width(M, width):
 
 def _slack_terms(n, neighbors, c1):
     """``argmin_slack_all``'s ``neighbors``, owners and weights as arrays; ContractViolation
-    unless ``c1 > 0``, the three have one length (naming both of two that differ) and
-    every owner indexes one of ``n`` points (naming the first)."""
-    if c1 <= 0:
-        raise ContractViolation(f"c1 must be positive, got {c1}")
+    unless ``c1`` is positive and finite, the three have one length (naming both of two
+    that differ), every owner indexes one of ``n`` points and every weight is finite
+    (naming the first bad one)."""
+    if not 0 < c1 < np.inf:  # also false for nan
+        raise ContractViolation(f"c1 must be positive and finite, got {c1}")
     owner, weight, outputs = neighbors
     _check_same_length(owner, weight, "neighbor term owners and weights")
     _check_same_length(owner, outputs, "neighbor term owners and outputs")
-    owner = np.asarray(owner, dtype=int)
+    owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
     bad = owner[(owner < 0) | (owner >= n)]
     if bad.size:
         raise ContractViolation(f"neighbor term owner {bad[0]} is not an index into {n} points")
-    return owner, np.asarray(weight, dtype=float), outputs
+    bad = weight[~np.isfinite(weight)]
+    if bad.size:
+        raise ContractViolation(f"neighbor term weight {bad[0]} is not finite")
+    return owner, weight, outputs
 
 
 def _check_pairs(ys1, ys2, weights):

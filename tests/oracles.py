@@ -104,13 +104,68 @@ def argmin_slack(space, w, x, upsilon, neighbors, c1):
     return space.from_codes(space.argmin_slack_all(w, [x], [upsilon], terms, c1))[0]
 
 
+def row_major_best_paths(unary, pairwise, lengths):
+    """``ChainSequenceSpace._best_paths`` on a point-major ``(n, T, a)``
+    unary stack, reducing over the label axis of each point's row."""
+    n, length, _ = unary.shape
+    past = np.arange(length) >= lengths[:, None]
+    best_to_go = unary.copy()
+    for t in range(length - 2, -1, -1):
+        ahead = unary[:, t] + np.max(pairwise[None] + best_to_go[:, t + 1, None, :], axis=2)
+        best_to_go[:, t] = np.where(past[:, t + 1, None], unary[:, t], ahead)
+    paths = np.empty((n, length), dtype=int)
+    paths[:, 0] = np.argmax(best_to_go[:, 0], axis=1)
+    for t in range(1, length):
+        paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + best_to_go[:, t], axis=1)
+    paths[past] = -1
+    return paths
+
+
+def row_major_best_paths_off(unary, pairwise, ref, lengths):
+    """``ChainSequenceSpace._best_paths_off`` on a point-major ``(n, T, a)``
+    unary stack."""
+    n, length, _ = unary.shape
+    rows, past = np.arange(n), np.arange(length) >= lengths[:, None]
+    on_ref = np.arange(unary.shape[2]) == ref[:, :, None]
+    gone, stay = unary + 1.0, unary[rows[:, None], np.arange(length), ref]
+    for t in range(length - 2, -1, -1):
+        ahead = np.where(on_ref[:, t + 1], stay[:, t + 1, None], gone[:, t + 1])
+        gone[:, t] = unary[:, t] + np.where(past[:, t + 1, None], 1.0, np.max(
+            pairwise[None] + gone[:, t + 1, None, :], axis=2))
+        stay[:, t] = np.where(past[:, t + 1], stay[:, t],
+                              stay[:, t] + np.max(pairwise[ref[:, t]] + ahead, axis=1))
+    paths = np.empty((n, length), dtype=int)
+    still = np.ones(n, dtype=bool)
+    for t in range(length):
+        ahead = np.where(still[:, None] & on_ref[:, t], stay[:, t, None], gone[:, t])
+        paths[:, t] = np.argmax(pairwise[paths[:, t - 1]] + ahead if t else ahead, axis=1)
+        still &= on_ref[rows, t, paths[:, t]]
+    paths[past] = -1
+    return paths
+
+
+def indexed_add_features(space, X, Y):
+    """``ChainSequenceSpace._features`` with the emissions added by one
+    indexed add per position."""
+    a, (m, length) = space.num_labels, Y.shape
+    cell = np.where(Y[:, 1:] >= 0, Y[:, :-1] * a + Y[:, 1:], a * a)
+    trans = np.bincount((np.arange(m)[:, None] * (a * a + 1) + cell).ravel(),
+                        minlength=m * (a * a + 1)).reshape(m, a * a + 1)
+    emit = np.zeros((m, a + 1, space.input_dim))  # label -1 adds to the spare block a
+    for t in range(length):
+        emit[np.arange(m), Y[:, t]] += X[:, t]
+    return np.concatenate((trans[:, :-1], emit[:, :a].reshape(m, -1)), axis=1)
+
+
 def per_slot_hamming_slack(space, w, xs, upsilons, neighbors, c1):
-    """The Hamming ``ChainSequenceSpace.argmin_slack_all`` with its neighbor
-    costs subtracted through one ``(point, position)`` index grid per slot."""
+    """The Hamming ``ChainSequenceSpace.argmin_slack_all`` on point-major
+    tables, with every slot padded to all points by zero-weight terms and its
+    neighbor costs subtracted through one ``(point, position)`` index grid."""
     owner, weight, outputs = neighbors
     owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
     (upsilons, lu), (outputs, lo) = space._labels(upsilons), space._labels(outputs)
     unary, pairwise, lengths = space._unary(w, xs)
+    unary = unary.transpose(2, 0, 1)  # point-major (n, T, a)
     n, length, _ = unary.shape
     order = np.argsort(owner, kind="stable")
     slot = np.empty_like(owner)
@@ -128,7 +183,7 @@ def per_slot_hamming_slack(space, w, xs, upsilons, neighbors, c1):
     with np.errstate(over="ignore", invalid="ignore"):
         cost += c1 * (1.0 - unary)
         cost[at_label + (U,)] -= c1
-        paths = space._best_paths(-cost, c1 * pairwise, lengths)
+        paths = row_major_best_paths(-cost, c1 * pairwise, lengths)
     return _records(_to_width(paths, upsilons.shape[1]))
 
 

@@ -406,3 +406,106 @@ def test_chain_feature_sum_equals_the_two_pass_reference(case):
         ups, zs = [ups[i] for i in same], [zs[i] for i in same]
         assert (space.phi_diff_sum(stack, ups, zs).tobytes()
                 == oracles.two_pass_phi_diff_sum(space, stack, ups, zs).tobytes())
+
+
+_ALL_SLACK_SPACES = [MulticlassSpace(3, 2), TaxonomySpace(three_level_taxonomy(), 2),
+                     ChainSequenceSpace(3, 2, loss="hamming"),
+                     ChainSequenceSpace(3, 2, loss="zero-one")]
+_ALL_SLACK_IDS = ["multiclass", "taxonomy", "chain-hamming", "chain-zero-one"]
+
+
+def _slack_batch(space):
+    rng = np.random.default_rng(271)
+    xs = rng.standard_normal((3, 2) if space.kind != "chain" else (3, 4, 2))
+    ys = [space.random_output(x, rng) for x in xs]
+    return rng.standard_normal(space.dim), xs, ys
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c1", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("space", _ALL_SLACK_SPACES, ids=_ALL_SLACK_IDS)
+def test_slack_refuses_a_non_finite_c1(space, c1):
+    w, xs, ys = _slack_batch(space)
+    with pytest.raises(ContractViolation, match=rf"^c1 must be positive and finite, got {c1}$"):
+        space.argmin_slack_all(w, xs, ys, ([0, 1], [0.5, 0.5], ys[:2]), c1)
+    assert len(space.argmin_slack_all(w, xs, ys, ([0, 1], [0.5, 0.5], ys[:2]), 1e308)) == 3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("space", _ALL_SLACK_SPACES, ids=_ALL_SLACK_IDS)
+def test_slack_refuses_a_non_finite_neighbor_weight(space, bad):
+    w, xs, ys = _slack_batch(space)
+    terms = ([0, 1, 2, 0], [0.5, bad, 0.25, np.nan], ys + ys[:1])  # bad, then nan
+    with pytest.raises(ContractViolation, match=rf"^neighbor term weight {bad} is not finite$"):
+        space.argmin_slack_all(w, xs, ys, terms, 1.0)
+
+
+def _row_major(unary):
+    return np.ascontiguousarray(unary.transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("case", ["random", "integer-ties", "T=1", "n=0", "c1=1e300"])
+def test_label_major_dynamic_programs_equal_the_row_major_references(case):
+    rng = np.random.default_rng(277)
+    space = ChainSequenceSpace(3, 2)
+    for _ in range(60):
+        X, w, c1, _, zs, _ = _tie_batch(rng, space, "random" if case in ("T=1", "n=0")
+                                        else case)
+        if case == "T=1":
+            X = [x[:1] for x in X]
+            zs = [z[:1] for z in zs]
+        elif case == "n=0":
+            X, zs = [], []
+        unary, pairwise, lengths = space._unary(w, X)
+        Z = space._cut(*space._labels(zs), lengths, unary.shape[0], "reference output")
+        aug = unary + 1.0
+        aug[np.arange(unary.shape[0])[:, None], Z.T, np.arange(len(X))] -= 1.0
+        if case == "c1=1e300":  # +-inf tables, and nan where two infinities meet
+            with np.errstate(over="ignore"):
+                unary, aug, pairwise = unary * 1e10 * c1, aug * -1e10 * c1, c1 * pairwise
+            assert np.isinf(unary).any()
+        with np.errstate(invalid="ignore"):
+            for table in (unary, aug):
+                want = oracles.row_major_best_paths(_row_major(table), pairwise, lengths)
+                got = space._best_paths(table, pairwise, lengths)
+                assert got.shape == want.shape == (len(X), unary.shape[0])
+                assert np.array_equal(got, want)
+            want = oracles.row_major_best_paths_off(_row_major(unary), pairwise, Z, lengths)
+            assert np.array_equal(space._best_paths_off(unary, pairwise, Z, lengths), want)
+
+
+def test_bincount_features_equal_the_indexed_add():
+    rng = np.random.default_rng(281)
+    space = ChainSequenceSpace(3, 2)
+    values = np.array([-0.0, 0.0, 1e300, -1e300, 1.5, -2.25, 0.1])
+    for _ in range(60):
+        m, length = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        lengths = rng.integers(1, length + 1, size=m)
+        X = rng.choice(values, size=(m, length, space.input_dim))
+        X[rng.random(X.shape) < 0.3] = rng.standard_normal()
+        Y = rng.integers(space.num_labels, size=(m, length))
+        Y[np.arange(length) >= lengths[:, None]] = -1
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = oracles.indexed_add_features(space, X, Y)
+            got = space._features(X, Y)
+        assert got.shape == want.shape == (m, space.dim)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_chain_hamming_slack_equals_the_per_slot_reference_around_a_hub():
+    """One hub owns many terms and the others 0, 1, 2, ... each, so that the
+    owners of every slot are prefixes of every length."""
+    rng = np.random.default_rng(283)
+    space = ChainSequenceSpace(3, 2)
+    for _ in range(20):
+        X, w, c1, ups, _, _ = _tie_batch(rng, space, str(rng.choice(["random", "integer-ties"])))
+        n = len(X)
+        counts = rng.permutation(n)
+        counts[rng.integers(n)] = 3 * n + 2  # the hub
+        owner = rng.permutation(np.repeat(np.arange(n), counts))
+        weight = rng.integers(1, 3, len(owner)) / 2.0
+        outputs = [_chain_draw(rng, space, len(X[o])) for o in owner.tolist()]
+        terms = (owner, weight, outputs)
+        want = oracles.per_slot_hamming_slack(space, w, X, ups, terms, c1)
+        assert space.argmin_slack_all(w, X, ups, terms, c1).tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from semistruct import (
     initialize,
     load_model,
     objective,
+    run_cv,
     save_model,
     update_slack,
     update_upsilon,
@@ -470,3 +473,20 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         SolverConfig(z_init="other").validate()
     assert SolverConfig(c2=4.0).step_size == 0.25
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None], ids=repr)
+def test_a_non_integer_max_iters_is_refused_by_fit_and_run_cv(tiny, bad):
+    ds, g, space = tiny
+    message = rf"^max_iters must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ContractViolation, match=message):
+        fit(ds, g, space, SolverConfig(max_iters=bad))
+    blobs = synth_blobs(classes=2, per_class=6, dim=2, spread=0.3, seed=3)
+    with pytest.raises(ContractViolation, match=message):
+        run_cv(blobs, space, SolverConfig(max_iters=bad), k=2, seed=0)
+
+
+@pytest.mark.parametrize("good", [2, np.int64(2), np.int32(2)], ids=repr)
+def test_integer_max_iters_of_any_integer_type_runs_that_many_iterations(tiny, good):
+    ds, g, space = tiny
+    assert fit(ds, g, space, SolverConfig(max_iters=good)).iteration == 2
