@@ -11,10 +11,13 @@ of a copy of the parent commit made with ``git archive``.
 
 The inputs are written once, by this checkout's ``perfbench/inputs.py``
 (imported as it is, with ``NEW_SRC`` on the path): the three benchmark
-workloads for each of ``SEEDS`` (0, 1 and 2), plus two 60-point chain sets
-per seed with every third point unlabeled: one for the zero-one loss, and
-one of chains of two lengths, read as a list of inputs and run under the
-Hamming and the zero-one loss alike; and one 60-point multiclass set with
+workloads for each of ``SEEDS`` (0, 1 and 2), plus three 60-point chain sets
+per seed: one for the zero-one loss with every third point unlabeled; one
+for the zero-one loss with half its inputs duplicated and two thirds of
+its points unlabeled, so that its graphs have hubs (see
+:func:`_write_zero_one_hub`); and one of chains of two lengths with every
+third point unlabeled, read as a list of inputs and run under the Hamming
+and the zero-one loss alike; and one 60-point multiclass set with
 duplicated inputs, on which ``cv`` and ``sweep`` need a fold graph that a
 search of the whole set's ``2k`` nearest does not give (see
 :func:`_write_duplicates`). Then, for
@@ -110,6 +113,27 @@ def _write_zero_one_chains(seed, out):
     data_io.save_dataset(heldout, out / "heldout.jsonl", space)
 
 
+def _write_zero_one_hub(seed, out):
+    """60 training chains and 20 held-out ones, 3 labels, length 4, for the
+    zero-one loss. Every even training chain shares the first one's input,
+    and only every third chain is labeled. The lowest ids among the 30
+    copies are then the nearest of every other copy: hubs whose neighbour
+    terms far outnumber everyone else's."""
+    from semistruct import data_io
+    from semistruct.core import DataPoint, Dataset
+    from semistruct.spaces import ChainSequenceSpace
+
+    space = ChainSequenceSpace(3, 3, loss="zero-one")
+    points = data_io.synth_chains(3, (4, 4), 80, 3, seed).points
+    xs = [points[0].x if i % 2 == 0 else p.x for i, p in enumerate(points[:60])]
+    train = Dataset(DataPoint(i, x, p.y if i % 3 == 0 else None)
+                    for i, (x, p) in enumerate(zip(xs, points)))
+    heldout = Dataset(DataPoint(i, p.x) for i, p in enumerate(points[60:]))
+    out.mkdir(parents=True, exist_ok=True)
+    data_io.save_dataset(train, out / "train.jsonl", space)
+    data_io.save_dataset(heldout, out / "heldout.jsonl", space)
+
+
 def _write_mixed_length_chains(seed, out):
     """60 training chains (every third unlabeled) and 20 held-out ones,
     3 labels, half of length 4 and half of length 6 with their inputs
@@ -182,6 +206,11 @@ def write_cases(inputs, data, seeds=SEEDS):
         cases.append((f"zero-one-{seed}", where, [
             "--space", "chain", "--alphabet", "3", "--loss", "zero-one", "--c1", "0.5",
             "--c2", "1.0", "--iters", "5", "--seed", str(seed)], ["--k", "4"]))
+        where = data / f"zero-one-hub-{seed}"
+        _write_zero_one_hub(seed, where)
+        cases.append((f"zero-one-hub-{seed}", where, [
+            "--space", "chain", "--alphabet", "3", "--loss", "zero-one", "--c1", "0.5",
+            "--c2", "1.0", "--iters", "5", "--seed", str(seed)], ["--k", "5"]))
         where = data / f"mixed-lengths-{seed}"
         _write_mixed_length_chains(seed, where)
         flags = ["--space", "chain", "--alphabet", "3", "--c1", "0.5", "--c2", "1.0",
