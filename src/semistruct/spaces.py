@@ -3,13 +3,13 @@
 Each space fixes a canonical output encoding, a joint feature map and a
 structured loss, and implements the whole-array contract of ``OutputSpace``.
 The multiclass and taxonomy spaces are finite label spaces answering it with
-array lookups and matrix products. The chain space answers every oracle
-with one dynamic program over a zero-padded stack of all its inputs, under
-the Hamming and the whole-sequence zero-one loss alike. The programs' tables
-are label-major, ``(T, a, n)``, with the points on the contiguous last axis,
-so each recursion step is elementwise work over all points. Its codes are
-rows of one -1-padded label matrix, read as fixed-width records, and its
-sums read that matrix, adding floats in the order of a per-pair loop.
+array lookups and matrix products. The chain space answers every oracle with
+one dynamic program over a zero-padded stack of its inputs, on label-major
+``(T, a, n)`` tables, and returns codes as wide as its longest input: rows of
+one -1-padded label matrix read as records, which one reader cuts, or pads,
+to the width a pass needs. Its zero-one slack weighs candidates over the
+owner-sorted term list, so its memory follows each point's own term count.
+Its sums add floats in the order of a per-pair loop.
 """
 
 from __future__ import annotations
@@ -427,11 +427,15 @@ class ChainSequenceSpace(OutputSpace):
         M[np.arange(M.shape[1]) < lengths[:, None]] = labels
         return _records(M)
 
-    def _labels(self, ys):
-        """The label matrix of the codes of ``ys`` and each output's length."""
+    def _labels(self, ys, width=None):
+        """The label matrix of the codes of ``ys``, cut to ``width`` columns as a
+        view or padded to them with -1 if narrower, and each output's length."""
         codes = self.as_codes(ys)
         M = np.ascontiguousarray(codes).view(np.int64).reshape(len(codes), codes.itemsize // 8)
-        return M, (M >= 0).sum(axis=1)
+        lengths = (M >= 0).sum(axis=1)
+        if width is not None and M.shape[1] < width:
+            M = np.pad(M, ((0, 0), (0, width - M.shape[1])), constant_values=-1)
+        return M[:, :width], lengths
 
     def from_codes(self, codes):
         """Every output as a tuple of Python ints, the padding cut off."""
@@ -580,52 +584,41 @@ class ChainSequenceSpace(OutputSpace):
         X[np.arange(X.shape[1]) < lengths[:, None]] = np.concatenate(xs) if xs else 0.0
         return X, lengths
 
-    @staticmethod
-    def _cut(M, lm, lengths, width, what):
-        """``M`` at ``width`` columns; ContractViolation unless its lengths ``lm`` match."""
-        if not np.array_equal(lm, lengths):
-            raise ContractViolation(f"{what} length does not match the input")
-        return _to_width(M, width)
-
     def argmax_score_all(self, w, xs):
         return _records(self._best_paths(*self._unary(w, xs)))
 
     def argmax_loss_augmented_all(self, w, xs, zs):
-        zs, lz = self._labels(zs)
         unary, pairwise, lengths = self._unary(w, xs)
         length, _, n = unary.shape
-        Z = self._cut(zs, lz, lengths, length, "reference output")
+        Z, lz = self._labels(zs, length)
+        _check_lengths(lz, lengths, "reference output")
         if self.loss == "zero-one":
             paths = self._best_paths_off(unary, pairwise, Z, lengths)
         else:
             aug = unary + 1.0
             aug[np.arange(length)[:, None], Z.T, np.arange(n)] -= 1.0  # no reward for matches
             paths = self._best_paths(aug, pairwise, lengths)
-        return _records(_to_width(paths, zs.shape[1]))
+        return _records(paths)
 
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
         owner, weight, outputs = _slack_terms(len(xs), neighbors, c1)
-        (upsilons, lu), (outputs, lo) = self._labels(upsilons), self._labels(outputs)
         if self.loss == "zero-one" and weight.min(initial=0.0) < 0:
             raise ContractViolation(
                 f"zero-one slack needs neighbor weights >= 0, got {weight.min()}")
         unary, pairwise, lengths = self._unary(w, xs)
         length, a, n = unary.shape
-        U = self._cut(upsilons, lu, lengths, length, "upsilon")
-        O = self._cut(outputs, lo, lengths[owner], length, "neighbor output")
-        # slot of every term among its owner's terms, in term order
+        (U, lu), (O, lo) = self._labels(upsilons, length), self._labels(outputs, length)
+        _check_lengths(lu, lengths, "upsilon")
+        _check_lengths(lo, lengths[owner], "neighbor output")
+        # the terms sorted by owner, each owner's in term order
         count, order = np.bincount(owner, minlength=n), np.argsort(owner, kind="stable")
-        slot = np.empty_like(owner)
-        slot[order] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[order]]
         if self.loss == "zero-one":
-            # slot s holds every point's s-th term; zero weight pads the rest, with
-            # label-0 paths of the point's own length (-1 past its end, as U)
-            W = np.zeros((n, int(slot.max(initial=-1)) + 1))
-            W[owner, slot] = weight
-            Z = np.repeat(np.minimum(U, 0)[:, None], W.shape[1], axis=1)
-            Z[owner, slot] = O
-            paths = self._cheapest(unary, pairwise, U, W, Z, c1, lengths)
+            paths = self._cheapest(unary, pairwise, U, count, weight[order], O[order], c1,
+                                   lengths)
         else:
+            # slot of every term among its owner's terms
+            slot = np.empty_like(owner)
+            slot[order] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[order]]
             # position-wise costs: neighbor disagreement + model score + upsilon loss,
             # the neighbor terms added one slot at a time as in a per-point loop. With
             # the points ranked by term count, most first, slot s's owners are the
@@ -651,38 +644,42 @@ class ChainSequenceSpace(OutputSpace):
                 cost += c1 * (1.0 - unary)
                 cost[np.arange(length)[:, None], U.T, np.arange(n)] -= c1
                 paths = self._best_paths(-cost, c1 * pairwise, lengths)
-        return _records(_to_width(paths, upsilons.shape[1]))
+        return _records(paths)
 
-    def _cheapest(self, unary, pairwise, U, W, Z, c1, lengths):
+    def _cheapest(self, unary, pairwise, U, count, weight, O, c1, lengths):
         """Zero-one slack minimizers from the upsilons ``U`` and the neighbor
-        weights ``W`` and outputs ``Z`` by slot. With weights >= 0 only these
-        or the best path ``y*`` can win: any other ``y`` costs ``c1 * (s(y*)
-        - s(y)) >= 0``, plus what ``y*`` saves by matching some, more than
-        ``y*``, and ties only as a later path."""
+        terms' weights and outputs ``O``, sorted by owner, ``count`` per point. With
+        weights >= 0 only these or the best path ``y*`` can win: any other
+        ``y`` costs ``c1 * (s(y*) - s(y)) >= 0``, plus what ``y*`` saves by
+        matching some, more than ``y*``, and ties only as a later path."""
         n, length = U.shape
         best = self._best_paths(unary, pairwise, lengths)
-        C = np.concatenate((best[:, None], U[:, None], Z), axis=1)  # -1 past each end
-        flat = C.reshape(-1, length)
+        # one flat stack of candidates: each point's best path and upsilon, and
+        # every term's output; own says whose each is (-1 past each end)
+        C = np.concatenate((best, U, O))
+        own = np.concatenate((np.arange(n), np.arange(n), np.repeat(np.arange(n), count)))
         # rank of each candidate in lexicographic order; equal paths share one
-        order = np.lexsort(flat.T[::-1])
-        rank = np.zeros(len(flat), dtype=int)
-        rank[order[1:]] = np.cumsum((flat[order[1:]] != flat[order[:-1]]).any(axis=1))
-        rank = rank.reshape(C.shape[:2])
-        differ = rank[:, :, None] != rank[:, None]  # zero-one loss between candidates
-        acc = np.zeros(rank.shape)
-        for s in range(W.shape[1]):  # in term order, as a per-point loop
-            acc += W[:, s, None] * differ[:, :, 2 + s]
+        order = np.lexsort(C.T[::-1])
+        rank = np.zeros(len(C), dtype=int)
+        rank[order[1:]] = np.cumsum((C[order[1:]] != C[order[:-1]]).any(axis=1))
+        # every (candidate, term of its point) pair, each candidate's terms in term
+        # order, so that bincount adds the neighbor costs as a per-point loop does
+        first, reps = (np.cumsum(count) - count)[own], count[own]
+        cand = np.repeat(np.arange(len(C)), reps)
+        term = np.arange(len(cand)) + np.repeat(first - (np.cumsum(reps) - reps), reps)
+        acc = np.bincount(cand, weight[term] * (rank[cand] != rank[2 * n + term]),
+                          minlength=len(C))
         # a spare label of zeros: -1 past each end adds 0.0 to the sums, each
         # candidate's positions summed along a contiguous row, as numpy pairs them
         unary, pairwise = np.pad(unary, ((0, 0), (0, 1), (0, 0))), np.pad(pairwise, (0, 1))
-        score = (unary[np.arange(length), C, np.arange(n)[:, None, None]].sum(axis=2)
-                 + pairwise[C[..., :-1], C[..., 1:]].sum(axis=2))
+        score = (unary[np.arange(length), C, own[:, None]].sum(axis=1)
+                 + pairwise[C[:, :-1], C[:, 1:]].sum(axis=1))
         # a huge c1 takes costs past the float range (see OutputSpace.argmin_slack_all)
         with np.errstate(over="ignore"):
-            cost = acc + c1 * (-score + differ[:, :, 1])
+            cost = acc + c1 * (-score + (rank != rank[n + own]))
         # the first cheapest in lexicographic order, per point
-        first = np.lexsort((rank.ravel(), cost.ravel(), np.repeat(np.arange(n), rank.shape[1])))
-        return flat[first[::rank.shape[1]]]
+        first = np.lexsort((rank, cost, own))
+        return C[first[np.cumsum(count + 2) - (count + 2)]]
 
     # --- whole-array sums --------------------------------------------------
     #
@@ -692,11 +689,11 @@ class ChainSequenceSpace(OutputSpace):
     # bits.
 
     def _matrices(self, ys1, ys2):
-        """:meth:`_labels` of two lists of outputs or codes, the narrower
-        matrix padded with -1 to the wider one's width."""
+        """:meth:`_labels` of two lists of outputs or codes, both cut to the
+        narrower one's width."""
         (M1, l1), (M2, l2) = self._labels(ys1), self._labels(ys2)
-        width = max(M1.shape[1], M2.shape[1])
-        return [_to_width(M, width) for M in (M1, M2)], (l1, l2)
+        width = min(M1.shape[1], M2.shape[1])
+        return (M1[:, :width], M2[:, :width]), (l1, l2)
 
     def delta_sum(self, ys1, ys2, weights=None):
         _check_pairs(ys1, ys2, weights)
@@ -716,7 +713,8 @@ class ChainSequenceSpace(OutputSpace):
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
         (Y, Z), (ly, lz) = self._matrices(ys, zs)
-        idx = np.flatnonzero((Y != Z).any(axis=1))  # equal pairs add exactly zero, unread
+        # equal pairs add exactly zero, unread; pairs of other lengths meet the check
+        idx = np.flatnonzero((Y != Z).any(axis=1) | (ly != lz))
         if not idx.size:
             return np.zeros(self.dim)
         X, lx = self._stack(xs[idx] if self._is_stack(xs) else [xs[i] for i in idx.tolist()])
@@ -740,11 +738,10 @@ def _records(M):
     return M.view(np.dtype((np.void, 8 * M.shape[1]))).ravel()
 
 
-def _to_width(M, width):
-    """The label matrix ``M`` cut, or padded with -1, to ``width`` columns."""
-    out = np.full((len(M), width), -1)
-    out[:, : M.shape[1]] = M[:, :width]
-    return out
+def _check_lengths(lm, lengths, what):
+    """ContractViolation unless the output lengths ``lm`` are the input ``lengths``."""
+    if not np.array_equal(lm, lengths):
+        raise ContractViolation(f"{what} length does not match the input")
 
 
 def _slack_terms(n, neighbors, c1):

@@ -20,7 +20,7 @@ from semistruct.core import DataPoint, Dataset, OutputSpace, ValidationReport, a
 from semistruct.errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from semistruct.graph import NeighborGraph, k_nearest, neighbor_terms, point_matrix, point_vector
 from semistruct.solver import _SEED_TAG_ZINIT, ObjectiveParts, TraceRow
-from semistruct.spaces import _records, _to_width
+from semistruct.spaces import _records
 
 
 def object_array(items) -> np.ndarray:
@@ -157,6 +157,21 @@ def indexed_add_features(space, X, Y):
     return np.concatenate((trans[:, :-1], emit[:, :a].reshape(m, -1)), axis=1)
 
 
+def to_width(M, width):
+    """The label matrix ``M`` cut, or padded with -1, to ``width`` columns, as a copy."""
+    out = np.full((len(M), width), -1)
+    out[:, : M.shape[1]] = M[:, :width]
+    return out
+
+
+def cut(M, lm, lengths, width, what):
+    """``M`` at ``width`` columns; ContractViolation unless its lengths ``lm``
+    are the input ``lengths``."""
+    if not np.array_equal(lm, lengths):
+        raise ContractViolation(f"{what} length does not match the input")
+    return to_width(M, width)
+
+
 def per_slot_hamming_slack(space, w, xs, upsilons, neighbors, c1):
     """The Hamming ``ChainSequenceSpace.argmin_slack_all`` on point-major
     tables, with every slot padded to all points by zero-weight terms and its
@@ -170,11 +185,11 @@ def per_slot_hamming_slack(space, w, xs, upsilons, neighbors, c1):
     order = np.argsort(owner, kind="stable")
     slot = np.empty_like(owner)
     slot[order] = np.arange(len(owner)) - np.searchsorted(owner[order], owner[order])
-    U = space._cut(upsilons, lu, lengths, length, "upsilon")
+    U = cut(upsilons, lu, lengths, length, "upsilon")
     W = np.zeros((n, int(slot.max(initial=-1)) + 1))
     W[owner, slot] = weight
     Z = np.repeat(np.minimum(U, 0)[:, None], W.shape[1], axis=1)
-    Z[owner, slot] = space._cut(outputs, lo, lengths[owner], length, "neighbor output")
+    Z[owner, slot] = cut(outputs, lo, lengths[owner], length, "neighbor output")
     at_label = (np.arange(n)[:, None], np.arange(length))
     cost = np.zeros((n, length, space.num_labels))
     for s in range(W.shape[1]):
@@ -184,7 +199,7 @@ def per_slot_hamming_slack(space, w, xs, upsilons, neighbors, c1):
         cost += c1 * (1.0 - unary)
         cost[at_label + (U,)] -= c1
         paths = row_major_best_paths(-cost, c1 * pairwise, lengths)
-    return _records(_to_width(paths, upsilons.shape[1]))
+    return _records(paths)
 
 
 def two_pass_phi_diff_sum(space, xs, ys, zs):

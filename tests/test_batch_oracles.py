@@ -7,6 +7,8 @@ the chain space, under both losses, on batches that mix sequence lengths and
 on exact ties.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -458,7 +460,7 @@ def test_label_major_dynamic_programs_equal_the_row_major_references(case):
         elif case == "n=0":
             X, zs = [], []
         unary, pairwise, lengths = space._unary(w, X)
-        Z = space._cut(*space._labels(zs), lengths, unary.shape[0], "reference output")
+        Z = oracles.cut(*space._labels(zs), lengths, unary.shape[0], "reference output")
         aug = unary + 1.0
         aug[np.arange(unary.shape[0])[:, None], Z.T, np.arange(len(X))] -= 1.0
         if case == "c1=1e300":  # +-inf tables, and nan where two infinities meet
@@ -493,19 +495,69 @@ def test_bincount_features_equal_the_indexed_add():
         assert got.tobytes() == want.tobytes()
 
 
+def _hub_terms(rng, space, X):
+    """Neighbor terms in shuffled owner order: one hub owns ``3n + 2`` and
+    the other points 0, 1, 2, ... each, so that the owners of every slot
+    are prefixes of every length and the points' term counts all differ."""
+    n = len(X)
+    counts = rng.permutation(n)
+    counts[rng.integers(n)] = 3 * n + 2  # the hub
+    owner = rng.permutation(np.repeat(np.arange(n), counts))
+    weight = rng.integers(1, 3, len(owner)) / 2.0
+    outputs = [_chain_draw(rng, space, len(X[o])) for o in owner.tolist()]
+    return owner, weight, outputs
+
+
 def test_chain_hamming_slack_equals_the_per_slot_reference_around_a_hub():
-    """One hub owns many terms and the others 0, 1, 2, ... each, so that the
-    owners of every slot are prefixes of every length."""
     rng = np.random.default_rng(283)
     space = ChainSequenceSpace(3, 2)
     for _ in range(20):
         X, w, c1, ups, _, _ = _tie_batch(rng, space, str(rng.choice(["random", "integer-ties"])))
-        n = len(X)
-        counts = rng.permutation(n)
-        counts[rng.integers(n)] = 3 * n + 2  # the hub
-        owner = rng.permutation(np.repeat(np.arange(n), counts))
-        weight = rng.integers(1, 3, len(owner)) / 2.0
-        outputs = [_chain_draw(rng, space, len(X[o])) for o in owner.tolist()]
-        terms = (owner, weight, outputs)
+        terms = _hub_terms(rng, space, X)
         want = oracles.per_slot_hamming_slack(space, w, X, ups, terms, c1)
         assert space.argmin_slack_all(w, X, ups, terms, c1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["random", "integer-ties", "c1=1e300"])
+def test_chain_zero_one_slack_matches_enumeration_around_a_hub(case):
+    """Every point's candidates are its best path, its upsilon and its own
+    terms' outputs, however many; a point with no terms has two."""
+    rng = np.random.default_rng(293)
+    space = ChainSequenceSpace(3, 2, loss="zero-one")
+    bare = 0
+    for _ in range(12):
+        X, w, c1, ups, _, _ = _tie_batch(rng, space, case)
+        X, ups = [x[:4] for x in X], [u[:4] for u in ups]  # at most 81 outputs to enumerate
+        owner, weight, outputs = _hub_terms(rng, space, X)
+        if case == "random":
+            weight = rng.uniform(0.1, 1.0, len(owner))
+        neighbors = [[(omega, z) for o, omega, z in zip(owner.tolist(), weight, outputs) if o == i]
+                     for i in range(len(X))]
+        bare += sum(not nb for nb in neighbors)
+        got = space.argmin_slack_all(w, X, ups, (owner, weight, outputs), c1)
+        assert space.from_codes(got) == [oracles.brute_argmin_slack(space, w, x, u, nb, c1)
+                                         for x, u, nb in zip(X, ups, neighbors)]
+    assert bare > 0
+
+
+def test_chain_zero_one_slack_memory_follows_each_points_own_terms():
+    """A hub with a term per point: the traced peak follows the sum over the
+    points of (2 + terms) * terms, about 41 000 pairs, not n * (2 + the
+    hub's terms)**2, about 8.2 million (13 MiB when the terms were padded
+    to the hub's count)."""
+    rng = np.random.default_rng(307)
+    space = ChainSequenceSpace(3, 2, loss="zero-one")
+    n = 200
+    X = rng.standard_normal((n, 4, 2))
+    w = rng.standard_normal(space.dim)
+    ups = space.as_codes([space.random_output(x, rng) for x in X])
+    owner = np.concatenate((np.zeros(n, dtype=int), np.arange(1, n)))
+    outputs = space.as_codes([space.random_output(X[i], rng) for i in owner.tolist()])
+    terms = (owner, rng.uniform(0.1, 1.0, len(owner)), outputs)
+    tracemalloc.start()
+    try:
+        space.argmin_slack_all(w, X, ups, terms, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"

@@ -483,7 +483,10 @@ def test_codes_decode_to_the_outputs_they_were_made_from(ys):
 
 
 @pytest.mark.parametrize("loss", ["hamming", "zero-one"])
-def test_oracle_codes_take_the_width_of_their_reference_codes(loss):
+def test_oracle_codes_take_the_width_of_their_longest_input(loss):
+    """Every oracle returns codes as wide as its longest input, whatever the
+    width of the codes it is given. Neighbor codes may be narrower: here the
+    longest input has no neighbor terms."""
     rng = np.random.default_rng(97)
     space = ChainSequenceSpace(3, 2, loss=loss)
     w = rng.standard_normal(space.dim)
@@ -491,12 +494,31 @@ def test_oracle_codes_take_the_width_of_their_reference_codes(loss):
     zs, ups, terms = _draws(space, xs, rng)
     narrow, wide = space.as_codes(zs), space.as_codes(zs + [(0,) * 5])[:3]
     assert (narrow.dtype.itemsize, wide.dtype.itemsize) == (3 * 8, 5 * 8)
+    owner, weight, outputs = terms
+    short = (owner[owner != 1], weight[owner != 1],
+             [z for i, z in zip(owner.tolist(), outputs) if i != 1])
+    short_codes = (*short[:2], space.as_codes(short[2]))
+    assert short_codes[2].dtype.itemsize == 2 * 8
     for ref in (narrow, wide):
-        for got in (space.argmax_loss_augmented_all(w, xs, ref),
-                    space.argmin_slack_all(w, xs, ref, terms, 0.7)):
-            assert got.dtype == ref.dtype
-    assert space.argmax_score_all(w, xs).dtype == narrow.dtype  # the longest input
+        for nb in (terms, short_codes):
+            for got in (space.argmax_loss_augmented_all(w, xs, ref),
+                        space.argmin_slack_all(w, xs, ref, nb, 0.7)):
+                assert got.dtype == narrow.dtype
+    assert space.argmax_score_all(w, xs).dtype == narrow.dtype
     assert _codes(space, w, xs, wide, wide, terms) == _codes(space, w, xs, zs, zs, terms)
+    assert (_codes(space, w, xs, wide, wide, short_codes)
+            == _codes(space, w, xs, zs, zs, short))
+
+
+def test_the_label_reader_cuts_to_a_view_and_pads_only_a_narrower_matrix():
+    space = ChainSequenceSpace(3, 1)
+    codes = space.as_codes([(0, 1), (2,), (1, 2, 0)])
+    M, lengths = space._labels(codes)
+    for width in (1, 2, 3, 5):
+        got, got_lengths = space._labels(codes, width)
+        assert np.array_equal(got, oracles.to_width(M, width))
+        assert np.array_equal(got_lengths, lengths)  # the whole outputs' lengths
+        assert np.shares_memory(got, codes) == (width <= 3)
 
 
 def test_empty_batches_give_empty_codes():
