@@ -122,9 +122,9 @@ def cmd_synth(args):
             tree = data_io.load_taxonomy(args.taxonomy)
         else:
             tree = three_level_taxonomy()
-        data_io.save_taxonomy(tree, out / "taxonomy.json")
         ds = data_io.synth_taxonomy_blobs(tree, args.per_leaf, args.dim,
                                           args.spread, args.seed)
+        data_io.save_taxonomy(tree, out / "taxonomy.json")
         space = TaxonomySpace(tree, args.dim)
     else:
         ds = data_io.synth_chains(args.alphabet or 3,

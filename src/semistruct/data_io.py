@@ -298,6 +298,16 @@ def _ring(count, radius, dim):
     return out
 
 
+def _check_draws(spread, **least):
+    """ContractViolation unless every ``name=(value, minimum)`` has a value
+    >= its minimum and the standard deviation ``spread`` is finite and >= 0."""
+    for name, (value, minimum) in least.items():
+        if value < minimum:
+            raise ContractViolation(f"need {name} >= {minimum}, got {value}")
+    if not 0 <= spread < math.inf:  # also false for nan
+        raise ContractViolation(f"spread must be finite and >= 0, got {spread}")
+
+
 def synth_blobs(classes, per_class, dim, spread, seed) -> Dataset:
     """Gaussian clusters with unit-separated means, one class per cluster.
 
@@ -307,8 +317,7 @@ def synth_blobs(classes, per_class, dim, spread, seed) -> Dataset:
     """
     if classes < 2:
         raise ContractViolation(f"need at least 2 classes, got {classes}")
-    if dim < 2:
-        raise ContractViolation(f"need dim >= 2, got {dim}")
+    _check_draws(spread, dim=(dim, 2), per_class=(per_class, 1))
     rng = np.random.default_rng((seed, _SEED_TAG_BLOBS))
     if dim >= classes:
         means = np.zeros((classes, dim))
@@ -348,6 +357,7 @@ def taxonomy_leaf_centers(tree: Taxonomy, dim) -> dict:
 
 def synth_taxonomy_blobs(tree: Taxonomy, per_leaf, dim, spread, seed) -> Dataset:
     """Gaussian cluster per leaf, sibling leaves closer than cross-branch."""
+    _check_draws(spread, per_leaf=(per_leaf, 1))
     rng = np.random.default_rng((seed, _SEED_TAG_TAXO))
     centers = taxonomy_leaf_centers(tree, dim)
     means = np.array([centers[leaf] for leaf in tree.leaves]).repeat(per_leaf, axis=0)
@@ -369,6 +379,7 @@ def synth_chains(num_labels, length_range, count, dim, seed, spread=0.5) -> Data
     lo, hi = length_range
     if lo < 1 or hi < lo:
         raise ContractViolation(f"bad length range {length_range}")
+    _check_draws(spread, dim=(dim, 1), count=(count, 1))
     rng = np.random.default_rng((seed, _SEED_TAG_CHAINS))
     transition = np.full((num_labels, num_labels), 0.4 / (num_labels - 1))
     np.fill_diagonal(transition, 0.6)

@@ -207,15 +207,10 @@ class Taxonomy:
         for i, p in enumerate(self.parents):
             if p is not None and not (_is_int(p) and 0 <= p < q):
                 raise ContractViolation(f"node {i} has parent {p!r} outside 0..{q - 1}")
-        # reject cycles: every node must reach the root
-        for i in range(q):
-            seen = set()
-            j = i
-            while self.parents[j] is not None:
-                if j in seen:
-                    raise ContractViolation(f"cycle detected at node {i}")
-                seen.add(j)
-                j = self.parents[j]
+        # reject cycles: every node must be reached from the root
+        unreached = set(range(q)).difference(self.breadth_first)
+        if unreached:
+            raise ContractViolation(f"cycle detected at node {min(unreached)}")
 
     def __len__(self):
         return len(self.parents)
@@ -255,36 +250,32 @@ class Taxonomy:
         return tuple(i for i, k in enumerate(self.children) if not k)
 
     @cached_property
+    def breadth_first(self):
+        """The nodes reached from the root, breadth first: parents before children."""
+        order = [self.root]
+        for i in order:
+            order.extend(self.children[i])
+        return tuple(order)
+
+    @cached_property
     def paths(self):
         """Per node: ids on the path to the root, node and root included."""
-        out = []
-        for i in range(len(self.parents)):
-            path = [i]
-            while self.parents[path[-1]] is not None:
-                path.append(self.parents[path[-1]])
-            out.append(tuple(path))
+        out = [(self.root,)] * len(self.parents)
+        for i in self.breadth_first[1:]:
+            out[i] = (i, *out[self.parents[i]])
         return tuple(out)
 
     @cached_property
     def heights(self):
         """Per node: maximum edge distance to a descendant leaf (0 at leaves)."""
-        h = [None] * len(self.parents)
-
-        def rec(i):
-            if h[i] is None:
-                kids = self.children[i]
-                h[i] = 0 if not kids else 1 + max(rec(c) for c in kids)
-            return h[i]
-
-        rec(self.root)
+        h = [0] * len(self.parents)
+        for i in reversed(self.breadth_first[1:]):  # children before their parents
+            h[self.parents[i]] = max(h[self.parents[i]], h[i] + 1)
         return tuple(h)
 
     def first_common_ancestor(self, a, b):
         on_a = set(self.paths[a])
-        for node in self.paths[b]:
-            if node in on_a:
-                return node
-        return self.root
+        return next(node for node in self.paths[b] if node in on_a)  # the root at the latest
 
 
 def three_level_taxonomy():

@@ -136,6 +136,24 @@ def test_taxonomy_synth_and_fit(tmp_path):
     assert code == 0
 
 
+def test_a_deep_taxonomy_synthesizes_fits_and_loads(tmp_path):
+    """A path-shaped tree 3 000 nodes deep, one more leaf at its root: no
+    step walks it by recursion."""
+    depth = 3000
+    nodes = [{"id": i, "parent": i - 1 if i else None} for i in range(depth)]
+    tree = tmp_path / "deep.json"
+    tree.write_text(json.dumps({"nodes": [*nodes, {"id": depth, "parent": 0}]}))
+    out = tmp_path / "deep"
+    assert _run("synth", "--space", "taxonomy", "--taxonomy", str(tree), "--per-leaf", "4",
+                "--dim", "2", "--out", str(out)) == 0
+    assert _run("fit", "--data", str(out / "data.jsonl"), "--space", "taxonomy",
+                "--taxonomy", str(out / "taxonomy.json"), "--iters", "2", "--k", "3",
+                "--out", str(tmp_path / "fit")) == 0
+    _, space, _ = load_model(tmp_path / "fit" / "model.json")
+    assert space.tree.heights[space.tree.root] == depth - 1
+    assert space.loss_matrix.tolist() == [[0.0, depth - 1], [depth - 1, 0.0]]
+
+
 def test_chain_synth_and_fit(tmp_path):
     out = tmp_path / "chain"
     assert _run(
@@ -158,6 +176,30 @@ def test_zero_one_cv_runs_on_long_chains(tmp_path):
                                      "--min-len": "13", "--max-len": "13", "--dim": "2"})
     assert _run("cv", "--data", str(data), "--space", "chain", "--loss", "zero-one",
                 "--iters", "3", "--k", "3", "--out", str(tmp_path / "cv")) == 0
+
+
+_BAD_SYNTH = {
+    "chain-dim-0": (["--space", "chain", "--dim", "0"], "need dim >= 1, got 0"),
+    "per-class--1": (["--space", "multiclass", "--per-class", "-1"],
+                     "need per_class >= 1, got -1"),
+    "per-leaf--2": (["--space", "taxonomy", "--per-leaf", "-2"], "need per_leaf >= 1, got -2"),
+    "count--1": (["--space", "chain", "--count", "-1"], "need count >= 1, got -1"),
+    "chain-spread-nan": (["--space", "chain", "--spread", "nan"],
+                         "spread must be finite and >= 0, got nan"),
+    "multiclass-spread-inf": (["--space", "multiclass", "--spread", "inf"],
+                              "spread must be finite and >= 0, got inf"),
+    "taxonomy-spread--1": (["--space", "taxonomy", "--spread", "-1"],
+                           "spread must be finite and >= 0, got -1.0"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, message", _BAD_SYNTH.values(), ids=_BAD_SYNTH.keys())
+def test_synth_refuses_bad_sizes_before_writing(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert _run("synth", *args, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_chain_synth_reads_spread(tmp_path):
