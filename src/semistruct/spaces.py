@@ -249,7 +249,7 @@ class Taxonomy:
     def leaves(self):
         return tuple(i for i, k in enumerate(self.children) if not k)
 
-    @cached_property
+    @property
     def breadth_first(self):
         """The nodes reached from the root, breadth first: parents before children."""
         order = [self.root]

@@ -543,8 +543,7 @@ def test_chain_zero_one_slack_matches_enumeration_around_a_hub(case):
 def test_chain_zero_one_slack_memory_follows_each_points_own_terms():
     """A hub with a term per point: the traced peak follows the sum over the
     points of (2 + terms) * terms, about 41 000 pairs, not n * (2 + the
-    hub's terms)**2, about 8.2 million (13 MiB when the terms were padded
-    to the hub's count)."""
+    hub's terms)**2, about 8.2 million."""
     rng = np.random.default_rng(307)
     space = ChainSequenceSpace(3, 2, loss="zero-one")
     n = 200
