@@ -669,8 +669,8 @@ class ChainSequenceSpace(OutputSpace):
         with np.errstate(over="ignore"):
             cost = acc + c1 * (-score + (rank != rank[n + own]))
         # the first cheapest in lexicographic order, per point
-        first = np.lexsort((rank, cost, own))
-        return C[first[np.cumsum(count + 2) - (count + 2)]]
+        by_cost = np.lexsort((rank, cost, own))
+        return C[by_cost[np.cumsum(count + 2) - (count + 2)]]
 
     # --- whole-array sums --------------------------------------------------
     #
