@@ -658,8 +658,8 @@ class ChainSequenceSpace(OutputSpace):
         first, reps = (np.cumsum(count) - count)[own], count[own]
         cand = np.repeat(np.arange(len(C)), reps)
         term = np.arange(len(cand)) + np.repeat(first - (np.cumsum(reps) - reps), reps)
-        acc = np.bincount(cand, weight[term] * (rank[cand] != rank[2 * n + term]),
-                          minlength=len(C))
+        differ = rank[cand] != rank[2 * n :][term]  # apart: at most 4 pair arrays live
+        acc = np.bincount(cand, weight[term] * differ, minlength=len(C))
         # a spare label of zeros: -1 past each end adds 0.0 to the sums, each
         # candidate's positions summed along a contiguous row, as numpy pairs them
         unary, pairwise = np.pad(unary, ((0, 0), (0, 1), (0, 0))), np.pad(pairwise, (0, 1))
