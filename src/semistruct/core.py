@@ -195,8 +195,9 @@ class OutputSpace(ABC):
         term ``e`` adds ``weight[e] * delta(y, outputs[e])`` to the objective
         of point ``owner[e]`` (an index into ``xs``). Each point's terms keep
         their order. ContractViolation unless ``c1 > 0``, every owner indexes
-        ``xs`` and, for zero-one chains, every weight is >= 0. Costs past the
-        float range (a huge ``c1``) may tie otherwise than an enumeration's."""
+        ``xs`` and, for zero-one chains, every weight is >= 0. The first cheapest
+        wins to within rounding of the per-point cost; costs past the float
+        range (a huge ``c1``) may tie otherwise than an enumeration's."""
 
     @abstractmethod
     def delta_sum(self, ys1, ys2, weights=None) -> float:
@@ -276,6 +277,13 @@ def as_weights(w, dim):
     if not np.all(np.isfinite(w)):
         raise ContractViolation("weight vector contains non-finite entries")
     return w
+
+
+def seeded_rng(seed, tag):
+    """``default_rng((seed, tag))``; ContractViolation unless ``seed`` is an int >= 0."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ContractViolation(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng((seed, tag))
 
 
 @dataclass

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, stack_or_list, take_inputs, validate_dataset
+from .core import Dataset, seeded_rng, stack_or_list, take_inputs, validate_dataset
 from .errors import ContractViolation, DataFormatError
 from .spaces import Taxonomy
 
@@ -318,7 +318,7 @@ def synth_blobs(classes, per_class, dim, spread, seed) -> Dataset:
     if classes < 2:
         raise ContractViolation(f"need at least 2 classes, got {classes}")
     _check_draws(spread, dim=(dim, 2), per_class=(per_class, 1))
-    rng = np.random.default_rng((seed, _SEED_TAG_BLOBS))
+    rng = seeded_rng(seed, _SEED_TAG_BLOBS)
     if dim >= classes:
         means = np.zeros((classes, dim))
         means[np.arange(classes), np.arange(classes)] = 1.0 / math.sqrt(2.0)
@@ -358,7 +358,7 @@ def taxonomy_leaf_centers(tree: Taxonomy, dim) -> dict:
 def synth_taxonomy_blobs(tree: Taxonomy, per_leaf, dim, spread, seed) -> Dataset:
     """Gaussian cluster per leaf, sibling leaves closer than cross-branch."""
     _check_draws(spread, per_leaf=(per_leaf, 1))
-    rng = np.random.default_rng((seed, _SEED_TAG_TAXO))
+    rng = seeded_rng(seed, _SEED_TAG_TAXO)
     centers = taxonomy_leaf_centers(tree, dim)
     means = np.array([centers[leaf] for leaf in tree.leaves]).repeat(per_leaf, axis=0)
     ys = np.repeat(tree.leaves, per_leaf)
@@ -380,7 +380,7 @@ def synth_chains(num_labels, length_range, count, dim, seed, spread=0.5) -> Data
     if lo < 1 or hi < lo:
         raise ContractViolation(f"bad length range {length_range}")
     _check_draws(spread, dim=(dim, 1), count=(count, 1))
-    rng = np.random.default_rng((seed, _SEED_TAG_CHAINS))
+    rng = seeded_rng(seed, _SEED_TAG_CHAINS)
     transition = np.full((num_labels, num_labels), 0.4 / (num_labels - 1))
     np.fill_diagonal(transition, 0.6)
     # Generator.choice(a, p=row) draws cdf.searchsorted(random(), side="right")
@@ -426,7 +426,7 @@ def make_folds(ds: Dataset, seed) -> FoldPlan:
     n = len(ds)
     if n < NUM_FOLDS:
         raise ContractViolation(f"need at least {NUM_FOLDS} points, got {n}")
-    rng = np.random.default_rng((seed, _SEED_TAG_FOLDS))
+    rng = seeded_rng(seed, _SEED_TAG_FOLDS)
     perm = rng.permutation(n)
     fold_of = np.empty(n, dtype=int)
     for f, chunk in enumerate(np.array_split(perm, NUM_FOLDS)):

@@ -254,7 +254,8 @@ def sweep(param, values, ds, space, base_cfg: SolverConfig,
 
     ``param`` is "c1" or "c2". A value whose run fails with a package error
     (an invalid setting, say) is recorded and the sweep continues; any other
-    exception propagates. Note a swept c2 also moves the default step
+    exception propagates, and a bad seed or too few points for the folds
+    fail the whole sweep. Note a swept c2 also moves the default step
     size, which stays at 1 / c2 unless the base config pins eta. Every
     value's cross validation reads its fold graphs off one neighbor search.
     """
@@ -262,6 +263,7 @@ def sweep(param, values, ds, space, base_cfg: SolverConfig,
         raise ContractViolation(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
     if not values:
         raise ContractViolation("sweep needs at least one value")
+    make_folds(ds, seed)  # checked once, not recorded for each value
     rows, graphs = [], SubsetGraphs(ds.inputs, k)
     for v in values:
         cfg = replace(base_cfg, **{param: float(v)})

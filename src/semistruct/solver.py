@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import take_inputs
+from .core import seeded_rng, take_inputs
 from .errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from .graph import k_nearest, manifold_term, neighbor_terms, point_matrix
 from .spaces import _is_int, space_from_config
@@ -199,7 +199,7 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
             _check_donors(ds, space, free, labeled[nearest[:, 0]], length[free])
         z = fixed.truth[pick]
     else:
-        rng = np.random.default_rng((cfg.seed, _SEED_TAG_ZINIT))
+        rng = seeded_rng(cfg.seed, _SEED_TAG_ZINIT)
         z = space.as_codes([y if y is not None else space.random_output(x, rng)
                             for x, y in zip(xs, ds.outputs)])
 

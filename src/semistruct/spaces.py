@@ -7,9 +7,10 @@ array lookups and matrix products. The chain space answers every oracle with
 one dynamic program over a zero-padded stack of its inputs, on label-major
 ``(T, a, n)`` tables, and returns codes as wide as its longest input: rows of
 one -1-padded label matrix read as records, which one reader cuts, or pads,
-to the width a pass needs. Its zero-one slack weighs candidates over the
-owner-sorted term list, so its memory follows each point's own term count.
-Its sums add floats in the order of a per-pair loop.
+to the width a pass needs. Its Hamming slack is each point's total term
+weight less that of its terms agreeing at each position and label; its
+zero-one slack weighs candidates over the owner-sorted term list, so its
+memory follows each point's own term count.
 """
 
 from __future__ import annotations
@@ -258,24 +259,12 @@ class Taxonomy:
         return tuple(order)
 
     @cached_property
-    def paths(self):
-        """Per node: ids on the path to the root, node and root included."""
-        out = [(self.root,)] * len(self.parents)
-        for i in self.breadth_first[1:]:
-            out[i] = (i, *out[self.parents[i]])
-        return tuple(out)
-
-    @cached_property
     def heights(self):
         """Per node: maximum edge distance to a descendant leaf (0 at leaves)."""
         h = [0] * len(self.parents)
         for i in reversed(self.breadth_first[1:]):  # children before their parents
             h[self.parents[i]] = max(h[self.parents[i]], h[i] + 1)
         return tuple(h)
-
-    def first_common_ancestor(self, a, b):
-        on_a = set(self.paths[a])
-        return next(node for node in self.paths[b] if node in on_a)  # the root at the latest
 
 
 def three_level_taxonomy():
@@ -308,15 +297,26 @@ class TaxonomySpace(FiniteLabelSpace):
 
     def __init__(self, tree: Taxonomy, input_dim):
         self.tree = tree
-        leaves = tree.leaves
-        paths = np.zeros((len(leaves), len(tree)))
-        for row, leaf in enumerate(leaves):
-            paths[row, list(tree.paths[leaf])] = 1.0
-        heights = [
-            [tree.heights[tree.first_common_ancestor(a, b)] for b in leaves]
-            for a in leaves
-        ]
-        super().__init__(leaves, paths, heights, input_dim)
+        # in depth-first leaf order each node's leaves are one block: count[v]
+        # leaves from start[v] on
+        count, start = np.array([0 if k else 1 for k in tree.children]), np.zeros(len(tree), int)
+        for i in reversed(tree.breadth_first[1:]):  # children before their parents
+            count[tree.parents[i]] += count[i]
+        # leaves under two children of v meet at v: each pair is written once, at
+        # its meeting node, in one tree walk (a leaf meets itself at height 0)
+        L = np.zeros((count[tree.root],) * 2)
+        for v in tree.breadth_first:  # parents before their children
+            at, stop = start[v], start[v] + count[v]
+            for c in tree.children[v]:
+                start[c], at = at, at + count[c]
+                rows = slice(start[c], at)
+                L[rows, start[v] : start[c]] = L[rows, at:stop] = tree.heights[v]
+        # column v is 1 on the rows of v's block: one scatter
+        A = np.zeros((len(L), len(tree)))
+        A[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start, count),
+          np.repeat(np.arange(len(tree)), count)] = 1.0
+        pos = start[list(tree.leaves)]
+        super().__init__(tree.leaves, A[pos], L[np.ix_(pos, pos)], input_dim)
 
     def config(self):
         return {"kind": self.kind, "input_dim": self.input_dim, "nodes": self.tree.to_nodes()}
@@ -601,34 +601,21 @@ class ChainSequenceSpace(OutputSpace):
         (U, lu), (O, lo) = self._labels(upsilons, length), self._labels(outputs, length)
         _check_lengths(lu, lengths, "upsilon")
         _check_lengths(lo, lengths[owner], "neighbor output")
-        # the terms sorted by owner, each owner's in term order
-        count, order = np.bincount(owner, minlength=n), np.argsort(owner, kind="stable")
         if self.loss == "zero-one":
+            # the terms sorted by owner, each owner's in term order
+            count, order = np.bincount(owner, minlength=n), np.argsort(owner, kind="stable")
             paths = self._cheapest(unary, pairwise, U, count, weight[order], O[order], c1,
                                    lengths)
         else:
-            # slot of every term among its owner's terms
-            slot = np.empty_like(owner)
-            slot[order] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[order]]
-            # position-wise costs: neighbor disagreement + model score + upsilon loss,
-            # the neighbor terms added one slot at a time as in a per-point loop. With
-            # the points ranked by term count, most first, slot s's owners are the
-            # first ones, in rank order (a missing term would add and take 0.0)
-            rank = np.empty(n, dtype=int)
-            rank[np.argsort(-count, kind="stable")] = np.arange(n)
-            by = np.argsort(slot * n + rank[owner])
-            starts = np.concatenate(([0], np.cumsum(np.bincount(slot))))
-            # each term's (position, label, point rank) cells as flat indices into
-            # cost; label -1 past a chain's end is label a - 1, as a negative index reads it
-            lab = O[by]
-            cell = ((np.where(lab < 0, a - 1, lab) * n + rank[owner[by], None]).T
-                    + np.arange(length)[:, None] * (a * n))
-            lost, cost = weight[by], np.zeros((length, a, n))
-            flat = cost.reshape(-1)
-            for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
-                cost[:, :, : stop - start] += lost[start:stop]
-                flat[cell[:, start:stop]] -= lost[start:stop]
-            cost = cost[:, :, rank]
+            # position-wise costs: neighbor disagreement + model score + upsilon loss.
+            # A point's disagreement at (position, label) is its total term weight less
+            # that of its terms agreeing there: one bincount over (position, label + 1,
+            # point) cells, label -1 past a chain's end adding to a spare label 0
+            cell = (np.arange(length)[:, None] * (a + 1) + O.T + 1) * n + owner
+            agree = np.bincount(cell.ravel(), np.tile(weight, length),
+                                minlength=length * (a + 1) * n).reshape(length, a + 1, n)
+            cost = np.subtract(np.bincount(owner, weight, minlength=n), agree[:, 1:],
+                               dtype=float)  # float also with no terms
             # as in FiniteLabelSpace, a huge c1 takes costs past the float range
             # (+-inf, and nan where two infinities meet in the recursion)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -675,9 +662,10 @@ class ChainSequenceSpace(OutputSpace):
     # --- whole-array sums --------------------------------------------------
     #
     # A list of outputs is checked once, by ``as_codes``; the sums then read
-    # the label matrices of the codes (see ``_matrices``) and add their
-    # floats in the order of a per-pair loop, so that they give the same
-    # bits.
+    # the label matrices of the codes (see ``_matrices``) and sum over
+    # arrays. Only the weighted ``delta_sum`` keeps the order of a per-pair
+    # loop: the manifold term of every chain trace row goes through it, and
+    # a whole-array sum moves the last bits of those rows.
 
     def _matrices(self, ys1, ys2):
         """:meth:`_labels` of two lists of outputs or codes, both cut to the
@@ -717,10 +705,7 @@ class ChainSequenceSpace(OutputSpace):
                                     f" does not match input length {lx[i]}")
         both = self._features(np.concatenate((X, X)),
                               np.concatenate((Y[idx, : X.shape[1]], Z[idx, : X.shape[1]])))
-        diff = both[: idx.size] - both[idx.size :]
-        # the pairs' differences added in pair order from 0.0 (transition
-        # counts are integers, exact in any order)
-        return np.cumsum(np.concatenate((np.zeros((1, self.dim)), diff)), axis=0)[-1]
+        return (both[: idx.size] - both[idx.size :]).sum(axis=0)
 
 
 def _records(M):

@@ -5,7 +5,7 @@ library's inference oracles, so a bug in a dynamic program or gradient
 cannot hide behind itself. Three exceptions call them: ``argmin_slack`` asks
 the whole-array slack oracle about one point; the chain space's per-slot
 Hamming slack oracle and two-pass feature sum are its earlier forms, built
-from its own helpers, that its faster loops must match bit for bit; and the
+from its own helpers, that add their floats in another order; and the
 list-based solver at the end is the reference for how the solver stores,
 gathers and updates outputs around the oracles.
 """
@@ -55,13 +55,19 @@ def brute_argmax_loss_augmented(space, w, x, z):
     return cands[best], vals[best]
 
 
-def brute_argmin_slack(space, w, x, upsilon, neighbors, c1):
+def slack_costs(space, w, x, upsilon, neighbors, c1):
+    """Every candidate output of ``x`` and its per-point slack objective."""
     cands = enumerate_candidates(space, x)
     vals = []
     for y in cands:
         v = sum(omega * space.delta(y, z_nb) for omega, z_nb in neighbors)
         v += c1 * (-float(np.dot(w, space.phi(x, y))) + space.delta(upsilon, y))
         vals.append(v)
+    return cands, vals
+
+
+def brute_argmin_slack(space, w, x, upsilon, neighbors, c1):
+    cands, vals = slack_costs(space, w, x, upsilon, neighbors, c1)
     return cands[int(np.argmin(vals))]
 
 
@@ -102,6 +108,35 @@ def argmin_slack(space, w, x, upsilon, neighbors, c1):
     ``(weight, output)`` pairs covering both edge directions."""
     terms = ([0] * len(neighbors), [o for o, _ in neighbors], [z for _, z in neighbors])
     return space.from_codes(space.argmin_slack_all(w, [x], [upsilon], terms, c1))[0]
+
+
+def path_to_root(tree, node):
+    """The nodes from ``node`` up to the root of ``tree``, both included."""
+    path = [node]
+    while tree.parents[path[-1]] is not None:
+        path.append(tree.parents[path[-1]])
+    return path
+
+
+def first_common_ancestor(tree, a, b):
+    """The first node on ``b``'s path to the root that is on ``a``'s."""
+    on_a = set(path_to_root(tree, a))
+    return next(v for v in path_to_root(tree, b) if v in on_a)
+
+
+def pairwise_taxonomy_matrices(tree):
+    """The incidence and loss matrices of a ``TaxonomySpace`` on ``tree``,
+    from the definitions, leaf pair by leaf pair: a leaf's row marks its path
+    to the root, and two leaves lose the height of their first common
+    ancestor, its longest way down to a leaf."""
+    height = [0] * len(tree)
+    A = np.zeros((len(tree.leaves), len(tree)))
+    for row, leaf in enumerate(tree.leaves):
+        for up, node in enumerate(path_to_root(tree, leaf)):
+            height[node] = max(height[node], up)
+            A[row, node] = 1.0
+    L = [[height[first_common_ancestor(tree, a, b)] for b in tree.leaves] for a in tree.leaves]
+    return A, np.asarray(L, dtype=float)
 
 
 def row_major_best_paths(unary, pairwise, lengths):
@@ -175,7 +210,11 @@ def cut(M, lm, lengths, width, what):
 def per_slot_hamming_slack(space, w, xs, upsilons, neighbors, c1):
     """The Hamming ``ChainSequenceSpace.argmin_slack_all`` on point-major
     tables, with every slot padded to all points by zero-weight terms and its
-    neighbor costs subtracted through one ``(point, position)`` index grid."""
+    neighbor costs subtracted through one ``(point, position)`` index grid.
+    A reference of another float order: each point's costs are added slot by
+    slot, not as its total weight less its agreeing weight, so the two agree
+    exactly on small integer and dyadic weights, and on paths wherever costs
+    are further apart than rounding."""
     owner, weight, outputs = neighbors
     owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
     (upsilons, lu), (outputs, lo) = space._labels(upsilons), space._labels(outputs)
@@ -204,7 +243,9 @@ def per_slot_hamming_slack(space, w, xs, upsilons, neighbors, c1):
 
 def two_pass_phi_diff_sum(space, xs, ys, zs):
     """``ChainSequenceSpace.phi_diff_sum`` with the features of ``ys`` and
-    of ``zs`` found in two separate passes."""
+    of ``zs`` found in two separate passes, and their differences added from
+    a row of 0.0 rather than from the first difference: another float order
+    with the same bits, since the features never hold -0.0."""
     (Y, Z), _ = space._matrices(ys, zs)
     idx = np.flatnonzero((Y != Z).any(axis=1))
     if not idx.size:

@@ -395,6 +395,34 @@ def test_chain_hamming_slack_equals_the_per_slot_reference(case):
         assert got.dtype == want.dtype
 
 
+# costs that near-tie within this fraction of their size may be ordered either way
+_ROUNDING = 1e-9
+
+
+def test_chain_hamming_slack_matches_enumeration_on_random_weights():
+    """Random real weights of both signs, added in another order than the
+    enumeration's: the slack agrees with it at every point whose best cost
+    beats the second best by more than the rounding bound, which is most."""
+    rng = np.random.default_rng(311)
+    space = ChainSequenceSpace(3, 2)
+    counted = total = 0
+    for _ in range(12):
+        X, w, c1, ups, _, (owner, _, outputs) = _tie_batch(rng, space, "random")
+        # at most 81 outputs to enumerate
+        X, ups, outputs = ([y[:4] for y in ys] for ys in (X, ups, outputs))
+        weight = rng.uniform(-0.5, 1.0, len(owner))
+        got = space.from_codes(space.argmin_slack_all(w, X, ups, (owner, weight, outputs), c1))
+        for i, (x, u) in enumerate(zip(X, ups)):
+            nb = [(omega, z) for o, omega, z in zip(owner.tolist(), weight, outputs) if o == i]
+            cands, vals = oracles.slack_costs(space, w, x, u, nb, c1)
+            best, second = np.sort(vals)[:2]
+            total += 1
+            if second - best > _ROUNDING * (1.0 + np.abs(vals).max()):
+                counted += 1
+                assert got[i] == cands[int(np.argmin(vals))]  # brute_argmin_slack's answer
+    assert counted >= 0.9 * total > 0, (counted, total)
+
+
 @pytest.mark.parametrize("case", ["random", "integer-ties"])
 def test_chain_feature_sum_equals_the_two_pass_reference(case):
     rng = np.random.default_rng(269)

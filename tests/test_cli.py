@@ -299,6 +299,27 @@ def test_non_finite_hyperparameters_are_validation_errors(tmp_path, capsys, flag
     assert not (out / "trace.csv").exists()
 
 
+_SEEDED = {
+    "synth": ["--space", "chain"],
+    "fit-uniform-random": ["--z-init", "uniform-random", "--k", "3"],
+    "cv": ["--k", "3"],
+    "baseline": [],
+    "sweep": ["--param", "c1", "--values", "0.5,5", "--k", "3"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flags", _SEEDED.items(), ids=_SEEDED.keys())
+def test_a_negative_seed_is_a_validation_error(tmp_path, capsys, command, flags):
+    data = [] if command == "synth" else ["--data", str(_synth_blobs(tmp_path)),
+                                          "--space", "multiclass", "--iters", "2"]
+    capsys.readouterr()
+    code = _run(command.split("-")[0], *data, *flags, "--seed", "-1",
+                "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("command", ["cv", "baseline"])
 def test_all_folds_diverged_exit_code(tmp_path, capsys, command):
     data = _synth_blobs(tmp_path)

@@ -205,6 +205,15 @@ def test_sweep_rejects_unknown_parameter(blob_setup):
         ev.sweep("c1", [], ds, space, cfg)
 
 
+def test_a_bad_seed_or_too_few_points_fails_the_whole_sweep(blob_setup):
+    ds, space, cfg = blob_setup
+    with pytest.raises(ContractViolation, match="^seed must be a non-negative integer, got -1$"):
+        ev.sweep("c1", [0.5, 5.0], ds, space, cfg, k=3, seed=-1)
+    few = synth_blobs(classes=2, per_class=3, dim=space.input_dim, spread=0.5, seed=0)
+    with pytest.raises(ContractViolation, match="^need at least 10 points, got 6$"):
+        ev.sweep("c1", [0.5, 5.0], few, MulticlassSpace(2, space.input_dim), cfg, k=2)
+
+
 def test_trace_csv_rows_and_component_sum(blob_setup):
     ds, space, cfg = blob_setup
     g = build_knn_graph(ds, k=3)
