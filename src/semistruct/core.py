@@ -279,10 +279,20 @@ def as_weights(w, dim):
     return w
 
 
-def seeded_rng(seed, tag):
-    """``default_rng((seed, tag))``; ContractViolation unless ``seed`` is an int >= 0."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+def is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_seed(seed):
+    """ContractViolation unless ``seed`` is an int >= 0."""
+    if not is_int(seed) or seed < 0:
         raise ContractViolation(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def seeded_rng(seed, tag):
+    """``default_rng((seed, tag))`` of a seed that passes :func:`check_seed`."""
+    check_seed(seed)
     return np.random.default_rng((seed, tag))
 
 
@@ -319,7 +329,7 @@ def validate_dataset(ds, space) -> ValidationReport:
         )
 
     report.violations.extend(f"id {i}: {problem}"
-                             for i, problem in _input_violations(ds.inputs, space))
+                             for i, problem in input_violations(ds.inputs, space))
 
     if not ds.labeled.any():
         report.violations.append("dataset has no labeled points")
@@ -347,12 +357,12 @@ def _fits(space, y, x) -> bool:
 _FINITE_BLOCK_ROWS = 1024
 
 
-def _input_violations(xs, space) -> list:
+def input_violations(xs, space) -> list:
     """``(position, problem)`` of every input violation of ``xs`` (one array
     whose rows are the inputs, or a list of inputs) in position order, each
     input's in the order non-finite, then dimension."""
     dim = getattr(space, "input_dim", None)
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+    if not is_int(dim) or dim < 1:
         raise ContractViolation(
             f"{type(space).__name__} must declare input_dim, a positive integer; got {dim!r}"
         )

@@ -18,11 +18,11 @@ or too large ``x``. The inputs of a file end up stacked: one ``n x d``
 float matrix for flat data, one ``n x T x d`` array for sequences of one
 length, and a list of arrays otherwise. Then each ``x``'s number of
 dimensions and each labeled output, decoded and valid for its input, are
-checked, and the dataset is made from the stack and the outputs in id order
-(:meth:`Dataset.from_arrays`). Its inputs are checked as one
-group, or once per group of equal shape (see
-:func:`semistruct.core.validate_dataset`): empty inputs, the width against
-the space's ``input_dim``, and finiteness over bounded blocks.
+checked, once. The inputs, put in id order, are checked as one group, or
+once per group of equal shape (see :func:`semistruct.core.input_violations`):
+empty inputs, the width against the space's ``input_dim``, and finiteness
+over bounded blocks. The dataset is made from the stack and the outputs
+(:meth:`Dataset.from_arrays`).
 
 Taxonomy files are JSON documents ``{"nodes": [{"id": 0, "parent": null,
 "name": "root"}, ...]}`` with exactly one null parent and ids contiguous
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, seeded_rng, stack_or_list, take_inputs, validate_dataset
+from .core import Dataset, input_violations, seeded_rng, stack_or_list, take_inputs
 from .errors import ContractViolation, DataFormatError
 from .spaces import Taxonomy
 
@@ -229,16 +229,12 @@ def dataset_from_records(records, path, space, require_labeled=False) -> Dataset
         at = np.empty(n, dtype=int)
         at[ids] = np.arange(n)
         inputs, ys = take_inputs(inputs, at), [ys[i] for i in at.tolist()]
-    ds = Dataset.from_arrays(inputs, ys, space.kind)
-
-    report = validate_dataset(ds, space)
-    problems = [
-        v for v in report.violations
-        if require_labeled or v != "dataset has no labeled points"
-    ]
+    problems = [f"id {i}: {problem}" for i, problem in input_violations(inputs, space)]
+    if require_labeled and not labeled:
+        problems.append("dataset has no labeled points")
     if problems:
         raise DataFormatError(f"{path}: " + "; ".join(problems))
-    return ds
+    return Dataset.from_arrays(inputs, ys, space.kind)
 
 
 def load_dataset(path, space, require_labeled=False) -> Dataset:

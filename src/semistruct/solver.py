@@ -35,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import seeded_rng, take_inputs
+from .core import check_seed, is_int, seeded_rng, take_inputs
 from .errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from .graph import k_nearest, manifold_term, neighbor_terms, point_matrix
-from .spaces import _is_int, space_from_config
+from .spaces import space_from_config
 
 Z_INIT_STRATEGIES = ("nearest-labeled", "uniform-random")
 
@@ -72,7 +72,7 @@ class SolverConfig:
                 continue
             if not 0 < value < math.inf:  # also false for nan
                 raise ContractViolation(f"{name} must be positive and finite, got {value}")
-        if not _is_int(self.max_iters):
+        if not is_int(self.max_iters):
             raise ContractViolation(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ContractViolation(f"max_iters must be >= 1, got {self.max_iters}")
@@ -80,6 +80,7 @@ class SolverConfig:
             raise ContractViolation(
                 f"z_init must be one of {Z_INIT_STRATEGIES}, got {self.z_init!r}"
             )
+        check_seed(self.seed)
 
 
 class ObjectiveParts(NamedTuple):
@@ -163,9 +164,9 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
     of the nearest labeled point (ties toward the smaller id; distances in
     ``g.points`` when the graph has them) or draw uniformly from the space,
     per ``cfg.z_init``. Every output is encoded here, once. Raises
-    UnsupportedConfiguration when a graph edge joins inputs of different
-    lengths or a copied output does not fit its point, and Diverged when the
-    initial objective is not finite.
+    UnsupportedConfiguration when a graph edge, or an unlabeled point and
+    the labeled point it copies, join inputs of different lengths, and
+    Diverged when the initial objective is not finite.
     """
     cfg.validate()
     if g.n != len(ds):
@@ -196,7 +197,12 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
             X = g.points if g.points is not None else point_matrix(xs)
             nearest, _ = k_nearest(X[free], X[labeled], 1)
             pick[free] = nearest[:, 0]
-            _check_donors(ds, space, free, labeled[nearest[:, 0]], length[free])
+            bad = np.flatnonzero(length[free] != length[labeled[nearest[:, 0]]])
+            if len(bad):
+                raise UnsupportedConfiguration(
+                    f"nearest-labeled init copied an output that does not fit "
+                    f"point {free[bad[0]]} (sequence lengths differ?)"
+                )
         z = fixed.truth[pick]
     else:
         rng = seeded_rng(cfg.seed, _SEED_TAG_ZINIT)
@@ -207,25 +213,6 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
     state.upsilon = update_upsilon(state, ds, space, cfg)
     state.trace.append(_trace_row(state, ds, g, space, cfg))
     return state
-
-
-def _check_donors(ds, space, free, donor, length):
-    """UnsupportedConfiguration unless every copied output fits its point.
-
-    Checks each distinct (donor, input length) pair once, in one
-    ``space.contains_all`` call, and names the first point, in id order,
-    whose donor does not fit.
-    """
-    key = donor * (length.max() + 1) + length
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    fits = space.contains_all([ds.outputs[i] for i in donor[first].tolist()],
-                              take_inputs(ds.inputs, free[first]))
-    bad = np.flatnonzero(~fits[inverse])
-    if len(bad):
-        raise UnsupportedConfiguration(
-            f"nearest-labeled init copied an output that does not fit "
-            f"point {free[bad[0]]} (sequence lengths differ?)"
-        )
 
 
 def update_upsilon(state, ds, space, cfg) -> np.ndarray:

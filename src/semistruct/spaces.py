@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import OutputSpace, as_weights
+from .core import OutputSpace, as_weights, is_int
 from .errors import ContractViolation
 
 
@@ -45,7 +45,7 @@ class FiniteLabelSpace(OutputSpace):
         if input_dim < 1:
             raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
         labels = tuple(labels)
-        if not labels or not all(_is_int(y) and y >= 0 for y in labels) \
+        if not labels or not all(is_int(y) and y >= 0 for y in labels) \
                 or len(set(labels)) < len(labels):
             raise ContractViolation(
                 f"labels must be distinct non-negative ints, got {reprlib.repr(labels)}")
@@ -206,7 +206,7 @@ class Taxonomy:
         if len(roots) != 1:
             raise ContractViolation(f"taxonomy must have exactly one root, found {len(roots)}")
         for i, p in enumerate(self.parents):
-            if p is not None and not (_is_int(p) and 0 <= p < q):
+            if p is not None and not (is_int(p) and 0 <= p < q):
                 raise ContractViolation(f"node {i} has parent {p!r} outside 0..{q - 1}")
         # reject cycles: every node must be reached from the root
         unreached = set(range(q)).difference(self.breadth_first)
@@ -223,7 +223,7 @@ class Taxonomy:
             raise ContractViolation(
                 f"taxonomy nodes must be a list of objects, got {reprlib.repr(nodes)}")
         ids = [nd["id"] for nd in nodes]
-        if not all(map(_is_int, ids)) or sorted(ids) != list(range(len(nodes))):
+        if not all(map(is_int, ids)) or sorted(ids) != list(range(len(nodes))):
             raise ContractViolation("taxonomy node ids must be contiguous from 0")
         nodes = sorted(nodes, key=lambda nd: nd["id"])
         return cls(tuple(nd["parent"] for nd in nodes),
@@ -358,7 +358,7 @@ class ChainSequenceSpace(OutputSpace):
     def _contains(self, y, x=None):
         """Whether ``y`` is a label sequence (of the length of ``x`` when given)."""
         return (isinstance(y, tuple) and len(y) > 0
-                and all(_is_int(v) and 0 <= v < self.num_labels for v in y)
+                and all(is_int(v) and 0 <= v < self.num_labels for v in y)
                 and (x is None or len(y) == self._as_seq_input(x).shape[0]))
 
     def _flat(self, ys):
@@ -760,15 +760,10 @@ def _check_same_length(first, second, what):
         raise ContractViolation(f"{what} have lengths {len(first)} and {len(second)}")
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _count(cfg, key):
     """The count ``cfg[key]``; ContractViolation unless it is an int (a bool
     or a float is not cut to one)."""
-    if not _is_int(cfg[key]):
+    if not is_int(cfg[key]):
         raise ContractViolation(f"space field {key!r} must be an integer, got {cfg[key]!r}")
     return cfg[key]
 

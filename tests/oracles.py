@@ -2,14 +2,21 @@
 
 Everything here enumerates or differentiates directly, without touching the
 library's inference oracles, so a bug in a dynamic program or gradient
-cannot hide behind itself. Three exceptions call them: ``argmin_slack`` asks
-the whole-array slack oracle about one point; the chain space's per-slot
+cannot hide behind itself. The joint feature map and the loss of the
+shipped spaces are :func:`phi` and :func:`delta`, written from their
+definitions; the enumerating references and the scalar value functions read
+them, not the spaces' own one-item views, which a space of any other kind
+falls back to. Four exceptions call library code: ``argmin_slack`` asks the
+whole-array slack oracle about one point; the chain space's per-slot
 Hamming slack oracle and two-pass feature sum are its earlier forms, built
-from its own helpers, that add their floats in another order; and the
+from its own helpers, that add their floats in another order; the
 list-based solver at the end is the reference for how the solver stores,
-gathers and updates outputs around the oracles.
+gathers and updates outputs around the oracles, so it reads the spaces'
+whole-array sums, whose float order its tests pin; and ``EnumeratingSpace``
+answers the whole-array contract from a subclass's own scalar forms.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -41,16 +48,67 @@ def enumerate_candidates(space, x):
     return [tuple(y) for y in itertools.product(range(space.num_labels), repeat=length)]
 
 
+def phi(space, x, y):
+    """The joint feature vector of ``(x, y)`` from its definition.
+
+    Multiclass: the input in the block of class ``y``. Taxonomy: the input
+    in the block of every node on leaf ``y``'s path to the root. Chain: the
+    count of each (previous, next) label transition, row-major by previous
+    label, then per label the sum of the inputs at its positions, added from
+    0.0 in position order. Another kind of space answers with its own
+    ``phi``."""
+    if space.kind not in ("multiclass", "taxonomy", "chain"):
+        return space.phi(x, y)
+    d = space.input_dim
+    if space.kind != "chain":
+        out = np.zeros(space.dim)
+        for b in [y] if space.kind == "multiclass" else path_to_root(space.tree, y):
+            out[b * d : (b + 1) * d] = x
+        return out
+    x, a = np.asarray(x, dtype=float), space.num_labels
+    if len(y) != len(x):
+        raise ContractViolation(
+            f"label sequence length {len(y)} does not match input length {len(x)}")
+    out = [0.0] * space.dim  # Python floats add as numpy's do, and faster one by one
+    for prev, label in zip(y, y[1:]):
+        out[prev * a + label] += 1.0
+    for label, row in zip(y, x.tolist()):
+        for j, v in enumerate(row, a * a + label * d):
+            out[j] += v
+    return np.array(out)
+
+
+def delta(space, y1, y2):
+    """The loss of predicting ``y2`` as ``y1`` from its definition.
+
+    Multiclass: zero-one. Taxonomy: the height of the two leaves' first
+    common ancestor, its longest way down to a leaf. Chain: the number of
+    differing positions (Hamming) or whether any differs (zero-one), for
+    sequences of one length. Another kind of space answers with its own
+    ``delta``."""
+    if space.kind == "multiclass":
+        return float(y1 != y2)
+    if space.kind == "taxonomy":
+        return float(heights(space.tree)[first_common_ancestor(space.tree, y1, y2)])
+    if space.kind != "chain":
+        return space.delta(y1, y2)
+    if len(y1) != len(y2):
+        raise ContractViolation(
+            f"cannot compare label sequences of lengths {len(y1)} and {len(y2)}")
+    differ = sum(a != b for a, b in zip(y1, y2))
+    return float(differ > 0 if space.loss == "zero-one" else differ)
+
+
 def brute_argmax_score(space, w, x):
     cands = enumerate_candidates(space, x)
-    vals = [float(np.dot(w, space.phi(x, y))) for y in cands]
+    vals = [float(np.dot(w, phi(space, x, y))) for y in cands]
     return cands[int(np.argmax(vals))]
 
 
 def brute_argmax_loss_augmented(space, w, x, z):
     cands = enumerate_candidates(space, x)
-    sz = float(np.dot(w, space.phi(x, z)))
-    vals = [float(np.dot(w, space.phi(x, y))) - sz + space.delta(y, z) for y in cands]
+    sz = float(np.dot(w, phi(space, x, z)))
+    vals = [float(np.dot(w, phi(space, x, y))) - sz + delta(space, y, z) for y in cands]
     best = int(np.argmax(vals))
     return cands[best], vals[best]
 
@@ -60,8 +118,8 @@ def slack_costs(space, w, x, upsilon, neighbors, c1):
     cands = enumerate_candidates(space, x)
     vals = []
     for y in cands:
-        v = sum(omega * space.delta(y, z_nb) for omega, z_nb in neighbors)
-        v += c1 * (-float(np.dot(w, space.phi(x, y))) + space.delta(upsilon, y))
+        v = sum(omega * delta(space, y, z_nb) for omega, z_nb in neighbors)
+        v += c1 * (-float(np.dot(w, phi(space, x, y))) + delta(space, upsilon, y))
         vals.append(v)
     return cands, vals
 
@@ -81,7 +139,7 @@ def brute_argmin_slack(space, w, x, upsilon, neighbors, c1):
 def matching_score(w, x, y, space) -> float:
     """Linear matching score ``w . phi(x, y)`` of an input-output pair."""
     w = as_weights(w, space.dim)
-    return float(np.dot(w, space.phi(x, y)))
+    return float(np.dot(w, phi(space, x, y)))
 
 
 def loss_augmented_value(w, x, z, y, space) -> float:
@@ -89,7 +147,7 @@ def loss_augmented_value(w, x, z, y, space) -> float:
     return (
         matching_score(w, x, y, space)
         - matching_score(w, x, z, space)
-        + space.delta(y, z)
+        + delta(space, y, z)
     )
 
 
@@ -99,8 +157,8 @@ def slack_objective_value(w, x, upsilon, neighbors, c1, y, space) -> float:
     ``(weight, output)`` pairs."""
     acc = 0.0
     for omega, z_nb in neighbors:
-        acc += omega * space.delta(y, z_nb)
-    return acc + c1 * (-matching_score(w, x, y, space) + space.delta(upsilon, y))
+        acc += omega * delta(space, y, z_nb)
+    return acc + c1 * (-matching_score(w, x, y, space) + delta(space, upsilon, y))
 
 
 def argmin_slack(space, w, x, upsilon, neighbors, c1):
@@ -124,17 +182,25 @@ def first_common_ancestor(tree, a, b):
     return next(v for v in path_to_root(tree, b) if v in on_a)
 
 
+@functools.cache
+def heights(tree):
+    """Every node's height in ``tree``: its longest way down to a leaf."""
+    height = [0] * len(tree)
+    for leaf in tree.leaves:
+        for up, node in enumerate(path_to_root(tree, leaf)):
+            height[node] = max(height[node], up)
+    return height
+
+
 def pairwise_taxonomy_matrices(tree):
     """The incidence and loss matrices of a ``TaxonomySpace`` on ``tree``,
     from the definitions, leaf pair by leaf pair: a leaf's row marks its path
     to the root, and two leaves lose the height of their first common
-    ancestor, its longest way down to a leaf."""
-    height = [0] * len(tree)
+    ancestor."""
     A = np.zeros((len(tree.leaves), len(tree)))
     for row, leaf in enumerate(tree.leaves):
-        for up, node in enumerate(path_to_root(tree, leaf)):
-            height[node] = max(height[node], up)
-            A[row, node] = 1.0
+        A[row, path_to_root(tree, leaf)] = 1.0
+    height = heights(tree)
     L = [[height[first_common_ancestor(tree, a, b)] for b in tree.leaves] for a in tree.leaves]
     return A, np.asarray(L, dtype=float)
 
@@ -318,8 +384,8 @@ def weight_subproblem_value(space, points, upsilon, z, w, c1, c2):
     """The weight subproblem: c1 * margin-bound sum + (c2 / 2) * ||w||^2."""
     total = 0.0
     for p, ups, zi in zip(points, upsilon, z):
-        diff = space.phi(p.x, ups) - space.phi(p.x, zi)
-        total += float(np.dot(w, diff)) + space.delta(ups, zi)
+        diff = phi(space, p.x, ups) - phi(space, p.x, zi)
+        total += float(np.dot(w, diff)) + delta(space, ups, zi)
     return c1 * total + 0.5 * c2 * float(np.dot(w, w))
 
 
@@ -343,7 +409,7 @@ def naive_manifold_term(g, z, space):
     for i in range(g.n):
         for j in range(g.n):
             if (i, j) in weights:
-                total += weights[(i, j)] * space.delta(z[i], z[j])
+                total += weights[(i, j)] * delta(space, z[i], z[j])
     return total
 
 
@@ -352,9 +418,9 @@ def naive_objective(space, points, g, z, upsilon, w, c1, c2):
     loss = 0.0
     for p, ups, zi in zip(points, upsilon, z):
         loss += (
-            float(np.dot(w, space.phi(p.x, ups)))
-            - float(np.dot(w, space.phi(p.x, zi)))
-            + space.delta(ups, zi)
+            float(np.dot(w, phi(space, p.x, ups)))
+            - float(np.dot(w, phi(space, p.x, zi)))
+            + delta(space, ups, zi)
         )
     reg = 0.5 * float(np.dot(w, w))
     return m, loss, reg, m + c1 * loss + c2 * reg

@@ -168,8 +168,8 @@ class _DescentValues:
     their own rows."""
 
     def __init__(self, ds, g, space):
-        self.phi = [[space.phi(p.x, y) for y in space.labels] for p in ds.points]
-        self.loss = space.loss_matrix.tolist()
+        self.phi = [[oracles.phi(space, p.x, y) for y in space.labels] for p in ds.points]
+        self.loss = [[oracles.delta(space, y, z) for z in space.labels] for y in space.labels]
         self.free = [p.id for p in ds.points if p.y is None]
         owner, neighbor, weight = neighbor_terms(g, self.free)
         ends = np.searchsorted(owner, np.arange(len(self.free) + 1)).tolist()

@@ -50,9 +50,10 @@ def _check_oracles(space, w, X, zs, ups, neighbors, c1):
     assert space.from_codes(space.argmax_score_all(w, X)) == [
         oracles.brute_argmax_score(space, w, x) for x in X
     ]
-    assert space.from_codes(space.argmax_loss_augmented_all(w, X, zs)) == [
-        oracles.brute_argmax_loss_augmented(space, w, x, z)[0] for x, z in zip(X, zs)
-    ]
+    brute = [oracles.brute_argmax_loss_augmented(space, w, x, z) for x, z in zip(X, zs)]
+    assert space.from_codes(space.argmax_loss_augmented_all(w, X, zs)) == [y for y, _ in brute]
+    # the value at the answer, also through the space's loss
+    assert [space.argmax_loss_augmented(w, x, z) for x, z in zip(X, zs)] == brute
     assert space.from_codes(space.argmin_slack_all(w, X, ups, _flatten(neighbors), c1)) == [
         oracles.brute_argmin_slack(space, w, x, u, nb, c1)
         for x, u, nb in zip(X, ups, neighbors)

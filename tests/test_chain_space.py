@@ -552,7 +552,7 @@ def test_the_oracles_read_list_inputs_of_the_space_without_rechecking_them(monke
     with monkeypatch.context() as m:
         m.setattr(ChainSequenceSpace, "_as_seq_input", counted)
         fit(ds, build_knn_graph(ds, k=4), space, SolverConfig(c1=0.5, max_iters=3))
-        assert callers and "_stack" not in callers
+        assert "_stack" not in callers
         w = np.zeros(space.dim)
         assert space.from_codes(space.argmax_score_all(w, [[[0.0, 1.0]]])) == [(0,)]
         assert callers[-1] == "_stack"

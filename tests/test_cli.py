@@ -302,6 +302,7 @@ def test_non_finite_hyperparameters_are_validation_errors(tmp_path, capsys, flag
 _SEEDED = {
     "synth": ["--space", "chain"],
     "fit-uniform-random": ["--z-init", "uniform-random", "--k", "3"],
+    "fit-nearest-labeled": ["--k", "3"],
     "cv": ["--k", "3"],
     "baseline": [],
     "sweep": ["--param", "c1", "--values", "0.5,5", "--k", "3"],

@@ -107,6 +107,12 @@ CORPUS = [
     ("no-labels-required", "multiclass", b'{"id": 0, "x": [1, 2], "y": null}\n', True,
      "no labeled points"),
     ("no-labels-allowed", "multiclass", b'{"id": 0, "x": [1, 2], "y": null}\n', False, None),
+    ("empty-x-and-no-labels-required", "multiclass",
+     b'{"id": 0, "x": [1, 2], "y": null}\n{"id": 1, "x": [], "y": null}\n', True,
+     "id 1: empty input; dataset has no labeled points"),
+    ("empty-x-and-no-labels-allowed", "multiclass",
+     b'{"id": 0, "x": [1, 2], "y": null}\n{"id": 1, "x": [], "y": null}\n', False,
+     "id 1: empty input"),
     ("output-out-of-range", "multiclass", b'{"id": 0, "x": [1, 2], "y": 7}\n', True,
      ":1: bad output"),
     ("bool-output", "multiclass", b'{"id": 0, "x": [1, 2], "y": true}\n', True, "bad output"),
@@ -185,21 +191,45 @@ def test_read_path_matches_reference_on_generated_files(tmp_path, kind):
     _check_generated_file(tmp_path, kind)
 
 
-def _check_generated_file(tmp_path, kind):
+def _generated(kind):
+    """A synthetic set of ``kind`` with every third point unlabeled."""
     if kind == "multiclass":
         ds = synth_blobs(3, 40, 2, 0.7, seed=3)
     elif kind == "taxonomy":
         ds = synth_taxonomy_blobs(three_level_taxonomy(), 8, 2, 0.7, seed=3)
     else:
         ds = synth_chains(3, (1, 5), 90, 2, seed=3)
-    ds = Dataset(tuple(DataPoint(p.id, p.x, p.y if p.id % 3 else None) for p in ds.points),
-                 ds.space_id)
+    return Dataset(tuple(DataPoint(p.id, p.x, p.y if p.id % 3 else None) for p in ds.points),
+                   ds.space_id)
+
+
+def _check_generated_file(tmp_path, kind):
+    ds = _generated(kind)
     space = SPACES[kind]()
     path = tmp_path / "data.jsonl"
     save_dataset(ds, path, space)
     ref, new = _both(path, space, True)
     assert isinstance(new, list) and len(new) == len(ds.points)
     assert new == ref
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_a_file_read_asks_about_its_labeled_outputs_once(tmp_path, kind):
+    """One ``contains_all`` call checks every labeled output against its
+    input; the dataset made from them is not validated again."""
+    space = SPACES[kind]()
+    path = tmp_path / "data.jsonl"
+    save_dataset(_generated(kind), path, space)
+    asked, contains_all = [], space.contains_all
+
+    def counted(ys, xs=None):
+        if xs is not None:
+            asked.append(len(ys))
+        return contains_all(ys, xs)
+
+    space.contains_all = counted
+    ds = load_dataset(path, space, require_labeled=True)
+    assert asked == [int(ds.labeled.sum())]
 
 
 def test_labeled_chain_of_another_width_names_the_line(tmp_path):

@@ -155,6 +155,23 @@ def test_initialize_rejects_a_donor_of_another_length_without_edges():
     ds = Dataset(points, "chain")
     with pytest.raises(UnsupportedConfiguration, match="point 2 "):
         initialize(ds, NeighborGraph.empty(4), space, SolverConfig(z_init="nearest-labeled"))
+    ds = Dataset([DataPoint(i, p.x, p.y) for i, p in enumerate(points[1:])], "chain")
+    with pytest.raises(UnsupportedConfiguration) as err:  # one donor, of length 3
+        initialize(ds, NeighborGraph.empty(3), space, SolverConfig())
+    assert str(err.value) == ("nearest-labeled init copied an output that does not fit "
+                              "point 0 (sequence lengths differ?)")
+
+
+def test_a_labeled_output_that_does_not_fit_its_own_input_fails_in_initialize():
+    """``fit`` does not validate a hand-built set. A labeled output shorter
+    than its input, copied to a point of its donor's input length, passes
+    the length rule and is refused by the space's own length check."""
+    from semistruct import ChainSequenceSpace
+
+    points = (DataPoint(0, np.zeros((3, 1)), (0, 1)), DataPoint(1, np.ones((3, 1)), None))
+    with pytest.raises(ContractViolation, match="^reference output length does not match"):
+        initialize(Dataset(points, "chain"), NeighborGraph.empty(2), ChainSequenceSpace(2, 1),
+                   SolverConfig())
 
 
 @pytest.mark.parametrize("grid", [False, True])
@@ -473,6 +490,15 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         SolverConfig(z_init="other").validate()
     assert SolverConfig(c2=4.0).step_size == 0.25
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0, "0", None], ids=repr)
+@pytest.mark.parametrize("z_init", Z_INIT_STRATEGIES)
+def test_a_bad_seed_is_refused_whether_or_not_it_is_drawn_from(bad, z_init):
+    message = rf"^seed must be a non-negative integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ContractViolation, match=message):
+        SolverConfig(seed=bad, z_init=z_init).validate()
+    SolverConfig(seed=np.int64(3), z_init=z_init).validate()
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None], ids=repr)
