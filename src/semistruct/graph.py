@@ -6,17 +6,20 @@ Euclidean distance, and its weight is ``exp(-||x_i - x_j||^2 / (2 sigma))``.
 Edges are kept directed exactly as built; both directions contribute to the
 per-point smoothing terms.
 
-Neighbors come from :func:`k_nearest`, which scans the points in row blocks
-of at most ``_BLOCK_BYTES`` of working memory each (at least one row), so
-the memory a search takes grows with block x n, never with n^2 * d. Ties in
-distance break toward the smaller id, also at the k-th place. Per block, one
-matrix product and one add rank the references by ``|b|^2 - 2 a.b`` of
-centered points, the expanded squared distance less the query's own
-``|a|^2``, and every reference within a proven rounding margin of a row's
-k-th smallest stays a candidate (see :func:`_candidates`). The squared
-distances it returns, and so every edge weight and the default ``sigma``,
-are computed for the candidates in the direct form
-``((a - b) ** 2).sum(-1)``.
+Neighbors come from :func:`k_nearest`, which scans the query points in row
+blocks whose working memory is bounded by ``_BLOCK_BYTES`` times a small
+factor (see :func:`k_nearest`), so the memory a search takes grows with
+block x n, never with n^2 * d. Ties in distance break toward the smaller
+id, also at the k-th place. Per block, one matrix product and one add value
+every reference by ``|b|^2 - 2 a.b`` of centered points, the expanded
+squared distance less the query's own ``|a|^2``. The references are dealt
+into interleaved chunks, and a row's threshold is the k-th smallest of its
+chunk minima plus a proven rounding margin: an upper bound on the k-th
+smallest value, so every reference that may be among the row's k nearest
+stays a candidate (see :func:`_candidates`). Only the chunks whose minimum
+is at most the threshold are read back. The squared distances it returns,
+and so every edge weight and the default ``sigma``, are computed for the
+candidates in the direct form ``((a - b) ** 2).sum(-1)``.
 
 Cross validation builds one graph per training split. :class:`SubsetGraphs`
 derives them all, bit for bit as :func:`build_knn_graph` would build each,
@@ -36,8 +39,8 @@ import numpy as np
 from .errors import ContractViolation
 
 
-# working memory per query block of k_nearest, as bytes
-_BLOCK_BYTES = 8 << 20
+# bytes of each chunk-level workspace of a k_nearest block (see k_nearest)
+_BLOCK_BYTES = 256 << 10
 
 
 def point_vector(x):
@@ -90,71 +93,135 @@ def k_nearest(Q, R, k, skip_self=False):
     and ``R`` are the same points and row ``i`` never lists ``i``. Needs
     finite points (see :func:`point_matrix`) and ``k <= len(R) - skip_self``.
 
-    Each block of query rows takes its candidates from :func:`_candidates`
+    The ``m = len(R)`` references are dealt into ``nch = ceil(m / c)``
+    interleaved chunks of ``c = clip(m // (16 k), 1, 8)``: reference ``j`` is
+    in chunk ``j % nch``, and the last ``nch c - m`` columns, fewer than
+    ``c``, are padding that no query is near. So chunks are single references
+    below ``m = 32k``, and a row's chunk minima, ``m / c`` of them, are ``c``
+    contiguous slices reduced by one elementwise minimum. Each block of query
+    rows takes its thresholds and kept chunks from :func:`_candidates`, reads
+    back the candidates (values at most the threshold) of the kept chunks,
     and keeps the ``k`` best of them by direct distance, then id.
+
+    A block has ``_BLOCK_BYTES // (8 nch)`` rows (at most ``n`` and
+    ``2^16``, at least one), so its chunk minima take at most ``_BLOCK_BYTES``
+    and its one buffer, for the values, the minima and their partitioned
+    copy, at most ``(c + 2) _BLOCK_BYTES``: 0.75 MiB at ``c = 1``, 2.5 MiB at
+    ``c = 8``. Wider chunks so buy more rows, and fewer blocks, for the same
+    partition work. The candidates' direct distances and ranking are
+    computed in pieces of whole rows, each of at most ``len(buffer) // (3d +
+    12)`` candidates (at least one row): about the buffer's bytes, at ``8 (3d
+    + 12)`` bytes a candidate. So data with many ties or duplicates, whose
+    rows can hold up to ``m`` candidates each, stays bounded too.
     """
     n, d = Q.shape
     m = len(R)
+    c = min(max(m // (16 * k), 1), 8)
+    nch = -(-m // c)
     center = R.mean(axis=0)
     Rc = R - center
     r2 = (Rc * Rc).sum(axis=1)
-    Rm2 = -2.0 * Rc  # exact: a power-of-two scaling
-    # per query row: the two float and one bool (rows x m) workspaces, then
-    # per candidate (up to m) its two ids, distance and sort position, and
-    # three d-vectors in the direct form
-    rows_per_block = max(1, _BLOCK_BYTES // (m * (2 * 8 + 1 + 8 * (4 + 3 * d))))
-    rows = min(rows_per_block, n)
-    work = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m), dtype=bool)
+    pad = nch * c - m
+    Rm2 = np.concatenate([-2.0 * Rc, np.zeros((pad, d))])  # exact: a power-of-two scaling
+    far = r2.max()
+    r2 = np.concatenate([r2, np.full(pad, np.inf)])
+    rows = max(1, min(_BLOCK_BYTES // (8 * nch), n, 1 << 16))  # 16-bit row keys in _best
+    # one allocation, which the allocator then reuses from call to call
+    buffer = np.empty(rows * (c + 2) * nch)
+    work = (buffer[:rows * c * nch].reshape(rows, c, nch),
+            *buffer[rows * c * nch:].reshape(2, rows, nch))
+    per_piece = max(1, len(buffer) // (3 * d + 12))
     ids = np.empty((n, k), dtype=int)
     d2 = np.empty((n, k))
-    for lo in range(0, n, rows_per_block):
-        q = Q[lo:lo + rows_per_block]
+    for lo in range(0, n, rows):
+        q = Q[lo:lo + rows]
         b = len(q)
         self_ids = lo + np.arange(b) if skip_self else None
-        mask = _candidates(q - center, Rm2, r2, k, self_ids, [a[:b] for a in work])
-        row, col = np.divmod(np.flatnonzero(mask), m)
-        dist = ((q[row] - R[col]) ** 2).sum(-1)
-        order = np.lexsort((col, dist, row))
-        counts = np.bincount(row, minlength=b)
-        keep = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        ids[lo:lo + b] = col[keep]
-        d2[lo:lo + b] = dist[keep]
+        approx, kept, thr = _candidates(q - center, Rm2, r2, far, k, self_ids,
+                                        [a[:b] for a in work])
+        row, chunk = np.divmod(np.flatnonzero(kept), nch)
+        hit = approx[row, :, chunk] <= thr[row, None]  # the candidates in each kept chunk
+        first = np.searchsorted(row, np.arange(b + 1))  # each row's first kept chunk
+        before = np.concatenate([[0], np.cumsum(np.count_nonzero(hit, axis=1))])[first]
+        p0 = 0
+        while p0 < b:
+            p1 = max(p0 + 1, int(np.searchsorted(before, before[p0] + per_piece, "right")) - 1)
+            span = slice(first[p0], first[p1])
+            j, i = np.divmod(np.flatnonzero(hit[span]), c)
+            ids[lo + p0:lo + p1], d2[lo + p0:lo + p1] = _best(
+                q[p0:p1], R, row[span][j] - p0, chunk[span][j] + nch * i, k)
+            p0 = p1
     return ids, d2
 
 
-def _candidates(qc, Rm2, r2, k, self_ids, work):
-    """Mask of the references that may be among each query's ``k`` nearest.
+def _best(q, R, row, col, k):
+    """``(ids, d2)`` of the ``k`` best candidates ``(row, col)`` of each row
+    of ``q`` by ``(d2, id)``; ``row`` is increasing, below ``2^16``, and
+    lists every row at least ``k`` times."""
+    dist = ((q[row] - R[col]) ** 2).sum(-1)
+    # by distance, then stably by row (a radix sort on 16 bits)
+    order = np.argsort(dist)
+    order = order[np.argsort(row[order].astype(np.uint16), kind="stable")]
+    ranked_dist, ranked_row = dist[order], row[order]
+    if ((ranked_dist[1:] == ranked_dist[:-1]) & (ranked_row[1:] == ranked_row[:-1])).any():
+        order = np.lexsort((col, dist, row))  # a tie within a row: break it by id
+    counts = np.bincount(row, minlength=len(q))
+    keep = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return col[keep], dist[keep]
+
+
+def _candidates(qc, Rm2, r2, far, k, self_ids, work):
+    """Threshold and candidate chunks of each query's ``k`` nearest.
 
     ``qc`` holds the queries and ``Rc`` the references minus one center;
-    ``Rm2`` is ``-2 Rc`` and ``r2`` the squared norms of ``Rc``. For a
-    centered query ``a`` and reference ``b`` the value is ``|b|^2 - 2 a.b``,
-    computed as ``qc @ Rm2.T + r2``: the expanded form ``|a|^2 + |b|^2 - 2
-    a.b`` less ``|a|^2``, which is the same along a row, so leaving it out
-    shifts every value of the row and its k-th smallest alike. With ``|a|^2``
+    ``Rm2`` is ``-2 Rc`` and ``r2`` the squared norms of ``Rc``, both padded
+    to ``nch c`` columns with rows of 0 and norms of ``+inf``; ``far`` is the
+    largest real norm. For a centered query ``a`` and reference ``b`` the
+    value is ``|b|^2 - 2 a.b``, computed as ``qc @ Rm2.T + r2``: the
+    expanded form ``|a|^2 + |b|^2 - 2 a.b`` less ``|a|^2``, which is the
+    same along a row, so leaving it out shifts every value of the row and
+    its order statistics alike; a padding value is ``+inf``. With ``|a|^2``
     added back exactly, the value differs from the pair's direct squared
     distance by at most ``(4d + 10) u (|a|^2 + |b|^2)`` to first order in
     the unit roundoff ``u = eps / 2``: ``4u`` from centering, ``2(d + 2)u``
     from the direct form, ``d u`` each from the product and from ``r2``, and
     ``2u`` from the add. ``margin`` is ``4(d + 4) eps = (8d + 32) u`` times
     that norm sum for the row's query and the farthest reference, plus a
-    term for underflow, so it exceeds the bound. A reference is kept unless
-    its value exceeds the row's k-th smallest by more than two margins, so
-    every reference whose direct distance is at most the k-th smallest is
-    kept, ties included. ``self_ids[i]``, when given, is never kept for row
-    ``i``. ``work`` holds two float and one bool ``len(qc) x len(Rm2)``
-    arrays to compute in; the returned mask is the last of them.
+    term for underflow, so it exceeds the bound.
+
+    The threshold of a row is the k-th smallest of its chunk minima plus two
+    margins. The ``k`` smallest chunk minima are the values of ``k``
+    distinct references, so the k-th of them is at least the k-th smallest
+    value of the row, and every reference whose direct distance is at most
+    the k-th smallest has a value within two margins of it: all of them,
+    ties included, have values at most the threshold, and their chunks'
+    minima too. The threshold is finite: ``k <= m - 1`` real values exist
+    when ``c = 1``, and for ``c >= 2`` there are ``nch >= 16k`` chunks, of
+    which at most one (holding only the query and padding) is all ``+inf``.
+    ``self_ids[i]``, when given, is never a candidate of row ``i``.
+
+    ``work`` holds one ``len(qc) x c x nch`` and two ``len(qc) x nch``
+    float arrays to compute in. Returns ``(approx, kept, thr)``: the values
+    as ``len(qc) x c x nch`` (reference ``j`` of chunk ``h`` at ``[:, j //
+    nch, h]``), a mask of the chunks whose minimum is at most the row's
+    threshold, and the thresholds. The candidates of a row are its values at
+    most its threshold; they all lie in kept chunks.
     """
-    approx, kth_part, mask = work
-    np.matmul(qc, Rm2.T, out=approx)
-    approx += r2
+    approx, mins, kth = work
+    b, c, nch = approx.shape
+    flat = approx.reshape(b, c * nch)
+    np.matmul(qc, Rm2.T, out=flat)
+    flat += r2
     if self_ids is not None:
-        approx[np.arange(len(qc)), self_ids] = np.inf
+        flat[np.arange(b), self_ids] = np.inf
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     q2 = (qc * qc).sum(axis=1)
-    margin = 4 * (qc.shape[1] + 4) * eps * (q2 + r2.max() + tiny)
-    np.copyto(kth_part, approx)
-    kth_part.partition(k - 1, axis=1)
-    return np.less_equal(approx, (kth_part[:, k - 1] + 2.0 * margin)[:, None], out=mask)
+    margin = 4 * (qc.shape[1] + 4) * eps * (q2 + far + tiny)
+    np.min(approx, axis=1, out=mins)
+    np.copyto(kth, mins)
+    kth.partition(k - 1, axis=1)
+    thr = kth[:, k - 1] + 2.0 * margin
+    return approx, mins <= thr[:, None], thr
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +384,9 @@ def neighbor_terms(g: NeighborGraph, nodes):
     member[nodes] = True
     owner = np.concatenate([g.src, g.dst])
     kept = np.flatnonzero(member[owner])
-    kept = kept[np.argsort(owner[kept], kind="stable")]
+    # the same stable order; numpy radix-sorts 16-bit keys
+    keys = owner[kept].astype(np.uint16) if g.n <= 1 << 16 else owner[kept]
+    kept = kept[np.argsort(keys, kind="stable")]
     rank = np.cumsum(member) - 1
     return (rank[owner[kept]], np.concatenate([g.dst, g.src])[kept],
             np.concatenate([g.weight, g.weight])[kept])

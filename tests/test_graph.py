@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ def test_neighbor_terms_isolated_direction():
     assert oracles.neighbor_terms_for(g, 1) == [(0.5, 0)]
 
 
+@pytest.mark.parametrize("n", [300, 1 << 16, (1 << 16) + 1])
+def test_neighbor_terms_list_out_edges_then_in_edges_in_edge_order(n):
+    # ids up to n - 1, so owner keys fill 16 bits at n = 2^16 and pass them at 2^16 + 1
+    rng = np.random.default_rng(127)
+    ends = np.concatenate([[0, 1, n - 2, n - 1], rng.integers(0, n, 96)])
+    src, dst = rng.choice(ends, 2000), rng.choice(ends, 2000)
+    g = NeighborGraph(n=n, k=1, sigma=1.0, src=src, dst=dst, weight=rng.random(2000))
+    nodes = np.unique(np.concatenate([ends[:4], rng.choice(ends, 60)]))
+    want = []
+    for rank, i in enumerate(nodes):
+        out, inc = np.flatnonzero(src == i), np.flatnonzero(dst == i)
+        want += [(rank, dst[e], g.weight[e]) for e in out]
+        want += [(rank, src[e], g.weight[e]) for e in inc]
+    owner, neighbor, weight = graph.neighbor_terms(g, nodes)
+    assert list(zip(owner.tolist(), neighbor.tolist(), weight.tolist())) == [
+        (r, int(j), float(w)) for r, j, w in want]
+
+
 def test_neighbor_terms_id_out_of_range():
     with pytest.raises(ContractViolation):
         oracles.neighbor_terms_for(NeighborGraph.empty(2), 2)
@@ -264,32 +283,51 @@ def test_blocked_builder_matches_dense_builder_on_sequences():
     _byte_equal(build_knn_graph(ds, 6), oracles.brute_knn_graph(ds, 6))
 
 
+class _Block(NamedTuple):
+    rows: int
+    most: int  # the most candidates of one row
+    width: int  # references per chunk
+    empty_chunk: bool  # some row has a chunk of +inf only
+
+
 def _count_blocks(monkeypatch):
-    """Spy on ``graph._candidates``: per block, its rows and the most
-    candidates of one row."""
+    """Spy on ``graph._candidates``: one :class:`_Block` per block. Checks
+    that a chunk is kept exactly when it holds a candidate, a value at most
+    its row's threshold."""
     seen = []
     candidates = graph._candidates
 
     def spy(*args):
-        mask = candidates(*args)
-        seen.append((len(mask), int(mask.sum(axis=1).max())))
-        return mask
+        approx, kept, thr = candidates(*args)
+        below = approx <= thr[:, None, None]
+        assert np.array_equal(kept, below.any(axis=1))
+        seen.append(_Block(len(approx), int(below.sum(axis=(1, 2)).max()), approx.shape[1],
+                           bool(np.isinf(approx).all(axis=1).any())))
+        return approx, kept, thr
 
     monkeypatch.setattr(graph, "_candidates", spy)
     return seen
 
 
+def _budget(m, k, rows):
+    """The ``_BLOCK_BYTES`` that gives blocks of ``rows`` query rows to a
+    search of ``m`` references, by ``k_nearest``'s rule of ``8 nch`` bytes a
+    row (``nch`` chunks of ``c = clip(m // (16 k), 1, 8)`` references)."""
+    c = min(max(m // (16 * k), 1), 8)
+    return 8 * -(-m // c) * rows
+
+
 @pytest.mark.parametrize("make", [_gaussian, _grid_duplicates, _offset_grid])
 def test_blocked_builder_matches_dense_builder_across_blocks(monkeypatch, make):
     X = make(np.random.default_rng(97), n=150)
-    # a few rows per block, and a last block that is cut short
-    monkeypatch.setattr(graph, "_BLOCK_BYTES", 8 * len(X) * (3 * X.shape[1] + 8) * 7)
     blocks = _count_blocks(monkeypatch)
     ds = _flat_dataset(X.tolist())
     for k in (1, 5, 149):
+        # a few rows per block, and a last block that is cut short
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", _budget(len(X), k, 7))
         blocks.clear()
         _byte_equal(build_knn_graph(ds, k), oracles.brute_knn_graph(ds, k))
-        rows = [b for b, _ in blocks]
+        rows = [b.rows for b in blocks]
         assert len(rows) >= 10 and rows[-1] < rows[0]
 
 
@@ -324,7 +362,7 @@ def test_k_nearest_of_other_queries_matches_brute_force(monkeypatch, make, k, bl
     Q, R = make(np.random.default_rng(109))
     # "rows": one query row per block; "few": a handful of rows per block
     budget = {"one": graph._BLOCK_BYTES, "rows": 1,
-              "few": 8 * len(R) * (3 * Q.shape[1] + 8) * 3}[blocks]
+              "few": _budget(len(R), k, 3)}[blocks]
     monkeypatch.setattr(graph, "_BLOCK_BYTES", budget)
     seen = _count_blocks(monkeypatch)
     ids, d2 = k_nearest(Q, R, k)
@@ -339,7 +377,7 @@ def test_k_nearest_keeps_more_candidates_than_k_on_ties(monkeypatch):
     Q, R = _square_centers(np.random.default_rng(109))
     blocks = _count_blocks(monkeypatch)
     ids, _ = k_nearest(Q, R, 2)
-    assert max(most for _, most in blocks) >= 4  # all four corners of the square tie
+    assert max(b.most for b in blocks) >= 4  # all four corners of the square tie
     assert ids.tolist() == oracles.brute_k_nearest(Q, R, 2)[0].tolist()
 
 
@@ -351,6 +389,74 @@ def test_k_nearest_breaks_ties_at_the_kth_distance_toward_smaller_ids():
     ids, _ = k_nearest(R, R, 2, skip_self=True)
     assert ids[3].tolist() == [1, 2]
     assert np.all(ids != np.arange(len(R))[:, None])
+
+
+@pytest.mark.parametrize("m, k", [(33, 1), (65, 2), (97, 3)])
+def test_a_chunk_of_only_the_query_and_padding_is_skipped(monkeypatch, m, k):
+    # two references a chunk and an odd count: the one padding column shares
+    # chunk nch - 1 with point nch - 1, which its own row skips
+    X = np.random.default_rng(131).standard_normal((m, 3))
+    blocks = _count_blocks(monkeypatch)
+    ds = _flat_dataset(X.tolist())
+    _byte_equal(build_knn_graph(ds, k), oracles.brute_knn_graph(ds, k))
+    assert [(b.width, b.empty_chunk) for b in blocks] == [(2, True)]
+
+
+def _without_self(ids, d2, lo, k):
+    """The first ``k`` of each row of a search of ``k + 1`` other than the
+    row's own id ``lo + row``."""
+    other = ids != lo + np.arange(len(ids))[:, None]
+    keep = other & (np.cumsum(other, axis=1) <= k)
+    return ids[keep].reshape(-1, k), d2[keep].reshape(-1, k)
+
+
+def test_k_nearest_breaks_grid_ties_spread_over_chunks(monkeypatch):
+    # about two points per cell of a 30 x 30 grid: most rows tie at the 10th
+    # distance, and the tied points lie in different chunks
+    X = np.random.default_rng(137).integers(0, 30, (2000, 2)).astype(float)
+    blocks = _count_blocks(monkeypatch)
+    ids, d2 = k_nearest(X, X, 10, skip_self=True)
+    nch = -(-len(X) // blocks[0].width)
+    assert {b.width for b in blocks} == {8}
+    spread = 0
+    for lo in range(0, len(X), 250):
+        want, want_d2 = _without_self(*oracles.brute_k_nearest(X[lo:lo + 250], X, 12), lo, 11)
+        assert ids[lo:lo + 250].tolist() == want[:, :10].tolist()
+        assert d2[lo:lo + 250].tobytes() == want_d2[:, :10].tobytes()
+        for row, row_d2 in zip(want, want_d2):
+            tied = row[row_d2 == row_d2[9]]
+            spread += row_d2[10] == row_d2[9] and len(np.unique(tied % nch)) > 1
+    assert spread > 1000
+
+
+@pytest.mark.parametrize("m", [75, 203])
+def test_k_nearest_of_other_queries_with_k_1_reads_chunks(monkeypatch, m):
+    rng = np.random.default_rng(139)
+    Q, R = rng.standard_normal((300, 4)), rng.standard_normal((m, 4))
+    blocks = _count_blocks(monkeypatch)
+    ids, d2 = k_nearest(Q, R, 1)
+    want_ids, want_d2 = oracles.brute_k_nearest(Q, R, 1)
+    assert ids.tolist() == want_ids.tolist()
+    assert d2.tobytes() == want_d2.tobytes()
+    assert {b.width for b in blocks} == {min(m // 16, 8)}
+    assert [a.shape for a in k_nearest(Q[:0], R, 1)] == [(0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("m_less_32k", [1, 0])
+def test_k_nearest_on_both_sides_of_the_first_chunk_width(monkeypatch, k, m_less_32k):
+    # one reference a chunk below m = 32k, two from there on
+    rng = np.random.default_rng(149)
+    X = rng.standard_normal((32 * k - m_less_32k, 3))
+    blocks = _count_blocks(monkeypatch)
+    ds = _flat_dataset(X.tolist())
+    _byte_equal(build_knn_graph(ds, k), oracles.brute_knn_graph(ds, k))
+    Q = rng.standard_normal((40, 3))
+    ids, d2 = k_nearest(Q, X, k)
+    want_ids, want_d2 = oracles.brute_k_nearest(Q, X, k)
+    assert ids.tolist() == want_ids.tolist()
+    assert d2.tobytes() == want_d2.tobytes()
+    assert {b.width for b in blocks} == {2 - m_less_32k}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
@@ -390,6 +496,21 @@ def test_build_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_build_memory_stays_blocked_when_every_reference_is_a_candidate():
+    # 2000 copies of one point: every row ties all 1999 others at distance 0
+    ds = _flat_dataset(np.ones((2000, 8)).tolist())
+    tracemalloc.start()
+    try:
+        g = build_knn_graph(ds, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    want = [[j for j in range(11) if j != i][:10] for i in range(2000)]
+    assert g.dst.reshape(2000, 10).tolist() == want
+    assert g.sigma == 1.0 and np.all(g.weight == 1.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 6])

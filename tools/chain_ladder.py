@@ -1,4 +1,5 @@
-"""Time the Hamming chain ``fit`` of two source trees of semistruct on a size ladder.
+"""Time the Hamming chain ``fit`` and the kNN graph build of two source trees
+of semistruct on a size ladder.
 
 Usage, from the root of a semistruct checkout::
 
@@ -12,17 +13,22 @@ The ladder: ``synth_chains`` with 4 labels, length 6 and 6 input dimensions,
 every fifth chain labeled (20%), a k = 8 graph, and 4 iterations of ``fit``
 with the solver settings ``C1``, ``C2`` and ``ETA`` of ``perfbench/inputs.py``
 (imported from this checkout, with ``NEW_SRC`` on the path), at n = 120,
-1 200 and 12 000 chains.
+1 200 and 12 000 chains. The graph ladder: ``build_knn_graph`` with k = 10 of
+the first n points of ``synth_blobs`` (8 classes, 8 input dimensions, spread
+0.6, the multiclass generator of ``perfbench/inputs.py``), at n = 1 500,
+8 000 and 20 000.
 
 Each of ``ROUNDS`` rounds starts one child process per tree, the two trees
 taking turns at going first. A child generates every size's data with its
 own tree, builds the graph, then times ``fit`` alone (graph excluded; one
 untimed fit of the smallest size comes first) and reports point-iterations
 per second, ``n * 4 / seconds``, and a digest of the fitted ``w``, ``z`` and
-trace. The script prints each tree's median and the ratio NEW / OLD per
-size, and exits 1 if any digest differs between the two trees (or between
-rounds), else 0. Timings are wall-clock and need a machine otherwise idle;
-numpy is held to one BLAS thread.
+trace. It then times one ``build_knn_graph`` per graph size and reports its
+seconds and a digest of the edges, weights and ``sigma``. The script prints
+each tree's median and the ratio NEW / OLD per size, and exits 1 if any
+digest differs between the two trees (or between rounds), else 0. Timings
+are wall-clock and need a machine otherwise idle; numpy is held to one BLAS
+thread.
 """
 
 from __future__ import annotations
@@ -38,25 +44,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (120, 1_200, 12_000)
+GRAPH_SIZES = (1_500, 8_000, 20_000)
 ROUNDS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-# argv: src, sizes and solver settings as JSON. Prints one JSON object:
-# per size, point-iterations per second and the digest of the fitted state.
+# argv: src, then the fit sizes, graph sizes and solver settings as JSON.
+# Prints one JSON object: per fit size, point-iterations per second and the
+# digest of the fitted state; per graph size, seconds and the graph's digest.
 _CHILD = r"""
 import hashlib, json, sys, time
 from pathlib import Path
 import semistruct
 from semistruct import ChainSequenceSpace, Dataset, SolverConfig, build_knn_graph, fit
-from semistruct.data_io import synth_chains
+from semistruct.data_io import synth_blobs, synth_chains
 
 src = Path(sys.argv[1]).resolve()
 if not Path(semistruct.__file__).resolve().is_relative_to(src):
     sys.exit(f"imported semistruct from {semistruct.__file__}, not {src}")
-sizes, (c1, c2, eta) = json.loads(sys.argv[2])
+sizes, graph_sizes, (c1, c2, eta) = json.loads(sys.argv[2])
 space = ChainSequenceSpace(4, 6)
 cfg = SolverConfig(c1=c1, c2=c2, eta=eta, max_iters=4, seed=0)
-out = {}
+out = {"fit": {}, "graph": {}}
 for n in (sizes[0], *sizes):  # the first size twice: its first fit, untimed, warms up
     full = synth_chains(4, (6, 6), n, 6, seed=n)
     ds = Dataset.from_arrays(full.inputs, [y if i % 5 == 0 else None
@@ -68,7 +76,16 @@ for n in (sizes[0], *sizes):  # the first size twice: its first fit, untimed, wa
     digest = hashlib.sha256(state.w.tobytes())
     digest.update(json.dumps(state.z).encode())
     digest.update(repr([tuple(row) for row in state.trace]).encode())
-    out[n] = {"rate": n * cfg.max_iters / seconds, "digest": digest.hexdigest()}
+    out["fit"][n] = {"rate": n * cfg.max_iters / seconds, "digest": digest.hexdigest()}
+for n in graph_sizes:
+    blobs = synth_blobs(8, -(-n // 8), 8, 0.6, seed=n)
+    ds = Dataset.from_arrays(blobs.inputs[:n], blobs.outputs[:n], "multiclass")
+    start = time.perf_counter()
+    g = build_knn_graph(ds, k=10)
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (g.src, g.dst, g.weight)))
+    digest.update(repr(g.sigma).encode())
+    out["graph"][n] = {"seconds": seconds, "digest": digest.hexdigest()}
 print(json.dumps(out))
 """
 
@@ -85,11 +102,13 @@ def _settings():
 
 def _run(src, settings) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
-    done = subprocess.run([sys.executable, "-c", _CHILD, str(src), json.dumps([SIZES, settings])],
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(src),
+                           json.dumps([SIZES, GRAPH_SIZES, settings])],
                           env=env, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"the child process for {src} failed:\n{done.stderr}")
-    return {int(n): row for n, row in json.loads(done.stdout).items()}
+    return {(ladder, int(n)): row
+            for ladder, rows in json.loads(done.stdout).items() for n, row in rows.items()}
 
 
 def main(argv=None) -> int:
@@ -100,20 +119,23 @@ def main(argv=None) -> int:
     trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     sys.path.insert(0, str(trees["new"]))
     settings = _settings()
-    rates = {tag: {n: [] for n in SIZES} for tag in trees}
-    digests = {n: set() for n in SIZES}
+    rows = [("fit", n) for n in SIZES] + [("graph", n) for n in GRAPH_SIZES]
+    values = {tag: {row: [] for row in rows} for tag in trees}
+    digests = {row: set() for row in rows}
     for r in range(ROUNDS):
         for tag in ("old", "new") if r % 2 == 0 else ("new", "old"):
-            for n, row in _run(trees[tag], settings).items():
-                rates[tag][n].append(row["rate"])
-                digests[n].add(row["digest"])
-    print(f"{'n':>7} {'old point-iters/s':>18} {'new point-iters/s':>18} {'new/old':>8}")
-    for n in SIZES:
-        old, new = (statistics.median(rates[tag][n]) for tag in ("old", "new"))
-        print(f"{n:>7} {old:>18.0f} {new:>18.0f} {new / old:>8.3f}")
-    differ = [n for n in SIZES if len(digests[n]) > 1]
-    for n in differ:
-        print(f"n = {n}: the fitted w, z or trace differ between the trees")
+            for row, got in _run(trees[tag], settings).items():
+                values[tag][row].append(got["rate" if row[0] == "fit" else "seconds"])
+                digests[row].add(got["digest"])
+    for ladder, unit in (("fit", "point-iters/s"), ("graph", "s")):
+        print(f"{ladder:>5} {'n':>7} {'old ' + unit:>18} {'new ' + unit:>18} {'new/old':>8}")
+        for row in (row for row in rows if row[0] == ladder):
+            old, new = (statistics.median(values[tag][row]) for tag in ("old", "new"))
+            print(f"{ladder:>5} {row[1]:>7} {old:>18.4g} {new:>18.4g} {new / old:>8.3f}")
+    differ = [row for row in rows if len(digests[row]) > 1]
+    for ladder, n in differ:
+        what = "the fitted w, z or trace" if ladder == "fit" else "the graphs"
+        print(f"{ladder} n = {n}: {what} differ between the trees")
     return 1 if differ else 0
 
 
