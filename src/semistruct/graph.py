@@ -17,8 +17,10 @@ into interleaved chunks, and a row's threshold is the k-th smallest of its
 chunk minima plus a proven rounding margin: an upper bound on the k-th
 smallest value, so every reference that may be among the row's k nearest
 stays a candidate (see :func:`_candidates`). Only the chunks whose minimum
-is at most the threshold are read back. The squared distances it returns,
-and so every edge weight and the default ``sigma``, are computed for the
+is at most the threshold are read back; a chunk holds consecutive ids, so
+the candidates come in id order and one stable sort by distance ranks them
+with ties toward the smaller id. The squared distances it returns, and so
+every edge weight and the default ``sigma``, are computed for the
 candidates in the direct form ``((a - b) ** 2).sum(-1)``.
 
 Cross validation builds one graph per training split. :class:`SubsetGraphs`
@@ -93,39 +95,47 @@ def k_nearest(Q, R, k, skip_self=False):
     and ``R`` are the same points and row ``i`` never lists ``i``. Needs
     finite points (see :func:`point_matrix`) and ``k <= len(R) - skip_self``.
 
-    The ``m = len(R)`` references are dealt into ``nch = ceil(m / c)``
-    interleaved chunks of ``c = clip(m // (16 k), 1, 8)``: reference ``j`` is
-    in chunk ``j % nch``, and the last ``nch c - m`` columns, fewer than
-    ``c``, are padding that no query is near. So chunks are single references
-    below ``m = 32k``, and a row's chunk minima, ``m / c`` of them, are ``c``
-    contiguous slices reduced by one elementwise minimum. Each block of query
-    rows takes its thresholds and kept chunks from :func:`_candidates`, reads
-    back the candidates (values at most the threshold) of the kept chunks,
-    and keeps the ``k`` best of them by direct distance, then id.
+    The ``m = len(R)`` references, padded to ``nch c`` with ``nch = ceil(m
+    / c)`` and ``c = clip(m // (16 k), 1, 8)``, are dealt to interleaved
+    chunks of ``c``: column ``p`` belongs to chunk ``p % nch``, and column
+    ``i nch + h`` holds reference ``h c + i``, so chunk ``h`` holds the
+    references ``h c`` to ``h c + c - 1``. The last ``nch c - m`` of them,
+    fewer than ``c``, are padding that no query is near. So chunks are
+    single references below ``m = 32k``, and a row's chunk minima, ``m / c``
+    of them, are ``c`` contiguous slices reduced by one elementwise minimum.
+    Each block of query rows takes its thresholds and kept chunks from
+    :func:`_candidates`, reads back the candidates (values at most the
+    threshold) of the kept chunks, which come in increasing id order, and
+    keeps the ``k`` best of them by direct distance, then id.
 
-    A block has ``_BLOCK_BYTES // (8 nch)`` rows (at most ``n`` and
-    ``2^16``, at least one), so its chunk minima take at most ``_BLOCK_BYTES``
-    and its one buffer, for the values, the minima and their partitioned
-    copy, at most ``(c + 2) _BLOCK_BYTES``: 0.75 MiB at ``c = 1``, 2.5 MiB at
-    ``c = 8``. Wider chunks so buy more rows, and fewer blocks, for the same
-    partition work. The candidates' direct distances and ranking are
-    computed in pieces of whole rows, each of at most ``len(buffer) // (3d +
-    12)`` candidates (at least one row): about the buffer's bytes, at ``8 (3d
-    + 12)`` bytes a candidate. So data with many ties or duplicates, whose
-    rows can hold up to ``m`` candidates each, stays bounded too.
+    A block has ``_BLOCK_BYTES // (8 nch)`` rows (at most ``n``, at least
+    one), so its chunk minima take at most ``_BLOCK_BYTES`` and its one
+    buffer, for the values, the minima and their partitioned copy, at most
+    ``(c + 2) _BLOCK_BYTES``. Wider chunks so buy more rows, and fewer
+    blocks, for the same partition work. At ``c = 1`` the minima are the
+    values themselves and that slot of the buffer stays unused. The
+    candidates' direct distances and ranking are computed in pieces of
+    equal row counts, sized by the row with the most kept chunks so that a
+    piece holds at most ``len(buffer) // (3d + 12)`` of them (at least one
+    row): about the buffer's bytes, at ``8 (3d + 12)`` bytes a candidate.
+    With the kept chunks' values read back (``c _BLOCK_BYTES`` at most) and
+    their indices, a block takes about ``3 (c + 3) _BLOCK_BYTES`` at most
+    (3 MiB at ``c = 1``, 8.25 MiB at ``c = 8``), also on data with many
+    ties or duplicates, whose rows can hold up to ``m`` candidates each.
     """
     n, d = Q.shape
     m = len(R)
     c = min(max(m // (16 * k), 1), 8)
     nch = -(-m // c)
     center = R.mean(axis=0)
-    Rc = R - center
-    r2 = (Rc * Rc).sum(axis=1)
-    pad = nch * c - m
-    Rm2 = np.concatenate([-2.0 * Rc, np.zeros((pad, d))])  # exact: a power-of-two scaling
+    Rc = np.zeros((nch, c, d))  # chunk by chunk, then padded
+    Rc.reshape(-1, d)[:m] = R - center
+    r2 = (Rc * Rc).sum(axis=2)
     far = r2.max()
-    r2 = np.concatenate([r2, np.full(pad, np.inf)])
-    rows = max(1, min(_BLOCK_BYTES // (8 * nch), n, 1 << 16))  # 16-bit row keys in _best
+    r2.reshape(-1)[m:] = np.inf
+    # dealt to columns: -2 Rc is exact, a power-of-two scaling
+    Rm2, r2 = (-2.0 * Rc).transpose(1, 0, 2).reshape(-1, d), r2.T.ravel()
+    rows = max(1, min(_BLOCK_BYTES // (8 * nch), n))
     # one allocation, which the allocator then reuses from call to call
     buffer = np.empty(rows * (c + 2) * nch)
     work = (buffer[:rows * c * nch].reshape(rows, c, nch),
@@ -136,51 +146,50 @@ def k_nearest(Q, R, k, skip_self=False):
     for lo in range(0, n, rows):
         q = Q[lo:lo + rows]
         b = len(q)
-        self_ids = lo + np.arange(b) if skip_self else None
-        approx, kept, thr = _candidates(q - center, Rm2, r2, far, k, self_ids,
+        own = lo + np.arange(b)  # in column own % c nch + own // c
+        self_cols = own % c * nch + own // c if skip_self else None
+        approx, kept, thr = _candidates(q - center, Rm2, r2, far, k, self_cols,
                                         [a[:b] for a in work])
         row, chunk = np.divmod(np.flatnonzero(kept), nch)
         hit = approx[row, :, chunk] <= thr[row, None]  # the candidates in each kept chunk
         first = np.searchsorted(row, np.arange(b + 1))  # each row's first kept chunk
-        before = np.concatenate([[0], np.cumsum(np.count_nonzero(hit, axis=1))])[first]
-        p0 = 0
-        while p0 < b:
-            p1 = max(p0 + 1, int(np.searchsorted(before, before[p0] + per_piece, "right")) - 1)
+        step = max(1, per_piece // (c * int((first[1:] - first[:-1]).max())))  # rows a piece
+        for p0 in range(0, b, step):
+            p1 = min(p0 + step, b)
             span = slice(first[p0], first[p1])
-            j, i = np.divmod(np.flatnonzero(hit[span]), c)
+            at, i = np.nonzero(hit[span])
             ids[lo + p0:lo + p1], d2[lo + p0:lo + p1] = _best(
-                q[p0:p1], R, row[span][j] - p0, chunk[span][j] + nch * i, k)
-            p0 = p1
+                q[p0:p1], R, row[span][at] - p0, chunk[span][at] * c + i, k)
     return ids, d2
 
 
 def _best(q, R, row, col, k):
     """``(ids, d2)`` of the ``k`` best candidates ``(row, col)`` of each row
-    of ``q`` by ``(d2, id)``; ``row`` is increasing, below ``2^16``, and
-    lists every row at least ``k`` times."""
+    of ``q`` by ``(d2, id)``; the pairs come in increasing order, at least
+    ``k`` a row."""
     dist = ((q[row] - R[col]) ** 2).sum(-1)
-    # by distance, then stably by row (a radix sort on 16 bits)
-    order = np.argsort(dist)
-    order = order[np.argsort(row[order].astype(np.uint16), kind="stable")]
-    ranked_dist, ranked_row = dist[order], row[order]
-    if ((ranked_dist[1:] == ranked_dist[:-1]) & (ranked_row[1:] == ranked_row[:-1])).any():
-        order = np.lexsort((col, dist, row))  # a tie within a row: break it by id
+    # complex numbers sort by real, then imaginary part: a stable sort by
+    # (row, d2) keeps the id order of ties
+    key = np.empty(len(dist), dtype=complex)
+    key.real, key.imag = row, dist
+    order = np.argsort(key, kind="stable")
     counts = np.bincount(row, minlength=len(q))
     keep = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
     return col[keep], dist[keep]
 
 
-def _candidates(qc, Rm2, r2, far, k, self_ids, work):
+def _candidates(qc, Rm2, r2, far, k, self_cols, work):
     """Threshold and candidate chunks of each query's ``k`` nearest.
 
     ``qc`` holds the queries and ``Rc`` the references minus one center;
     ``Rm2`` is ``-2 Rc`` and ``r2`` the squared norms of ``Rc``, both padded
-    to ``nch c`` columns with rows of 0 and norms of ``+inf``; ``far`` is the
-    largest real norm. For a centered query ``a`` and reference ``b`` the
-    value is ``|b|^2 - 2 a.b``, computed as ``qc @ Rm2.T + r2``: the
-    expanded form ``|a|^2 + |b|^2 - 2 a.b`` less ``|a|^2``, which is the
-    same along a row, so leaving it out shifts every value of the row and
-    its order statistics alike; a padding value is ``+inf``. With ``|a|^2``
+    to ``nch c`` columns with rows of 0 and norms of ``+inf`` and dealt to
+    columns as in :func:`k_nearest`; ``far`` is the largest real norm. For
+    a centered query ``a`` and reference ``b`` the value is ``|b|^2 - 2
+    a.b``, computed as ``qc @ Rm2.T + r2``: the expanded form ``|a|^2 +
+    |b|^2 - 2 a.b`` less ``|a|^2``, which is the same along a row, so
+    leaving it out shifts every value of the row and its order statistics
+    alike; a padding value is ``+inf``. With ``|a|^2``
     added back exactly, the value differs from the pair's direct squared
     distance by at most ``(4d + 10) u (|a|^2 + |b|^2)`` to first order in
     the unit roundoff ``u = eps / 2``: ``4u`` from centering, ``2(d + 2)u``
@@ -198,26 +207,27 @@ def _candidates(qc, Rm2, r2, far, k, self_ids, work):
     minima too. The threshold is finite: ``k <= m - 1`` real values exist
     when ``c = 1``, and for ``c >= 2`` there are ``nch >= 16k`` chunks, of
     which at most one (holding only the query and padding) is all ``+inf``.
-    ``self_ids[i]``, when given, is never a candidate of row ``i``.
+    The column ``self_cols[i]``, when given, is never a candidate of row
+    ``i``.
 
     ``work`` holds one ``len(qc) x c x nch`` and two ``len(qc) x nch``
     float arrays to compute in. Returns ``(approx, kept, thr)``: the values
-    as ``len(qc) x c x nch`` (reference ``j`` of chunk ``h`` at ``[:, j //
-    nch, h]``), a mask of the chunks whose minimum is at most the row's
-    threshold, and the thresholds. The candidates of a row are its values at
-    most its threshold; they all lie in kept chunks.
+    as ``len(qc) x c x nch`` (reference ``h c + i`` at ``[:, i, h]``), a
+    mask of the chunks whose minimum is at most the row's threshold, and
+    the thresholds. The candidates of a row are its values at most its
+    threshold; they all lie in kept chunks.
     """
     approx, mins, kth = work
     b, c, nch = approx.shape
     flat = approx.reshape(b, c * nch)
     np.matmul(qc, Rm2.T, out=flat)
     flat += r2
-    if self_ids is not None:
-        flat[np.arange(b), self_ids] = np.inf
+    if self_cols is not None:
+        flat[np.arange(b), self_cols] = np.inf
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     q2 = (qc * qc).sum(axis=1)
     margin = 4 * (qc.shape[1] + 4) * eps * (q2 + far + tiny)
-    np.min(approx, axis=1, out=mins)
+    mins = np.min(approx, axis=1, out=mins) if c > 1 else approx[:, 0]  # c = 1: a view
     np.copyto(kth, mins)
     kth.partition(k - 1, axis=1)
     thr = kth[:, k - 1] + 2.0 * margin

@@ -394,7 +394,7 @@ def test_k_nearest_breaks_ties_at_the_kth_distance_toward_smaller_ids():
 @pytest.mark.parametrize("m, k", [(33, 1), (65, 2), (97, 3)])
 def test_a_chunk_of_only_the_query_and_padding_is_skipped(monkeypatch, m, k):
     # two references a chunk and an odd count: the one padding column shares
-    # chunk nch - 1 with point nch - 1, which its own row skips
+    # the last chunk with point m - 1, which its own row skips
     X = np.random.default_rng(131).standard_normal((m, 3))
     blocks = _count_blocks(monkeypatch)
     ds = _flat_dataset(X.tolist())
@@ -416,7 +416,6 @@ def test_k_nearest_breaks_grid_ties_spread_over_chunks(monkeypatch):
     X = np.random.default_rng(137).integers(0, 30, (2000, 2)).astype(float)
     blocks = _count_blocks(monkeypatch)
     ids, d2 = k_nearest(X, X, 10, skip_self=True)
-    nch = -(-len(X) // blocks[0].width)
     assert {b.width for b in blocks} == {8}
     spread = 0
     for lo in range(0, len(X), 250):
@@ -425,7 +424,7 @@ def test_k_nearest_breaks_grid_ties_spread_over_chunks(monkeypatch):
         assert d2[lo:lo + 250].tobytes() == want_d2[:, :10].tobytes()
         for row, row_d2 in zip(want, want_d2):
             tied = row[row_d2 == row_d2[9]]
-            spread += row_d2[10] == row_d2[9] and len(np.unique(tied % nch)) > 1
+            spread += row_d2[10] == row_d2[9] and len(np.unique(tied // 8)) > 1
     assert spread > 1000
 
 
