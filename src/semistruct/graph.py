@@ -10,18 +10,23 @@ Neighbors come from :func:`k_nearest`, which scans the query points in row
 blocks whose working memory is bounded by ``_BLOCK_BYTES`` times a small
 factor (see :func:`k_nearest`), so the memory a search takes grows with
 block x n, never with n^2 * d. Ties in distance break toward the smaller
-id, also at the k-th place. Per block, one matrix product and one add value
-every reference by ``|b|^2 - 2 a.b`` of centered points, the expanded
-squared distance less the query's own ``|a|^2``. The references are dealt
-into interleaved chunks, and a row's threshold is the k-th smallest of its
-chunk minima plus a proven rounding margin: an upper bound on the k-th
-smallest value, so every reference that may be among the row's k nearest
-stays a candidate (see :func:`_candidates`). Only the chunks whose minimum
-is at most the threshold are read back; a chunk holds consecutive ids, so
-the candidates come in id order and one stable sort by distance ranks them
-with ties toward the smaller id. The squared distances it returns, and so
-every edge weight and the default ``sigma``, are computed for the
-candidates in the direct form ``((a - b) ** 2).sum(-1)``.
+id, also at the k-th place. A float32 screen proposes candidates and
+float64 ranks them. The points, centered on the references' mean and scaled
+by one power of two so that no squared norm exceeds 1, are cast to float32
+once per call. Per block, one float32 matrix product and one add value every
+reference by ``|b|^2 - 2 a.b``, the expanded squared distance less the
+query's own ``|a|^2``, lowered by its chunk's part of a rounding margin. The
+references are dealt into interleaved chunks, and a row's threshold is the
+k-th smallest of its chunk minima, raised by twice that part, plus the row's
+part of the margin. The margin of a pair grows with the pair's own squared
+norms and bounds the float32 error of its value, so every reference that may
+be among the row's k nearest stays a candidate (see :func:`_candidates`).
+Only the chunks whose minimum is at most the threshold are read back; a
+chunk holds consecutive ids, so the candidates come in id order and one
+stable sort by distance ranks them with ties toward the smaller id. The
+squared distances it returns, and so every edge weight and the default
+``sigma``, are computed for the candidates in float64 in the direct form
+``((a - b) ** 2).sum(-1)``, and do not depend on the screen.
 
 Cross validation builds one graph per training split. :class:`SubsetGraphs`
 derives them all, bit for bit as :func:`build_knn_graph` would build each,
@@ -43,6 +48,10 @@ from .errors import ContractViolation
 
 # bytes of each chunk-level workspace of a k_nearest block (see k_nearest)
 _BLOCK_BYTES = 256 << 10
+
+# the unit roundoff of float32, in which k_nearest screens candidates
+_U = 2.0 ** -24
+_INF32 = np.float32(np.inf)
 
 
 def point_vector(x):
@@ -95,6 +104,15 @@ def k_nearest(Q, R, k, skip_self=False):
     and ``R`` are the same points and row ``i`` never lists ``i``. Needs
     finite points (see :func:`point_matrix`) and ``k <= len(R) - skip_self``.
 
+    Both sets are centered on the references' mean, scaled by ``s = 2^-e``,
+    the power of two that brings the largest squared norm of a centered
+    query or reference within 1 (``e >= -511``, so that ``s^2`` is a
+    float64), and cast to float32 once per call: the queries as ``s (q -
+    center)``, the references as ``-2 s (r - center)``. The screen of
+    :func:`_candidates` runs on these casts, and its margins on float64
+    norms; the candidates it keeps are ranked by their float64 direct
+    distances.
+
     The ``m = len(R)`` references, padded to ``nch c`` with ``nch = ceil(m
     / c)`` and ``c = clip(m // (16 k), 1, 8)``, are dealt to interleaved
     chunks of ``c``: column ``p`` belongs to chunk ``p % nch``, and column
@@ -108,58 +126,86 @@ def k_nearest(Q, R, k, skip_self=False):
     threshold) of the kept chunks, which come in increasing id order, and
     keeps the ``k`` best of them by direct distance, then id.
 
-    A block has ``_BLOCK_BYTES // (8 nch)`` rows (at most ``n``, at least
-    one), so its chunk minima take at most ``_BLOCK_BYTES`` and its one
-    buffer, for the values, the minima and their partitioned copy, at most
-    ``(c + 2) _BLOCK_BYTES``. Wider chunks so buy more rows, and fewer
-    blocks, for the same partition work. At ``c = 1`` the minima are the
-    values themselves and that slot of the buffer stays unused. The
-    candidates' direct distances and ranking are computed in pieces of
-    equal row counts, sized by the row with the most kept chunks so that a
-    piece holds at most ``len(buffer) // (3d + 12)`` of them (at least one
-    row): about the buffer's bytes, at ``8 (3d + 12)`` bytes a candidate.
-    With the kept chunks' values read back (``c _BLOCK_BYTES`` at most) and
-    their indices, a block takes about ``3 (c + 3) _BLOCK_BYTES`` at most
-    (3 MiB at ``c = 1``, 8.25 MiB at ``c = 8``), also on data with many
-    ties or duplicates, whose rows can hold up to ``m`` candidates each.
+    A block has ``_BLOCK_BYTES // (4 nch)`` rows (at most ``n``, at least
+    one), so its float32 chunk minima take at most ``_BLOCK_BYTES`` and its
+    workspaces, for the values, the minima and their raised and partitioned
+    copy, at most ``(c + 2) _BLOCK_BYTES``. Wider chunks so buy more rows,
+    and fewer blocks, for the same partition work. At ``c = 1`` the minima
+    are the values themselves and that workspace stays unused. The kept
+    chunks are read back, and their candidates ranked by direct distance, in
+    pieces of equal row counts, sized by the row with the most kept chunks
+    so that a piece holds at most ``(c + 2) _BLOCK_BYTES // (8 (2d + 8))``
+    values (at least one row). A candidate takes about ``8 (2d + 8)`` bytes,
+    its query and reference rows and its indices, key and distance, so a
+    piece about ``(c + 2) _BLOCK_BYTES``. With the mask of kept chunks, a
+    block takes about ``2 (c + 2) _BLOCK_BYTES`` at most (1.5 MiB at ``c =
+    1``, 5 MiB at ``c = 8``), also on data with many ties or duplicates,
+    whose rows can hold up to ``m`` candidates each; the call adds its ``n x
+    k`` results and its ``n x d`` and ``m x d`` copies of the points.
     """
     n, d = Q.shape
     m = len(R)
     c = min(max(m // (16 * k), 1), 8)
     nch = -(-m // c)
-    center = R.mean(axis=0)
+    center = np.add.reduce(R) / m
     Rc = np.zeros((nch, c, d))  # chunk by chunk, then padded
-    Rc.reshape(-1, d)[:m] = R - center
-    r2 = (Rc * Rc).sum(axis=2)
-    far = r2.max()
+    np.subtract(R, center, out=Rc.reshape(-1, d)[:m])
+    r2 = np.add.reduce(Rc * Rc, axis=2)
+    beta = np.maximum.reduce(r2, axis=1)  # each chunk's largest
+    if skip_self:  # the queries are the references, in id order
+        Qc, q2 = Rc.reshape(-1, d)[:m], r2.reshape(-1)[:m]
+    else:
+        Qc = Q - center
+        q2 = np.add.reduce(Qc * Qc, axis=1)
+    big = max(np.maximum.reduce(beta), np.maximum.reduce(q2, initial=0.0))
+    # s = 2^-e brings every squared norm within 1, so every coordinate
+    # within [-1, 1]; e >= -511 keeps s^2 a float64
+    e = max(-511, -(-math.frexp(big)[1] // 2))
+    s, s2 = math.ldexp(1.0, -e), math.ldexp(1.0, -2 * e)
+    # the margins of _candidates, in scaled units: each chunk's, and twice
+    # each row's
+    g = (d + 10) * _U / (1 - (d + 10) * _U)
+    tau = math.ldexp(4 * d + 8, -126) + math.ldexp(d + 1, -1074 - 2 * e)
+    kb = beta * (g * s2) + tau
+    margin = q2 * (2 * g * s2)
+    r2 *= s2
+    r2 -= kb[:, None]  # lowered by the chunk's margin
     r2.reshape(-1)[m:] = np.inf
-    # dealt to columns: -2 Rc is exact, a power-of-two scaling
-    Rm2, r2 = (-2.0 * Rc).transpose(1, 0, 2).reshape(-1, d), r2.T.ravel()
-    rows = max(1, min(_BLOCK_BYTES // (8 * nch), n))
-    # one allocation, which the allocator then reuses from call to call
-    buffer = np.empty(rows * (c + 2) * nch)
-    work = (buffer[:rows * c * nch].reshape(rows, c, nch),
-            *buffer[rows * c * nch:].reshape(2, rows, nch))
-    per_piece = max(1, len(buffer) // (3 * d + 12))
+    # dealt to columns
+    low = r2.T.astype(np.float32, order="C").ravel()
+    Rm2 = np.empty((c, nch, d), dtype=np.float32)
+    np.multiply(Rc.transpose(1, 0, 2), -2.0 * s, out=Rm2, casting="same_kind")
+    Rm2 = Rm2.reshape(-1, d)
+    A = np.empty((n, d), dtype=np.float32)
+    np.multiply(Qc, s, out=A, casting="same_kind")
+    kb2 = np.multiply(kb, 2, dtype=np.float32)
+    rows = max(1, min(_BLOCK_BYTES // (4 * nch), n))
+    # allocated once, which the allocator then reuses from call to call
+    values, side = np.empty((rows, c, nch), np.float32), np.empty((2, rows, nch), np.float32)
+    per_piece = max(1, (c + 2) * _BLOCK_BYTES // (8 * (2 * d + 8)))
     ids = np.empty((n, k), dtype=int)
     d2 = np.empty((n, k))
     for lo in range(0, n, rows):
         q = Q[lo:lo + rows]
         b = len(q)
-        own = lo + np.arange(b)  # in column own % c nch + own // c
-        self_cols = own % c * nch + own // c if skip_self else None
-        approx, kept, thr = _candidates(q - center, Rm2, r2, far, k, self_cols,
-                                        [a[:b] for a in work])
-        row, chunk = np.divmod(np.flatnonzero(kept), nch)
-        hit = approx[row, :, chunk] <= thr[row, None]  # the candidates in each kept chunk
-        first = np.searchsorted(row, np.arange(b + 1))  # each row's first kept chunk
-        step = max(1, per_piece // (c * int((first[1:] - first[:-1]).max())))  # rows a piece
+        self_cols = None
+        if skip_self:
+            own = lo + np.arange(b)  # in column own % c nch + own // c
+            self_cols = own % c * nch + own // c
+        approx, kept, thr = _candidates(A[lo:lo + b], Rm2, low, kb2, margin[lo:lo + b], k,
+                                        self_cols, values[:b], *side[:, :b])
+        # rows a piece: all of them while the kept chunks' values fit one,
+        # else as many as the row with the most kept chunks allows
+        step = b
+        if c * kept.size > per_piece and c * np.count_nonzero(kept) > per_piece:
+            step = max(1, per_piece // (c * int(np.count_nonzero(kept, axis=1).max())))
         for p0 in range(0, b, step):
             p1 = min(p0 + step, b)
-            span = slice(first[p0], first[p1])
-            at, i = np.nonzero(hit[span])
+            row, chunk = np.divmod(np.flatnonzero(kept[p0:p1]), nch)
+            # the candidates in each kept chunk
+            at, i = np.nonzero(approx[p0:p1][row, :, chunk] <= thr[p0:p1][row, None])
             ids[lo + p0:lo + p1], d2[lo + p0:lo + p1] = _best(
-                q[p0:p1], R, row[span][at] - p0, chunk[span][at] * c + i, k)
+                q[p0:p1], R, row[at], chunk[at] * c + i, k)
     return ids, d2
 
 
@@ -167,70 +213,93 @@ def _best(q, R, row, col, k):
     """``(ids, d2)`` of the ``k`` best candidates ``(row, col)`` of each row
     of ``q`` by ``(d2, id)``; the pairs come in increasing order, at least
     ``k`` a row."""
-    dist = ((q[row] - R[col]) ** 2).sum(-1)
+    diff = q[row]
+    diff -= R[col]  # in place: two 8d-byte rows a candidate at most
+    dist = np.add.reduce(np.square(diff, out=diff), axis=-1)
     # complex numbers sort by real, then imaginary part: a stable sort by
     # (row, d2) keeps the id order of ties
     key = np.empty(len(dist), dtype=complex)
     key.real, key.imag = row, dist
     order = np.argsort(key, kind="stable")
     counts = np.bincount(row, minlength=len(q))
-    keep = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    keep = order[(np.add.accumulate(counts) - counts)[:, None] + np.arange(k)]
     return col[keep], dist[keep]
 
 
-def _candidates(qc, Rm2, r2, far, k, self_cols, work):
+def _candidates(a, Rm2, low, kb2, margin, k, self_cols, approx, mins, kth):
     """Threshold and candidate chunks of each query's ``k`` nearest.
 
-    ``qc`` holds the queries and ``Rc`` the references minus one center;
-    ``Rm2`` is ``-2 Rc`` and ``r2`` the squared norms of ``Rc``, both padded
-    to ``nch c`` columns with rows of 0 and norms of ``+inf`` and dealt to
-    columns as in :func:`k_nearest`; ``far`` is the largest real norm. For
-    a centered query ``a`` and reference ``b`` the value is ``|b|^2 - 2
-    a.b``, computed as ``qc @ Rm2.T + r2``: the expanded form ``|a|^2 +
-    |b|^2 - 2 a.b`` less ``|a|^2``, which is the same along a row, so
+    ``a`` holds the queries and ``Rm2`` the references, centered, scaled and
+    cast to float32 as in :func:`k_nearest` (``Rm2`` dealt to columns, with
+    rows of 0 for padding). Write ``A`` and ``B`` for a query and a
+    reference centered and scaled in exact arithmetic; their squared norms
+    are at most 1. The margin of chunk ``h`` is ``kb_h = g beta_h + tau``,
+    with ``beta_h`` the largest ``|B|^2`` in the chunk, ``g = gamma_{d+10}``
+    for ``gamma_j = j u / (1 - j u)`` and the float32 unit roundoff ``u =
+    2^-24``, and ``tau = (4d + 8) 2^-126 + (d + 1) 2^-1074 s^2``. ``low``
+    holds ``|B|^2 - kb_h`` in float32 (``+inf`` for padding), ``kb2`` holds
+    ``2 kb_h`` in float32 and ``margin`` holds ``2 g |A|^2`` per row.
+
+    The value of a pair is ``a @ Rm2.T + low``: the expanded form ``|A|^2 +
+    |B|^2 - 2 A.B`` less ``|A|^2``, which is the same along a row, so
     leaving it out shifts every value of the row and its order statistics
-    alike; a padding value is ``+inf``. With ``|a|^2``
-    added back exactly, the value differs from the pair's direct squared
-    distance by at most ``(4d + 10) u (|a|^2 + |b|^2)`` to first order in
-    the unit roundoff ``u = eps / 2``: ``4u`` from centering, ``2(d + 2)u``
-    from the direct form, ``d u`` each from the product and from ``r2``, and
-    ``2u`` from the add. ``margin`` is ``4(d + 4) eps = (8d + 32) u`` times
-    that norm sum for the row's query and the farthest reference, plus a
-    term for underflow, so it exceeds the bound.
+    alike, and lowered by ``kb_h``. By the dot-product error bounds of
+    Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    section 3.1) it differs from ``|B|^2 - 2 A.B - kb_h`` by at most
+    ``gamma_{d+3} |A|^2 + gamma_{d+5} |B|^2 + gamma_2 kb_h``:
+    ``gamma_{d+2} 2 |A| |B|`` from the casts and the product, ``u (|B|^2 +
+    kb_h)`` from casting ``low``, and ``u`` of the sum from the add. The
+    float64 direct distance that ranks the pair, times ``s^2``, differs
+    from ``|A - B|^2`` by ``(2d + 8) 2^-53 (|A|^2 + |B|^2)`` from centering
+    and the direct form, far below ``u`` of the norms, and ``(d + 1)
+    2^-1074 s^2`` from underflow. Float32 underflow costs a pair at most
+    ``(4d + 8) 2^-126``, also where subnormals flush to zero. As ``g``
+    exceeds ``gamma_{d+5}`` by some ``5u``, ``kb_h`` covers the reference's
+    part of all of these, the rounding of a raised minimum below and all
+    underflow: a reference's value is at most its scaled direct distance,
+    less ``|A|^2``, plus ``gamma_{d+4} |A|^2``, and its value raised by ``2
+    kb_h`` at least that distance less ``|A|^2 + gamma_{d+4} |A|^2``.
 
-    The threshold of a row is the k-th smallest of its chunk minima plus two
-    margins. The ``k`` smallest chunk minima are the values of ``k``
-    distinct references, so the k-th of them is at least the k-th smallest
-    value of the row, and every reference whose direct distance is at most
-    the k-th smallest has a value within two margins of it: all of them,
+    So the margin of a pair grows with its own squared norms, ``g (|A|^2 +
+    beta_h) + tau``, never with the farthest reference's: a point far from
+    the rest widens the margins of its own chunk and its own row only.
+
+    The threshold of a row is the k-th smallest of its chunk minima raised
+    by ``kb2``, in float32, plus ``margin``, rounded up to float32. The
+    ``k`` smallest raised chunk minima are of ``k`` distinct references, so
+    the row's k-th smallest direct distance, less ``|A|^2``, is at most the
+    k-th of them plus ``gamma_{d+4} |A|^2``; every reference whose direct
+    distance is at most the k-th smallest has a value at most that plus
+    another ``gamma_{d+4} |A|^2``, which the threshold exceeds: all of them,
     ties included, have values at most the threshold, and their chunks'
-    minima too. The threshold is finite: ``k <= m - 1`` real values exist
-    when ``c = 1``, and for ``c >= 2`` there are ``nch >= 16k`` chunks, of
-    which at most one (holding only the query and padding) is all ``+inf``.
-    The column ``self_cols[i]``, when given, is never a candidate of row
-    ``i``.
+    minima too. The rest of ``margin`` covers the float64 add. The
+    threshold is finite: ``k <= m - 1`` real values exist when ``c = 1``,
+    and for ``c >= 2`` there are ``nch >= 16k`` chunks, of which at most one
+    (holding only the query and padding) is all ``+inf``. The column
+    ``self_cols[i]``, when given, is never a candidate of row ``i``.
 
-    ``work`` holds one ``len(qc) x c x nch`` and two ``len(qc) x nch``
-    float arrays to compute in. Returns ``(approx, kept, thr)``: the values
-    as ``len(qc) x c x nch`` (reference ``h c + i`` at ``[:, i, h]``), a
-    mask of the chunks whose minimum is at most the row's threshold, and
-    the thresholds. The candidates of a row are its values at most its
+    ``approx`` (``len(a) x c x nch``), ``mins`` and ``kth`` (``len(a) x
+    nch``) are float32 arrays to compute in. Returns ``(approx, kept,
+    thr)``: the values (reference ``h c + i`` at ``[:, i, h]``), a mask of
+    the chunks whose minimum is at most the row's threshold, and the float32
+    thresholds. The candidates of a row are its values at most its
     threshold; they all lie in kept chunks.
     """
-    approx, mins, kth = work
     b, c, nch = approx.shape
     flat = approx.reshape(b, c * nch)
-    np.matmul(qc, Rm2.T, out=flat)
-    flat += r2
+    np.matmul(a, Rm2.T, out=flat)
+    flat += low
     if self_cols is not None:
         flat[np.arange(b), self_cols] = np.inf
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    q2 = (qc * qc).sum(axis=1)
-    margin = 4 * (qc.shape[1] + 4) * eps * (q2 + far + tiny)
-    mins = np.min(approx, axis=1, out=mins) if c > 1 else approx[:, 0]  # c = 1: a view
-    np.copyto(kth, mins)
-    kth.partition(k - 1, axis=1)
-    thr = kth[:, k - 1] + 2.0 * margin
+    mins = np.minimum.reduce(approx, axis=1, out=mins) if c > 1 else approx[:, 0]  # c = 1: a view
+    np.add(mins, kb2, out=kth)
+    if k == 1:  # the smallest: one reduction, where a partition selects row by row
+        top = np.minimum.reduce(kth, axis=1)
+    else:
+        kth.partition(k - 1, axis=1)
+        top = kth[:, k - 1]
+    # rounded up to float32
+    thr = np.nextafter((top + margin).astype(np.float32), _INF32)
     return approx, mins <= thr[:, None], thr
 
 

@@ -14,7 +14,7 @@ from semistruct import (
     build_knn_graph,
     manifold_term,
 )
-from semistruct import graph
+from semistruct import data_io, graph
 from semistruct.data_io import make_folds, mask_labels, synth_chains
 from semistruct.graph import SubsetGraphs, edges_csv, k_nearest, point_vector
 
@@ -261,8 +261,23 @@ def _seven_gaussian(rng):
     return _gaussian(rng, n=7)
 
 
+def _grid_of_scale(scale):
+    def make(rng, n=40):
+        # equal squared distances from different offsets (1 + 4 = 4 + 1) that
+        # float32 rounds apart, at the ends of the float64 range
+        return scale * rng.integers(0, 4, (n, 3))
+    make.__name__ = f"_grid_times_{scale:g}"
+    return make
+
+
+def _identical(rng, n=40):
+    # every centered coordinate is 0, so the screen's scale is 2^0
+    return np.full((n, 4), 3.0)
+
+
 @pytest.mark.parametrize("make", [_gaussian, _grid_duplicates, _offset_grid, _two_duplicates,
-                                  _seven_gaussian])
+                                  _seven_gaussian, _grid_of_scale(1e-160),
+                                  _grid_of_scale(1e150), _identical])
 @pytest.mark.parametrize("k", ["1", "5", "n-1", "n+3"])
 def test_blocked_builder_matches_dense_builder(make, k):
     rng = np.random.default_rng(83)
@@ -292,15 +307,19 @@ class _Block(NamedTuple):
 
 def _count_blocks(monkeypatch):
     """Spy on ``graph._candidates``: one :class:`_Block` per block. Checks
-    that a chunk is kept exactly when it holds a candidate, a value at most
-    its row's threshold."""
+    the per-pair rule: a chunk is kept exactly when it holds a candidate, a
+    lowered value at most its row's threshold, and that threshold is at
+    least the k-th smallest raised chunk minimum plus the row's margin in
+    exact arithmetic (rounded up to float32, never to nearest)."""
     seen = []
     candidates = graph._candidates
 
-    def spy(*args):
-        approx, kept, thr = candidates(*args)
+    def spy(a, Rm2, low, kb2, margin, k, *rest):
+        approx, kept, thr = candidates(a, Rm2, low, kb2, margin, k, *rest)
         below = approx <= thr[:, None, None]
         assert np.array_equal(kept, below.any(axis=1))
+        raised = np.sort(approx.min(axis=1) + kb2, axis=1)[:, k - 1]
+        assert thr.dtype == np.float32 and np.all(thr >= raised.astype(float) + margin)
         seen.append(_Block(len(approx), int(below.sum(axis=(1, 2)).max()), approx.shape[1],
                            bool(np.isinf(approx).all(axis=1).any())))
         return approx, kept, thr
@@ -311,10 +330,10 @@ def _count_blocks(monkeypatch):
 
 def _budget(m, k, rows):
     """The ``_BLOCK_BYTES`` that gives blocks of ``rows`` query rows to a
-    search of ``m`` references, by ``k_nearest``'s rule of ``8 nch`` bytes a
+    search of ``m`` references, by ``k_nearest``'s rule of ``4 nch`` bytes a
     row (``nch`` chunks of ``c = clip(m // (16 k), 1, 8)`` references)."""
     c = min(max(m // (16 * k), 1), 8)
-    return 8 * -(-m // c) * rows
+    return 4 * -(-m // c) * rows
 
 
 @pytest.mark.parametrize("make", [_gaussian, _grid_duplicates, _offset_grid])
@@ -355,7 +374,15 @@ def _offset_both(rng):
     return 1e6 + 0.1 * rng.integers(0, 4, (20, 4)) + 0.05, R
 
 
-@pytest.mark.parametrize("make", [_far_queries, _grid_ties, _square_centers, _offset_both])
+def _very_far_queries(rng):
+    # queries 1e8 away set the scale: the references' float32 coordinates
+    # are about 2^-28, and the row margin from |a|^2 spans all their values
+    R = rng.standard_normal((60, 3))
+    return 1e8 + rng.standard_normal((25, 3)), R
+
+
+@pytest.mark.parametrize("make", [_far_queries, _grid_ties, _square_centers, _offset_both,
+                                  _very_far_queries])
 @pytest.mark.parametrize("k", [1, 2, 3, 7])
 @pytest.mark.parametrize("blocks", ["one", "rows", "few"])
 def test_k_nearest_of_other_queries_matches_brute_force(monkeypatch, make, k, blocks):
@@ -458,6 +485,68 @@ def test_k_nearest_on_both_sides_of_the_first_chunk_width(monkeypatch, k, m_less
     assert {b.width for b in blocks} == {2 - m_less_32k}
 
 
+def _candidates_per_row(monkeypatch):
+    """Spy on ``graph._best``: the candidate count of every row it ranks."""
+    counts = []
+    best = graph._best
+
+    def spy(q, R, row, col, k):
+        counts.extend(np.bincount(row, minlength=len(q)).tolist())
+        return best(q, R, row, col, k)
+
+    monkeypatch.setattr(graph, "_best", spy)
+    return counts
+
+
+def test_k_nearest_margins_follow_each_pair_s_norms_past_an_outlier(monkeypatch):
+    # one point 1e4 away sets the scale; a margin from the farthest
+    # reference's norm would make every reference a candidate of every row
+    X = np.asarray(data_io.synth_blobs(8, 250, 8, 0.6, seed=151).inputs)
+    X[777] += 1e4
+    counts = _candidates_per_row(monkeypatch)
+    ids, d2 = k_nearest(X, X, 10, skip_self=True)
+    for lo in range(0, len(X), 250):
+        want, want_d2 = _without_self(*oracles.brute_k_nearest(X[lo:lo + 250], X, 11), lo, 10)
+        assert ids[lo:lo + 250].tolist() == want.tolist()
+        assert d2[lo:lo + 250].tobytes() == want_d2.tobytes()
+    assert len(counts) == len(X) and sum(counts) < 2 * 10 * len(X)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_k_nearest_separates_squared_distances_1_and_1_plus_1e_9_at_the_kth_place(seed):
+    # float32 values cannot tell 1 from 1 + 1e-9; the k-th nearest is the
+    # reference at exactly 1 with the smallest float64 distance, then id
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(8)
+    radii = np.concatenate([[0.25, 0.25], np.tile([1 + 1e-9, 1.0], 8), 4 + 5 * rng.random(30)])
+    u = rng.standard_normal((len(radii), 8))
+    R = q + u / np.linalg.norm(u, axis=1, keepdims=True) * np.sqrt(radii)[:, None]
+    ids, d2 = k_nearest(q[None], R, 3)
+    want_ids, want_d2 = oracles.brute_k_nearest(q[None], R, 3)
+    assert ids.tolist() == want_ids.tolist()
+    assert d2.tobytes() == want_d2.tobytes()
+    assert abs(d2[0, 2] - 1.0) < 1e-12
+
+
+def test_k_nearest_stays_exact_when_float32_squares_underflow(monkeypatch):
+    # one query 1e30 away from a unit cluster scales the cluster to about
+    # 2^-100, whose squares underflow float32: every value of a cluster query
+    # is 0 and every reference its candidate; the far query ties all of them
+    rng = np.random.default_rng(157)
+    R = rng.standard_normal((40, 4))
+    Q = np.concatenate([rng.standard_normal((30, 4)), np.full((1, 4), 1e30)])
+    counts = _candidates_per_row(monkeypatch)
+    for k in (1, 3):
+        counts.clear()
+        ids, d2 = k_nearest(Q, R, k)
+        want_ids, want_d2 = oracles.brute_k_nearest(Q, R, k)
+        assert ids.tolist() == want_ids.tolist()
+        assert d2.tobytes() == want_d2.tobytes()
+        assert counts == [len(R)] * len(Q)
+    ds = _flat_dataset(np.concatenate([R, Q[-1:]]).tolist())
+    _byte_equal(build_knn_graph(ds, 3), oracles.brute_knn_graph(ds, 3))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
 def test_build_rejects_non_finite_point_vectors(bad):
     ds = _flat_dataset([[0.0, 0.0], [1.0, bad], [2.0, 2.0]])
@@ -484,6 +573,15 @@ def test_build_rejects_ragged_point_vectors():
         build_knn_graph(ds, k=1)
 
 
+def _memory_bound(n, k, d):
+    """``k_nearest``'s documented bound for a graph of ``n`` points: ``2 (c +
+    2) _BLOCK_BYTES`` for a block, plus the ``n x k`` ids and distances and
+    the ``n x d`` copies (the centered float64 points, their float32 query
+    and reference casts, and the point matrix)."""
+    c = min(max(n // (16 * k), 1), 8)
+    return 2 * (c + 2) * graph._BLOCK_BYTES + 16 * n * k + 24 * n * d
+
+
 def test_build_memory_stays_blocked():
     # the dense builder holds the 2000 x 2000 x 8 difference tensor (256 MB)
     X = np.random.default_rng(101).standard_normal((2000, 8))
@@ -494,7 +592,7 @@ def test_build_memory_stays_blocked():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < _memory_bound(2000, 10, 8)
 
 
 def test_build_memory_stays_blocked_when_every_reference_is_a_candidate():
@@ -506,7 +604,7 @@ def test_build_memory_stays_blocked_when_every_reference_is_a_candidate():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < _memory_bound(2000, 10, 8)
     want = [[j for j in range(11) if j != i][:10] for i in range(2000)]
     assert g.dst.reshape(2000, 10).tolist() == want
     assert g.sigma == 1.0 and np.all(g.weight == 1.0)

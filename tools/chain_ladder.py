@@ -15,16 +15,20 @@ with the solver settings ``C1``, ``C2`` and ``ETA`` of ``perfbench/inputs.py``
 (imported from this checkout, with ``NEW_SRC`` on the path), at n = 120,
 1 200 and 12 000 chains. The graph ladder: ``build_knn_graph`` with k = 10 of
 the first n points of ``synth_blobs`` (8 classes, 8 input dimensions, spread
-0.6, the multiclass generator of ``perfbench/inputs.py``), at n = 1 500,
-8 000 and 20 000.
+0.6, the multiclass generator of ``perfbench/inputs.py``), at n = 300 (one
+reference a chunk, the size of the taxonomy workload's graph), 1 500, 8 000
+and 20 000; and an outlier row, the same 8 000 points with point 4 000 moved
+1e4 along the first axis, which sets the scale of the search's float32
+screen for all the others.
 
 Each of ``ROUNDS`` rounds starts one child process per tree, the two trees
 taking turns at going first. A child generates every size's data with its
 own tree, builds the graph, then times ``fit`` alone (graph excluded; one
 untimed fit of the smallest size comes first) and reports point-iterations
 per second, ``n * 4 / seconds``, and a digest of the fitted ``w``, ``z`` and
-trace. It then times one ``build_knn_graph`` per graph size and reports its
-seconds and a digest of the edges, weights and ``sigma``. The script prints
+trace. It then times ``build_knn_graph`` per graph row, the fastest of
+``max(1, 20000 // n)`` calls, and reports its seconds and a digest of the
+edges, weights and ``sigma``. The script prints
 each tree's median and the ratio NEW / OLD per size, and exits 1 if any
 digest differs between the two trees (or between rounds), else 0. Timings
 are wall-clock and need a machine otherwise idle; numpy is held to one BLAS
@@ -44,16 +48,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (120, 1_200, 12_000)
-GRAPH_SIZES = (1_500, 8_000, 20_000)
+GRAPH_SIZES = (300, 1_500, 8_000, 20_000)
+OUTLIER_SIZE = 8_000
 ROUNDS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-# argv: src, then the fit sizes, graph sizes and solver settings as JSON.
-# Prints one JSON object: per fit size, point-iterations per second and the
-# digest of the fitted state; per graph size, seconds and the graph's digest.
+# argv: src, then the fit sizes, graph sizes, outlier size and solver
+# settings as JSON. Prints one JSON object: per fit size, point-iterations per
+# second and the digest of the fitted state; per graph row, seconds and the
+# graph's digest.
 _CHILD = r"""
 import hashlib, json, sys, time
 from pathlib import Path
+import numpy as np
 import semistruct
 from semistruct import ChainSequenceSpace, Dataset, SolverConfig, build_knn_graph, fit
 from semistruct.data_io import synth_blobs, synth_chains
@@ -61,10 +68,10 @@ from semistruct.data_io import synth_blobs, synth_chains
 src = Path(sys.argv[1]).resolve()
 if not Path(semistruct.__file__).resolve().is_relative_to(src):
     sys.exit(f"imported semistruct from {semistruct.__file__}, not {src}")
-sizes, graph_sizes, (c1, c2, eta) = json.loads(sys.argv[2])
+sizes, graph_sizes, outlier, (c1, c2, eta) = json.loads(sys.argv[2])
 space = ChainSequenceSpace(4, 6)
 cfg = SolverConfig(c1=c1, c2=c2, eta=eta, max_iters=4, seed=0)
-out = {"fit": {}, "graph": {}}
+out = {"fit": {}, "graph": {}, "outlier": {}}
 for n in (sizes[0], *sizes):  # the first size twice: its first fit, untimed, warms up
     full = synth_chains(4, (6, 6), n, 6, seed=n)
     ds = Dataset.from_arrays(full.inputs, [y if i % 5 == 0 else None
@@ -77,15 +84,21 @@ for n in (sizes[0], *sizes):  # the first size twice: its first fit, untimed, wa
     digest.update(json.dumps(state.z).encode())
     digest.update(repr([tuple(row) for row in state.trace]).encode())
     out["fit"][n] = {"rate": n * cfg.max_iters / seconds, "digest": digest.hexdigest()}
-for n in graph_sizes:
+for ladder, n in [("graph", n) for n in graph_sizes] + [("outlier", outlier)]:
     blobs = synth_blobs(8, -(-n // 8), 8, 0.6, seed=n)
-    ds = Dataset.from_arrays(blobs.inputs[:n], blobs.outputs[:n], "multiclass")
-    start = time.perf_counter()
-    g = build_knn_graph(ds, k=10)
-    seconds = time.perf_counter() - start
+    xs = np.array(blobs.inputs[:n])
+    if ladder == "outlier":
+        xs[n // 2, 0] += 1e4
+    ds = Dataset.from_arrays(xs, blobs.outputs[:n], "multiclass")
+    seconds = []
+    for _ in range(max(1, 20_000 // n)):
+        start = time.perf_counter()
+        g = build_knn_graph(ds, k=10)
+        seconds.append(time.perf_counter() - start)
+    seconds = min(seconds)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in (g.src, g.dst, g.weight)))
     digest.update(repr(g.sigma).encode())
-    out["graph"][n] = {"seconds": seconds, "digest": digest.hexdigest()}
+    out[ladder][n] = {"seconds": seconds, "digest": digest.hexdigest()}
 print(json.dumps(out))
 """
 
@@ -103,7 +116,7 @@ def _settings():
 def _run(src, settings) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
     done = subprocess.run([sys.executable, "-c", _CHILD, str(src),
-                           json.dumps([SIZES, GRAPH_SIZES, settings])],
+                           json.dumps([SIZES, GRAPH_SIZES, OUTLIER_SIZE, settings])],
                           env=env, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"the child process for {src} failed:\n{done.stderr}")
@@ -119,7 +132,8 @@ def main(argv=None) -> int:
     trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     sys.path.insert(0, str(trees["new"]))
     settings = _settings()
-    rows = [("fit", n) for n in SIZES] + [("graph", n) for n in GRAPH_SIZES]
+    rows = ([("fit", n) for n in SIZES] + [("graph", n) for n in GRAPH_SIZES]
+            + [("outlier", OUTLIER_SIZE)])
     values = {tag: {row: [] for row in rows} for tag in trees}
     digests = {row: set() for row in rows}
     for r in range(ROUNDS):
@@ -127,11 +141,11 @@ def main(argv=None) -> int:
             for row, got in _run(trees[tag], settings).items():
                 values[tag][row].append(got["rate" if row[0] == "fit" else "seconds"])
                 digests[row].add(got["digest"])
-    for ladder, unit in (("fit", "point-iters/s"), ("graph", "s")):
-        print(f"{ladder:>5} {'n':>7} {'old ' + unit:>18} {'new ' + unit:>18} {'new/old':>8}")
+    for ladder, unit in (("fit", "point-iters/s"), ("graph", "s"), ("outlier", "s")):
+        print(f"{ladder:>7} {'n':>7} {'old ' + unit:>18} {'new ' + unit:>18} {'new/old':>8}")
         for row in (row for row in rows if row[0] == ladder):
             old, new = (statistics.median(values[tag][row]) for tag in ("old", "new"))
-            print(f"{ladder:>5} {row[1]:>7} {old:>18.4g} {new:>18.4g} {new / old:>8.3f}")
+            print(f"{ladder:>7} {row[1]:>7} {old:>18.4g} {new:>18.4g} {new / old:>8.3f}")
     differ = [row for row in rows if len(digests[row]) > 1]
     for ladder, n in differ:
         what = "the fitted w, z or trace" if ladder == "fit" else "the graphs"
