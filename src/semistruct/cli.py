@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedConfiguration,
 )
 from .graph import build_knn_graph, edges_csv
-from .solver import SolverConfig, fit, load_model, save_model
+from .solver import Z_INIT_STRATEGIES, SolverConfig, fit, load_model, save_model
 from .spaces import (
     ChainSequenceSpace,
     MulticlassSpace,
@@ -39,8 +39,7 @@ def _add_solver_flags(p):
     p.add_argument("--eta", type=float, default=None,
                    help="gradient step size (default 1/c2)")
     p.add_argument("--iters", type=int, default=50, help="number of iterations")
-    p.add_argument("--z-init", choices=["nearest-labeled", "uniform-random"],
-                   default="nearest-labeled")
+    p.add_argument("--z-init", choices=Z_INIT_STRATEGIES, default="nearest-labeled")
 
 
 def _add_space_flags(p):
@@ -51,7 +50,7 @@ def _add_space_flags(p):
                    help="class count (multiclass; inferred from data when omitted)")
     p.add_argument("--alphabet", type=int, default=None,
                    help="label count (chain; inferred from data when omitted)")
-    p.add_argument("--loss", choices=["zero-one", "hamming"], default=None,
+    p.add_argument("--loss", choices=ChainSequenceSpace.LOSS_MODES, default=None,
                    help="chain loss mode (default hamming)")
 
 
@@ -290,7 +289,7 @@ def build_parser():
         p.set_defaults(func=handler)
 
     p = sub.add_parser("sweep", help="cross-validated sweep over c1 or c2")
-    p.add_argument("--param", choices=["c1", "c2"], required=True)
+    p.add_argument("--param", choices=evaluate.SWEEP_PARAMS, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--data", required=True)
     _add_space_flags(p)

@@ -254,6 +254,7 @@ class OutputSpace(ABC):
         of one pair."""
         return self.delta_sum([y1], [y2])
 
+    # no caller in src/; perfbench/spans.py finds the space classes it traces by this name
     def argmax_score(self, w, x):
         """:meth:`argmax_score_all` of one input."""
         return self.from_codes(self.argmax_score_all(w, [x]))[0]

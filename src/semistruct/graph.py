@@ -265,7 +265,8 @@ def _candidates(a, Rm2, low, kb2, margin, k, self_cols, approx, mins, kth):
     the rest widens the margins of its own chunk and its own row only.
 
     The threshold of a row is the k-th smallest of its chunk minima raised
-    by ``kb2``, in float32, plus ``margin``, rounded up to float32. The
+    by ``kb2``, in float32, which one partition of the block selects for
+    every ``k``, plus ``margin``, rounded up to float32. The
     ``k`` smallest raised chunk minima are of ``k`` distinct references, so
     the row's k-th smallest direct distance, less ``|A|^2``, is at most the
     k-th of them plus ``gamma_{d+4} |A|^2``; every reference whose direct
@@ -293,13 +294,9 @@ def _candidates(a, Rm2, low, kb2, margin, k, self_cols, approx, mins, kth):
         flat[np.arange(b), self_cols] = np.inf
     mins = np.minimum.reduce(approx, axis=1, out=mins) if c > 1 else approx[:, 0]  # c = 1: a view
     np.add(mins, kb2, out=kth)
-    if k == 1:  # the smallest: one reduction, where a partition selects row by row
-        top = np.minimum.reduce(kth, axis=1)
-    else:
-        kth.partition(k - 1, axis=1)
-        top = kth[:, k - 1]
+    kth.partition(k - 1, axis=1)
     # rounded up to float32
-    thr = np.nextafter((top + margin).astype(np.float32), _INF32)
+    thr = np.nextafter((kth[:, k - 1] + margin).astype(np.float32), _INF32)
     return approx, mins <= thr[:, None], thr
 
 
@@ -333,9 +330,6 @@ class NeighborGraph:
             dst=np.empty(0, dtype=int),
             weight=np.empty(0, dtype=float),
         )
-
-    def __len__(self):
-        return len(self.src)
 
 
 def build_knn_graph(ds, k, sigma=None) -> NeighborGraph:
@@ -455,17 +449,16 @@ def neighbor_terms(g: NeighborGraph, nodes):
     """Neighbor terms of ``nodes`` (increasing ids) over both edge directions.
 
     Returns arrays ``(owner, neighbor, weight)``; term ``e`` joins
-    ``nodes[owner[e]]`` to ``neighbor[e]``. Per node, out-edges come first,
-    then in-edges, each in edge order. Folding both directions together is
-    valid because every shipped loss is symmetric.
+    ``nodes[owner[e]]`` to ``neighbor[e]``. The terms come in edge order,
+    out-edges first, then in-edges, so the terms of different nodes
+    interleave and each node's own terms list its out-edges, then its
+    in-edges, each in edge order. Folding both directions together is valid
+    because every shipped loss is symmetric.
     """
     member = np.zeros(g.n, dtype=bool)
     member[nodes] = True
     owner = np.concatenate([g.src, g.dst])
     kept = np.flatnonzero(member[owner])
-    # the same stable order; numpy radix-sorts 16-bit keys
-    keys = owner[kept].astype(np.uint16) if g.n <= 1 << 16 else owner[kept]
-    kept = kept[np.argsort(keys, kind="stable")]
     rank = np.cumsum(member) - 1
     return (rank[owner[kept]], np.concatenate([g.dst, g.src])[kept],
             np.concatenate([g.weight, g.weight])[kept])

@@ -9,8 +9,8 @@ one dynamic program over a zero-padded stack of its inputs, on label-major
 one -1-padded label matrix read as records, which one reader cuts, or pads,
 to the width a pass needs. Its Hamming slack is each point's total term
 weight less that of its terms agreeing at each position and label; its
-zero-one slack weighs candidates over the owner-sorted term list, so its
-memory follows each point's own term count.
+zero-one slack groups the terms by owner and weighs each point's candidates
+over its own terms, so its memory follows each point's own term count.
 """
 
 from __future__ import annotations
@@ -602,10 +602,7 @@ class ChainSequenceSpace(OutputSpace):
         _check_lengths(lu, lengths, "upsilon")
         _check_lengths(lo, lengths[owner], "neighbor output")
         if self.loss == "zero-one":
-            # the terms sorted by owner, each owner's in term order
-            count, order = np.bincount(owner, minlength=n), np.argsort(owner, kind="stable")
-            paths = self._cheapest(unary, pairwise, U, count, weight[order], O[order], c1,
-                                   lengths)
+            paths = self._cheapest(unary, pairwise, U, owner, weight, O, c1, lengths)
         else:
             # position-wise costs: neighbor disagreement + model score + upsilon loss.
             # A point's disagreement at (position, label) is its total term weight less
@@ -624,14 +621,17 @@ class ChainSequenceSpace(OutputSpace):
                 paths = self._best_paths(-cost, c1 * pairwise, lengths)
         return _records(paths)
 
-    def _cheapest(self, unary, pairwise, U, count, weight, O, c1, lengths):
+    def _cheapest(self, unary, pairwise, U, owner, weight, O, c1, lengths):
         """Zero-one slack minimizers from the upsilons ``U`` and the neighbor
-        terms' weights and outputs ``O``, sorted by owner, ``count`` per point. With
-        weights >= 0 only these or the best path ``y*`` can win: any other
-        ``y`` costs ``c1 * (s(y*) - s(y)) >= 0``, plus what ``y*`` saves by
-        matching some, more than ``y*``, and ties only as a later path."""
+        terms' owners, weights and outputs ``O``. With weights >= 0 only
+        these or the best path ``y*`` can win: any other ``y`` costs ``c1 *
+        (s(y*) - s(y)) >= 0``, plus what ``y*`` saves by matching some, more
+        than ``y*``, and ties only as a later path."""
         n, length = U.shape
         best = self._best_paths(unary, pairwise, lengths)
+        # the terms grouped by owner, each owner's in term order
+        count, order = np.bincount(owner, minlength=n), np.argsort(owner, kind="stable")
+        weight, O = weight[order], O[order]
         # one flat stack of candidates: each point's best path and upsilon, and
         # every term's output; own says whose each is (-1 past each end)
         C = np.concatenate((best, U, O))

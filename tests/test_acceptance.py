@@ -171,10 +171,9 @@ class _DescentValues:
         self.phi = [[oracles.phi(space, p.x, y) for y in space.labels] for p in ds.points]
         self.loss = [[oracles.delta(space, y, z) for z in space.labels] for y in space.labels]
         self.free = [p.id for p in ds.points if p.y is None]
-        owner, neighbor, weight = neighbor_terms(g, self.free)
-        ends = np.searchsorted(owner, np.arange(len(self.free) + 1)).tolist()
-        neighbor, weight = neighbor.tolist(), weight.tolist()
-        self.terms = [list(zip(weight[a:b], neighbor[a:b])) for a, b in zip(ends, ends[1:])]
+        self.terms = [[] for _ in self.free]  # each point's own, in term order
+        for k, j, omega in zip(*(a.tolist() for a in neighbor_terms(g, self.free))):
+            self.terms[k].append((omega, j))
 
     def slack(self, w, k, upsilon, z_nb, c1, y):
         """Slack objective of the ``k``-th unlabeled point at ``y``, its

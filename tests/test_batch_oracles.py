@@ -472,6 +472,30 @@ def test_slack_refuses_a_non_finite_neighbor_weight(space, bad):
         space.argmin_slack_all(w, xs, ys, terms, 1.0)
 
 
+@pytest.mark.parametrize("space", _ALL_SLACK_SPACES, ids=_ALL_SLACK_IDS)
+def test_slack_answers_depend_only_on_each_points_own_term_order(space):
+    """A graph's neighbor terms come in edge order, so the terms of different
+    points interleave. Any interleaving that keeps each point's own order
+    answers what the terms grouped by point answer, byte for byte."""
+    rng = np.random.default_rng(311)
+    n = 40
+    xs = rng.standard_normal((n, 2) if space.kind != "chain" else (n, 4, 2))
+    ups = space.as_codes([space.random_output(x, rng) for x in xs])
+    owner = np.repeat(np.arange(n), rng.integers(0, 8, n))  # grouped, point by point
+    weight = rng.uniform(0.1, 1.0, len(owner))
+    outputs = space.as_codes([space.random_output(xs[i], rng) for i in owner.tolist()])
+    for _ in range(5):
+        w = rng.standard_normal(space.dim)
+        want = space.argmin_slack_all(w, xs, ups, (owner, weight, outputs), 0.3)
+        # slot s of a random interleaving takes the next term of point mixed[s]
+        mixed = rng.permutation(owner)
+        at = np.empty(len(owner), dtype=int)
+        at[np.argsort(mixed, kind="stable")] = np.arange(len(owner))
+        assert (owner[at] == mixed).all() and (mixed != owner).any()
+        got = space.argmin_slack_all(w, xs, ups, (mixed, weight[at], outputs[at]), 0.3)
+        assert got.tobytes() == want.tobytes()
+
+
 def _row_major(unary):
     return np.ascontiguousarray(unary.transpose(2, 0, 1))
 

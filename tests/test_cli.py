@@ -12,7 +12,8 @@ import semistruct
 from semistruct import ChainSequenceSpace, DataFormatError, cli
 from semistruct.cli import main
 from semistruct.data_io import load_dataset
-from semistruct.solver import load_model
+from semistruct.evaluate import SWEEP_PARAMS
+from semistruct.solver import Z_INIT_STRATEGIES, load_model
 
 SRC = Path(semistruct.__file__).resolve().parent.parent
 
@@ -190,6 +191,11 @@ _BAD_SYNTH = {
                               "spread must be finite and >= 0, got inf"),
     "taxonomy-spread--1": (["--space", "taxonomy", "--spread", "-1"],
                            "spread must be finite and >= 0, got -1.0"),
+    "taxonomy-dim-1": (["--space", "taxonomy", "--dim", "1"], "need dim >= 2, got 1"),
+    "alphabet-1": (["--space", "chain", "--alphabet", "1"], "need at least 2 labels, got 1"),
+    "min-len-0": (["--space", "chain", "--min-len", "0"], "bad length range (0, 6)"),
+    "max-len-below-min": (["--space", "chain", "--min-len", "5", "--max-len", "4"],
+                          "bad length range (5, 4)"),
 }
 
 
@@ -274,6 +280,47 @@ def test_unlabeled_data_cannot_be_fit(tmp_path):
         "--out", str(tmp_path / "out"),
     )
     assert code == 1
+
+
+_UNLABELED = {"multiclass": '{"id": 0, "x": [1, 2], "y": null}\n',
+              "chain": '{"id": 0, "x": [[1, 2], [0, 1]], "y": null}\n'}
+
+
+@pytest.mark.parametrize("space, flag", [("multiclass", "--classes"), ("chain", "--alphabet")])
+def test_a_label_count_without_labels_to_infer_it_from_is_a_validation_error(
+        tmp_path, capsys, space, flag):
+    data = tmp_path / "unlabeled.jsonl"
+    data.write_text(_UNLABELED[space])
+    assert _run("fit", "--data", str(data), "--space", space,
+                "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: cannot infer {flag} from a file without labels\n"
+
+
+_BAD_TAXONOMIES = {
+    "invalid-json": ('{"nodes": [', "invalid JSON ("),
+    "no-nodes": ('{"nodes": []}', "expected an object with a 'nodes' list\n"),
+    "no-parent": ('{"nodes": [{"id": 0}]}', "each node needs 'id' and 'parent'\n"),
+    "one-node": ('{"nodes": [{"id": 0, "parent": null}]}',
+                 "taxonomy needs at least a root and one leaf\n"),
+}
+
+
+@pytest.mark.parametrize("case", [None, *_BAD_TAXONOMIES])
+def test_a_missing_or_bad_taxonomy_file_is_a_validation_error(tmp_path, capsys, case):
+    data = _synth_blobs(tmp_path)
+    flags = []
+    if case is not None:
+        tree = tmp_path / "taxonomy.json"
+        tree.write_text(_BAD_TAXONOMIES[case][0])
+        flags = ["--taxonomy", str(tree)]
+    capsys.readouterr()
+    assert _run("fit", "--data", str(data), "--space", "taxonomy", *flags,
+                "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    if case is None:
+        assert err == "error: --taxonomy <file> is required for this space\n"
+    else:
+        assert err.startswith(f"error: {tree}: {_BAD_TAXONOMIES[case][1]}")
 
 
 def test_divergence_exit_code(tmp_path):
@@ -401,17 +448,34 @@ def test_malformed_numbers_and_bytes_are_validation_errors(tmp_path, capsys, com
     }[case] in err
 
 
-# model space fields of the wrong type: no count is cut to an int
+# bad model space fields, each with its message: fields of the wrong type (no
+# count is cut to an int), and values no space is built from
 _BAD_SPACES = {
-    "num-classes-str": {"kind": "multiclass", "num_classes": "3", "input_dim": 3},
-    "input-dim-null": {"kind": "multiclass", "num_classes": 4, "input_dim": None},
-    "input-dim-bool": {"kind": "multiclass", "num_classes": 4, "input_dim": True},
-    "num-labels-float": {"kind": "chain", "num_labels": 2.5, "input_dim": 3},
-    "nodes-int": {"kind": "taxonomy", "input_dim": 3, "nodes": 5},
-    "parent-str": {"kind": "taxonomy", "input_dim": 3,
-                   "nodes": [{"id": 0, "parent": None}, {"id": 1, "parent": "x"}]},
-    "id-str": {"kind": "taxonomy", "input_dim": 3,
-               "nodes": [{"id": "0", "parent": None}, {"id": 1, "parent": 0}]},
+    "num-classes-str": ({"kind": "multiclass", "num_classes": "3", "input_dim": 3},
+                        "space field 'num_classes' must be an integer, got '3'"),
+    "input-dim-null": ({"kind": "multiclass", "num_classes": 4, "input_dim": None},
+                       "space field 'input_dim' must be an integer, got None"),
+    "input-dim-bool": ({"kind": "multiclass", "num_classes": 4, "input_dim": True},
+                       "space field 'input_dim' must be an integer, got True"),
+    "num-labels-float": ({"kind": "chain", "num_labels": 2.5, "input_dim": 3},
+                         "space field 'num_labels' must be an integer, got 2.5"),
+    "nodes-int": ({"kind": "taxonomy", "input_dim": 3, "nodes": 5},
+                  "taxonomy nodes must be a list of objects, got 5"),
+    "parent-str": ({"kind": "taxonomy", "input_dim": 3,
+                    "nodes": [{"id": 0, "parent": None}, {"id": 1, "parent": "x"}]},
+                   "node 1 has parent 'x' outside 0..1"),
+    "id-str": ({"kind": "taxonomy", "input_dim": 3,
+                "nodes": [{"id": "0", "parent": None}, {"id": 1, "parent": 0}]},
+               "taxonomy node ids must be contiguous from 0"),
+    "unknown-kind": ({"kind": "ranking", "input_dim": 3}, "unknown space kind 'ranking'"),
+    "one-node-tree": ({"kind": "taxonomy", "input_dim": 3, "nodes": [{"id": 0, "parent": None}]},
+                      "taxonomy needs at least a root and one leaf"),
+    "one-label-chain": ({"kind": "chain", "num_labels": 1, "input_dim": 3},
+                        "need at least 2 labels, got 1"),
+    "chain-input-dim-0": ({"kind": "chain", "num_labels": 2, "input_dim": 0},
+                          "input_dim must be >= 1, got 0"),
+    "chain-loss-unknown": ({"kind": "chain", "num_labels": 2, "input_dim": 3, "loss": "squared"},
+                           "loss must be one of ('hamming', 'zero-one'), got 'squared'"),
 }
 
 
@@ -437,7 +501,7 @@ def test_corrupt_model_is_a_validation_error(tmp_path, capsys, case):
         elif case == "space-missing-key":
             doc["space"] = {"kind": "multiclass", "input_dim": 3}
         elif case in _BAD_SPACES:
-            doc["space"] = _BAD_SPACES[case]
+            doc["space"] = _BAD_SPACES[case][0]
         elif case == "bad-format":
             doc["format"] = "semistruct-model/0"
         elif case == "short-weights":
@@ -449,7 +513,10 @@ def test_corrupt_model_is_a_validation_error(tmp_path, capsys, case):
         load_model(model)
     assert _run("predict", "--model", str(model), "--data", str(data),
                 "--out", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ")
+    if case in _BAD_SPACES:
+        assert err == f"error: {model}: {_BAD_SPACES[case][1]}\n"
 
 
 @pytest.mark.parametrize("space", ["multiclass", "chain", "chain-labeled"])
@@ -600,6 +667,20 @@ def test_the_reused_parser_keeps_no_state_between_calls():
                 p.prog, action.dest)
             assert not isinstance(action.default, (list, dict, set)), (p.prog, action.dest)
         assert not any(isinstance(v, (list, dict, set)) for v in p._defaults.values()), p.prog
+
+
+def test_choices_are_the_librarys_own_tuples():
+    """A new init strategy, loss mode or sweep parameter reaches the CLI
+    without a second edit."""
+    want = {"z_init": Z_INIT_STRATEGIES, "loss": ChainSequenceSpace.LOSS_MODES,
+            "param": SWEEP_PARAMS}
+    seen = set()
+    for p in _parsers(cli.build_parser()):
+        for action in p._actions:
+            if action.dest in want:
+                assert action.choices is want[action.dest], (p.prog, action.dest)
+                seen.add(action.dest)
+    assert seen == set(want)
 
 
 def _partly_labeled_taxonomy(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import semistruct
 from semistruct import (
+    ChainSequenceSpace,
     ContractViolation,
     DataPoint,
     Dataset,
@@ -161,6 +162,21 @@ def test_validate_non_contiguous_ids():
     with pytest.raises(ContractViolation,
                        match="^point at position 1 has id 2; ids must be contiguous from 0$"):
         Dataset(points, "multiclass")
+
+
+def test_validate_empty_dataset(multiclass_space):
+    assert validate_dataset(Dataset(()), multiclass_space).violations == ["dataset is empty"]
+
+
+def test_validate_asks_point_by_point_when_an_input_is_unreadable():
+    # the (3, 3) input makes the whole-batch membership check raise; the
+    # per-point check then finds point 0 a member and point 1 not
+    ds = Dataset.from_arrays([np.zeros((3, 2)), np.zeros((3, 3))], [(0, 1, 0), (1, 1, 1)],
+                             "chain")
+    assert validate_dataset(ds, ChainSequenceSpace(2, 2)).violations == [
+        "id 1: input dimension 3 differs from 2",
+        "id 1: output (1, 1, 1) is not in the output space",
+    ]
 
 
 def test_validate_space_id_mismatch(multiclass_space):

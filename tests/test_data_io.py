@@ -336,6 +336,16 @@ def test_mask_preserves_inputs_and_carries_truth():
         assert p.y is not None
 
 
+def test_mask_refuses_a_run_index_or_plan_of_another_set():
+    ds = synth_blobs(4, 10, 3, 0.5, seed=4)
+    plan = make_folds(ds, seed=2)
+    for run in (-1, 10):
+        with pytest.raises(ContractViolation, match=rf"^run_index must be in 0..9, got {run}$"):
+            mask_labels(ds, plan, run)
+    with pytest.raises(ContractViolation, match="^fold plan does not match this dataset$"):
+        mask_labels(synth_blobs(4, 11, 3, 0.5, seed=4), plan, 0)
+
+
 def test_mask_labeled_folds_fixed_per_run():
     ds = synth_blobs(4, 10, 3, 0.5, seed=7)
     plan_a = make_folds(ds, seed=5)

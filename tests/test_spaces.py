@@ -124,6 +124,11 @@ def test_argmax_picks_best_class():
     assert y == 1
 
 
+def test_finite_spaces_refuse_inputs_of_another_dimension(multiclass_space):
+    with pytest.raises(ContractViolation, match=r"^inputs must have shape \(2,\)$"):
+        multiclass_space.argmax_score_all(np.zeros(multiclass_space.dim), np.zeros((2, 3)))
+
+
 def test_argmax_zero_weights_tie_rule(multiclass_space, taxonomy_space):
     assert multiclass_space.argmax_score(np.zeros(multiclass_space.dim), np.ones(2)) == 0
     first_leaf = min(taxonomy_space.tree.leaves)
