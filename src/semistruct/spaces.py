@@ -420,10 +420,14 @@ class ChainSequenceSpace(OutputSpace):
 
     def _labels(self, ys, width=None):
         """The label matrix of the codes of ``ys``, cut to ``width`` columns as a
-        view or padded to them with -1 if narrower, and each output's length."""
+        view or padded to them with -1 if narrower, and each output's length:
+        the full width when no row is padded, else each row's count of labels."""
         codes = self.as_codes(ys)
         M = np.ascontiguousarray(codes).view(np.int64).reshape(len(codes), codes.itemsize // 8)
-        lengths = (M >= 0).sum(axis=1)
+        if M.min(initial=0) >= 0:
+            lengths = np.full(len(M), M.shape[1])
+        else:
+            lengths = (M >= 0) @ np.ones(M.shape[1], dtype=int)
         if width is not None and M.shape[1] < width:
             M = np.pad(M, ((0, 0), (0, width - M.shape[1])), constant_values=-1)
         return M[:, :width], lengths
@@ -518,18 +522,23 @@ class ChainSequenceSpace(OutputSpace):
         the front with first-argmax ties, so each returned row is the
         lexicographically smallest maximizer, -1 past its end.
         """
-        length, _, n = unary.shape
-        past = np.arange(length)[:, None] >= lengths
+        length, a, n = unary.shape
+        inside, shortest = np.arange(length)[:, None] < lengths, lengths.min(initial=length)
         into = pairwise[:, :, None]  # (label, next label, point)
         best_to_go = unary.copy()  # at a chain's last position, its unary term alone
+        table, ahead = np.empty((a, a, n)), np.empty((a, n))
         for t in range(length - 2, -1, -1):
-            ahead = unary[t] + np.max(into + best_to_go[t + 1], axis=1)
-            best_to_go[t] = np.where(past[t + 1], unary[t], ahead)
+            np.add(into, best_to_go[t + 1], out=table)
+            np.maximum.reduce(table, axis=1, out=ahead)
+            if t + 1 < shortest:  # every chain goes on past t
+                np.add(unary[t], ahead, out=best_to_go[t])
+            else:
+                best_to_go[t] = np.where(inside[t + 1], unary[t] + ahead, unary[t])
         paths = np.empty((length, n), dtype=int)
-        paths[0] = np.argmax(best_to_go[0], axis=0)
+        paths[0] = best_to_go[0].argmax(axis=0)
         for t in range(1, length):
-            paths[t] = np.argmax(pairwise.T[:, paths[t - 1]] + best_to_go[t], axis=0)
-        paths[past] = -1
+            paths[t] = (pairwise.T[:, paths[t - 1]] + best_to_go[t]).argmax(axis=0)
+        paths[~inside] = -1
         return paths.T
 
     @staticmethod
@@ -715,9 +724,15 @@ def _records(M):
 
 
 def _check_lengths(lm, lengths, what):
-    """ContractViolation unless the output lengths ``lm`` are the input ``lengths``."""
-    if not np.array_equal(lm, lengths):
-        raise ContractViolation(f"{what} length does not match the input")
+    """ContractViolation unless the output lengths ``lm`` are the input
+    ``lengths``, naming the first output whose length differs."""
+    if len(lm) != len(lengths):
+        raise ContractViolation(f"{what} length does not match the input: "
+                                f"{len(lm)} {what}s for {len(lengths)} inputs")
+    if (lm != lengths).any():
+        i = np.flatnonzero(lm != lengths)[0]
+        raise ContractViolation(f"{what} length does not match the input: "
+                                f"{what} {i} has length {lm[i]}, its input {lengths[i]}")
 
 
 def _slack_terms(n, neighbors, c1):

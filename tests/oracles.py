@@ -267,9 +267,14 @@ def to_width(M, width):
 
 def cut(M, lm, lengths, width, what):
     """``M`` at ``width`` columns; ContractViolation unless its lengths ``lm``
-    are the input ``lengths``."""
-    if not np.array_equal(lm, lengths):
-        raise ContractViolation(f"{what} length does not match the input")
+    are the input ``lengths``, naming the first output whose length differs."""
+    if len(lm) != len(lengths):
+        raise ContractViolation(f"{what} length does not match the input: "
+                                f"{len(lm)} {what}s for {len(lengths)} inputs")
+    for i, (got, want) in enumerate(zip(lm.tolist(), lengths.tolist())):
+        if got != want:
+            raise ContractViolation(f"{what} length does not match the input: "
+                                    f"{what} {i} has length {got}, its input {want}")
     return to_width(M, width)
 
 

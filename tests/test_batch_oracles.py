@@ -362,15 +362,22 @@ def test_finite_loss_augmented_inference_refuses_references_of_another_length(sp
             space.argmax_loss_augmented_all(w, X, short)
 
 
-def _tie_batch(rng, space, case):
+def _tie_batch(rng, space, case, equal=False):
     """A mixed-length chain batch: inputs, weights, ``c1``, upsilons, slack
     outputs and neighbor terms in shuffled owner order. ``integer-ties``
     draws small integers, so that costs tie exactly; ``w=0`` zeroes the
-    weights; ``c1=1e300`` takes the costs past the float range."""
+    weights; ``c1=1e300`` takes the costs past the float range. With
+    ``equal`` every chain has one length and the inputs are one ``(n, T, d)``
+    float stack, so no label matrix is padded."""
     ties = case != "random"
-    lengths = rng.integers(1, 7, size=int(rng.integers(1, 12)))
+    if equal:
+        lengths = np.full(int(rng.integers(1, 12)), rng.integers(1, 7))
+    else:
+        lengths = rng.integers(1, 7, size=int(rng.integers(1, 12)))
     X = [(rng.integers(-1, 2, (int(t), space.input_dim)).astype(float) if ties
           else rng.standard_normal((int(t), space.input_dim))) for t in lengths]
+    if equal:
+        X = np.stack(X)
     w = (np.zeros(space.dim) if case == "w=0"
          else rng.integers(-1, 2, space.dim).astype(float) if ties
          else rng.standard_normal(space.dim))
@@ -384,12 +391,21 @@ def _tie_batch(rng, space, case):
     return X, w, c1, ups, zs, (owner, weight, outputs)
 
 
-@pytest.mark.parametrize("case", ["random", "integer-ties", "w=0", "c1=1e300"])
+def _split_case(case):
+    """``(case, equal)`` of a test case id: ``equal-lengths`` draws the
+    ``random`` case as one stack of one length, ``equal-lengths-<case>`` so
+    draws ``<case>``."""
+    if not case.startswith("equal-lengths"):
+        return case, False
+    return case.removeprefix("equal-lengths").removeprefix("-") or "random", True
+
+
+@pytest.mark.parametrize("case", ["random", "integer-ties", "w=0", "c1=1e300", "equal-lengths"])
 def test_chain_hamming_slack_equals_the_per_slot_reference(case):
     rng = np.random.default_rng(263)
     space = ChainSequenceSpace(3, 2)
     for _ in range(60):
-        X, w, c1, ups, _, terms = _tie_batch(rng, space, case)
+        X, w, c1, ups, _, terms = _tie_batch(rng, space, *_split_case(case))
         want = oracles.per_slot_hamming_slack(space, w, X, ups, terms, c1)
         got = space.argmin_slack_all(w, X, ups, terms, c1)
         assert got.tobytes() == want.tobytes()
@@ -424,12 +440,12 @@ def test_chain_hamming_slack_matches_enumeration_on_random_weights():
     assert counted >= 0.9 * total > 0, (counted, total)
 
 
-@pytest.mark.parametrize("case", ["random", "integer-ties"])
+@pytest.mark.parametrize("case", ["random", "integer-ties", "equal-lengths"])
 def test_chain_feature_sum_equals_the_two_pass_reference(case):
     rng = np.random.default_rng(269)
     space = ChainSequenceSpace(3, 2)
     for _ in range(60):
-        X, _, _, ups, zs, _ = _tie_batch(rng, space, case)
+        X, _, _, ups, zs, _ = _tie_batch(rng, space, *_split_case(case))
         want = oracles.two_pass_phi_diff_sum(space, X, ups, zs)
         assert space.phi_diff_sum(X, ups, zs).tobytes() == want.tobytes()
         same = [i for i, x in enumerate(X) if len(x) == len(X[0])]  # a stack of one length
@@ -500,13 +516,15 @@ def _row_major(unary):
     return np.ascontiguousarray(unary.transpose(2, 0, 1))
 
 
-@pytest.mark.parametrize("case", ["random", "integer-ties", "T=1", "n=0", "c1=1e300"])
+@pytest.mark.parametrize("case", ["random", "integer-ties", "T=1", "n=0", "c1=1e300",
+                                  "equal-lengths", "equal-lengths-c1=1e300"])
 def test_label_major_dynamic_programs_equal_the_row_major_references(case):
     rng = np.random.default_rng(277)
     space = ChainSequenceSpace(3, 2)
+    case, equal = _split_case(case)
     for _ in range(60):
         X, w, c1, _, zs, _ = _tie_batch(rng, space, "random" if case in ("T=1", "n=0")
-                                        else case)
+                                        else case, equal)
         if case == "T=1":
             X = [x[:1] for x in X]
             zs = [z[:1] for z in zs]
@@ -571,16 +589,18 @@ def test_chain_hamming_slack_equals_the_per_slot_reference_around_a_hub():
         assert space.argmin_slack_all(w, X, ups, terms, c1).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", ["random", "integer-ties", "c1=1e300"])
+@pytest.mark.parametrize("case", ["random", "integer-ties", "c1=1e300", "equal-lengths"])
 def test_chain_zero_one_slack_matches_enumeration_around_a_hub(case):
     """Every point's candidates are its best path, its upsilon and its own
     terms' outputs, however many; a point with no terms has two."""
     rng = np.random.default_rng(293)
     space = ChainSequenceSpace(3, 2, loss="zero-one")
+    case, equal = _split_case(case)
     bare = 0
     for _ in range(12):
-        X, w, c1, ups, _, _ = _tie_batch(rng, space, case)
-        X, ups = [x[:4] for x in X], [u[:4] for u in ups]  # at most 81 outputs to enumerate
+        X, w, c1, ups, _, _ = _tie_batch(rng, space, case, equal)
+        # at most 81 outputs to enumerate
+        X, ups = X[:, :4] if equal else [x[:4] for x in X], [u[:4] for u in ups]
         owner, weight, outputs = _hub_terms(rng, space, X)
         if case == "random":
             weight = rng.uniform(0.1, 1.0, len(owner))

@@ -521,6 +521,62 @@ def test_the_label_reader_cuts_to_a_view_and_pads_only_a_narrower_matrix():
         assert np.shares_memory(got, codes) == (width <= 3)
 
 
+@pytest.mark.parametrize("outputs, width", [
+    ([(0, 1, 2), (2, 2, 2), (1, 0, 1)], None),  # no padding
+    ([(0, 1), (2,), (1, 2, 0), (2, 1, 1)], None),  # some padded rows
+    ([(0, 1), (2,), (1, 2)], 4),  # narrower than asked: padded to it
+    ([(0, 1, 2), (1,), (2, 2, 2)], 2),  # wider than asked: cut
+    ([(0, 1, 2), (2, 2, 2)], 1),  # unpadded and cut
+    ([], None),  # an empty batch
+    ([], 3),
+    ([(0,), (2,), (1,)], None),  # width 1
+], ids=["no-padding", "padded", "narrower", "wider", "unpadded-cut", "empty", "empty-width-3",
+        "width-1"])
+def test_the_label_reader_counts_each_outputs_labels(outputs, width):
+    space = ChainSequenceSpace(3, 1)
+    widest = max(map(len, outputs), default=1)
+    rows = [list(y) + [-1] * (widest - len(y)) for y in outputs]
+    M, lengths = space._labels(space.as_codes(outputs), width)
+    assert np.array_equal(M, oracles.to_width(np.array(rows).reshape(len(rows), widest),
+                                              widest if width is None else width))
+    assert lengths.tolist() == [sum(v >= 0 for v in row) for row in rows]
+
+
+def test_merged_codes_of_a_padded_and_an_unpadded_part_keep_every_length():
+    space = ChainSequenceSpace(3, 1)
+    padded, unpadded = [(0, 1, 2), (1,)], [(2, 2), (0, 1)]
+    merged = space.merge_codes(4, ([0, 2], space.as_codes(padded)),
+                               ([1, 3], space.as_codes(unpadded)))
+    assert space.from_codes(merged) == [(0, 1, 2), (2, 2), (1,), (0, 1)]
+    assert space._labels(merged)[1].tolist() == [3, 2, 1, 2]
+
+
+def test_a_length_mismatch_names_the_first_output_that_differs_and_both_lengths():
+    space = ChainSequenceSpace(3, 1)
+    w = np.zeros(space.dim)
+    xs = [np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((1, 1))]
+    fits, bad = [(0, 1), (0, 1, 2), (1,)], [(0, 1), (0, 1), (1, 2)]  # outputs 1 and 2 differ
+    no_terms = ([], [], [])
+    cases = [
+        (lambda: space.argmax_loss_augmented_all(w, xs, bad),
+         "reference output length does not match the input: "
+         "reference output 1 has length 2, its input 3"),
+        (lambda: space.argmax_loss_augmented_all(w, xs, fits[:2]),
+         "reference output length does not match the input: 2 reference outputs for 3 inputs"),
+        (lambda: space.argmin_slack_all(w, xs, bad, no_terms, 1.0),
+         "upsilon length does not match the input: upsilon 1 has length 2, its input 3"),
+        (lambda: oracles.per_slot_hamming_slack(space, w, xs, bad, no_terms, 1.0),
+         "upsilon length does not match the input: upsilon 1 has length 2, its input 3"),
+        (lambda: space.argmin_slack_all(w, xs, fits, ([2, 1], [1.0, 1.0], [(0,), (0,)]), 1.0),
+         "neighbor output length does not match the input: "
+         "neighbor output 1 has length 1, its input 3"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ContractViolation) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_empty_batches_give_empty_codes():
     space = ChainSequenceSpace(3, 2)
     w = np.zeros(space.dim)

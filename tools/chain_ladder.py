@@ -28,11 +28,14 @@ fastest of ``max(3, 24000 // n)`` fits, and reports point-iterations per
 second, ``n * 4 / seconds``, and a digest of the fitted ``w``, ``z`` and
 trace. It then times ``build_knn_graph`` per graph row, the fastest of
 ``max(1, 20000 // n)`` calls, and reports its seconds and a digest of the
-edges, weights and ``sigma``. The script prints
-each tree's median and the ratio NEW / OLD per size, and exits 1 if any
-digest differs between the two trees (or between rounds), else 0. Timings
-are wall-clock and need a machine otherwise idle; numpy is held to one BLAS
-thread.
+edges, weights and ``sigma``. The script prints, per row, each tree's
+median, the ratio NEW / OLD, the interquartile range of OLD's values
+(inclusive quartiles) and the rounds in which NEW was faster. A row shows a
+gain under the claim rule of ``BENCH_19.json`` when NEW was faster in at
+least 9 of 10 rounds and the medians differ by more than OLD's
+interquartile range. The script exits 1 if any digest differs between the
+two trees (or between rounds), else 0. Timings are wall-clock and need a
+machine otherwise idle; numpy is held to one BLAS thread.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (120, 1_200, 12_000)
 GRAPH_SIZES = (300, 1_500, 8_000, 20_000)
 OUTLIER_SIZE = 8_000
-ROUNDS = 5
+ROUNDS = 10
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # argv: src, then the fit sizes, graph sizes, outlier size and solver
@@ -144,10 +147,16 @@ def main(argv=None) -> int:
                 values[tag][row].append(got["rate" if row[0] == "fit" else "seconds"])
                 digests[row].add(got["digest"])
     for ladder, unit in (("fit", "point-iters/s"), ("graph", "s"), ("outlier", "s")):
-        print(f"{ladder:>7} {'n':>7} {'old ' + unit:>18} {'new ' + unit:>18} {'new/old':>8}")
+        print(f"{ladder:>7} {'n':>7} {'old ' + unit:>18} {'new ' + unit:>18} {'new/old':>8}"
+              f" {'old IQR':>10} {'new won':>8}")
         for row in (row for row in rows if row[0] == ladder):
             old, new = (statistics.median(values[tag][row]) for tag in ("old", "new"))
-            print(f"{ladder:>7} {row[1]:>7} {old:>18.4g} {new:>18.4g} {new / old:>8.3f}")
+            q1, _, q3 = statistics.quantiles(values["old"][row], n=4, method="inclusive")
+            # a fit row reads a rate, a graph row seconds
+            won = sum(b > a if ladder == "fit" else b < a
+                      for a, b in zip(values["old"][row], values["new"][row]))
+            print(f"{ladder:>7} {row[1]:>7} {old:>18.4g} {new:>18.4g} {new / old:>8.3f}"
+                  f" {q3 - q1:>10.3g} {f'{won}/{ROUNDS}':>8}")
     differ = [row for row in rows if len(digests[row]) > 1]
     for ladder, n in differ:
         what = "the fitted w, z or trace" if ladder == "fit" else "the graphs"
