@@ -11,6 +11,11 @@ neighbor search of that set serves every fold's graph
 (:class:`~semistruct.graph.SubsetGraphs`), and a sweep shares it across all
 its values.
 
+The folds are independent fits, so they run on one process per usable CPU
+(see :func:`_map_folds`): the parent fits the first fold, then forks, and
+merges every fold's result in fold order, so reports and traces keep the
+bytes of a serial run.
+
 Wall-clock timings live only on the in-memory report; serialized reports
 and traces contain no volatile fields, so repeated seeded runs are
 byte-identical.
@@ -20,6 +25,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -93,6 +102,8 @@ class EvalReport:
 
     @property
     def total_seconds(self):
+        """The fold seconds summed; more than the run's wall time when the
+        folds ran in parallel."""
         return sum(f.seconds for f in self.folds)
 
     def to_dict(self) -> dict:
@@ -156,13 +167,12 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
         raise ContractViolation("invalid dataset: " + "; ".join(valid.violations))
     plan = make_folds(ds, seed)
     fold_of = np.asarray(plan.fold_of)
-    report = EvalReport(method, space.kind, seed, config_echo(cfg), graph)
-    for run in range(NUM_FOLDS):
+
+    def one_fold(run):
+        """``(FoldResult, trace)`` of the fold ``run``."""
         split = mask_labels(ds, plan, run)
         if not split.train.labeled.any():
-            report.folds.append(FoldResult(run, error="no labeled point in the training split"))
-            report.traces.append([])
-            continue
+            return FoldResult(run, error="no labeled point in the training split"), []
         masked_ids = sorted(split.masked_truth)
         start = time.perf_counter()
         fold = FoldResult(fold=run)
@@ -172,7 +182,7 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
         except Diverged as e:
             fold.diverged = True
             fold.error = str(e)
-            report.traces.append(list(e.state.trace) if e.state else [])
+            trace = list(e.state.trace) if e.state else []
         else:
             test = split.test
             scored = np.flatnonzero(test.labeled)
@@ -188,10 +198,107 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
                     [split.masked_truth[i] for i in masked_ids],
                     space,
                 )
-            report.traces.append(list(state.trace))
+            trace = list(state.trace)
         fold.seconds = time.perf_counter() - start
+        return fold, trace
+
+    report = EvalReport(method, space.kind, seed, config_echo(cfg), graph)
+    for fold, trace in _map_folds(one_fold, NUM_FOLDS):
         report.folds.append(fold)
+        report.traces.append(trace)
     return report
+
+
+def _workers(count) -> int:
+    """How many processes fit ``count`` folds: one per usable CPU, at most one
+    per fold; 1 (serial) without ``os.fork`` or while other threads run,
+    since a forked child gets only the calling thread and whatever locks the
+    others held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, count))
+
+
+def _map_folds(one_fold, count) -> list:
+    """``[one_fold(i) for i in range(count)]``, the folds split into
+    :func:`_workers` contiguous runs, one per process.
+
+    The parent fits fold 0 first (so the whole-set neighbor search of
+    :class:`~semistruct.graph.SubsetGraphs` runs once and every child inherits
+    it), forks one child per later run, then fits the rest of the first run.
+    It takes each child's results in fold order; a child that failed (exited
+    non-zero, died, or wrote a short or unreadable pickle) has its folds
+    fitted again by the parent, as does a run whose fork failed, so an
+    exception is raised in the parent, in fold order, as in a serial loop. No
+    exception is pickled. Every child is killed and reaped on the way out,
+    whether the call returns or raises.
+    """
+    first = one_fold(0)
+    runs = [run.tolist() for run in np.array_split(np.arange(count), _workers(count))]
+    children = []  # ((pid, pipe) or None, run), in fold order
+    try:
+        for run in runs[1:]:
+            children.append((_fork(one_fold, run), run))
+        results = [first] + [one_fold(i) for i in runs[0][1:]]
+        while children:
+            child, run = children.pop(0)
+            got = _reap(*child, len(run)) if child else None
+            results += [one_fold(i) for i in run] if got is None else got
+    finally:
+        for child, _ in children:
+            if child:
+                _reap(*child)
+    return results
+
+
+def _fork(one_fold, run):
+    """``(pid, pipe)`` of a child that writes ``[one_fold(i) for i in run]``,
+    pickled, to the read end ``pipe``; None when the fork fails. The child
+    never returns into the caller: it ends with ``os._exit``, 0 once its
+    results are written and 1 on any exception, so it flushes no inherited
+    buffer and runs no exit handler."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                pickle.dump([one_fold(i) for i in run], out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _reap(pid, pipe, size=None):
+    """The ``size`` results the child ``pid`` wrote to ``pipe``, or None when
+    it failed; with no ``size`` the child is killed unread. Either way the
+    pipe is closed and the child reaped."""
+    data = None
+    try:
+        if size is not None:
+            data = pipe.read()
+    finally:
+        pipe.close()
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if data is None or os.waitstatus_to_exitcode(status) != 0:
+        return None
+    try:
+        got = pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError):  # cut short: the parent fits the folds
+        return None
+    return got if isinstance(got, list) and len(got) == size else None
 
 
 def run_cv(ds, space, cfg: SolverConfig, k=5, sigma=None, seed=0) -> EvalReport:

@@ -484,18 +484,28 @@ class ChainSequenceSpace(OutputSpace):
 
     def _features(self, X, Y):
         """``phi`` of every row of the label matrix ``Y`` (-1 past each end)
-        with the ``(m, T, d)`` inputs ``X``. Each emission cell adds its inputs
-        from 0.0 in position order: bincount visits ``X`` in ``(row, position)``
-        order, and label -1 adds to a spare block 0."""
-        a, d, (m, length) = self.num_labels, self.input_dim, Y.shape
-        cell = np.where(Y[:, 1:] >= 0, Y[:, :-1] * a + Y[:, 1:], a * a)  # a * a: into padding
-        trans = np.bincount((np.arange(m)[:, None] * (a * a + 1) + cell).ravel(),
-                            minlength=m * (a * a + 1)).reshape(m, a * a + 1)
+        with the ``(m, T, d)`` inputs ``X``."""
+        a, m = self.num_labels, len(Y)
+        cell = self._cells(Y) + np.arange(m)[:, None] * (a * a + 1)
+        trans = np.bincount(cell.ravel(), minlength=m * (a * a + 1)).reshape(m, a * a + 1)
+        return np.concatenate((trans[:, :-1], self._emissions(X, Y)), axis=1)
+
+    def _cells(self, Y):
+        """The transition cell ``prev * a + next`` of every step of the rows
+        of ``Y``; ``a * a``, a spare cell, for a step into the padding."""
+        a = self.num_labels
+        return np.where(Y[:, 1:] >= 0, Y[:, :-1] * a + Y[:, 1:], a * a)
+
+    def _emissions(self, X, Y):
+        """The ``(m, a * d)`` summed emissions of every row of ``Y`` with the
+        ``(m, T, d)`` inputs ``X``. Each cell adds its inputs from 0.0 in
+        position order: bincount visits ``X`` in ``(row, position)`` order,
+        and label -1 adds to a spare block 0."""
+        a, d, m = self.num_labels, self.input_dim, len(Y)
         block = np.arange(1, m * (a + 1), a + 1)[:, None] + Y  # row * (a + 1) + label + 1
         emit = np.bincount((block[:, :, None] * d + np.arange(d)).ravel(),
                            weights=X.ravel(), minlength=m * (a + 1) * d)
-        return np.concatenate((trans[:, :-1], emit.reshape(m, a + 1, d)[:, 1:].reshape(m, -1)),
-                              axis=1)
+        return emit.reshape(m, a + 1, d)[:, 1:].reshape(m, -1)
 
     def random_output(self, x, rng):
         length = self._as_seq_input(x).shape[0]
@@ -705,16 +715,22 @@ class ChainSequenceSpace(OutputSpace):
         idx = np.flatnonzero((Y != Z).any(axis=1) | (ly != lz))
         if not idx.size:
             return np.zeros(self.dim)
-        X, lx = self._stack(xs[idx] if self._is_stack(xs) else [xs[i] for i in idx.tolist()])
-        ly, lz = ly[idx], lz[idx]
+        if idx.size < len(Y):
+            xs = xs[idx] if self._is_stack(xs) else [xs[i] for i in idx.tolist()]
+            Y, Z, ly, lz = Y[idx], Z[idx], ly[idx], lz[idx]
+        X, lx = self._stack(xs)
         bad = np.flatnonzero((ly != lx) | (lz != lx))
         if bad.size:
             i = bad[0]
             raise ContractViolation(f"label sequence length {ly[i] if ly[i] != lx[i] else lz[i]}"
                                     f" does not match input length {lx[i]}")
-        both = self._features(np.concatenate((X, X)),
-                              np.concatenate((Y[idx, : X.shape[1]], Z[idx, : X.shape[1]])))
-        return (both[: idx.size] - both[idx.size :]).sum(axis=0)
+        Y, Z, cells = Y[:, : X.shape[1]], Z[:, : X.shape[1]], self.num_labels**2 + 1
+        # integer transition totals, exact in any order; the emissions summed
+        # per output as in _features, their differences added pair by pair
+        trans = (np.bincount(self._cells(Y).ravel(), minlength=cells)
+                 - np.bincount(self._cells(Z).ravel(), minlength=cells))[:-1]
+        emit = (self._emissions(X, Y) - self._emissions(X, Z)).sum(axis=0)
+        return np.concatenate((trans, emit))
 
 
 def _records(M):

@@ -352,6 +352,7 @@ def test_criterion_9_labeled_outputs_pinned_everywhere(monkeypatch):
         return real_fit(train_ds, g, sp, c, on_iteration=check, **kw)
 
     monkeypatch.setattr(ev, "fit", instrumented_fit)
+    monkeypatch.setattr(ev, "_workers", lambda count: 1)  # every fit in this process
     ev.run_cv(ds, space, cfg, k=K, seed=DATA_SEED)
     ev.run_baseline_supervised(ds, space, cfg, seed=DATA_SEED)
     _criterion(

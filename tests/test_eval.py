@@ -84,6 +84,7 @@ def test_run_cv_never_hands_masked_truth_to_the_solver(blob_setup, monkeypatch):
         return real_fit(train_ds, g, sp, c, **kw)
 
     monkeypatch.setattr(ev, "fit", spying_fit)
+    monkeypatch.setattr(ev, "_workers", lambda count: 1)  # every fit in this process
     ev.run_cv(ds, space, cfg, k=3, seed=21)
 
     assert len(solver_views) == 10
@@ -158,7 +159,9 @@ def test_baseline_trains_on_labeled_folds_only(blob_setup, monkeypatch):
         return real_fit(train_ds, g, sp, c, **kw)
 
     monkeypatch.setattr(ev, "fit", spying_fit)
+    monkeypatch.setattr(ev, "_workers", lambda count: 1)  # every fit in this process
     ev.run_baseline_supervised(ds, space, cfg, seed=21)
+    assert len(seen) == 10
     for n_points, n_edges in seen:
         assert n_edges == 0
         assert n_points == 8  # two folds of four from the 40-point set
@@ -307,6 +310,7 @@ def test_cv_and_a_sweep_search_the_whole_set_once(blob_setup, monkeypatch):
         return search(Q, R, k, skip_self)
 
     monkeypatch.setattr(graph, "k_nearest", counted)
+    monkeypatch.setattr(ev, "_workers", lambda count: 1)  # every fit in this process
     ev.run_cv(ds, space, cfg, k=3, seed=21)
     assert searches == [(len(ds), 6)]
     searches.clear()
