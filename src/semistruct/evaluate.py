@@ -222,13 +222,15 @@ def _workers(count) -> int:
 
 
 def _map_folds(one_fold, count) -> list:
-    """``[one_fold(i) for i in range(count)]``, the folds split into
-    :func:`_workers` contiguous runs, one per process.
+    """``[one_fold(i) for i in range(count)]`` on :func:`_workers` processes.
 
-    The parent fits fold 0 first (so the whole-set neighbor search of
+    The parent fits fold 0 first, so the whole-set neighbor search of
     :class:`~semistruct.graph.SubsetGraphs` runs once and every child inherits
-    it), forks one child per later run, then fits the rest of the first run.
-    It takes each child's results in fold order; a child that failed (exited
+    it. It splits the later folds into contiguous runs, forks one child for
+    each run but the first, and fits the first itself: its share is larger
+    by fold 0, which overlaps the fork, while a child pays the fork's
+    copy-on-write faults and its exit. It takes each child's results in fold
+    order; a child that failed (exited
     non-zero, died, or wrote a short or unreadable pickle) has its folds
     fitted again by the parent, as does a run whose fork failed, so an
     exception is raised in the parent, in fold order, as in a serial loop. No
@@ -236,12 +238,12 @@ def _map_folds(one_fold, count) -> list:
     whether the call returns or raises.
     """
     first = one_fold(0)
-    runs = [run.tolist() for run in np.array_split(np.arange(count), _workers(count))]
+    runs = [run.tolist() for run in np.array_split(np.arange(1, count), _workers(count - 1))]
     children = []  # ((pid, pipe) or None, run), in fold order
     try:
         for run in runs[1:]:
             children.append((_fork(one_fold, run), run))
-        results = [first] + [one_fold(i) for i in runs[0][1:]]
+        results = [first] + [one_fold(i) for i in runs[0]]
         while children:
             child, run = children.pop(0)
             got = _reap(*child, len(run)) if child else None
