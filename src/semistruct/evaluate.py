@@ -230,12 +230,11 @@ def _map_folds(one_fold, count) -> list:
     each run but the first, and fits the first itself: its share is larger
     by fold 0, which overlaps the fork, while a child pays the fork's
     copy-on-write faults and its exit. It takes each child's results in fold
-    order; a child that failed (exited
-    non-zero, died, or wrote a short or unreadable pickle) has its folds
-    fitted again by the parent, as does a run whose fork failed, so an
-    exception is raised in the parent, in fold order, as in a serial loop. No
-    exception is pickled. Every child is killed and reaped on the way out,
-    whether the call returns or raises.
+    order; a child that failed (exited non-zero, died, or wrote a short or
+    unreadable pickle) has its folds fitted again by the parent, as does a
+    run whose fork failed, so an exception is raised in the parent, in fold
+    order, as in a serial loop. No exception is pickled. Every child is
+    killed and reaped on the way out, whether the call returns or raises.
     """
     first = one_fold(0)
     runs = [run.tolist() for run in np.array_split(np.arange(1, count), _workers(count - 1))]
