@@ -8,6 +8,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -210,7 +211,11 @@ def test_an_error_after_the_children_finished_propagates(monkeypatch):
 
     def mask(ds, plan, run):
         if run == 4 and os.getpid() == parent:
-            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # the child is done, unreaped
+            deadline = time.monotonic() + 60
+            # until the child has exited, left unreaped
+            while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
+                assert time.monotonic() < deadline, "the child did not finish"
+                time.sleep(0.001)
             raise ContractViolation("fold 4 refused")
         return real(ds, plan, run)
 
@@ -244,4 +249,5 @@ def test_the_loop_stays_serial_while_another_thread_runs():
         assert ev._workers(10) == 1
     finally:
         stop.set()
-        waiter.join()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
