@@ -100,12 +100,6 @@ class EvalReport:
         every = self.folds and self.folds_diverged == len(self.folds)
         return f"all {len(self.folds)} folds diverged" if every else None
 
-    @property
-    def total_seconds(self):
-        """The fold seconds summed; more than the run's wall time when the
-        folds ran in parallel."""
-        return sum(f.seconds for f in self.folds)
-
     def to_dict(self) -> dict:
         """Deterministic JSON-ready view; timing deliberately left out."""
         return {

@@ -505,7 +505,7 @@ class ChainSequenceSpace(OutputSpace):
         block = np.arange(1, m * (a + 1), a + 1)[:, None] + Y  # row * (a + 1) + label + 1
         emit = np.bincount((block[:, :, None] * d + np.arange(d)).ravel(),
                            weights=X.ravel(), minlength=m * (a + 1) * d)
-        return emit.reshape(m, a + 1, d)[:, 1:].reshape(m, -1)
+        return emit.reshape(m, a + 1, d)[:, 1:].reshape(m, a * d)
 
     def random_output(self, x, rng):
         length = self._as_seq_input(x).shape[0]
@@ -711,13 +711,6 @@ class ChainSequenceSpace(OutputSpace):
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
         (Y, Z), (ly, lz) = self._matrices(ys, zs)
-        # equal pairs add exactly zero, unread; pairs of other lengths meet the check
-        idx = np.flatnonzero((Y != Z).any(axis=1) | (ly != lz))
-        if not idx.size:
-            return np.zeros(self.dim)
-        if idx.size < len(Y):
-            xs = xs[idx] if self._is_stack(xs) else [xs[i] for i in idx.tolist()]
-            Y, Z, ly, lz = Y[idx], Z[idx], ly[idx], lz[idx]
         X, lx = self._stack(xs)
         bad = np.flatnonzero((ly != lx) | (lz != lx))
         if bad.size:
@@ -726,7 +719,9 @@ class ChainSequenceSpace(OutputSpace):
                                     f" does not match input length {lx[i]}")
         Y, Z, cells = Y[:, : X.shape[1]], Z[:, : X.shape[1]], self.num_labels**2 + 1
         # integer transition totals, exact in any order; the emissions summed
-        # per output as in _features, their differences added pair by pair
+        # per output as in _features, their differences added pair by pair.
+        # An equal pair adds integer zeros and a row of +0.0, which leaves
+        # every total's bits as they are, so no pair is picked out
         trans = (np.bincount(self._cells(Y).ravel(), minlength=cells)
                  - np.bincount(self._cells(Z).ravel(), minlength=cells))[:-1]
         emit = (self._emissions(X, Y) - self._emissions(X, Z)).sum(axis=0)

@@ -616,10 +616,10 @@ def test_the_oracles_read_list_inputs_of_the_space_without_rechecking_them(monke
             space.argmax_score_all(w, [np.zeros((3, 2)), np.zeros((3, 3))])
 
 
-def test_the_feature_sum_reads_each_differing_input_once(monkeypatch):
-    """A nested-list input is read by ``_as_seq_input`` once if its pair
-    differs and not at all if it does not; ``(T, d)`` float arrays in a list
-    and a stack are not read input by input."""
+def test_the_feature_sum_reads_each_nested_list_input_once(monkeypatch):
+    """A nested-list input is read by ``_as_seq_input`` once, whether its
+    pair differs or not; ``(T, d)`` float arrays in a list and a stack are
+    not read input by input."""
     rng = np.random.default_rng(89)
     space = ChainSequenceSpace(3, 2)
     xs = [rng.standard_normal((length, 2)) for length in (3, 5, 3, 4, 5, 2)]
@@ -639,13 +639,45 @@ def test_the_feature_sum_reads_each_differing_input_once(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(ChainSequenceSpace, "_as_seq_input", counted)
         got = space.phi_diff_sum(nested, ys, zs)
-        assert calls == [nested[1], nested[4]]
+        assert calls == nested
         calls.clear()
         assert space.phi_diff_sum(xs, ys, zs).tobytes() == got.tobytes()
         assert calls == []
         space.phi_diff_sum(X, Y, Z)
         assert calls == []
     assert got.tobytes() == _looped_sums(space, xs, ys, zs, [1.0] * 6)[1]
+
+
+def _mostly_equal(space, xs, rng, differ):
+    """Random outputs ``ys`` of ``xs`` and ``zs`` equal to them but at the ids ``differ``."""
+    ys = [space.random_output(x, rng) for x in xs]
+    zs = [space.random_output(x, rng) if i in differ else y for i, (x, y) in enumerate(zip(xs, ys))]
+    return ys, zs
+
+
+def test_feature_sums_of_mostly_equal_pairs_equal_the_loop():
+    """Equal pairs are summed with the rest: the bytes are those of a loop
+    that skips them, for a stack, a mixed-length list, a batch of equal
+    pairs only and the empty batch."""
+    rng = np.random.default_rng(101)
+    space = ChainSequenceSpace(4, 3)
+    stack = rng.standard_normal((40, 6, 3)) * 10.0 ** rng.integers(-8, 9, size=(40, 1, 1))
+    mixed = [rng.standard_normal((length, 3)) for length in rng.integers(1, 8, size=40)]
+    for xs, differ in ((stack, {3, 17, 29}), (mixed, {0, 5, 38}), (mixed, set()),
+                       (stack[:0], set()), ([], set())):
+        ys, zs = _mostly_equal(space, xs, rng, differ)
+        assert sum(y != z for y, z in zip(ys, zs)) == len(differ)
+        want = _looped_sums(space, xs, ys, zs, [1.0] * len(xs))[1]
+        assert space.phi_diff_sum(xs, ys, zs).tobytes() == want
+        assert space.phi_diff_sum(xs, space.as_codes(ys), space.as_codes(zs)).tobytes() == want
+
+
+def test_an_equal_pair_that_does_not_fit_its_input_is_refused():
+    space = ChainSequenceSpace(3, 2)
+    with pytest.raises(ContractViolation,
+                       match="^label sequence length 3 does not match input length 4$"):
+        space.phi_diff_sum([np.zeros((4, 2)), np.ones((3, 2))],
+                           [(0, 1, 2), (1, 1, 1)], [(0, 1, 2), (2, 2, 2)])
 
 
 _BAD_OUTPUTS = {
