@@ -304,6 +304,16 @@ def _check_draws(spread, **least):
         raise ContractViolation(f"spread must be finite and >= 0, got {spread}")
 
 
+def _noise(rng, spread, shape):
+    """``spread`` times standard normal draws of ``shape``; ContractViolation
+    when a draw takes it past the float range."""
+    with np.errstate(over="ignore"):
+        noise = spread * rng.standard_normal(shape)
+    if not np.isfinite(noise).all():
+        raise ContractViolation(f"spread {spread} takes a draw past the float range")
+    return noise
+
+
 def synth_blobs(classes, per_class, dim, spread, seed) -> Dataset:
     """Gaussian clusters with unit-separated means, one class per cluster.
 
@@ -321,7 +331,7 @@ def synth_blobs(classes, per_class, dim, spread, seed) -> Dataset:
     else:
         means = _ring(classes, 1.0 / (2.0 * math.sin(math.pi / classes)), dim)
     ys = np.repeat(np.arange(classes), per_class)
-    xs = means[ys] + spread * rng.standard_normal((len(ys), dim))
+    xs = means[ys] + _noise(rng, spread, (len(ys), dim))
     return Dataset.from_arrays(xs, ys.tolist(), "multiclass")
 
 
@@ -358,7 +368,7 @@ def synth_taxonomy_blobs(tree: Taxonomy, per_leaf, dim, spread, seed) -> Dataset
     centers = taxonomy_leaf_centers(tree, dim)
     means = np.array([centers[leaf] for leaf in tree.leaves]).repeat(per_leaf, axis=0)
     ys = np.repeat(tree.leaves, per_leaf)
-    xs = means + spread * rng.standard_normal((len(ys), dim))
+    xs = means + _noise(rng, spread, (len(ys), dim))
     return Dataset.from_arrays(xs, ys.tolist(), "taxonomy")
 
 
@@ -393,7 +403,7 @@ def synth_chains(num_labels, length_range, count, dim, seed, spread=0.5) -> Data
         labels = [int(rng.integers(num_labels))]
         for _ in range(length - 1):
             labels.append(int(cdf[labels[-1]].searchsorted(rng.random(), side="right")))
-        xs.append(means[labels] + spread * rng.standard_normal((length, dim)))
+        xs.append(means[labels] + _noise(rng, spread, (length, dim)))
         ys.append(tuple(labels))
     return Dataset.from_arrays(stack_or_list(xs), ys, "chain")
 

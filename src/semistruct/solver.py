@@ -298,15 +298,16 @@ def fit(ds, g, space, cfg: SolverConfig, on_iteration=None) -> SolverState:
     the final state, its outputs decoded to lists. Deterministic given the
     config seed. A diverging weight step or a non-finite objective raises
     :class:`Diverged` with the partial state attached, decoded the same way;
-    a non-finite initial objective raises it from :func:`initialize`, with
-    the state it built. ``on_iteration`` is called with the state (holding
-    codes) after the initial row and after every completed iteration, for
+    so does a non-finite initial objective, with the state :func:`initialize`
+    built. ``on_iteration`` is called with the state (holding codes) after
+    the initial row and after every completed iteration, for
     instrumentation.
     """
-    state = initialize(ds, g, space, cfg)
-    if on_iteration is not None:
-        on_iteration(state)
+    state = None
     try:
+        state = initialize(ds, g, space, cfg)
+        if on_iteration is not None:
+            on_iteration(state)
         for t in range(1, cfg.max_iters + 1):
             # entering iteration t, state.upsilon already reflects (w, z) of t-1
             state.z = update_slack(state, ds, g, space, cfg)
@@ -316,9 +317,13 @@ def fit(ds, g, space, cfg: SolverConfig, on_iteration=None) -> SolverState:
             state.trace.append(_trace_row(state, ds, g, space, cfg))
             if on_iteration is not None:
                 on_iteration(state)
+    except Diverged as e:  # from initialize too, with the state it built
+        state = e.state
+        raise
     finally:  # the outputs leave the solver
-        state.z, state.upsilon = space.from_codes(state.z), space.from_codes(state.upsilon)
-        state.fixed = None
+        if state is not None:
+            state.z, state.upsilon = space.from_codes(state.z), space.from_codes(state.upsilon)
+            state.fixed = None
     return state
 
 

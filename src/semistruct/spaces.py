@@ -97,9 +97,11 @@ class FiniteLabelSpace(OutputSpace):
         return X.reshape(len(xs), self.input_dim)
 
     def _scores(self, w, xs):
-        """``S[i, r] = w . phi(xs[i], labels[r])``."""
+        """``S[i, r] = w . phi(xs[i], labels[r])``; +-inf or nan, without a
+        warning, where an input takes it past the float range."""
         W = as_weights(w, self.dim).reshape(-1, self.input_dim)
-        return self._inputs(xs) @ (self.incidence @ W).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._inputs(xs) @ (self.incidence @ W).T
 
     def as_codes(self, ys):
         """Int array of the labels ``ys``."""
@@ -123,7 +125,9 @@ class FiniteLabelSpace(OutputSpace):
         return self.labels[int(rng.integers(len(self.labels)))]
 
     def argmax_score_all(self, w, xs):
-        return self._label_of[np.argmax(self._scores(w, xs), axis=1)]
+        S = self._scores(w, xs)
+        _check_finite_scores(np.isfinite(S).all(axis=1))
+        return self._label_of[np.argmax(S, axis=1)]
 
     def argmax_loss_augmented_all(self, w, xs, zs):
         _check_same_length(xs, zs, "inputs and reference outputs")
@@ -174,6 +178,8 @@ class MulticlassSpace(FiniteLabelSpace):
     def __init__(self, num_classes, input_dim):
         if num_classes < 2:
             raise ContractViolation(f"need at least 2 classes, got {num_classes}")
+        _check_indexable(num_classes**2,
+                         f"{num_classes} classes need a loss matrix larger than numpy can index")
         self.num_classes = int(num_classes)
         eye = np.eye(self.num_classes)
         super().__init__(range(self.num_classes), eye, 1.0 - eye, input_dim)
@@ -348,6 +354,8 @@ class ChainSequenceSpace(OutputSpace):
             raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
         if loss not in self.LOSS_MODES:
             raise ContractViolation(f"loss must be one of {self.LOSS_MODES}, got {loss!r}")
+        _check_indexable(num_labels**2 + num_labels * input_dim,
+                         f"{num_labels} labels need more weights than numpy can index")
         self.num_labels = int(num_labels)
         self.input_dim = int(input_dim)
         self.loss = loss
@@ -517,10 +525,12 @@ class ChainSequenceSpace(OutputSpace):
         """``(unary, pairwise, lengths)``: the label-major ``(T, a, n)`` emission
         scores of the :meth:`_stack` of ``xs``, the ``(a, a)`` transition weights,
         each input's length. Points lie on the contiguous last axis, so each
-        step of a dynamic program is elementwise work over them."""
+        step of a dynamic program is elementwise work over them. A score past
+        the float range reads +-inf or nan, as in ``FiniteLabelSpace._scores``."""
         w, a = as_weights(w, self.dim), self.num_labels
         X, lengths = self._stack(xs)
-        scores = X @ w[a * a :].reshape(a, self.input_dim).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = X @ w[a * a :].reshape(a, self.input_dim).T
         return np.ascontiguousarray(scores.transpose(1, 2, 0)), w[: a * a].reshape(a, a), lengths
 
     @staticmethod
@@ -595,7 +605,9 @@ class ChainSequenceSpace(OutputSpace):
         return X, lengths
 
     def argmax_score_all(self, w, xs):
-        return _records(self._best_paths(*self._unary(w, xs)))
+        unary, pairwise, lengths = self._unary(w, xs)
+        _check_finite_scores(np.isfinite(unary).all(axis=(0, 1)))
+        return _records(self._best_paths(unary, pairwise, lengths))
 
     def argmax_loss_augmented_all(self, w, xs, zs):
         unary, pairwise, lengths = self._unary(w, xs)
@@ -681,10 +693,10 @@ class ChainSequenceSpace(OutputSpace):
     # --- whole-array sums --------------------------------------------------
     #
     # A list of outputs is checked once, by ``as_codes``; the sums then read
-    # the label matrices of the codes (see ``_matrices``) and sum over
-    # arrays. Only the weighted ``delta_sum`` keeps the order of a per-pair
-    # loop: the manifold term of every chain trace row goes through it, and
-    # a whole-array sum moves the last bits of those rows.
+    # the label matrices of the codes (see ``_matrices``) and sum every pair
+    # over whole arrays. Floats are added in the order of a per-pair loop
+    # (the weighted ``delta_sum``, the emissions of ``phi_diff_sum``): every
+    # chain trace row goes through both, and another order moves its last bits.
 
     def _matrices(self, ys1, ys2):
         """:meth:`_labels` of two lists of outputs or codes, both cut to the
@@ -764,6 +776,21 @@ def _slack_terms(n, neighbors, c1):
     if bad.size:
         raise ContractViolation(f"neighbor term weight {bad[0]} is not finite")
     return owner, weight, outputs
+
+
+def _check_finite_scores(finite):
+    """ContractViolation naming the first input whose scores are not all
+    ``finite``: its prediction would rest on none."""
+    if not finite.all():
+        raise ContractViolation(f"the scores of input {int(np.argmin(finite))} are not finite "
+                                f"(inputs too large for the model?)")
+
+
+def _check_indexable(entries, message):
+    """ContractViolation with ``message`` unless numpy can index an array of
+    ``entries`` float64 values: their byte count must fit its index type."""
+    if entries * 8 > np.iinfo(np.intp).max:
+        raise ContractViolation(message)
 
 
 def _check_pairs(ys1, ys2, weights):

@@ -488,6 +488,16 @@ def test_slack_refuses_a_non_finite_neighbor_weight(space, bad):
         space.argmin_slack_all(w, xs, ys, terms, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", _ALL_SLACK_SPACES, ids=_ALL_SLACK_IDS)
+def test_prediction_names_the_first_input_whose_scores_are_not_finite(space):
+    _, xs, _ = _slack_batch(space)
+    xs[1:] = 1e308  # d * 1e308 overflows
+    with pytest.raises(ContractViolation, match=r"^the scores of input 1 are not finite "):
+        space.argmax_score_all(np.ones(space.dim), xs)
+    assert len(space.argmax_score_all(np.ones(space.dim), xs[:1])) == 1
+
+
 @pytest.mark.parametrize("space", _ALL_SLACK_SPACES, ids=_ALL_SLACK_IDS)
 def test_slack_answers_depend_only_on_each_points_own_term_order(space):
     """A graph's neighbor terms come in edge order, so the terms of different

@@ -651,7 +651,8 @@ def test_the_feature_sum_reads_each_nested_list_input_once(monkeypatch):
 def _mostly_equal(space, xs, rng, differ):
     """Random outputs ``ys`` of ``xs`` and ``zs`` equal to them but at the ids ``differ``."""
     ys = [space.random_output(x, rng) for x in xs]
-    zs = [space.random_output(x, rng) if i in differ else y for i, (x, y) in enumerate(zip(xs, ys))]
+    zs = [space.random_output(x, rng) if i in differ else y
+          for i, (x, y) in enumerate(zip(xs, ys))]
     return ys, zs
 
 

@@ -192,6 +192,9 @@ _BAD_SYNTH = {
     "taxonomy-spread--1": (["--space", "taxonomy", "--spread", "-1"],
                            "spread must be finite and >= 0, got -1.0"),
     "taxonomy-dim-1": (["--space", "taxonomy", "--dim", "1"], "need dim >= 2, got 1"),
+    **{f"{space}-spread-1e308": (["--space", space, "--spread", "1e308"],
+                                 "spread 1e+308 takes a draw past the float range")
+       for space in ("multiclass", "taxonomy", "chain")},
     "alphabet-1": (["--space", "chain", "--alphabet", "1"], "need at least 2 labels, got 1"),
     "min-len-0": (["--space", "chain", "--min-len", "0"], "bad length range (0, 6)"),
     "max-len-below-min": (["--space", "chain", "--min-len", "5", "--max-len", "4"],
@@ -540,6 +543,54 @@ def test_predict_on_inputs_of_the_wrong_dimension_names_file_and_point(tmp_path,
     else:
         expected = f"{narrow}: id 0: input dimension 2 differs from 3"
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("space, y, message", [
+    ("multiclass", 10**30, f"{10**30 + 1} classes need a loss matrix larger than numpy can index"),
+    ("chain", [0, 10**30], f"{10**30 + 1} labels need more weights than numpy can index"),
+], ids=["multiclass", "chain"])
+def test_an_inferred_label_count_numpy_cannot_index_is_refused(tmp_path, capsys, space, y,
+                                                                 message):
+    x = [0.0, 1.0] if space == "multiclass" else [[0.0, 1.0], [1.0, 0.0]]
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"id": i, "x": x, "y": y if i == 1 else None}) + "\n"
+                            for i in range(3)))
+    assert _run("fit", "--data", str(data), "--space", space, "--k", "1",
+                "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _with_a_huge_input(data, path):
+    """The records of ``data`` with input 1 at 1e308 everywhere (a chain's
+    first position only), written to ``path``."""
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    x = records[1]["x"]
+    if isinstance(x[0], list):
+        x[0] = [1e308] * len(x[0])
+    else:
+        records[1]["x"] = [1e308] * len(x)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", ["multiclass", "chain"])
+def test_an_input_whose_scores_leave_the_float_range_is_refused(tmp_path, capsys, space):
+    flags = ["--space", space]
+    chains = {"--space": "chain", "--alphabet": "3", "--count": "30", "--min-len": "4",
+              "--max-len": "4"}
+    data = _synth_blobs(tmp_path, **(chains if space == "chain" else {}))
+    huge = _with_a_huge_input(data, tmp_path / "huge.jsonl")
+    model = _fit_model(tmp_path, data, *flags)
+    out = tmp_path / "pred"
+    capsys.readouterr()
+    assert _run("predict", "--model", str(model), "--data", str(huge), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: the scores of input 1 are not finite (inputs too large for the model?)\n")
+    assert not (out / "predictions.jsonl").exists()
+    assert _run("baseline", "--data", str(huge), *flags, "--iters", "2",
+                "--out", str(tmp_path / "baseline")) == 1
+    assert capsys.readouterr().err.startswith("error: the scores of input ")
 
 
 @pytest.mark.parametrize("space", ["multiclass", "taxonomy", "chain"])

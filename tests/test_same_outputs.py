@@ -20,18 +20,16 @@ def _tree(root, files):
     return root
 
 
-def _report(seconds, asl):
-    return json.dumps({"folds": [{"fold": 0, "seconds": seconds, "test_asl": asl}],
-                       "seconds": seconds})
+def _report(asl):
+    return json.dumps({"folds": [{"fold": 0, "test_asl": asl}]})
 
 
-def test_report_seconds_are_ignored_and_every_other_byte_counts(tmp_path):
-    base = {"a/cv/report.json": _report(1.5, 0.25), "a/fit/trace.csv": "t,total\n0,1.0\n"}
+def test_every_byte_of_every_file_counts(tmp_path):
+    base = {"a/cv/report.json": _report(0.25), "a/fit/trace.csv": "t,total\n0,1.0\n"}
     old = _tree(tmp_path / "old", base)
-    assert same_outputs.compare(old, _tree(tmp_path / "same", {
-        **base, "a/cv/report.json": _report(9.0, 0.25)})) == ([], 2)
+    assert same_outputs.compare(old, _tree(tmp_path / "same", base)) == ([], 2)
     assert same_outputs.compare(old, _tree(tmp_path / "asl", {
-        **base, "a/cv/report.json": _report(1.5, 0.5)})) == (["differs: a/cv/report.json"], 1)
+        **base, "a/cv/report.json": _report(0.5)})) == (["differs: a/cv/report.json"], 1)
     assert same_outputs.compare(old, _tree(tmp_path / "trace", {
         **base, "a/fit/trace.csv": "t,total\n0,1.0 \n"})) == (["differs: a/fit/trace.csv"], 1)
 

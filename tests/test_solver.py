@@ -319,6 +319,24 @@ def test_fit_diverges_on_huge_step(tiny):
     assert len(exc.value.state.trace) == exc.value.state.iteration + 1
 
 
+@pytest.mark.parametrize("over, iteration", [({"c1": 1e308}, 0), ({"c2": 1e-300}, 1)],
+                         ids=["initial-objective", "weight-step"])
+def test_a_diverged_fit_hands_back_decoded_outputs(over, iteration):
+    """The state a Diverged carries out of ``fit`` holds lists of outputs
+    and no fit arrays, whether it diverged at once or after a step."""
+    blobs = synth_blobs(3, 10, 2, 0.3, 0)
+    ds = Dataset(DataPoint(p.id, p.x, None if p.id == 4 else p.y) for p in blobs.points)
+    space = MulticlassSpace(3, 2)
+    with pytest.raises(Diverged) as exc:
+        fit(ds, build_knn_graph(ds, k=3), space, SolverConfig(**over))
+    state = exc.value.state
+    assert exc.value.iteration == iteration and state.fixed is None
+    for outputs in (state.z, state.upsilon):
+        assert type(outputs) is list and len(outputs) == len(ds)
+        assert all(type(y) is int for y in outputs)
+    assert state.z[:4] == ds.outputs[:4]
+
+
 # --- objective --------------------------------------------------------------------
 
 

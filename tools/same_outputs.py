@@ -26,18 +26,17 @@ each source tree, one child process runs every command through
 input set, ``fit --dump-graph``, ``cv`` and ``baseline`` with both
 ``--z-init`` values, and ``predict`` with each fitted model; and one
 two-value ``sweep`` of ``c1`` on the first input set and on each duplicated
-one. Every file the commands write is compared byte for
-byte, except that ``report.json`` is compared with its ``seconds`` fields
-dropped; each command's exit code is compared too. Stdout is not compared,
-since it holds wall times.
+one. Every file the commands write is compared byte for byte, and each
+command's exit code is compared too. Stdout is not compared, since it holds
+wall times.
 
 Prints one line per difference and exits 1 if there is any, else prints the
 number of identical files and exits 0.
 
 ``--write-manifest SRC`` runs only the seed-0 commands, importing
 semistruct from ``SRC``, and writes ``tests/golden/outputs.sha256``: the
-SHA-256 of every file they write (``report.json`` without its ``seconds``
-fields), headed by the numpy version and machine it was written on. A
+SHA-256 of every file they write (``report.json`` as canonical JSON, its
+keys sorted), headed by the numpy version and machine it was written on. A
 tier-1 test rewrites the files and compares their digests with it.
 """
 
@@ -256,31 +255,16 @@ def run_side(src, calls, out):
                    text=True, cwd=out, env=env, check=True)
 
 
-def _without_seconds(value):
-    if isinstance(value, dict):
-        return {k: _without_seconds(v) for k, v in value.items() if k != "seconds"}
-    if isinstance(value, list):
-        return [_without_seconds(v) for v in value]
-    return value
-
-
-def _same(a, b):
-    if a.name == "report.json":
-        return (_without_seconds(json.loads(a.read_text()))
-                == _without_seconds(json.loads(b.read_text())))
-    return a.read_bytes() == b.read_bytes()
-
-
 def _digest(path):
-    if path.name == "report.json":
-        data = json.dumps(_without_seconds(json.loads(path.read_text())), sort_keys=True)
+    if path.name == "report.json":  # hashed as canonical JSON, as the manifest was written
+        data = json.dumps(json.loads(path.read_text()), sort_keys=True)
         return hashlib.sha256(data.encode()).hexdigest()
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def digests(root):
     """SHA-256 of every file under ``root`` by relative path (a POSIX
-    string); ``report.json`` is hashed without its ``seconds`` fields."""
+    string); ``report.json`` is hashed as canonical JSON."""
     return {p.relative_to(root).as_posix(): _digest(p)
             for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -325,7 +309,8 @@ def compare(old, new):
     others = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
     diffs = [f"only in OLD: {p}" for p in sorted(files - others)]
     diffs += [f"only in NEW: {p}" for p in sorted(others - files)]
-    diffs += [f"differs: {p}" for p in sorted(files & others) if not _same(old / p, new / p)]
+    diffs += [f"differs: {p}" for p in sorted(files & others)
+              if (old / p).read_bytes() != (new / p).read_bytes()]
     return diffs, len(files & others) - sum(d.startswith("differs") for d in diffs)
 
 
