@@ -126,7 +126,7 @@ class FiniteLabelSpace(OutputSpace):
 
     def argmax_score_all(self, w, xs):
         S = self._scores(w, xs)
-        _check_finite_scores(np.isfinite(S).all(axis=1))
+        _check_finite_scores(S, 0)
         return self._label_of[np.argmax(S, axis=1)]
 
     def argmax_loss_augmented_all(self, w, xs, zs):
@@ -606,7 +606,7 @@ class ChainSequenceSpace(OutputSpace):
 
     def argmax_score_all(self, w, xs):
         unary, pairwise, lengths = self._unary(w, xs)
-        _check_finite_scores(np.isfinite(unary).all(axis=(0, 1)))
+        _check_finite_scores(unary, -1)
         return _records(self._best_paths(unary, pairwise, lengths))
 
     def argmax_loss_augmented_all(self, w, xs, zs):
@@ -778,11 +778,13 @@ def _slack_terms(n, neighbors, c1):
     return owner, weight, outputs
 
 
-def _check_finite_scores(finite):
-    """ContractViolation naming the first input whose scores are not all
-    ``finite``: its prediction would rest on none."""
-    if not finite.all():
-        raise ContractViolation(f"the scores of input {int(np.argmin(finite))} are not finite "
+def _check_finite_scores(scores, axis):
+    """ContractViolation naming the first input, along ``axis`` of ``scores``,
+    whose scores are not all finite: its prediction would rest on none."""
+    finite = np.isfinite(scores)
+    if not finite.all():  # one pass; the per-input view only to name one
+        per_input = np.moveaxis(finite, axis, 0).reshape(finite.shape[axis], -1).all(axis=1)
+        raise ContractViolation(f"the scores of input {int(np.argmin(per_input))} are not finite "
                                 f"(inputs too large for the model?)")
 
 
