@@ -16,9 +16,8 @@ The folds are independent fits, so they run on one process per usable CPU
 merges every fold's result in fold order, so reports and traces keep the
 bytes of a serial run.
 
-Wall-clock timings live only on the in-memory report; serialized reports
-and traces contain no volatile fields, so repeated seeded runs are
-byte-identical.
+Reports and traces contain no volatile fields, so repeated seeded runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import os
 import pickle
 import signal
 import threading
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -62,7 +60,6 @@ class FoldResult:
     transductive_asl: float = None
     diverged: bool = False
     error: str = None
-    seconds: float = 0.0  # volatile; excluded from serialized reports
 
 
 @dataclass
@@ -101,16 +98,14 @@ class EvalReport:
         return f"all {len(self.folds)} folds diverged" if every else None
 
     def to_dict(self) -> dict:
-        """Deterministic JSON-ready view; timing deliberately left out."""
+        """Deterministic JSON-ready view."""
         return {
             "method": self.method,
             "space": self.space_kind,
             "seed": self.seed,
             "solver": self.solver,
             "graph": self.graph,
-            "folds": [
-                {k: v for k, v in asdict(f).items() if k != "seconds"} for f in self.folds
-            ],
+            "folds": [asdict(f) for f in self.folds],
             "mean_test_asl": self.mean_test_asl,
             "mean_transductive_asl": self.mean_transductive_asl,
             "folds_diverged": self.folds_diverged,
@@ -168,7 +163,6 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
         if not split.train.labeled.any():
             return FoldResult(run, error="no labeled point in the training split"), []
         masked_ids = sorted(split.masked_truth)
-        start = time.perf_counter()
         fold = FoldResult(fold=run)
         try:
             train, g = prepare(split, np.flatnonzero(fold_of != run))
@@ -193,7 +187,6 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
                     space,
                 )
             trace = list(state.trace)
-        fold.seconds = time.perf_counter() - start
         return fold, trace
 
     report = EvalReport(method, space.kind, seed, config_echo(cfg), graph)

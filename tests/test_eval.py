@@ -239,7 +239,6 @@ def test_trace_csv_rows_and_component_sum(blob_setup):
 def test_report_json_excludes_timing(blob_setup):
     ds, space, cfg = blob_setup
     report = ev.run_cv(ds, space, cfg, k=3, seed=21)
-    assert sum(f.seconds for f in report.folds) > 0.0
     assert "seconds" not in ev.report_json(report)
 
 
