@@ -13,10 +13,11 @@ index, int tree-node id, tuple of int labels) so equality and hashing are
 trivial; indicator-vector views are derived inside each space.
 
 A :class:`Dataset` has one storage: its inputs as one float array when they
-share a shape (one ``n x d`` matrix for flat data), else a list, which the
-spaces read as they are, and its outputs as one list, point ``i`` having id
-``i``. :class:`DataPoint` objects are made only when ``points`` is read;
-``Dataset(points)`` is the one adapter for hand-built points.
+share a shape (one ``n x d`` matrix for flat data), else a list of float
+arrays, which the spaces read as they are, and its outputs as one list,
+point ``i`` having id ``i``. :class:`DataPoint` objects are made only when
+``points`` is read; ``Dataset(points)`` is the one adapter for hand-built
+points. Raw inputs, from files or hand-built, are read by :func:`read_inputs`.
 
 Batches of outputs travel as *codes*: a 1-D numpy array with one entry per
 output, made by :meth:`OutputSpace.as_codes` and decoded only by
@@ -60,21 +61,23 @@ class Dataset:
     Point ``i`` has id ``i``, input ``inputs[i]`` and output ``outputs[i]``
     (``None`` where unlabeled). ``inputs`` is one float array whose rows are
     the inputs when they share a shape (an ``n x d`` matrix for flat data),
-    else a list; ``outputs`` is a list. :class:`DataPoint` objects are built
+    else a list of float arrays; ``outputs`` is a list. :class:`DataPoint` objects are built
     only when ``points`` is first read. Use :func:`validate_dataset` to
     check the full contract.
     """
 
     def __init__(self, points, space_id=""):
         """The set of hand-built ``points``, whose ids must count from 0 in
-        order; their inputs are stacked by :func:`stack_or_list`."""
+        order. Their inputs are read by :func:`read_inputs`, as a file's are:
+        ContractViolation naming the first point whose ``x`` is ragged,
+        non-numeric or too large for a float."""
         points = tuple(points)
         for pos, p in enumerate(points):
             if p.id != pos:
                 raise ContractViolation(
                     f"point at position {pos} has id {p.id}; ids must be contiguous from 0"
                 )
-        self.inputs = stack_or_list([p.x for p in points])
+        self.inputs = read_inputs([p.x for p in points], "point {}".format, ContractViolation)
         self.outputs = [p.y for p in points]
         self.space_id = space_id
 
@@ -99,13 +102,24 @@ class Dataset:
         return np.fromiter((y is not None for y in self.outputs), dtype=bool, count=len(self))
 
 
-def stack_or_list(xs):
-    """The inputs ``xs`` as one float array whose rows are the inputs when
-    they share a shape, else as a list (mixed shapes or non-numeric values)."""
+def read_inputs(xs, where, error):
+    """The raw inputs ``xs`` as one float array whose rows are the inputs when
+    they share a shape, else as a list of float arrays. Only a batch that one
+    ``np.array`` call rejects is read input by input, to raise ``error``
+    naming ``where(i)`` of the first ragged, non-numeric or too large input."""
     try:
         return np.array(xs, dtype=float)
     except (ValueError, TypeError, OverflowError):  # also ragged shapes
-        return list(xs)
+        pass
+    out = []
+    for i, x in enumerate(xs):
+        try:
+            out.append(np.asarray(x, dtype=float))
+        except (ValueError, TypeError):
+            raise error(f"{where(i)}: ragged or non-numeric x") from None
+        except OverflowError:
+            raise error(f"{where(i)}: x holds a number too large for a float") from None
+    return out
 
 
 def take_inputs(inputs, idx):
@@ -370,7 +384,6 @@ def input_violations(xs, space) -> list:
     if isinstance(xs, np.ndarray):
         groups = {xs.shape[1:]: np.arange(len(xs))}
     else:
-        xs = [x if isinstance(x, np.ndarray) else np.asarray(x) for x in xs]
         shapes = {}  # shape -> group number
         group = np.fromiter((shapes.setdefault(x.shape, len(shapes)) for x in xs),
                             dtype=np.intp, count=len(xs))

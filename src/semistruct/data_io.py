@@ -11,12 +11,13 @@ list of int labels) and is null for unlabeled points.
 Reading checks each line once, and errors name it: one JSON parse with the
 decoder's scanner (``json.loads`` runs only to word a parse error), the
 ``id``/``x`` fields and an integer id seen once. The ``x`` lists are
-converted to floats in blocks of records, one ``np.array`` call per block;
+converted to floats in blocks of records by :func:`semistruct.core.read_inputs`,
+as ``Dataset(points)`` converts its inputs: one ``np.array`` call per block;
 only a block that call rejects (a bad ``x``, or sequences of several
-lengths) is read record by record, to name the first ragged, non-numeric
-or too large ``x``. The inputs of a file end up stacked: one ``n x d``
-float matrix for flat data, one ``n x T x d`` array for sequences of one
-length, and a list of arrays otherwise. Then each ``x``'s number of
+lengths) is read record by record, to name the first bad ``x``'s line. The
+inputs of a file end up stacked: one ``n x d`` float matrix for flat data,
+one ``n x T x d`` array for sequences of one length, and a list of arrays
+otherwise. Then each ``x``'s number of
 dimensions and each labeled output, decoded and valid for its input, are
 checked, once. The inputs, put in id order, are checked as one group, or
 once per group of equal shape (see :func:`semistruct.core.input_violations`):
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, input_violations, seeded_rng, stack_or_list, take_inputs
+from .core import Dataset, input_violations, read_inputs, seeded_rng, take_inputs
 from .errors import ContractViolation, DataFormatError
 from .spaces import Taxonomy
 
@@ -78,12 +79,18 @@ _BLOCK_RECORDS = 128
 def read_records(path) -> Records:
     """Parse a JSONL dataset file, checking all that needs no output space;
     errors name the line. The ``x`` lists are converted in blocks of
-    ``_BLOCK_RECORDS`` records (see :func:`_convert_block`); a block is
-    converted before a later line's error is raised, so the first bad line
-    is the one named."""
+    ``_BLOCK_RECORDS`` records by :func:`read_inputs`; a block is converted
+    before a later line's error is raised, so the first bad line is the one
+    named."""
     lines, ids, ys = [], [], []
     seen = set()
     blocks, pending = [], []  # converted blocks; the x lists not converted yet
+
+    def convert(xs):
+        """The inputs of the last ``len(xs)`` records read, ``xs`` their ``x`` lists."""
+        at = lines[-len(xs):]
+        return read_inputs(xs, lambda i: f"{path}:{at[i]}", DataFormatError)
+
     error = None
     with open(path) as f:
         try:
@@ -106,14 +113,14 @@ def read_records(path) -> Records:
                 pending.append(rec["x"])
                 if len(pending) == _BLOCK_RECORDS:
                     block, pending = pending, []
-                    blocks.append(_convert_block(block, lines[-len(block):], path))
+                    blocks.append(convert(block))
         except UnicodeDecodeError as e:
             error = DataFormatError(
                 f"{path}:{_undecodable_line(path)}: not {f.encoding} text ({e.reason})")
         except DataFormatError as e:
             error = e
     if pending:
-        blocks.append(_convert_block(pending, lines[-len(pending):], path))
+        blocks.append(convert(pending))
     if error is not None:
         raise error
     if not lines:
@@ -123,27 +130,6 @@ def read_records(path) -> Records:
     else:
         inputs = [x for b in blocks for x in b]
     return Records(lines, ids, inputs, ys)
-
-
-def _convert_block(xs, lines, path):
-    """The ``x`` lists ``xs`` of the records on ``lines`` as one float array
-    whose rows are the inputs. Only a block that ``np.array`` rejects is read
-    record by record, to raise the first bad record's error (naming its
-    line) or, when none is bad, to list inputs of several shapes."""
-    try:
-        return np.array(xs, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # also ragged lengths
-        return [_as_input(x, path, ln) for x, ln in zip(xs, lines)]
-
-
-def _as_input(x, path, ln):
-    """One record's ``x`` as a float array; errors name the line."""
-    try:
-        return np.asarray(x, dtype=float)
-    except (ValueError, TypeError):
-        raise DataFormatError(f"{path}:{ln}: ragged or non-numeric x") from None
-    except OverflowError:
-        raise DataFormatError(f"{path}:{ln}: x holds a number too large for a float") from None
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -405,7 +391,7 @@ def synth_chains(num_labels, length_range, count, dim, seed, spread=0.5) -> Data
             labels.append(int(cdf[labels[-1]].searchsorted(rng.random(), side="right")))
         xs.append(means[labels] + _noise(rng, spread, (length, dim)))
         ys.append(tuple(labels))
-    return Dataset.from_arrays(stack_or_list(xs), ys, "chain")
+    return Dataset.from_arrays(read_inputs(xs, "chain {}".format, ContractViolation), ys, "chain")
 
 
 # --- fold protocol ---------------------------------------------------------------

@@ -67,11 +67,14 @@ def test_hand_built_inputs_of_one_shape_become_one_float_matrix():
         (0, [1.0, 2.0], None), (1, [3.0, 4.0], 1), (2, [5.0, 6.0], None)]
 
 
-def test_hand_built_inputs_of_mixed_shapes_stay_a_list(multiclass_space):
+def test_hand_built_inputs_of_mixed_shapes_become_a_list_of_float_arrays(multiclass_space):
     points = (DataPoint(0, [1.0, 2.0], 0), DataPoint(1, np.array([np.nan, 1.0, 2.0]), None),
-              DataPoint(2, np.array([3.0]), 1))
+              DataPoint(2, (3,), 1))
     ds = Dataset(points, "multiclass")
-    assert type(ds.inputs) is list and ds.inputs == [p.x for p in points]
+    assert type(ds.inputs) is list
+    assert all(type(x) is np.ndarray and x.dtype == float for x in ds.inputs)
+    for x, want in zip(ds.inputs, ([1.0, 2.0], [np.nan, 1.0, 2.0], [3.0]), strict=True):
+        assert np.array_equal(x, want, equal_nan=True)
     assert len(ds) == 3 and ds.outputs == [0, None, 1]
     assert validate_dataset(ds, multiclass_space).violations == [
         "id 1: input has non-finite entries",
@@ -82,9 +85,14 @@ def test_hand_built_inputs_of_mixed_shapes_stay_a_list(multiclass_space):
         oracles.validate_dataset(ds, multiclass_space).violations)
 
 
-def test_hand_built_non_numeric_inputs_stay_a_list():
-    ds = Dataset([DataPoint(0, ["a", "b"], 0), DataPoint(1, [10**400, 1], 1)])
-    assert ds.inputs == [["a", "b"], [10**400, 1]]
+@pytest.mark.parametrize("x, problem", [
+    (["a", "b"], "ragged or non-numeric x"),
+    ([10**400, 1], "x holds a number too large for a float"),
+])
+def test_hand_built_unreadable_inputs_raise_at_construction(x, problem):
+    with pytest.raises(ContractViolation) as e:
+        Dataset([DataPoint(0, [1.0, 2.0], 0), DataPoint(1, x, 1)])
+    assert str(e.value) == f"point 1: {problem}"
 
 
 @pytest.mark.parametrize("ids, position, pid", [
