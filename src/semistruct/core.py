@@ -14,10 +14,10 @@ trivial; indicator-vector views are derived inside each space.
 
 A :class:`Dataset` has one storage: its inputs as one float array when they
 share a shape (one ``n x d`` matrix for flat data), else a list of float
-arrays, which the spaces read as they are, and its outputs as one list,
-point ``i`` having id ``i``. :class:`DataPoint` objects are made only when
-``points`` is read; ``Dataset(points)`` is the one adapter for hand-built
-points. Raw inputs, from files or hand-built, are read by :func:`read_inputs`.
+arrays, which the spaces read as they are, and its outputs as one list, point
+``i`` having id ``i``. Raw inputs, from files or hand-built, are read by
+:func:`read_inputs`. :class:`DataPoint` objects are made only when ``points``
+is read; ``Dataset(points)`` is the one adapter for hand-built points.
 
 Batches of outputs travel as *codes*: a 1-D numpy array with one entry per
 output, made by :meth:`OutputSpace.as_codes` and decoded only by
@@ -68,9 +68,8 @@ class Dataset:
 
     def __init__(self, points, space_id=""):
         """The set of hand-built ``points``, whose ids must count from 0 in
-        order. Their inputs are read by :func:`read_inputs`, as a file's are:
-        ContractViolation naming the first point whose ``x`` is ragged,
-        non-numeric or too large for a float."""
+        order; their inputs are read by :func:`read_inputs`, as a file's are,
+        naming the first point whose ``x`` no float array can hold."""
         points = tuple(points)
         for pos, p in enumerate(points):
             if p.id != pos:
@@ -358,6 +357,12 @@ def validate_dataset(ds, space) -> ValidationReport:
     report.violations.extend(f"id {i}: output {y!r} is not in the output space"
                              for i, y, ok in zip(labeled.tolist(), ys, fits) if not ok)
     return report
+
+
+def join_problems(problems) -> str:
+    """The first five ``problems`` joined by "; ", then a count of the rest."""
+    rest = len(problems) - 5
+    return "; ".join(problems[:5]) + (f"; and {rest} more" if rest > 0 else "")
 
 
 def _fits(space, y, x) -> bool:

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, input_violations, read_inputs, seeded_rng, take_inputs
+from .core import Dataset, input_violations, join_problems, read_inputs, seeded_rng, take_inputs
 from .errors import ContractViolation, DataFormatError
 from .spaces import Taxonomy
 
@@ -86,8 +86,7 @@ def read_records(path) -> Records:
     seen = set()
     blocks, pending = [], []  # converted blocks; the x lists not converted yet
 
-    def convert(xs):
-        """The inputs of the last ``len(xs)`` records read, ``xs`` their ``x`` lists."""
+    def convert(xs):  # the inputs of the last len(xs) records read, from their x lists
         at = lines[-len(xs):]
         return read_inputs(xs, lambda i: f"{path}:{at[i]}", DataFormatError)
 
@@ -219,7 +218,7 @@ def dataset_from_records(records, path, space, require_labeled=False) -> Dataset
     if require_labeled and not labeled:
         problems.append("dataset has no labeled points")
     if problems:
-        raise DataFormatError(f"{path}: " + "; ".join(problems))
+        raise DataFormatError(f"{path}: " + join_problems(problems))
     return Dataset.from_arrays(inputs, ys, space.kind)
 
 

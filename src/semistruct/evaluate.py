@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, take_inputs, validate_dataset
+from .core import Dataset, join_problems, take_inputs, validate_dataset
 from .data_io import NUM_FOLDS, make_folds, mask_labels
 from .errors import ContractViolation, Diverged, SemistructError
 from .graph import NeighborGraph, SubsetGraphs
@@ -153,7 +153,7 @@ def _fold_loop(ds, space, cfg, seed, method, graph, prepare, transductive) -> Ev
     """
     valid = validate_dataset(ds, space)
     if not valid.ok:
-        raise ContractViolation("invalid dataset: " + "; ".join(valid.violations))
+        raise ContractViolation("invalid dataset: " + join_problems(valid.violations))
     plan = make_folds(ds, seed)
     fold_of = np.asarray(plan.fold_of)
 

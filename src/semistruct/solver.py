@@ -277,7 +277,8 @@ def objective(state, ds, g, space, cfg) -> ObjectiveParts:
     z, upsilon = space.as_codes(state.z), space.as_codes(state.upsilon)
     m = manifold_term(g, z, space)
     diff = space.phi_diff_sum(ds.inputs, upsilon, z)
-    l = float(np.dot(state.w, diff)) + space.delta_sum(upsilon, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum diverges
+        l = float(np.dot(state.w, diff)) + space.delta_sum(upsilon, z)
     r = 0.5 * float(np.dot(state.w, state.w))
     return ObjectiveParts(m, l, r, m + cfg.c1 * l + cfg.c2 * r)
 

@@ -370,13 +370,14 @@ class ChainSequenceSpace(OutputSpace):
                 and (x is None or len(y) == self._as_seq_input(x).shape[0]))
 
     def _flat(self, ys):
-        """``(labels, lengths, member)`` of a list of tuples of Python ints in
-        the int64 range: every label in one array, each tuple's length, and
-        whether it is a label sequence; None for a list of anything else."""
-        if not set(map(type, ys)) <= {tuple}:
+        """``(labels, lengths, member)`` of a list of tuples of ints (not bools)
+        in the int64 range: every label in one array, each tuple's length, and
+        whether it is a label sequence; None for a list holding a non-member."""
+        if not all(issubclass(t, tuple) for t in set(map(type, ys))):
             return None
         flat = list(itertools.chain.from_iterable(ys))
-        if not set(map(type, flat)) <= {int}:  # no bool, no numpy integer
+        if not all(issubclass(t, (int, np.integer)) and t is not bool
+                   for t in set(map(type, flat))):
             return None
         try:
             labels = np.fromiter(flat, dtype=np.int64, count=len(flat))
@@ -416,12 +417,7 @@ class ChainSequenceSpace(OutputSpace):
         if flat is None or not flat[2].all():
             for y in itertools.compress(ys, ~self.contains_all(ys)):
                 self._check_member(y)  # raises, naming the first non-member
-        if flat is None:  # members, some of their labels numpy integers
-            lengths = np.fromiter(map(len, ys), dtype=int, count=len(ys))
-            labels = np.fromiter(itertools.chain.from_iterable(ys), dtype=np.int64,
-                                 count=int(lengths.sum()))
-        else:
-            labels, lengths, _ = flat
+        labels, lengths, _ = flat
         M = np.full((len(ys), int(lengths.max(initial=1))), -1)
         M[np.arange(M.shape[1]) < lengths[:, None]] = labels
         return _records(M)
@@ -488,15 +484,9 @@ class ChainSequenceSpace(OutputSpace):
             raise ContractViolation(
                 f"label sequence length {len(y)} does not match input length {x.shape[0]}"
             )
-        return self._features(x[None], np.array([y]))[0]
-
-    def _features(self, X, Y):
-        """``phi`` of every row of the label matrix ``Y`` (-1 past each end)
-        with the ``(m, T, d)`` inputs ``X``."""
-        a, m = self.num_labels, len(Y)
-        cell = self._cells(Y) + np.arange(m)[:, None] * (a * a + 1)
-        trans = np.bincount(cell.ravel(), minlength=m * (a * a + 1)).reshape(m, a * a + 1)
-        return np.concatenate((trans[:, :-1], self._emissions(X, Y)), axis=1)
+        Y = np.array([y])
+        trans = np.bincount(self._cells(Y).ravel(), minlength=self.num_labels**2 + 1)[:-1]
+        return np.concatenate((trans, self._emissions(x[None], Y)[0]))
 
     def _cells(self, Y):
         """The transition cell ``prev * a + next`` of every step of the rows
@@ -540,26 +530,28 @@ class ChainSequenceSpace(OutputSpace):
 
         Runs the recursion backward then rebuilds every path greedily from
         the front with first-argmax ties, so each returned row is the
-        lexicographically smallest maximizer, -1 past its end.
+        lexicographically smallest maximizer, -1 past its end; and each
+        chain's best score, +-inf or nan past the float range.
         """
         length, a, n = unary.shape
         inside, shortest = np.arange(length)[:, None] < lengths, lengths.min(initial=length)
         into = pairwise[:, :, None]  # (label, next label, point)
         best_to_go = unary.copy()  # at a chain's last position, its unary term alone
         table, ahead = np.empty((a, a, n)), np.empty((a, n))
-        for t in range(length - 2, -1, -1):
-            np.add(into, best_to_go[t + 1], out=table)
-            np.maximum.reduce(table, axis=1, out=ahead)
-            if t + 1 < shortest:  # every chain goes on past t
-                np.add(unary[t], ahead, out=best_to_go[t])
-            else:
-                best_to_go[t] = np.where(inside[t + 1], unary[t] + ahead, unary[t])
         paths = np.empty((length, n), dtype=int)
-        paths[0] = best_to_go[0].argmax(axis=0)
-        for t in range(1, length):
-            paths[t] = (pairwise.T[:, paths[t - 1]] + best_to_go[t]).argmax(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(length - 2, -1, -1):
+                np.add(into, best_to_go[t + 1], out=table)
+                np.maximum.reduce(table, axis=1, out=ahead)
+                if t + 1 < shortest:  # every chain goes on past t
+                    np.add(unary[t], ahead, out=best_to_go[t])
+                else:
+                    best_to_go[t] = np.where(inside[t + 1], unary[t] + ahead, unary[t])
+            paths[0] = best_to_go[0].argmax(axis=0)
+            for t in range(1, length):
+                paths[t] = (pairwise.T[:, paths[t - 1]] + best_to_go[t]).argmax(axis=0)
         paths[~inside] = -1
-        return paths.T
+        return paths.T, best_to_go[0, paths[0], np.arange(n)]
 
     @staticmethod
     def _best_paths_off(unary, pairwise, ref, lengths):
@@ -571,19 +563,19 @@ class ChainSequenceSpace(OutputSpace):
         length, a, n = unary.shape
         cols, past, ref = np.arange(n), np.arange(length)[:, None] >= lengths, ref.T
         on_ref = np.arange(a)[:, None] == ref[:, None]  # (T, a, n)
-        gone, stay = unary + 1.0, unary[np.arange(length)[:, None], ref, cols]
-        into = pairwise[:, :, None]
-        for t in range(length - 2, -1, -1):  # at a chain's last position: gone its 1, stay as is
-            ahead = np.where(on_ref[t + 1], stay[t + 1], gone[t + 1])
-            gone[t] = unary[t] + np.where(past[t + 1], 1.0, np.max(into + gone[t + 1], axis=1))
-            stay[t] = np.where(past[t + 1], stay[t],
-                               stay[t] + np.max(pairwise.T[:, ref[t]] + ahead, axis=0))
-        paths = np.empty((length, n), dtype=int)
+        into, paths = pairwise[:, :, None], np.empty((length, n), dtype=int)
         still = np.ones(n, dtype=bool)  # whether the path so far is ref's
-        for t in range(length):
-            ahead = np.where(still & on_ref[t], stay[t], gone[t])
-            paths[t] = np.argmax(pairwise.T[:, paths[t - 1]] + ahead if t else ahead, axis=0)
-            still &= on_ref[t, paths[t], cols]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _best_paths
+            gone, stay = unary + 1.0, unary[np.arange(length)[:, None], ref, cols]
+            for t in range(length - 2, -1, -1):  # at a chain's end: gone its 1, stay as is
+                ahead = np.where(on_ref[t + 1], stay[t + 1], gone[t + 1])
+                gone[t] = unary[t] + np.where(past[t + 1], 1.0, np.max(into + gone[t + 1], axis=1))
+                stay[t] = np.where(past[t + 1], stay[t],
+                                   stay[t] + np.max(pairwise.T[:, ref[t]] + ahead, axis=0))
+            for t in range(length):
+                ahead = np.where(still & on_ref[t], stay[t], gone[t])
+                paths[t] = np.argmax(pairwise.T[:, paths[t - 1]] + ahead if t else ahead, axis=0)
+                still &= on_ref[t, paths[t], cols]
         paths[past] = -1
         return paths.T
 
@@ -607,7 +599,9 @@ class ChainSequenceSpace(OutputSpace):
     def argmax_score_all(self, w, xs):
         unary, pairwise, lengths = self._unary(w, xs)
         _check_finite_scores(unary, -1)
-        return _records(self._best_paths(unary, pairwise, lengths))
+        paths, best = self._best_paths(unary, pairwise, lengths)
+        _check_finite_scores(best, 0)  # finite terms can still add up past the float range
+        return _records(paths)
 
     def argmax_loss_augmented_all(self, w, xs, zs):
         unary, pairwise, lengths = self._unary(w, xs)
@@ -619,7 +613,7 @@ class ChainSequenceSpace(OutputSpace):
         else:
             aug = unary + 1.0
             aug[np.arange(length)[:, None], Z.T, np.arange(n)] -= 1.0  # no reward for matches
-            paths = self._best_paths(aug, pairwise, lengths)
+            paths, _ = self._best_paths(aug, pairwise, lengths)
         return _records(paths)
 
     def argmin_slack_all(self, w, xs, upsilons, neighbors, c1):
@@ -649,7 +643,7 @@ class ChainSequenceSpace(OutputSpace):
             with np.errstate(over="ignore", invalid="ignore"):
                 cost += c1 * (1.0 - unary)
                 cost[np.arange(length)[:, None], U.T, np.arange(n)] -= c1
-                paths = self._best_paths(-cost, c1 * pairwise, lengths)
+                paths, _ = self._best_paths(-cost, c1 * pairwise, lengths)
         return _records(paths)
 
     def _cheapest(self, unary, pairwise, U, owner, weight, O, c1, lengths):
@@ -659,7 +653,7 @@ class ChainSequenceSpace(OutputSpace):
         (s(y*) - s(y)) >= 0``, plus what ``y*`` saves by matching some, more
         than ``y*``, and ties only as a later path."""
         n, length = U.shape
-        best = self._best_paths(unary, pairwise, lengths)
+        best, _ = self._best_paths(unary, pairwise, lengths)
         # the terms grouped by owner, each owner's in term order
         count, order = np.bincount(owner, minlength=n), np.argsort(owner, kind="stable")
         weight, O = weight[order], O[order]
@@ -681,10 +675,10 @@ class ChainSequenceSpace(OutputSpace):
         # a spare label of zeros: -1 past each end adds 0.0 to the sums, each
         # candidate's positions summed along a contiguous row, as numpy pairs them
         unary, pairwise = np.pad(unary, ((0, 0), (0, 1), (0, 0))), np.pad(pairwise, (0, 1))
-        score = (unary[np.arange(length), C, own[:, None]].sum(axis=1)
-                 + pairwise[C[:, :-1], C[:, 1:]].sum(axis=1))
-        # a huge c1 takes costs past the float range (see OutputSpace.argmin_slack_all)
-        with np.errstate(over="ignore"):
+        # scores and costs past the float range: see OutputSpace.argmin_slack_all
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = (unary[np.arange(length), C, own[:, None]].sum(axis=1)
+                     + pairwise[C[:, :-1], C[:, 1:]].sum(axis=1))
             cost = acc + c1 * (-score + (rank != rank[n + own]))
         # the first cheapest in lexicographic order, per point
         by_cost = np.lexsort((rank, cost, own))
@@ -731,12 +725,13 @@ class ChainSequenceSpace(OutputSpace):
                                     f" does not match input length {lx[i]}")
         Y, Z, cells = Y[:, : X.shape[1]], Z[:, : X.shape[1]], self.num_labels**2 + 1
         # integer transition totals, exact in any order; the emissions summed
-        # per output as in _features, their differences added pair by pair.
+        # per output as in phi, their differences added pair by pair.
         # An equal pair adds integer zeros and a row of +0.0, which leaves
         # every total's bits as they are, so no pair is picked out
         trans = (np.bincount(self._cells(Y).ravel(), minlength=cells)
                  - np.bincount(self._cells(Z).ravel(), minlength=cells))[:-1]
-        emit = (self._emissions(X, Y) - self._emissions(X, Z)).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: diverges
+            emit = (self._emissions(X, Y) - self._emissions(X, Z)).sum(axis=0)
         return np.concatenate((trans, emit))
 
 

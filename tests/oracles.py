@@ -246,8 +246,9 @@ def row_major_best_paths_off(unary, pairwise, ref, lengths):
 
 
 def indexed_add_features(space, X, Y):
-    """``ChainSequenceSpace._features`` with the emissions added by one
-    indexed add per position."""
+    """The chain features ``phi`` of every row of the label matrix ``Y`` (-1
+    past each end) with the ``(m, T, d)`` inputs ``X``, the emissions added
+    by one indexed add per position."""
     a, (m, length) = space.num_labels, Y.shape
     cell = np.where(Y[:, 1:] >= 0, Y[:, :-1] * a + Y[:, 1:], a * a)
     trans = np.bincount((np.arange(m)[:, None] * (a * a + 1) + cell).ravel(),
@@ -322,7 +323,8 @@ def two_pass_phi_diff_sum(space, xs, ys, zs):
     if not idx.size:
         return np.zeros(space.dim)
     X, _ = space._stack(xs[idx] if space._is_stack(xs) else [xs[i] for i in idx.tolist()])
-    diff = space._features(X, Y[idx, : X.shape[1]]) - space._features(X, Z[idx, : X.shape[1]])
+    Y, Z = Y[idx, : X.shape[1]], Z[idx, : X.shape[1]]
+    diff = indexed_add_features(space, X, Y) - indexed_add_features(space, X, Z)
     return np.cumsum(np.concatenate((np.zeros((1, space.dim)), diff)), axis=0)[-1]
 
 
@@ -548,8 +550,9 @@ def dataset_from_records(records, path, space, require_labeled=False) -> Dataset
         v for v in report.violations
         if require_labeled or v != "dataset has no labeled points"
     ]
-    if problems:
-        raise DataFormatError(f"{path}: " + "; ".join(problems))
+    if problems:  # the first five named, the rest counted
+        more = [f"and {len(problems) - 5} more"] if len(problems) > 5 else []
+        raise DataFormatError(f"{path}: " + "; ".join(problems[:5] + more))
     return ds
 
 

@@ -498,6 +498,21 @@ def test_prediction_names_the_first_input_whose_scores_are_not_finite(space):
     assert len(space.argmax_score_all(np.ones(space.dim), xs[:1])) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("loss", ChainSequenceSpace.LOSS_MODES)
+def test_prediction_names_the_first_chain_whose_best_path_leaves_the_float_range(loss):
+    """Every position's scores are finite; chain 1's best path sums past
+    them. Prediction refuses it; the fit's oracles still answer."""
+    space, w = ChainSequenceSpace(2, 1, loss=loss), [0.0, 0.0, 0.0, 0.0, 1.0, 0.5]
+    xs = np.stack([np.full((3, 1), 0.5), np.full((3, 1), 1e308)])
+    with pytest.raises(ContractViolation, match=r"^the scores of input 1 are not finite "):
+        space.argmax_score_all(w, xs)
+    assert space.from_codes(space.argmax_score_all(w, xs[:1])) == [(0, 0, 0)]
+    zs = [(0, 0, 0), (1, 1, 1)]
+    assert len(space.argmax_loss_augmented_all(w, xs, zs)) == 2
+    assert len(space.argmin_slack_all(w, xs, zs, ([0, 1], [1.0, 1.0], zs[::-1]), 1.0)) == 2
+
+
 @pytest.mark.parametrize("space", _ALL_SLACK_SPACES, ids=_ALL_SLACK_IDS)
 def test_slack_answers_depend_only_on_each_points_own_term_order(space):
     """A graph's neighbor terms come in edge order, so the terms of different
@@ -551,7 +566,7 @@ def test_label_major_dynamic_programs_equal_the_row_major_references(case):
         with np.errstate(invalid="ignore"):
             for table in (unary, aug):
                 want = oracles.row_major_best_paths(_row_major(table), pairwise, lengths)
-                got = space._best_paths(table, pairwise, lengths)
+                got, _ = space._best_paths(table, pairwise, lengths)
                 assert got.shape == want.shape == (len(X), unary.shape[0])
                 assert np.array_equal(got, want)
             want = oracles.row_major_best_paths_off(_row_major(unary), pairwise, Z, lengths)
@@ -571,9 +586,8 @@ def test_bincount_features_equal_the_indexed_add():
         Y[np.arange(length) >= lengths[:, None]] = -1
         with np.errstate(over="ignore", invalid="ignore"):
             want = oracles.indexed_add_features(space, X, Y)
-            got = space._features(X, Y)
-        assert got.shape == want.shape == (m, space.dim)
-        assert got.tobytes() == want.tobytes()
+            got = [space.phi(x[:n], tuple(y[:n])) for x, y, n in zip(X, Y.tolist(), lengths)]
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def _hub_terms(rng, space, X):

@@ -545,6 +545,20 @@ def test_predict_on_inputs_of_the_wrong_dimension_names_file_and_point(tmp_path,
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+def test_a_long_problem_list_names_five_problems_and_counts_the_rest(tmp_path, capsys):
+    model = _fit_model(tmp_path, _synth_blobs(tmp_path), "--space", "multiclass")
+    narrow = tmp_path / "narrow.jsonl"  # 4 000 inputs of width 2 for a width-3 model
+    narrow.write_text("".join(f'{{"id": {i}, "x": [1.0, 2.0], "y": null}}\n'
+                              for i in range(4000)))
+    capsys.readouterr()
+    assert _run("predict", "--model", str(model), "--data", str(narrow),
+                "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert err == f"error: {narrow}: " + "; ".join(
+        [f"id {i}: input dimension 2 differs from 3" for i in range(5)] + ["and 3995 more\n"])
+
+
 @pytest.mark.parametrize("space, y, message", [
     ("multiclass", 10**30, f"{10**30 + 1} classes need a loss matrix larger than numpy can index"),
     ("chain", [0, 10**30], f"{10**30 + 1} labels need more weights than numpy can index"),
@@ -591,6 +605,22 @@ def test_an_input_whose_scores_leave_the_float_range_is_refused(tmp_path, capsys
     assert _run("baseline", "--data", str(huge), *flags, "--iters", "2",
                 "--out", str(tmp_path / "baseline")) == 1
     assert capsys.readouterr().err.startswith("error: the scores of input ")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_chain_whose_best_path_leaves_the_float_range_is_refused(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "format": "semistruct-model/1", "weights": [0.0, 0.0, 0.0, 0.0, 1.0, 0.5],
+        "space": {"kind": "chain", "num_labels": 2, "input_dim": 1, "loss": "hamming"}}))
+    data = tmp_path / "huge.jsonl"  # finite scores, whose sum over chain 1 is not
+    data.write_text('{"id": 0, "x": [[0.5], [0.5], [0.5]], "y": null}\n'
+                    '{"id": 1, "x": [[1e308], [1e308], [1e308]], "y": null}\n')
+    out = tmp_path / "pred"
+    assert _run("predict", "--model", str(model), "--data", str(data), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: the scores of input 1 are not finite (inputs too large for the model?)\n")
+    assert not (out / "predictions.jsonl").exists()
 
 
 @pytest.mark.parametrize("space", ["multiclass", "taxonomy", "chain"])

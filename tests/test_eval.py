@@ -109,6 +109,14 @@ def test_run_cv_requires_valid_dataset(blob_setup):
         ev.run_cv(bad, space, cfg)
 
 
+def test_an_invalid_dataset_error_names_five_problems_and_counts_the_rest(blob_setup):
+    _, _, cfg = blob_setup  # 40 points of width 3 against a width-2 space
+    with pytest.raises(ContractViolation) as e:
+        ev.run_cv(synth_blobs(4, 10, 3, 0.5, seed=1), MulticlassSpace(4, 2), cfg)
+    assert str(e.value) == "invalid dataset: " + "; ".join(
+        [f"id {i}: input dimension 3 differs from 2" for i in range(5)] + ["and 35 more"])
+
+
 def test_run_cv_records_divergence_and_continues(blob_setup):
     ds, space, _ = blob_setup
     cfg = SolverConfig(eta=1e200, max_iters=30, seed=21)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semistruct import (
+    ChainSequenceSpace,
     ContractViolation,
     DataPoint,
     Dataset,
@@ -22,7 +23,7 @@ from semistruct import (
     update_upsilon,
     update_weights,
 )
-from semistruct.data_io import synth_blobs
+from semistruct.data_io import synth_blobs, synth_chains
 from semistruct.solver import Z_INIT_STRATEGIES, SolverState
 
 from . import oracles
@@ -335,6 +336,20 @@ def test_a_diverged_fit_hands_back_decoded_outputs(over, iteration):
         assert type(outputs) is list and len(outputs) == len(ds)
         assert all(type(y) is int for y in outputs)
     assert state.z[:4] == ds.outputs[:4]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("loss", ChainSequenceSpace.LOSS_MODES)
+def test_a_labeled_only_chain_fit_whose_emission_sums_overflow_diverges(loss):
+    """No graph guards the inputs of a labeled-only fit: chain 1's emissions
+    sum past the float range, and the objective diverges at once."""
+    chains = synth_chains(3, (3, 3), 30, 2, 0)
+    xs, ys = chains.inputs.copy(), list(chains.outputs)
+    xs[1], ys[1] = 1e308, (0, 0, 0)
+    ds = Dataset.from_arrays(xs, ys, "chain")
+    with pytest.raises(Diverged, match="^non-finite objective at iteration 0 ") as exc:
+        fit(ds, NeighborGraph.empty(30), ChainSequenceSpace(3, 2, loss=loss), SolverConfig())
+    assert exc.value.iteration == 0
 
 
 # --- objective --------------------------------------------------------------------
