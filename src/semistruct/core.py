@@ -61,15 +61,14 @@ class Dataset:
     Point ``i`` has id ``i``, input ``inputs[i]`` and output ``outputs[i]``
     (``None`` where unlabeled). ``inputs`` is one float array whose rows are
     the inputs when they share a shape (an ``n x d`` matrix for flat data),
-    else a list of float arrays; ``outputs`` is a list. :class:`DataPoint` objects are built
-    only when ``points`` is first read. Use :func:`validate_dataset` to
-    check the full contract.
+    else a list of float arrays; ``outputs`` is a list. :class:`DataPoint`
+    objects are built only when ``points`` is first read. Use
+    :func:`validate_dataset` to check the full contract.
     """
 
     def __init__(self, points, space_id=""):
         """The set of hand-built ``points``, whose ids must count from 0 in
-        order; their inputs are read by :func:`read_inputs`, as a file's are,
-        naming the first point whose ``x`` no float array can hold."""
+        order; their inputs are read by :func:`read_inputs`, naming the point."""
         points = tuple(points)
         for pos, p in enumerate(points):
             if p.id != pos:
@@ -82,8 +81,9 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, inputs, outputs, space_id=""):
-        """The set whose point ``i`` has input ``inputs[i]`` and output
-        ``outputs[i]``; ``inputs`` and ``outputs`` are taken as they are."""
+        """The set whose point ``i`` has input ``inputs[i]`` (one float stack
+        or a list of float arrays, as :func:`read_inputs` gives them) and
+        output ``outputs[i]``, both taken as they are."""
         ds = cls.__new__(cls)
         ds.inputs, ds.outputs, ds.space_id = inputs, outputs, space_id
         return ds

@@ -17,13 +17,12 @@ only a block that call rejects (a bad ``x``, or sequences of several
 lengths) is read record by record, to name the first bad ``x``'s line. The
 inputs of a file end up stacked: one ``n x d`` float matrix for flat data,
 one ``n x T x d`` array for sequences of one length, and a list of arrays
-otherwise. Then each ``x``'s number of
-dimensions and each labeled output, decoded and valid for its input, are
-checked, once. The inputs, put in id order, are checked as one group, or
-once per group of equal shape (see :func:`semistruct.core.input_violations`):
-empty inputs, the width against the space's ``input_dim``, and finiteness
-over bounded blocks. The dataset is made from the stack and the outputs
-(:meth:`Dataset.from_arrays`).
+otherwise. Then each ``x``'s number of dimensions and each labeled output,
+decoded and valid for its input, are checked, once. The inputs, put in id
+order, are checked as one group, or once per group of equal shape (see
+:func:`semistruct.core.input_violations`): empty inputs, the width against
+the space's ``input_dim``, and finiteness over bounded blocks. The dataset
+is made from the stack and the outputs (:meth:`Dataset.from_arrays`).
 
 Taxonomy files are JSON documents ``{"nodes": [{"id": 0, "parent": null,
 "name": "root"}, ...]}`` with exactly one null parent and ids contiguous

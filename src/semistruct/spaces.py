@@ -563,10 +563,10 @@ class ChainSequenceSpace(OutputSpace):
         length, a, n = unary.shape
         cols, past, ref = np.arange(n), np.arange(length)[:, None] >= lengths, ref.T
         on_ref = np.arange(a)[:, None] == ref[:, None]  # (T, a, n)
+        gone, stay = unary + 1.0, unary[np.arange(length)[:, None], ref, cols]
         into, paths = pairwise[:, :, None], np.empty((length, n), dtype=int)
         still = np.ones(n, dtype=bool)  # whether the path so far is ref's
         with np.errstate(over="ignore", invalid="ignore"):  # as in _best_paths
-            gone, stay = unary + 1.0, unary[np.arange(length)[:, None], ref, cols]
             for t in range(length - 2, -1, -1):  # at a chain's end: gone its 1, stay as is
                 ahead = np.where(on_ref[t + 1], stay[t + 1], gone[t + 1])
                 gone[t] = unary[t] + np.where(past[t + 1], 1.0, np.max(into + gone[t + 1], axis=1))

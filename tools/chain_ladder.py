@@ -22,7 +22,12 @@ of the ``chain-cv`` workload) and 1 200. The graph ladder:
 reference a chunk, the size of the taxonomy workload's graph), 1 500, 8 000
 and 20 000; and an outlier row, the same 8 000 points with point 4 000 moved
 1e4 along the first axis, which sets the scale of the search's float32
-screen for all the others.
+screen for all the others. The read rows: ``load_dataset`` of two files,
+written once per run with NEW's generators before the first round: a
+20 000-line ``synth_blobs`` file (8 classes, 8 input dimensions, spread 0.6)
+and a 12 000-line ``synth_chains`` file (4 labels, lengths 4 to 6, 6 input
+dimensions), whose chains of several lengths take the reader's
+record-by-record path.
 
 Each of ``ROUNDS`` rounds starts one child process per tree, the two trees
 taking turns at going first. A child generates every size's data with its
@@ -33,7 +38,9 @@ trace. It times ``run_cv`` per cv row, the fastest of ``max(3, 2400 // n)``
 calls, and reports its seconds and a digest of ``report_json`` and every
 fold's trace CSV. It then times ``build_knn_graph`` per graph row, the
 fastest of ``max(1, 20000 // n)`` calls, and reports its seconds and a digest
-of the edges, weights and ``sigma``. The script prints, per row, each tree's
+of the edges, weights and ``sigma``. It times ``load_dataset`` per read row,
+the fastest of ``READS`` reads, and reports its seconds and a digest of the
+inputs and outputs read. The script prints, per row, each tree's
 median, the ratio NEW / OLD, the interquartile range of OLD's values
 (inclusive quartiles) and the rounds in which NEW was faster. A row shows a
 gain under the claim rule of ``BENCH_19.json`` when NEW was faster in at
@@ -52,6 +59,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,29 +67,32 @@ SIZES = (120, 1_200, 12_000)
 CV_SIZES = (120, 1_200)
 GRAPH_SIZES = (300, 1_500, 8_000, 20_000)
 OUTLIER_SIZE = 8_000
+READS = 5
 ROUNDS = 10
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-# argv: src, then the fit sizes, cv sizes, graph sizes, outlier size and
-# solver settings as JSON. Prints one JSON object: per fit size,
-# point-iterations per second and the digest of the fitted state; per cv and
-# graph row, seconds and the digest of the report and traces or of the graph.
+# argv: src, then the fit sizes, cv sizes, graph sizes, outlier size, solver
+# settings, the read count and the two data files as JSON. Prints one JSON
+# object: per fit size, point-iterations per second and the digest of the
+# fitted state; per cv, graph and read row, seconds and the digest of the
+# report and traces, of the graph or of the dataset read.
 _CHILD = r"""
 import hashlib, json, sys, time
 from pathlib import Path
 import numpy as np
 import semistruct
-from semistruct import ChainSequenceSpace, Dataset, SolverConfig, build_knn_graph, fit
+from semistruct import (ChainSequenceSpace, Dataset, MulticlassSpace, SolverConfig,
+                        build_knn_graph, fit)
 from semistruct.evaluate import report_json, run_cv, trace_csv
-from semistruct.data_io import synth_blobs, synth_chains
+from semistruct.data_io import load_dataset, synth_blobs, synth_chains
 
 src = Path(sys.argv[1]).resolve()
 if not Path(semistruct.__file__).resolve().is_relative_to(src):
     sys.exit(f"imported semistruct from {semistruct.__file__}, not {src}")
-sizes, cv_sizes, graph_sizes, outlier, (c1, c2, eta) = json.loads(sys.argv[2])
+sizes, cv_sizes, graph_sizes, outlier, (c1, c2, eta), reads, files = json.loads(sys.argv[2])
 space = ChainSequenceSpace(4, 6)
 cfg = SolverConfig(c1=c1, c2=c2, eta=eta, max_iters=4, seed=0)
-out = {"fit": {}, "cv": {}, "graph": {}, "outlier": {}}
+out = {"fit": {}, "cv": {}, "graph": {}, "outlier": {}, "mc-read": {}, "ch-read": {}}
 for n in sizes:
     full = synth_chains(4, (6, 6), n, 6, seed=n)
     ds = Dataset.from_arrays(full.inputs, [y if i % 5 == 0 else None
@@ -122,6 +133,17 @@ for ladder, n in [("graph", n) for n in graph_sizes] + [("outlier", outlier)]:
     digest = hashlib.sha256(b"".join(a.tobytes() for a in (g.src, g.dst, g.weight)))
     digest.update(repr(g.sigma).encode())
     out[ladder][n] = {"seconds": seconds, "digest": digest.hexdigest()}
+for ladder, (n, path) in zip(("mc-read", "ch-read"), files):
+    read_space = MulticlassSpace(8, 8) if ladder == "mc-read" else space
+    seconds = []
+    for _ in range(reads):
+        start = time.perf_counter()
+        ds = load_dataset(path, read_space)
+        seconds.append(time.perf_counter() - start)
+    digest = hashlib.sha256(json.dumps(ds.outputs).encode())
+    for x in [ds.inputs] if isinstance(ds.inputs, np.ndarray) else ds.inputs:
+        digest.update(repr(x.shape).encode() + x.tobytes())
+    out[ladder][n] = {"seconds": min(seconds), "digest": digest.hexdigest()}
 print(json.dumps(out))
 """
 
@@ -136,10 +158,22 @@ def _settings():
     return module.C1, module.C2, module.ETA
 
 
-def _run(src, settings) -> dict:
+def _write_files(folder) -> list:
+    """``[(n, path)]`` of the read rows' two files, written into ``folder``."""
+    from semistruct.data_io import save_dataset, synth_blobs, synth_chains
+    from semistruct.spaces import ChainSequenceSpace, MulticlassSpace
+
+    blobs, chains = folder / "blobs.jsonl", folder / "chains.jsonl"
+    save_dataset(synth_blobs(8, 2_500, 8, 0.6, seed=0), blobs, MulticlassSpace(8, 8))
+    save_dataset(synth_chains(4, (4, 6), 12_000, 6, seed=0), chains, ChainSequenceSpace(4, 6))
+    return [(20_000, str(blobs)), (12_000, str(chains))]
+
+
+def _run(src, settings, files) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
     done = subprocess.run([sys.executable, "-c", _CHILD, str(src),
-                           json.dumps([SIZES, CV_SIZES, GRAPH_SIZES, OUTLIER_SIZE, settings])],
+                           json.dumps([SIZES, CV_SIZES, GRAPH_SIZES, OUTLIER_SIZE, settings,
+                                       READS, files])],
                           env=env, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"the child process for {src} failed:\n{done.stderr}")
@@ -156,16 +190,19 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(trees["new"]))
     settings = _settings()
     rows = ([("fit", n) for n in SIZES] + [("cv", n) for n in CV_SIZES]
-            + [("graph", n) for n in GRAPH_SIZES] + [("outlier", OUTLIER_SIZE)])
+            + [("graph", n) for n in GRAPH_SIZES] + [("outlier", OUTLIER_SIZE)]
+            + [("mc-read", 20_000), ("ch-read", 12_000)])
     values = {tag: {row: [] for row in rows} for tag in trees}
     digests = {row: set() for row in rows}
-    for r in range(ROUNDS):
-        for tag in ("old", "new") if r % 2 == 0 else ("new", "old"):
-            for row, got in _run(trees[tag], settings).items():
-                values[tag][row].append(got["rate" if row[0] == "fit" else "seconds"])
-                digests[row].add(got["digest"])
+    with tempfile.TemporaryDirectory() as folder:
+        files = _write_files(Path(folder))
+        for r in range(ROUNDS):
+            for tag in ("old", "new") if r % 2 == 0 else ("new", "old"):
+                for row, got in _run(trees[tag], settings, files).items():
+                    values[tag][row].append(got["rate" if row[0] == "fit" else "seconds"])
+                    digests[row].add(got["digest"])
     for ladder, unit in (("fit", "point-iters/s"), ("cv", "s"), ("graph", "s"),
-                         ("outlier", "s")):
+                         ("outlier", "s"), ("mc-read", "s"), ("ch-read", "s")):
         print(f"{ladder:>7} {'n':>7} {'old ' + unit:>18} {'new ' + unit:>18} {'new/old':>8}"
               f" {'old IQR':>10} {'new won':>8}")
         for row in (row for row in rows if row[0] == ladder):
@@ -178,8 +215,9 @@ def main(argv=None) -> int:
                   f" {q3 - q1:>10.3g} {f'{won}/{ROUNDS}':>8}")
     differ = [row for row in rows if len(digests[row]) > 1]
     for ladder, n in differ:
-        what = {"fit": "the fitted w, z or trace",
-                "cv": "the reports or traces"}.get(ladder, "the graphs")
+        what = {"fit": "the fitted w, z or trace", "cv": "the reports or traces",
+                "mc-read": "the datasets read", "ch-read": "the datasets read"}.get(
+                    ladder, "the graphs")
         print(f"{ladder} n = {n}: {what} differ between the trees")
     return 1 if differ else 0
 
