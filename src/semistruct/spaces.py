@@ -530,8 +530,9 @@ class ChainSequenceSpace(OutputSpace):
 
         Runs the recursion backward then rebuilds every path greedily from
         the front with first-argmax ties, so each returned row is the
-        lexicographically smallest maximizer, -1 past its end; and each
-        chain's best score, +-inf or nan past the float range.
+        lexicographically smallest maximizer, -1 past its end; and the
+        ``(a, n)`` best scores from each first label, +-inf or nan past the
+        float range.
         """
         length, a, n = unary.shape
         inside, shortest = np.arange(length)[:, None] < lengths, lengths.min(initial=length)
@@ -551,7 +552,7 @@ class ChainSequenceSpace(OutputSpace):
             for t in range(1, length):
                 paths[t] = (pairwise.T[:, paths[t - 1]] + best_to_go[t]).argmax(axis=0)
         paths[~inside] = -1
-        return paths.T, best_to_go[0, paths[0], np.arange(n)]
+        return paths.T, best_to_go[0]
 
     @staticmethod
     def _best_paths_off(unary, pairwise, ref, lengths):
@@ -600,7 +601,7 @@ class ChainSequenceSpace(OutputSpace):
         unary, pairwise, lengths = self._unary(w, xs)
         _check_finite_scores(unary, -1)
         paths, best = self._best_paths(unary, pairwise, lengths)
-        _check_finite_scores(best, 0)  # finite terms can still add up past the float range
+        _check_finite_scores(best.max(axis=0), 0)  # finite terms can add up past the range
         return _records(paths)
 
     def argmax_loss_augmented_all(self, w, xs, zs):

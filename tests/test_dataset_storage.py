@@ -88,7 +88,7 @@ def test_hand_built_inputs_of_mixed_shapes_become_a_list_of_float_arrays(multicl
 @pytest.mark.parametrize("x, problem", [
     (["a", "b"], "ragged or non-numeric x"),
     ([10**400, 1], "x holds a number too large for a float"),
-])
+], ids=["non-numeric", "too-large"])
 def test_hand_built_unreadable_inputs_raise_at_construction(x, problem):
     with pytest.raises(ContractViolation) as e:
         Dataset([DataPoint(0, [1.0, 2.0], 0), DataPoint(1, x, 1)])
