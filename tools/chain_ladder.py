@@ -39,7 +39,7 @@ calls, and reports its seconds and a digest of ``report_json`` and every
 fold's trace CSV. It then times ``build_knn_graph`` per graph row, the
 fastest of ``max(1, 20000 // n)`` calls, and reports its seconds and a digest
 of the edges, weights and ``sigma``. It times ``load_dataset`` per read row,
-the fastest of ``READS`` reads, and reports its seconds and a digest of the
+the fastest of 5 reads, and reports its seconds and a digest of the
 inputs and outputs read. The script prints, per row, each tree's
 median, the ratio NEW / OLD, the interquartile range of OLD's values
 (inclusive quartiles) and the rounds in which NEW was faster. A row shows a
@@ -67,12 +67,11 @@ SIZES = (120, 1_200, 12_000)
 CV_SIZES = (120, 1_200)
 GRAPH_SIZES = (300, 1_500, 8_000, 20_000)
 OUTLIER_SIZE = 8_000
-READS = 5
 ROUNDS = 10
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # argv: src, then the fit sizes, cv sizes, graph sizes, outlier size, solver
-# settings, the read count and the two data files as JSON. Prints one JSON
+# settings and the two data files as JSON. Prints one JSON
 # object: per fit size, point-iterations per second and the digest of the
 # fitted state; per cv, graph and read row, seconds and the digest of the
 # report and traces, of the graph or of the dataset read.
@@ -89,7 +88,7 @@ from semistruct.data_io import load_dataset, synth_blobs, synth_chains
 src = Path(sys.argv[1]).resolve()
 if not Path(semistruct.__file__).resolve().is_relative_to(src):
     sys.exit(f"imported semistruct from {semistruct.__file__}, not {src}")
-sizes, cv_sizes, graph_sizes, outlier, (c1, c2, eta), reads, files = json.loads(sys.argv[2])
+sizes, cv_sizes, graph_sizes, outlier, (c1, c2, eta), files = json.loads(sys.argv[2])
 space = ChainSequenceSpace(4, 6)
 cfg = SolverConfig(c1=c1, c2=c2, eta=eta, max_iters=4, seed=0)
 out = {"fit": {}, "cv": {}, "graph": {}, "outlier": {}, "mc-read": {}, "ch-read": {}}
@@ -136,7 +135,7 @@ for ladder, n in [("graph", n) for n in graph_sizes] + [("outlier", outlier)]:
 for ladder, (n, path) in zip(("mc-read", "ch-read"), files):
     read_space = MulticlassSpace(8, 8) if ladder == "mc-read" else space
     seconds = []
-    for _ in range(reads):
+    for _ in range(5):
         start = time.perf_counter()
         ds = load_dataset(path, read_space)
         seconds.append(time.perf_counter() - start)
@@ -173,7 +172,7 @@ def _run(src, settings, files) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
     done = subprocess.run([sys.executable, "-c", _CHILD, str(src),
                            json.dumps([SIZES, CV_SIZES, GRAPH_SIZES, OUTLIER_SIZE, settings,
-                                       READS, files])],
+                                       files])],
                           env=env, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"the child process for {src} failed:\n{done.stderr}")
