@@ -163,7 +163,8 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
     Labeled points take their true output. Unlabeled points copy the output
     of the nearest labeled point (ties toward the smaller id; distances in
     ``g.points`` when the graph has them) or draw uniformly from the space,
-    per ``cfg.z_init``. Every output is encoded here, once. Raises
+    per ``cfg.z_init``. Each output is encoded once: the guesses here, the
+    true outputs in ``FitArrays.build``. Raises
     UnsupportedConfiguration when a graph edge, or an unlabeled point and
     the labeled point it copies, join inputs of different lengths, and
     Diverged when the initial objective is not finite.
@@ -190,24 +191,21 @@ def initialize(ds, g, space, cfg: SolverConfig) -> SolverState:
         raise ContractViolation("cannot initialize without labeled points")
 
     if cfg.z_init == "nearest-labeled":
-        # position in ``labeled`` of every point's donor
-        pick = np.empty(len(ds), dtype=int)
-        pick[labeled] = np.arange(len(labeled))
+        donor = np.empty(0, dtype=int)  # position in ``labeled`` of each free point's donor
         if len(free):
             X = g.points if g.points is not None else point_matrix(xs)
-            nearest, _ = k_nearest(X[free], X[labeled], 1)
-            pick[free] = nearest[:, 0]
-            bad = np.flatnonzero(length[free] != length[labeled[nearest[:, 0]]])
+            donor = k_nearest(X[free], X[labeled], 1)[0][:, 0]
+            bad = np.flatnonzero(length[free] != length[labeled[donor]])
             if len(bad):
                 raise UnsupportedConfiguration(
                     f"nearest-labeled init copied an output that does not fit "
                     f"point {free[bad[0]]} (sequence lengths differ?)"
                 )
-        z = fixed.truth[pick]
+        guess = fixed.truth[donor]
     else:
         rng = seeded_rng(cfg.seed, _SEED_TAG_ZINIT)
-        z = space.as_codes([y if y is not None else space.random_output(x, rng)
-                            for x, y in zip(xs, ds.outputs)])
+        guess = space.as_codes([space.random_output(x, rng) for x in fixed.free_inputs])
+    z = space.merge_codes(len(ds), (labeled, fixed.truth), (free, guess))
 
     state = SolverState(w=np.zeros(space.dim), z=z, upsilon=None, iteration=0, fixed=fixed)
     state.upsilon = update_upsilon(state, ds, space, cfg)
@@ -234,12 +232,10 @@ def update_slack(state, ds, g, space, cfg) -> np.ndarray:
     f = _fixed(state, ds, g, space)
     owner, neighbor, weight = f.terms
     z = space.as_codes(state.z)
-    if not len(f.free):
-        return space.merge_codes(len(z), (f.labeled, f.truth))
     moved = space.argmin_slack_all(
         state.w, f.free_inputs, space.as_codes(state.upsilon)[f.free],
         (owner, weight, z[neighbor]), cfg.c1,
-    )
+    ) if len(f.free) else f.truth[:0]
     return space.merge_codes(len(z), (f.labeled, f.truth), (f.free, moved))
 
 

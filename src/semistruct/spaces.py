@@ -443,10 +443,10 @@ class ChainSequenceSpace(OutputSpace):
 
     def merge_codes(self, n, *parts):
         """Codes of different widths are merged at the widest width."""
-        mats = [self._labels(codes)[0] for _, codes in parts]
-        M = np.full((n, max(L.shape[1] for L in mats)), -1)
-        for (idx, _), L in zip(parts, mats):
-            M[idx, : L.shape[1]] = L
+        width = max(self.as_codes(codes).itemsize // 8 for _, codes in parts)
+        M = np.full((n, width), -1)
+        for idx, codes in parts:
+            M[idx] = self._labels(codes, width)[0]
         return _records(M)
 
     def _as_seq_input(self, x):
@@ -688,21 +688,17 @@ class ChainSequenceSpace(OutputSpace):
     # --- whole-array sums --------------------------------------------------
     #
     # A list of outputs is checked once, by ``as_codes``; the sums then read
-    # the label matrices of the codes (see ``_matrices``) and sum every pair
-    # over whole arrays. Floats are added in the order of a per-pair loop
-    # (the weighted ``delta_sum``, the emissions of ``phi_diff_sum``): every
-    # chain trace row goes through both, and another order moves its last bits.
-
-    def _matrices(self, ys1, ys2):
-        """:meth:`_labels` of two lists of outputs or codes, both cut to the
-        narrower one's width."""
-        (M1, l1), (M2, l2) = self._labels(ys1), self._labels(ys2)
-        width = min(M1.shape[1], M2.shape[1])
-        return (M1[:, :width], M2[:, :width]), (l1, l2)
+    # the codes through ``_labels`` at one width (the first list's, or the
+    # input stack's), where a pair of one length holds -1 on both sides of
+    # every cell cut or padded, and sum every pair over whole arrays. Floats
+    # are added in the order of a per-pair loop (the weighted ``delta_sum``,
+    # the emissions of ``phi_diff_sum``): every chain trace row goes through
+    # both, and another order moves its last bits.
 
     def delta_sum(self, ys1, ys2, weights=None):
         _check_pairs(ys1, ys2, weights)
-        (Y1, Y2), (l1, l2) = self._matrices(ys1, ys2)
+        Y1, l1 = self._labels(ys1)
+        Y2, l2 = self._labels(ys2, Y1.shape[1])
         bad = np.flatnonzero(l1 != l2)
         if bad.size:
             raise ContractViolation(f"cannot compare label sequences of lengths "
@@ -717,14 +713,15 @@ class ChainSequenceSpace(OutputSpace):
 
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
-        (Y, Z), (ly, lz) = self._matrices(ys, zs)
+        ys, zs = self.as_codes(ys), self.as_codes(zs)  # outputs checked before inputs
         X, lx = self._stack(xs)
+        (Y, ly), (Z, lz) = self._labels(ys, X.shape[1]), self._labels(zs, X.shape[1])
         bad = np.flatnonzero((ly != lx) | (lz != lx))
         if bad.size:
             i = bad[0]
             raise ContractViolation(f"label sequence length {ly[i] if ly[i] != lx[i] else lz[i]}"
                                     f" does not match input length {lx[i]}")
-        Y, Z, cells = Y[:, : X.shape[1]], Z[:, : X.shape[1]], self.num_labels**2 + 1
+        cells = self.num_labels**2 + 1
         # integer transition totals, exact in any order; the emissions summed
         # per output as in phi, their differences added pair by pair.
         # An equal pair adds integer zeros and a row of +0.0, which leaves

@@ -318,7 +318,8 @@ def two_pass_phi_diff_sum(space, xs, ys, zs):
     of ``zs`` found in two separate passes, and their differences added from
     a row of 0.0 rather than from the first difference: another float order
     with the same bits, since the features never hold -0.0."""
-    (Y, Z), _ = space._matrices(ys, zs)
+    Y, _ = space._labels(ys)
+    Z, _ = space._labels(zs, Y.shape[1])
     idx = np.flatnonzero((Y != Z).any(axis=1))
     if not idx.size:
         return np.zeros(space.dim)

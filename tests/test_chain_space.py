@@ -469,6 +469,48 @@ def test_sums_of_codes_of_other_widths_name_the_same_pair(call, message, form):
         call(_EncodedApart(2, 1), form)
 
 
+def _widened(space, outputs):
+    """Codes of ``outputs`` wider than their longest: encoded with a longer
+    output that is then dropped."""
+    return space.as_codes(outputs + [(0,) * 7])[:-1]
+
+
+@pytest.mark.parametrize("wider", ["first", "second"])
+@pytest.mark.parametrize("lengths", [[4] * 9, [3, 6, 1, 3, 5, 6, 2, 4, 6]],
+                         ids=["stack", "mixed-list"])
+@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
+def test_sums_of_codes_of_other_widths_equal_the_loops(loss, lengths, wider):
+    """The two lists of each sum encoded apart, one of them wider, give the
+    per-pair loops' bytes, weighted or not."""
+    rng = np.random.default_rng(89)
+    space = ChainSequenceSpace(3, 2, loss=loss)
+    xs = [rng.standard_normal((length, 2)) for length in lengths]
+    ys = [space.random_output(x, rng) for x in xs]
+    zs = [y if i % 3 == 0 else space.random_output(x, rng)
+          for i, (x, y) in enumerate(zip(xs, ys))]
+    weights = rng.uniform(-1.0, 1.0, size=len(xs))
+    Y, Z = space.as_codes(ys), space.as_codes(zs)
+    Y, Z = (_widened(space, ys), Z) if wider == "first" else (Y, _widened(space, zs))
+    assert Y.itemsize != Z.itemsize
+    want = _looped_sums(space, xs, ys, zs, weights)
+    unweighted = sum(_reference_delta(space, y, z) for y, z in zip(ys, zs))
+    for form in ([list, np.stack] if len(set(lengths)) == 1 else [list]):
+        assert _sums(space, form(xs), Y, Z, weights) == want
+        assert space.delta_sum(Y, Z) == unweighted
+
+
+def test_merged_codes_of_parts_of_other_widths_equal_the_joined_outputs_codes():
+    space = ChainSequenceSpace(3, 1)
+    outputs = [(0, 1), (2, 1, 0, 0), (1,), (2, 2), (0,), (1, 0, 2, 1)]
+    parts = [([1, 5], [(2, 1, 0, 0), (1, 0, 2, 1)]), ([], []), ([0, 3], [(0, 1), (2, 2)]),
+             ([2, 4], [(1,), (0,)])]
+    want = space.as_codes(outputs)
+    for order in (parts, parts[::-1]):
+        merged = space.merge_codes(6, *[(np.array(idx, dtype=int), space.as_codes(ys))
+                                        for idx, ys in order])
+        assert merged.dtype == want.dtype and merged.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("ys", [[(0,), (1, 2, 0), (2, 2), (1, 2, 0)], [(1,), (0,), (2,)], []],
                          ids=["mixed-lengths", "length-1", "empty"])
 def test_codes_decode_to_the_outputs_they_were_made_from(ys):
