@@ -113,9 +113,9 @@ def _out_dir(args):
 def cmd_synth(args):
     out = _out_dir(args)
     if args.space == "multiclass":
-        ds = data_io.synth_blobs(args.classes or 8, args.per_class, args.dim,
+        ds = data_io.synth_blobs(args.classes, args.per_class, args.dim,
                                  args.spread, args.seed)
-        space = MulticlassSpace(args.classes or 8, args.dim)
+        space = MulticlassSpace(args.classes, args.dim)
     elif args.space == "taxonomy":
         if args.taxonomy:
             tree = data_io.load_taxonomy(args.taxonomy)
@@ -126,10 +126,10 @@ def cmd_synth(args):
         data_io.save_taxonomy(tree, out / "taxonomy.json")
         space = TaxonomySpace(tree, args.dim)
     else:
-        ds = data_io.synth_chains(args.alphabet or 3,
+        ds = data_io.synth_chains(args.alphabet,
                                   (args.min_len, args.max_len),
                                   args.count, args.dim, args.seed, args.spread)
-        space = ChainSequenceSpace(args.alphabet or 3, args.dim)
+        space = ChainSequenceSpace(args.alphabet, args.dim)
     path = out / "data.jsonl"
     data_io.save_dataset(ds, path, space)
     print(f"wrote {len(ds)} points to {path}")
@@ -219,8 +219,11 @@ def cmd_baseline(args):
 
 def cmd_sweep(args):
     out = _out_dir(args)
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as e:  # its message names the value
+        raise ContractViolation(f"--values must be comma-separated numbers: {e}") from None
     space, ds = _load_training_data(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
     rows = evaluate.sweep(args.param, values, ds, space, _solver_config(args),
                           k=args.k, sigma=args.sigma, seed=args.seed)
     path = out / "sweep.csv"
@@ -245,10 +248,12 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--space", choices=["multiclass", "taxonomy", "chain"], required=True)
-    p.add_argument("--classes", type=int, default=None, help="multiclass cluster count")
+    p.add_argument("--classes", type=int, default=8,
+                   help="multiclass cluster count (default: %(default)s)")
     p.add_argument("--per-class", type=int, default=50)
     p.add_argument("--per-leaf", type=int, default=10)
-    p.add_argument("--alphabet", type=int, default=None, help="chain label count")
+    p.add_argument("--alphabet", type=int, default=3,
+                   help="chain label count (default: %(default)s)")
     p.add_argument("--count", type=int, default=100, help="chain sequence count")
     p.add_argument("--min-len", type=int, default=4)
     p.add_argument("--max-len", type=int, default=6)

@@ -34,11 +34,13 @@ pure function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import reprlib
+import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .errors import ContractViolation
 
@@ -68,22 +70,26 @@ class Dataset:
 
     def __init__(self, points, space_id=""):
         """The set of hand-built ``points``, whose ids must count from 0 in
-        order; their inputs are read by :func:`read_inputs`, naming the point."""
+        order; their inputs are read by :func:`read_inputs`, naming the point,
+        a complex one refused."""
         points = tuple(points)
         for pos, p in enumerate(points):
             if p.id != pos:
                 raise ContractViolation(
                     f"point at position {pos} has id {p.id}; ids must be contiguous from 0"
                 )
-        self.inputs = read_inputs([p.x for p in points], "point {}".format, ContractViolation)
+        self.inputs = _read_points([p.x for p in points])
         self.outputs = [p.y for p in points]
         self.space_id = space_id
 
     @classmethod
     def from_arrays(cls, inputs, outputs, space_id=""):
-        """The set whose point ``i`` has input ``inputs[i]`` (one float stack
-        or a list of float arrays, as :func:`read_inputs` gives them) and
-        output ``outputs[i]``, both taken as they are."""
+        """The set whose point ``i`` has input ``inputs[i]`` and output
+        ``outputs[i]``. The outputs, and inputs that are one float stack or a
+        list of float arrays (as :func:`read_inputs` gives them), are taken as
+        they are; other inputs are read as those of ``Dataset(points)``."""
+        if not (_is_float(inputs) or isinstance(inputs, list) and all(map(_is_float, inputs))):
+            inputs = _read_points(inputs)
         ds = cls.__new__(cls)
         ds.inputs, ds.outputs, ds.space_id = inputs, outputs, space_id
         return ds
@@ -101,24 +107,38 @@ class Dataset:
         return np.fromiter((y is not None for y in self.outputs), dtype=bool, count=len(self))
 
 
+def _is_float(x):
+    """Whether ``x`` is a float array, which the spaces read as it is."""
+    return isinstance(x, np.ndarray) and x.dtype == float
+
+
 def read_inputs(xs, where, error):
     """The raw inputs ``xs`` as one float array whose rows are the inputs when
     they share a shape, else as a list of float arrays. Only a batch that one
     ``np.array`` call rejects is read input by input, to raise ``error``
-    naming ``where(i)`` of the first ragged, non-numeric or too large input."""
+    naming ``where(i)`` of the first ragged, non-numeric or too large input.
+    Where ComplexWarning is an error, a complex input is non-numeric too."""
     try:
         return np.array(xs, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # also ragged shapes
+    except (ValueError, TypeError, OverflowError, ComplexWarning):  # also ragged shapes
         pass
     out = []
     for i, x in enumerate(xs):
         try:
             out.append(np.asarray(x, dtype=float))
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, ComplexWarning):
             raise error(f"{where(i)}: ragged or non-numeric x") from None
         except OverflowError:
             raise error(f"{where(i)}: x holds a number too large for a float") from None
     return out
+
+
+def _read_points(xs):
+    """:func:`read_inputs` of hand-built inputs, naming the point. A complex
+    one, which no file holds, is refused rather than cast to its real part."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        return read_inputs(xs, "point {}".format, ContractViolation)
 
 
 def take_inputs(inputs, idx):

@@ -121,6 +121,21 @@ def test_sweep_command(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values, bad", [("1,abc", "'abc'"), ("0.5, 2x,3", "' 2x'")])
+def test_a_sweep_value_that_is_not_a_number_is_a_validation_error(tmp_path, capsys, values,
+                                                                  bad):
+    data = _synth_blobs(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    assert _run("sweep", "--param", "c1", "--values", values, "--data", str(data),
+                "--space", "multiclass", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --values must be comma-separated numbers")
+    assert err.endswith(f"{bad}\n") and err.count("\n") == 1
+    assert not (out / "sweep.csv").exists()
+
+
 def test_taxonomy_synth_and_fit(tmp_path):
     out = tmp_path / "taxo"
     assert _run(
@@ -196,6 +211,8 @@ _BAD_SYNTH = {
                                  "spread 1e+308 takes a draw past the float range")
        for space in ("multiclass", "taxonomy", "chain")},
     "alphabet-1": (["--space", "chain", "--alphabet", "1"], "need at least 2 labels, got 1"),
+    "alphabet-0": (["--space", "chain", "--alphabet", "0"], "need at least 2 labels, got 0"),
+    "classes-0": (["--space", "multiclass", "--classes", "0"], "need at least 2 classes, got 0"),
     "min-len-0": (["--space", "chain", "--min-len", "0"], "bad length range (0, 6)"),
     "max-len-below-min": (["--space", "chain", "--min-len", "5", "--max-len", "4"],
                           "bad length range (5, 4)"),
