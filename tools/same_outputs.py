@@ -11,13 +11,17 @@ of a copy of the parent commit made with ``git archive``.
 
 The inputs are written once, by this checkout's ``perfbench/inputs.py``
 (imported as it is, with ``NEW_SRC`` on the path): the three benchmark
-workloads for each of ``SEEDS`` (0, 1 and 2), plus three 60-point chain sets
+workloads for each of ``SEEDS`` (0, 1 and 2), plus four 60-point chain sets
 per seed: one for the zero-one loss with every third point unlabeled; one
 for the zero-one loss with half its inputs duplicated and two thirds of
 its points unlabeled, so that its graphs have hubs (see
 :func:`_write_zero_one_hub`); and one of chains of two lengths with every
 third point unlabeled, read as a list of inputs and run under the Hamming
-and the zero-one loss alike; and one 60-point multiclass set with
+and the zero-one loss alike; one Hamming chain set of lengths 4 to 6
+interleaved in id order, the shape of the default ``synth --space chain``
+set, on which ``fit`` and ``cv`` refuse a graph edge joining two lengths,
+so that ``predict`` finds no model, while ``baseline`` runs (see
+:func:`_write_interleaved_lengths`); and one 60-point multiclass set with
 duplicated inputs, on which ``cv`` and ``sweep`` need a fold graph that a
 search of the whole set's ``2k`` nearest does not give (see
 :func:`_write_duplicates`). Then, for
@@ -155,6 +159,25 @@ def _write_mixed_length_chains(seed, out):
                          out / "heldout.jsonl", space)
 
 
+def _write_interleaved_lengths(seed, out):
+    """60 training chains (every third unlabeled) and 20 held-out ones, 3
+    labels, of lengths 4 to 6 interleaved in id order, as ``synth --space
+    chain`` writes them by default: neighbour edges join chains of two
+    lengths."""
+    from semistruct import data_io
+    from semistruct.core import DataPoint, Dataset
+    from semistruct.spaces import ChainSequenceSpace
+
+    space = ChainSequenceSpace(3, 3)
+    points = data_io.synth_chains(3, (4, 6), 80, 3, seed).points
+    train = Dataset(DataPoint(i, p.x, None if i % 3 == 2 else p.y)
+                    for i, p in enumerate(points[:60]))
+    heldout = Dataset(DataPoint(i, p.x) for i, p in enumerate(points[60:]))
+    out.mkdir(parents=True, exist_ok=True)
+    data_io.save_dataset(train, out / "train.jsonl", space)
+    data_io.save_dataset(heldout, out / "heldout.jsonl", space)
+
+
 def _write_duplicates(seed, out):
     """60 training points (every third unlabeled) and 20 held-out ones, 3
     classes in 2-D. The six points of the first test fold of ``cv --seed
@@ -217,6 +240,9 @@ def write_cases(inputs, data, seeds=SEEDS):
         cases.append((f"mixed-lengths-{seed}", where, flags, ["--k", "4"]))
         cases.append((f"mixed-lengths-zero-one-{seed}", where,
                       [*flags, "--loss", "zero-one"], ["--k", "4"]))
+        where = data / f"interleaved-lengths-{seed}"
+        _write_interleaved_lengths(seed, where)
+        cases.append((f"interleaved-lengths-{seed}", where, flags, ["--k", "4"]))
         where = data / f"duplicates-{seed}"
         _write_duplicates(seed, where)
         cases.append((f"duplicates-{seed}", where, [
