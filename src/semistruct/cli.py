@@ -113,8 +113,7 @@ def _out_dir(args):
 def cmd_synth(args):
     out = _out_dir(args)
     if args.space == "multiclass":
-        ds = data_io.synth_blobs(args.classes, args.per_class, args.dim,
-                                 args.spread, args.seed)
+        ds = data_io.synth_blobs(args.classes, args.per_class, args.dim, args.spread, args.seed)
         space = MulticlassSpace(args.classes, args.dim)
     elif args.space == "taxonomy":
         if args.taxonomy:
@@ -126,8 +125,7 @@ def cmd_synth(args):
         data_io.save_taxonomy(tree, out / "taxonomy.json")
         space = TaxonomySpace(tree, args.dim)
     else:
-        ds = data_io.synth_chains(args.alphabet,
-                                  (args.min_len, args.max_len),
+        ds = data_io.synth_chains(args.alphabet, (args.min_len, args.max_len),
                                   args.count, args.dim, args.seed, args.spread)
         space = ChainSequenceSpace(args.alphabet, args.dim)
     path = out / "data.jsonl"

@@ -40,7 +40,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.exceptions import ComplexWarning
+
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # numpy < 1.25
+    from numpy import ComplexWarning
 
 from .errors import ContractViolation
 
