@@ -237,16 +237,24 @@ class OutputSpace(ABC):
         range (a huge ``c1``) may tie otherwise than an enumeration's."""
 
     @abstractmethod
-    def delta_sum(self, ys1, ys2, weights=None) -> float:
-        """``sum_i weights[i] * delta(ys1[i], ys2[i])``, unit weights if
-        omitted, where ``delta(y1, y2)`` is the structured loss of predicting
-        ``y2`` as ``y1`` (symmetric)."""
+    def delta_all(self, ys1, ys2) -> np.ndarray:
+        """Float array of ``delta(ys1[i], ys2[i])``, where ``delta(y1, y2)``
+        is the structured loss of predicting ``y2`` as ``y1`` (symmetric);
+        ContractViolation for lists of different lengths."""
 
     @abstractmethod
     def phi_diff_sum(self, xs, ys, zs) -> np.ndarray:
         """``sum_i phi(xs[i], ys[i]) - phi(xs[i], zs[i])``."""
 
     # --- batches with defaults ---------------------------------------------
+
+    def delta_sum(self, ys1, ys2, weights=None) -> float:
+        """``sum_i weights[i] * delta(ys1[i], ys2[i])``, unit weights if
+        omitted, added by :func:`total`."""
+        if weights is not None:
+            check_same_length(weights, ys1, "weights and outputs")
+        losses = self.delta_all(ys1, ys2)
+        return total(losses if weights is None else np.asarray(weights, dtype=float) * losses)
 
     def encode(self, y):
         """JSON-compatible encoding of an output."""
@@ -287,9 +295,9 @@ class OutputSpace(ABC):
         return self.decode_all([value])[0]
 
     def delta(self, y1, y2) -> float:
-        """Structured loss of predicting ``y2`` as ``y1``: :meth:`delta_sum`
+        """Structured loss of predicting ``y2`` as ``y1``: :meth:`delta_all`
         of one pair."""
-        return self.delta_sum([y1], [y2])
+        return float(self.delta_all([y1], [y2])[0])
 
     # no caller in src/; perfbench/spans.py finds the space classes it traces by this name
     def argmax_score(self, w, x):
@@ -303,6 +311,19 @@ class OutputSpace(ABC):
         w = as_weights(w, self.dim)
         return y, (float(np.dot(w, self.phi(x, y))) - float(np.dot(w, self.phi(x, z)))
                    + self.delta(y, z))
+
+
+def total(terms) -> float:
+    """The sum of ``terms`` added left to right from 0.0, as a loop adds them:
+    the one order of every long float sum, which no BLAS thread count moves."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
+def check_same_length(first, second, what):
+    """ContractViolation naming both lengths unless ``first`` and
+    ``second`` have the same length; ``what`` names the two, plural."""
+    if len(first) != len(second):
+        raise ContractViolation(f"{what} have lengths {len(first)} and {len(second)}")
 
 
 def as_weights(w, dim):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_seed, is_int, seeded_rng, take_inputs
+from .core import check_seed, is_int, seeded_rng, take_inputs, total
 from .errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from .graph import k_nearest, manifold_term, neighbor_terms, point_matrix
 from .spaces import space_from_config
@@ -250,7 +250,7 @@ def update_weights(state, ds, space, cfg) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w_new = (1.0 - eta * cfg.c2) * state.w - eta * cfg.c1 * acc
         # finite exactly when every weight is and ||w||^2 does not overflow
-        norm2 = np.dot(w_new, w_new)
+        norm2 = total(w_new * w_new)
     if not np.isfinite(norm2):
         raise Diverged(
             f"non-finite model weights at iteration {state.iteration + 1} "
@@ -274,8 +274,8 @@ def objective(state, ds, g, space, cfg) -> ObjectiveParts:
     m = manifold_term(g, z, space)
     diff = space.phi_diff_sum(ds.inputs, upsilon, z)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum diverges
-        l = float(np.dot(state.w, diff)) + space.delta_sum(upsilon, z)
-    r = 0.5 * float(np.dot(state.w, state.w))
+        l = total(state.w * diff) + space.delta_sum(upsilon, z)
+        r = 0.5 * total(state.w * state.w)
     return ObjectiveParts(m, l, r, m + cfg.c1 * l + cfg.c2 * r)
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import OutputSpace, as_weights, is_int
+from .core import OutputSpace, as_weights, check_same_length, is_int
 from .errors import ContractViolation
 
 
@@ -130,7 +130,7 @@ class FiniteLabelSpace(OutputSpace):
         return self._label_of[np.argmax(S, axis=1)]
 
     def argmax_loss_augmented_all(self, w, xs, zs):
-        _check_same_length(xs, zs, "inputs and reference outputs")
+        check_same_length(xs, zs, "inputs and reference outputs")
         S = self._scores(w, xs)
         rz = self._rows(zs)
         V = S - S[np.arange(len(rz)), rz][:, None] + self.loss_matrix[rz]
@@ -151,10 +151,9 @@ class FiniteLabelSpace(OutputSpace):
             )
         return self._label_of[np.argmin(cost, axis=1)]
 
-    def delta_sum(self, ys1, ys2, weights=None):
-        _check_pairs(ys1, ys2, weights)
-        losses = self.loss_matrix[self._rows(ys1), self._rows(ys2)]
-        return float(losses.sum() if weights is None else np.dot(weights, losses))
+    def delta_all(self, ys1, ys2):
+        check_same_length(ys1, ys2, "output lists")
+        return self.loss_matrix[self._rows(ys1), self._rows(ys2)]
 
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
@@ -685,18 +684,16 @@ class ChainSequenceSpace(OutputSpace):
         by_cost = np.lexsort((rank, cost, own))
         return C[by_cost[np.cumsum(count + 2) - (count + 2)]]
 
-    # --- whole-array sums --------------------------------------------------
+    # --- whole arrays of pairs ---------------------------------------------
     #
-    # A list of outputs is checked once, by ``as_codes``; the sums then read
-    # the codes through ``_labels`` at one width (the first list's, or the
-    # input stack's), where a pair of one length holds -1 on both sides of
-    # every cell cut or padded, and sum every pair over whole arrays. Floats
-    # are added in the order of a per-pair loop (the weighted ``delta_sum``,
-    # the emissions of ``phi_diff_sum``): every chain trace row goes through
-    # both, and another order moves its last bits.
+    # A list of outputs is checked once, by ``as_codes``; the losses and the
+    # feature sum then read the codes through ``_labels`` at one width (the
+    # first list's, or the input stack's), where a pair of one length holds
+    # -1 on both sides of every cell cut or padded. ``phi_diff_sum`` adds its
+    # emissions as a per-pair loop does: every chain trace row reads them.
 
-    def delta_sum(self, ys1, ys2, weights=None):
-        _check_pairs(ys1, ys2, weights)
+    def delta_all(self, ys1, ys2):
+        check_same_length(ys1, ys2, "output lists")
         Y1, l1 = self._labels(ys1)
         Y2, l2 = self._labels(ys2, Y1.shape[1])
         bad = np.flatnonzero(l1 != l2)
@@ -705,11 +702,7 @@ class ChainSequenceSpace(OutputSpace):
                                     f"{l1[bad[0]]} and {l2[bad[0]]}")
         differ = Y1 != Y2
         losses = differ.any(axis=1) if self.loss == "zero-one" else differ.sum(axis=1)
-        if weights is None:  # integer losses: exact in any order
-            return float(losses.sum())
-        # added left to right from 0.0, as a per-pair loop adds them
-        terms = np.asarray(weights, dtype=float) * losses
-        return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+        return losses.astype(float)
 
     def phi_diff_sum(self, xs, ys, zs):
         _check_triples(xs, ys, zs)
@@ -759,8 +752,8 @@ def _slack_terms(n, neighbors, c1):
     if not 0 < c1 < np.inf:  # also false for nan
         raise ContractViolation(f"c1 must be positive and finite, got {c1}")
     owner, weight, outputs = neighbors
-    _check_same_length(owner, weight, "neighbor term owners and weights")
-    _check_same_length(owner, outputs, "neighbor term owners and outputs")
+    check_same_length(owner, weight, "neighbor term owners and weights")
+    check_same_length(owner, outputs, "neighbor term owners and outputs")
     owner, weight = np.asarray(owner, dtype=int), np.asarray(weight, dtype=float)
     bad = owner[(owner < 0) | (owner >= n)]
     if bad.size:
@@ -788,24 +781,10 @@ def _check_indexable(entries, message):
         raise ContractViolation(message)
 
 
-def _check_pairs(ys1, ys2, weights):
-    """The length checks of ``delta_sum``."""
-    _check_same_length(ys1, ys2, "output lists")
-    if weights is not None:
-        _check_same_length(weights, ys1, "weights and outputs")
-
-
 def _check_triples(xs, ys, zs):
     """The length checks of ``phi_diff_sum``."""
-    _check_same_length(xs, ys, "inputs and outputs")
-    _check_same_length(ys, zs, "output lists")
-
-
-def _check_same_length(first, second, what):
-    """ContractViolation naming both lengths unless ``first`` and
-    ``second`` have the same length; ``what`` names the two, plural."""
-    if len(first) != len(second):
-        raise ContractViolation(f"{what} have lengths {len(first)} and {len(second)}")
+    check_same_length(xs, ys, "inputs and outputs")
+    check_same_length(ys, zs, "output lists")
 
 
 def _count(cfg, key):

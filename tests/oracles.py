@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semistruct.core import DataPoint, Dataset, OutputSpace, ValidationReport, as_weights
+from semistruct.core import (DataPoint, Dataset, OutputSpace, ValidationReport, as_weights,
+                             check_same_length)
 from semistruct.errors import ContractViolation, DataFormatError, Diverged, UnsupportedConfiguration
 from semistruct.graph import NeighborGraph, k_nearest, neighbor_terms, point_matrix, point_vector
 from semistruct.solver import _SEED_TAG_ZINIT, ObjectiveParts, TraceRow
@@ -376,9 +377,10 @@ class EnumeratingSpace(OutputSpace):
             for x, upsilon, nb in zip(xs, upsilons, terms)
         ])
 
-    def delta_sum(self, ys1, ys2, weights=None):
-        weights = [1.0] * len(ys1) if weights is None else weights
-        return float(sum(c * self.delta(a, b) for c, a, b in zip(weights, ys1, ys2)))
+    def delta_all(self, ys1, ys2):
+        check_same_length(ys1, ys2, "output lists")
+        return np.fromiter((self.delta(a, b) for a, b in zip(ys1, ys2)), dtype=float,
+                           count=len(ys1))
 
     def phi_diff_sum(self, xs, ys, zs):
         acc = np.zeros(self.dim)
@@ -722,7 +724,7 @@ def list_update_weights(state, ds, space, cfg) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w_new = (1.0 - eta * cfg.c2) * state.w - eta * cfg.c1 * acc
         # finite exactly when every weight is and ||w||^2 does not overflow
-        norm2 = np.dot(w_new, w_new)
+        norm2 = looped_dot(w_new, w_new)
     if not np.isfinite(norm2):
         raise Diverged(
             f"non-finite model weights at iteration {state.iteration + 1} "
@@ -733,11 +735,19 @@ def list_update_weights(state, ds, space, cfg) -> np.ndarray:
     return w_new
 
 
+def looped_dot(a, b) -> float:
+    """``a . b`` added left to right from 0.0, one product at a time."""
+    acc = 0.0
+    for u, v in zip(a.tolist(), b.tolist()):
+        acc += u * v
+    return acc
+
+
 def list_objective(state, ds, g, space, cfg) -> ObjectiveParts:
     m = list_manifold_term(g, state.z, space)
     diff = space.phi_diff_sum(ds.inputs, state.upsilon, state.z)
-    l = float(np.dot(state.w, diff)) + space.delta_sum(state.upsilon, state.z)
-    r = 0.5 * float(np.dot(state.w, state.w))
+    l = looped_dot(state.w, diff) + space.delta_sum(state.upsilon, state.z)
+    r = 0.5 * looped_dot(state.w, state.w)
     return ObjectiveParts(m, l, r, m + cfg.c1 * l + cfg.c2 * r)
 
 

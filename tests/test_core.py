@@ -32,7 +32,7 @@ def test_public_surface_is_pinned():
     # a space implements the whole-array forms; the one-item forms are views
     assert OutputSpace.__abstractmethods__ == {
         "phi", "random_output", "config", "contains_all", "decode_all", "argmax_score_all",
-        "argmax_loss_augmented_all", "argmin_slack_all", "delta_sum", "phi_diff_sum",
+        "argmax_loss_augmented_all", "argmin_slack_all", "delta_all", "phi_diff_sum",
     }
 
 
