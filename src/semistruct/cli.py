@@ -4,7 +4,8 @@ Subcommands: ``synth`` (dataset generators), ``fit`` (single run producing a
 model and trace), ``predict``, ``cv``, ``baseline`` and ``sweep``. Exit
 codes: 0 on success, 1 on validation or configuration errors and on files
 that cannot be read, 2 when the solver diverges (for ``cv`` and
-``baseline``: in every fold).
+``baseline``: in every fold). A ``sweep`` whose every value fails exits 2
+if each diverged in every fold, else 1.
 """
 
 from __future__ import annotations
@@ -186,30 +187,22 @@ def _score(mean):
     return "n/a" if mean is None else f"{mean:.4f}"
 
 
-def cmd_cv(args):
+def cmd_folds(args):
+    """``cv``, or ``baseline``: the ten-fold run, its report files and its means."""
     out = _out_dir(args)
     space, ds = _load_training_data(args)
+    cv = args.command == "cv"
     start = time.perf_counter()
-    report = evaluate.run_cv(ds, space, _solver_config(args),
-                             k=args.k, sigma=args.sigma, seed=args.seed)
+    if cv:
+        report = evaluate.run_cv(ds, space, _solver_config(args),
+                                 k=args.k, sigma=args.sigma, seed=args.seed)
+    else:
+        report = evaluate.run_baseline_supervised(ds, space, _solver_config(args),
+                                                  seed=args.seed)
     elapsed = time.perf_counter() - start
     _write_report(report, out)
-    print(f"mean test ASL {_score(report.mean_test_asl)}, "
-          f"mean transductive ASL {_score(report.mean_transductive_asl)} "
-          f"({report.folds_diverged} diverged folds, {elapsed:.1f}s)")
-    print(f"wrote {out / 'report.json'}")
-    return 0
-
-
-def cmd_baseline(args):
-    out = _out_dir(args)
-    space, ds = _load_training_data(args)
-    start = time.perf_counter()
-    report = evaluate.run_baseline_supervised(ds, space, _solver_config(args),
-                                              seed=args.seed)
-    elapsed = time.perf_counter() - start
-    _write_report(report, out)
-    print(f"mean test ASL {_score(report.mean_test_asl)} "
+    trans = f", mean transductive ASL {_score(report.mean_transductive_asl)}" if cv else ""
+    print(f"mean test ASL {_score(report.mean_test_asl)}{trans} "
           f"({report.folds_diverged} diverged folds, {elapsed:.1f}s)")
     print(f"wrote {out / 'report.json'}")
     return 0
@@ -230,6 +223,10 @@ def cmd_sweep(args):
         status = _score(r.mean_test_asl) if r.error is None else f"failed: {r.error}"
         print(f"{args.param}={r.value:g}: {status}")
     print(f"wrote {path}")
+    if all(r.error is not None for r in rows):  # exit 2 only if all diverged, as cv
+        error = Diverged if all(r.diverged for r in rows) else ContractViolation
+        raise error(f"every {args.param} value failed; "
+                    f"{args.param}={rows[0].value:g}: {rows[0].error}")
     return 0
 
 
@@ -279,8 +276,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    for name, handler, semi in (("cv", cmd_cv, True),
-                                ("baseline", cmd_baseline, False)):
+    for name, semi in (("cv", True), ("baseline", False)):
         p = sub.add_parser(
             name,
             help="ten-fold cross validation"
@@ -293,7 +289,7 @@ def build_parser():
             _add_graph_flags(p)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=cmd_folds)
 
     p = sub.add_parser("sweep", help="cross-validated sweep over c1 or c2")
     p.add_argument("--param", choices=evaluate.SWEEP_PARAMS, required=True)

@@ -341,6 +341,7 @@ class SweepRow:
     value: float
     mean_test_asl: float = None
     error: str = None
+    diverged: bool = False  # in every fold
 
 
 def sweep(param, values, ds, space, base_cfg: SolverConfig,
@@ -364,7 +365,8 @@ def sweep(param, values, ds, space, base_cfg: SolverConfig,
         cfg = replace(base_cfg, **{param: float(v)})
         try:
             rep = _cv(ds, space, cfg, k, sigma, seed, graphs)
-            rows.append(SweepRow(float(v), rep.mean_test_asl, rep.failure))
+            rows.append(SweepRow(float(v), rep.mean_test_asl, rep.failure,
+                                 rep.failure is not None))
         except SemistructError as e:  # keep sweeping past bad configurations
             rows.append(SweepRow(float(v), None, str(e)))
     return rows

@@ -67,9 +67,9 @@ class SolverConfig:
         return self.eta if self.eta is not None else 1.0 / self.c2
 
     def validate(self):
-        for name, value in (("c1", self.c1), ("c2", self.c2), ("eta", self.eta)):
-            if name == "eta" and value is None:
-                continue
+        step = "eta" if self.eta is not None else "step size 1/c2"
+        for name, attr in (("c1", "c1"), ("c2", "c2"), (step, "step_size")):
+            value = getattr(self, attr)  # in turn: 1 / c2 is read once c2 > 0
             if not 0 < value < math.inf:  # also false for nan
                 raise ContractViolation(f"{name} must be positive and finite, got {value}")
         if not is_int(self.max_iters):

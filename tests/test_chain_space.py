@@ -8,9 +8,12 @@ from semistruct import (
     ContractViolation,
     DataPoint,
     Dataset,
+    MulticlassSpace,
     SolverConfig,
+    TaxonomySpace,
     build_knn_graph,
     fit,
+    three_level_taxonomy,
 )
 from semistruct.data_io import synth_chains
 from semistruct.spaces import space_from_config
@@ -356,18 +359,42 @@ def _sums(space, xs, ys, zs, weights):
             space.phi_diff_sum(xs, ys, zs).tobytes())
 
 
-@pytest.mark.parametrize("loss", ["hamming", "zero-one"])
-def test_a_weighted_loss_sum_adds_left_to_right(loss):
-    """1.0 then fifty 1e-16: each small term is lost when added to 1.0 in
-    pair order, while numpy's pairwise sum keeps them."""
-    space = ChainSequenceSpace(2, 1, loss=loss)
+# every space, its input and two outputs at a positive loss
+_LOSS_SPACES = {
+    "multiclass": (MulticlassSpace(4, 1), np.zeros(1), 0, 1),
+    "taxonomy": (TaxonomySpace(three_level_taxonomy(), 1), np.zeros(1), 4, 18),
+    "hamming": (ChainSequenceSpace(2, 1), np.zeros((2, 1)), (0, 1), (1, 1)),
+    "zero-one": (ChainSequenceSpace(2, 1, loss="zero-one"), np.zeros((2, 1)), (0, 1), (1, 1)),
+}
+
+
+def _looped_delta(space, weights, ys, zs):
+    """The weighted loss sum as a per-pair loop from 0.0, as float64 bytes."""
+    acc = 0.0
+    for c, y, z in zip(weights, ys, zs):
+        acc += c * oracles.delta(space, y, z)
+    return np.float64(acc).tobytes()
+
+
+@pytest.mark.parametrize("space, x, y, z", _LOSS_SPACES.values(), ids=_LOSS_SPACES.keys())
+def test_a_weighted_loss_sum_adds_left_to_right(space, x, y, z):
+    """1.0 then fifty 1e-16: each small term is lost when added to the first
+    loss in pair order, while numpy's pairwise sum keeps them. Then 11 000
+    random pairs, past the length from which OpenBLAS splits a dot product
+    across its threads."""
     weights = [1.0] + [1e-16] * 50
-    ys, zs = [(0, 1)] * 51, [(1, 1)] * 51
-    want = _looped_sums(space, [], ys, zs, weights)[0]
-    assert np.frombuffer(want)[0] == 1.0 != np.sum(weights)
+    ys, zs = [y] * 51, [z] * 51
+    want = _looped_delta(space, weights, ys, zs)
+    loss = oracles.delta(space, y, z)
+    assert np.frombuffer(want)[0] == loss != np.sum(np.multiply(weights, loss))
+    assert np.float64(space.delta_sum(ys, zs, weights)).tobytes() == want
+    rng = np.random.default_rng(3)
+    ys, zs = ([space.random_output(x, rng) for _ in range(11_000)] for _ in range(2))
+    weights = rng.uniform(size=11_000)
+    want = _looped_delta(space, weights.tolist(), ys, zs)
     assert np.float64(space.delta_sum(ys, zs, weights)).tobytes() == want
     # a negative weight on an equal pair gives -0.0, and 0.0 + -0.0 is 0.0
-    got = space.delta_sum([(0, 1)], [(0, 1)], [-1.0])
+    got = space.delta_sum([y], [y], [-1.0])
     assert np.float64(got).tobytes() == np.float64(0.0).tobytes()
 
 

@@ -106,6 +106,23 @@ def test_baseline_command(tmp_path):
     assert len(report["folds"]) == 10
 
 
+@pytest.mark.parametrize("command, means", [
+    ("cv", r"mean test ASL \d\.\d{4}, mean transductive ASL \d\.\d{4}"),
+    ("baseline", r"mean test ASL \d\.\d{4}"),
+])
+def test_cv_and_baseline_print_their_means_and_report(tmp_path, capsys, command, means):
+    data = _synth_blobs(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / command
+    assert _run(command, "--data", str(data), "--space", "multiclass", "--iters", "3",
+                "--seed", "7", "--out", str(out)) == 0
+    assert re.fullmatch(rf"{means} \(0 diverged folds, \d+\.\ds\)\n"
+                        rf"wrote {re.escape(str(out / 'report.json'))}\n",
+                        capsys.readouterr().out)
+    assert {p.name for p in out.iterdir()} == {
+        "report.json", "folds.csv", *(f"trace_fold{i}.csv" for i in range(10))}
+
+
 def test_sweep_command(tmp_path):
     data = _synth_blobs(tmp_path)
     out = tmp_path / "sweep"
@@ -119,6 +136,32 @@ def test_sweep_command(tmp_path):
     lines = (out / "sweep.csv").read_text().strip().split("\n")
     assert lines[0] == "c1,mean_test_asl,error"
     assert len(lines) == 3
+
+
+# flags of a sweep of c1, its exit code and its stderr once sweep.csv is written
+_FAILING_SWEEPS = {
+    "every value refused": (["--values", "nan,inf"], 1,
+                            "error: every c1 value failed; "
+                            "c1=nan: c1 must be positive and finite, got nan\n"),
+    "every value diverged": (["--values", "1,2", "--eta", "1e200"], 2,
+                             "diverged: every c1 value failed; c1=1: all 10 folds diverged\n"),
+    "one refused, one diverged": (["--values", "1,-1", "--eta", "1e200"], 1,
+                                  "error: every c1 value failed; "
+                                  "c1=1: all 10 folds diverged\n"),
+    "one value scores": (["--values", "nan,1"], 0, ""),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, code, err", _FAILING_SWEEPS.values(), ids=_FAILING_SWEEPS.keys())
+def test_a_sweep_whose_every_value_fails_exits_non_zero(tmp_path, capsys, flags, code, err):
+    data = _synth_blobs(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    assert _run("sweep", "--param", "c1", *flags, "--data", str(data), "--space", "multiclass",
+                "--iters", "5", "--seed", "1", "--out", str(out)) == code
+    assert capsys.readouterr().err == err
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.filterwarnings("error")
@@ -363,6 +406,18 @@ def test_non_finite_hyperparameters_are_validation_errors(tmp_path, capsys, flag
     assert code == 1
     name = flag[2:]
     assert capsys.readouterr().err == f"error: {name} must be positive and finite, got {value}\n"
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_default_step_size_past_the_float_range_is_a_validation_error(tmp_path, capsys):
+    data = _synth_blobs(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run("fit", "--data", str(data), "--space", "multiclass", "--k", "3",
+                "--c2", "1e-320", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: step size 1/c2 must be positive and finite, got inf\n")
     assert not (out / "trace.csv").exists()
 
 
