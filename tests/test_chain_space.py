@@ -340,17 +340,22 @@ def test_sums_of_narrow_int_labels_equal_the_per_pair_loop(dtype):
     assert all(type(v) is int for y in decoded for v in y)
 
 
+def _looped_delta(space, weights, ys, zs):
+    """The weighted loss sum as a per-pair loop from 0.0, as float64 bytes."""
+    acc = 0.0
+    for c, y, z in zip(weights, ys, zs):
+        acc += c * oracles.delta(space, y, z)
+    return np.float64(acc).tobytes()
+
+
 def _looped_sums(space, xs, ys, zs, weights):
     """``delta_sum`` and ``phi_diff_sum`` as per-pair loops, adding left to
     right from 0.0; as float64 bytes, so that -0.0 differs from 0.0."""
-    delta = 0.0
-    for c, y, z in zip(weights, ys, zs):
-        delta += c * _reference_delta(space, y, z)
     phi = np.zeros(space.dim)
     for x, y, z in zip(xs, ys, zs):
         if y != z:
             phi += space.phi(x, y) - space.phi(x, z)
-    return np.float64(delta).tobytes(), phi.tobytes()
+    return _looped_delta(space, weights, ys, zs), phi.tobytes()
 
 
 def _sums(space, xs, ys, zs, weights):
@@ -366,14 +371,6 @@ _LOSS_SPACES = {
     "hamming": (ChainSequenceSpace(2, 1), np.zeros((2, 1)), (0, 1), (1, 1)),
     "zero-one": (ChainSequenceSpace(2, 1, loss="zero-one"), np.zeros((2, 1)), (0, 1), (1, 1)),
 }
-
-
-def _looped_delta(space, weights, ys, zs):
-    """The weighted loss sum as a per-pair loop from 0.0, as float64 bytes."""
-    acc = 0.0
-    for c, y, z in zip(weights, ys, zs):
-        acc += c * oracles.delta(space, y, z)
-    return np.float64(acc).tobytes()
 
 
 @pytest.mark.parametrize("space, x, y, z", _LOSS_SPACES.values(), ids=_LOSS_SPACES.keys())

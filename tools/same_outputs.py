@@ -296,8 +296,10 @@ def digests(root):
 
 
 def environment():
-    """What the digests may depend on besides the code: BLAS rounding can
-    differ with the numpy build and the CPU."""
+    """What the digests may depend on besides the code: the numpy build
+    and the CPU, whose BLAS products may round otherwise. The BLAS thread
+    count is not recorded, since no long float sum of semistruct follows
+    it (``core.total``); the golden test runs at 1 and 2 threads."""
     return {"numpy": np.__version__, "machine": platform.machine()}
 
 
