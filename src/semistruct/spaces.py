@@ -16,6 +16,7 @@ over its own terms, so its memory follows each point's own term count.
 from __future__ import annotations
 
 import itertools
+import os
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,38 +28,43 @@ from .errors import ContractViolation
 
 
 class FiniteLabelSpace(OutputSpace):
-    """Outputs from a finite label list, fixed by three things.
+    """Outputs from a finite label list, each label a root path of feature blocks.
 
-    ``labels``: the outputs (distinct non-negative ints) in tie-break order;
-    the 0/1 incidence ``A`` (labels x feature blocks): ``phi(x, y) =
-    kron(A[row(y)], x)``; the loss matrix ``L`` (labels x labels):
-    ``delta(y1, y2) = L[row(y1), row(y2)]``. The constructor raises
-    ContractViolation for any other labels or shapes.
-    With the weights as a blocks x input_dim matrix ``W``, the label scores
-    of inputs ``X`` are ``X (A W)^T``, so every oracle is a few matrix
-    operations over a whole batch.
+    ``paths`` gives, per label in tie-break order, its blocks from its root
+    down to its own block, whose id is the label; ``heights`` gives each
+    block's longest way down to a leaf. Row ``r`` of the 0/1 ``incidence``
+    ``A`` marks label r's path, ``phi(x, y) = kron(A[row(y)], x)``, and
+    ``loss_matrix[r, s]`` is the least height among the depths where paths r
+    and s hold the same block, or one more than the highest block where they
+    share none (one block per label, all of height 0: the zero-one loss).
+    ContractViolation if the two matrices and one labels x labels mask would
+    exceed physical memory. With the weights as a blocks x input_dim matrix
+    ``W``, the label scores of inputs ``X`` are ``X (A W)^T``, so every
+    oracle is a few matrix operations over a whole batch.
     """
 
     input_ndim = 1
 
-    def __init__(self, labels, incidence, loss_matrix, input_dim):
+    def __init__(self, paths, heights, input_dim):
         if input_dim < 1:
             raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
-        labels = tuple(labels)
-        if not labels or not all(is_int(y) and y >= 0 for y in labels) \
-                or len(set(labels)) < len(labels):
-            raise ContractViolation(
-                f"labels must be distinct non-negative ints, got {reprlib.repr(labels)}")
-        self.labels = tuple(int(y) for y in labels)
-        self.incidence = np.asarray(incidence, dtype=np.int8)
-        self.loss_matrix = np.asarray(loss_matrix, dtype=float)
-        q = len(self.labels)
-        if self.incidence.ndim != 2 or len(self.incidence) != q or self.loss_matrix.shape != (q, q):
-            raise ContractViolation(
-                f"{q} labels need one incidence row each and a {q} x {q} loss matrix, got "
-                f"shapes {self.incidence.shape} and {self.loss_matrix.shape}")
+        q, blocks = len(paths), len(heights)
+        need, memory = q * (9 * q + blocks), _physical_memory()
+        if need > memory:
+            raise ContractViolation(f"{q} labels need {need} bytes, more than the {memory} "
+                                    f"bytes of physical memory")
+        # on_path[d, r]: the block at depth d of label r's path, -1 past its end
+        on_path = np.array(list(itertools.zip_longest(*paths, fillvalue=-1)), dtype=int)
+        self.labels = tuple(int(path[-1]) for path in paths)
+        self.incidence = np.zeros((q, blocks), dtype=np.int8)
+        h = np.append(heights, np.max(heights) + 1.0)  # h[-1]: past a path's end, above all
+        self.loss_matrix = np.full((q, q), h[-1])
+        for at in on_path:  # root down, one labels x labels mask at a time
+            self.incidence[at >= 0, at[at >= 0]] = 1
+            np.minimum(self.loss_matrix, h[at][:, None], out=self.loss_matrix,
+                       where=at[:, None] == at)
         self.input_dim = int(input_dim)
-        self.dim = self.incidence.shape[1] * self.input_dim
+        self.dim = blocks * self.input_dim
         self._label_of = np.asarray(self.labels)
         # label -> row; -1 for non-members, last entry included (see _rows)
         self._row_of = np.full(max(self.labels) + 2, -1)
@@ -179,9 +185,8 @@ class MulticlassSpace(FiniteLabelSpace):
             raise ContractViolation(f"need at least 2 classes, got {num_classes}")
         _check_indexable(num_classes**2,
                          f"{num_classes} classes need a loss matrix larger than numpy can index")
-        self.num_classes = int(num_classes)
-        eye = np.eye(self.num_classes)
-        super().__init__(range(self.num_classes), eye, 1.0 - eye, input_dim)
+        self.num_classes = q = int(num_classes)
+        super().__init__(np.arange(q)[:, None], np.zeros(q), input_dim)  # one root block each
 
     def config(self):
         return {
@@ -302,26 +307,11 @@ class TaxonomySpace(FiniteLabelSpace):
 
     def __init__(self, tree: Taxonomy, input_dim):
         self.tree = tree
-        # in depth-first leaf order each node's leaves are one block: count[v]
-        # leaves from start[v] on
-        count, start = np.array([0 if k else 1 for k in tree.children]), np.zeros(len(tree), int)
-        for i in reversed(tree.breadth_first[1:]):  # children before their parents
-            count[tree.parents[i]] += count[i]
-        # leaves under two children of v meet at v: each pair is written once, at
-        # its meeting node, in one tree walk (a leaf meets itself at height 0)
-        L = np.zeros((count[tree.root],) * 2)
-        for v in tree.breadth_first:  # parents before their children
-            at, stop = start[v], start[v] + count[v]
-            for c in tree.children[v]:
-                start[c], at = at, at + count[c]
-                rows = slice(start[c], at)
-                L[rows, start[v] : start[c]] = L[rows, at:stop] = tree.heights[v]
-        # column v is 1 on the rows of v's block: one scatter
-        A = np.zeros((len(L), len(tree)))
-        A[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start, count),
-          np.repeat(np.arange(len(tree)), count)] = 1.0
-        pos = start[list(tree.leaves)]
-        super().__init__(tree.leaves, A[pos], L[np.ix_(pos, pos)], input_dim)
+        paths = [[leaf] for leaf in tree.leaves]
+        for path in paths:  # up to the root, then read root first
+            while (parent := tree.parents[path[-1]]) is not None:
+                path.append(parent)
+        super().__init__([path[::-1] for path in paths], tree.heights, input_dim)
 
     def config(self):
         return {"kind": self.kind, "input_dim": self.input_dim, "nodes": self.tree.to_nodes()}
@@ -779,6 +769,13 @@ def _check_indexable(entries, message):
     ``entries`` float64 values: their byte count must fit its index type."""
     if entries * 8 > np.iinfo(np.intp).max:
         raise ContractViolation(message)
+
+
+def _physical_memory():
+    """Bytes of physical memory; inf where the system does not tell."""
+    if {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())):
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return float("inf")
 
 
 def _check_triples(xs, ys, zs):

@@ -1,9 +1,11 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from semistruct import ChainSequenceSpace, DataFormatError, cli
 from semistruct.cli import main
 from semistruct.data_io import load_dataset
 from semistruct.evaluate import SWEEP_PARAMS
-from semistruct.solver import Z_INIT_STRATEGIES, load_model
+from semistruct.solver import MODEL_FORMAT, Z_INIT_STRATEGIES, load_model
 
 SRC = Path(semistruct.__file__).resolve().parent.parent
 
@@ -644,6 +646,62 @@ def test_an_inferred_label_count_numpy_cannot_index_is_refused(tmp_path, capsys,
     assert _run("fit", "--data", str(data), "--space", space, "--k", "1",
                 "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _physical_memory():
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())),
+                    reason="the system does not tell its physical memory")
+@pytest.mark.parametrize("command", ["fit", "cv", "baseline", "sweep", "predict"])
+def test_a_label_count_past_physical_memory_is_refused_before_allocating(tmp_path, capsys,
+                                                                          command):
+    # the loss matrix of this many classes alone holds four times physical memory
+    q = 2 * math.isqrt(_physical_memory() // 8)
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"id": i, "x": [0.0, 1.0], "y": q - 1 if i == 1 else 0})
+                            + "\n" for i in range(3)))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format": MODEL_FORMAT, "weights": [],
+                                 "space": {"kind": "multiclass", "num_classes": q, "input_dim": 2}}))
+    argv = {"fit": ["--k", "1"], "cv": ["--k", "1"], "baseline": [],
+            "sweep": ["--param", "c1", "--values", "1,2", "--k", "1"]}.get(command)
+    argv = (["predict", "--model", str(model), "--data", str(data)] if argv is None else
+            [command, "--data", str(data), "--space", "multiclass", *argv])
+    tracemalloc.start()
+    try:
+        assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: (\S+: )?{q} labels need {q * (10 * q)} bytes, more than the "
+                        rf"{_physical_memory()} bytes of physical memory\n", err), err
+    assert peak < 16 * 2**20
+
+
+def test_a_taxonomy_past_physical_memory_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(semistruct.spaces, "_physical_memory", lambda: 10**6)
+    leaves = 400  # 400 x 400 losses (1.28 MB) and a 400 x 401 incidence
+    tree = tmp_path / "tree.json"
+    nodes = [{"id": 0, "parent": None}] + [{"id": i, "parent": 0}
+                                                   for i in range(1, leaves + 1)]
+    tree.write_text(json.dumps({"nodes": nodes}))
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"id": i, "x": [0.0, 1.0], "y": 1}) + "\n"
+                            for i in range(3)))
+    assert _run("fit", "--data", str(data), "--space", "taxonomy", "--taxonomy", str(tree),
+                "--k", "1", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {leaves} labels need {leaves * (9 * leaves + leaves + 1)} bytes, more than the "
+        f"1000000 bytes of physical memory\n")
+
+
+def test_a_system_that_does_not_tell_its_memory_refuses_no_label_count(monkeypatch):
+    monkeypatch.setattr(os, "sysconf_names", {})
+    assert semistruct.spaces._physical_memory() == float("inf")
+    assert semistruct.MulticlassSpace(3, 2).labels == (0, 1, 2)
 
 
 def _with_a_huge_input(data, path):
