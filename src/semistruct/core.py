@@ -315,8 +315,9 @@ class OutputSpace(ABC):
 
 def total(terms) -> float:
     """The sum of ``terms`` added left to right from 0.0, as a loop adds them:
-    the one order of every long float sum, which no BLAS thread count moves."""
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    the one order of every long float sum, which no BLAS thread count moves
+    (a sum from the first term differs at most in a zero's sign: ``+ 0.0``)."""
+    return float(np.cumsum(terms)[-1]) + 0.0 if len(terms) else 0.0
 
 
 def check_same_length(first, second, what):

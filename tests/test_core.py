@@ -12,6 +12,8 @@ from semistruct import (
     validate_dataset,
 )
 
+from semistruct.core import total
+
 from . import oracles
 from .conftest import random_chain_instance, random_flat_space
 
@@ -189,3 +191,34 @@ def test_validate_non_finite_input(multiclass_space):
     ds = Dataset(_points(([np.inf, 1.0], 0), ([1.0, 0.0], 1)), "multiclass")
     report = validate_dataset(ds, multiclass_space)
     assert any("non-finite" in v for v in report.violations)
+
+
+def _loop_total(terms):
+    """The sum of ``terms`` added left to right from 0.0, one at a time."""
+    s = 0.0
+    for t in terms:
+        s += float(t)
+    return s
+
+
+@pytest.mark.parametrize("terms", [
+    [], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [5e-324, -5e-324, -0.0],
+    [2.2e-308, -1e-310, 3e-320], [1e308, 1e308, -1e308], [-1e308, -1e308, 1e308],
+    [1e308, -1e308, -0.0], [1.0, 1e-16, 1e-16, -1.0],
+], ids=lambda terms: repr(terms))
+def test_total_is_the_loop_from_zero_bit_for_bit(terms):
+    with np.errstate(over="ignore"):  # past the float range the sums read +-inf, as the loop's
+        got = total(np.array(terms, dtype=float))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(_loop_total(terms)).tobytes()
+
+
+def test_total_is_the_loop_from_zero_on_random_arrays():
+    rng = np.random.default_rng(32)
+    for n in range(1, 200):
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0])
+        terms = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                         rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = total(terms)
+        assert np.float64(got).tobytes() == np.float64(_loop_total(terms)).tobytes(), terms
