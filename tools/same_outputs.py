@@ -24,13 +24,17 @@ so that ``predict`` finds no model, while ``baseline`` runs (see
 :func:`_write_interleaved_lengths`); and one 60-point multiclass set with
 duplicated inputs, on which ``cv`` and ``sweep`` need a fold graph that a
 search of the whole set's ``2k`` nearest does not give (see
-:func:`_write_duplicates`). Then, for
+:func:`_write_duplicates`), run with ``--classes 3`` and again with
+``--classes 7``, which adds four classes that no point has; and one
+60-point taxonomy set on the scene tree with its node ids reversed, so that
+every parent id is above its children's (see
+:func:`_write_reversed_taxonomy`). Then, for
 each source tree, one child process runs every command through
 ``semistruct.cli.main``: ``synth`` for each space with default flags; per
 input set, ``fit --dump-graph``, ``cv`` and ``baseline`` with both
 ``--z-init`` values, and ``predict`` with each fitted model; and one
-two-value ``sweep`` of ``c1`` on the first input set and on each duplicated
-one. Every file the commands write is compared byte for byte, and each
+two-value ``sweep`` of ``c1`` on the first input set, on each duplicated
+one and on each reversed taxonomy. Every file the commands write is compared byte for byte, and each
 command's exit code is compared too. Stdout is not compared, since it holds
 wall times.
 
@@ -203,6 +207,31 @@ def _write_duplicates(seed, out):
                          out / "heldout.jsonl", space)
 
 
+def _write_reversed_taxonomy(seed, out):
+    """The scene tree with its node ids reversed, so that every parent id is
+    above its children's and the leaves come first, in the other order; 45
+    training points (every third unlabeled) and 15 held-out ones, 4 per
+    leaf in 3-D."""
+    from semistruct import data_io, three_level_taxonomy
+    from semistruct.core import DataPoint, Dataset
+    from semistruct.spaces import Taxonomy, TaxonomySpace
+
+    scene = three_level_taxonomy()
+    last = len(scene) - 1
+    tree = Taxonomy(tuple(None if p is None else last - p for p in reversed(scene.parents)),
+                    tuple(reversed(scene.names)))
+    blobs = data_io.synth_taxonomy_blobs(tree, 4, 3, 0.5, seed)
+    train = [(p.x, p.y) for i, p in enumerate(blobs.points) if i % 4 != 3]
+    heldout = [p.x for i, p in enumerate(blobs.points) if i % 4 == 3]
+    out.mkdir(parents=True, exist_ok=True)
+    space = TaxonomySpace(tree, 3)
+    data_io.save_taxonomy(tree, out / "taxonomy.json")
+    data_io.save_dataset(Dataset(DataPoint(i, x, None if i % 3 == 2 else y)
+                                 for i, (x, y) in enumerate(train)), out / "train.jsonl", space)
+    data_io.save_dataset(Dataset(DataPoint(i, x) for i, x in enumerate(heldout)),
+                         out / "heldout.jsonl", space)
+
+
 def write_cases(inputs, data, seeds=SEEDS):
     """Write every input set of ``seeds`` under ``data``; returns ``(name,
     dir, flags, graph)`` per set, ``flags`` being the space and solver flags
@@ -245,9 +274,16 @@ def write_cases(inputs, data, seeds=SEEDS):
         cases.append((f"interleaved-lengths-{seed}", where, flags, ["--k", "4"]))
         where = data / f"duplicates-{seed}"
         _write_duplicates(seed, where)
-        cases.append((f"duplicates-{seed}", where, [
-            "--space", "multiclass", "--classes", "3", "--c1", "0.5", "--c2", "1.0",
-            "--iters", "5", "--seed", str(seed)], ["--k", "5"]))
+        for classes in (3, 7):  # 7: four classes that no point has
+            cases.append((f"duplicates-{seed}" if classes == 3 else
+                          f"duplicates-classes-{classes}-{seed}", where, [
+                "--space", "multiclass", "--classes", str(classes), "--c1", "0.5", "--c2",
+                "1.0", "--iters", "5", "--seed", str(seed)], ["--k", "5"]))
+        where = data / f"reversed-taxonomy-{seed}"
+        _write_reversed_taxonomy(seed, where)
+        cases.append((f"reversed-taxonomy-{seed}", where, [
+            "--space", "taxonomy", "--taxonomy", str(where / "taxonomy.json"), "--c1", "0.5",
+            "--c2", "1.0", "--iters", "5", "--seed", str(seed)], ["--k", "4"]))
     return cases
 
 
@@ -266,8 +302,8 @@ def commands(cases):
                           "--out", f"{tag}/predict"])
             calls.append(["cv", "--data", train, *both, *graph, "--out", f"{tag}/cv"])
             calls.append(["baseline", "--data", train, *both, "--out", f"{tag}/baseline"])
-    for name, where, flags, graph in [cases[0], *(c for c in cases[1:]
-                                                   if c[0].startswith("duplicates-"))]:
+    for name, where, flags, graph in [cases[0], *(c for c in cases[1:] if c[0].startswith(
+            ("duplicates-", "reversed-taxonomy-")))]:
         calls.append(["sweep", "--param", "c1", "--values", "0.5,2", "--data",
                       str(where / "train.jsonl"), *flags, *graph, "--out", f"{name}/sweep"])
     return calls
