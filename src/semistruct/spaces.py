@@ -171,11 +171,11 @@ class FiniteLabelSpace(OutputSpace):
 class MulticlassSpace(FiniteLabelSpace):
     """Flat classification with a one-hot block feature map.
 
-    Outputs are class indices ``0 .. num_classes-1``. The joint feature
-    vector has ``num_classes`` blocks of length ``input_dim``; the block of
-    the chosen class holds the input and every other block is zero (the
-    outer product of the input with the class indicator, flattened). The
-    loss is zero-one.
+    Outputs are class indices ``0 .. num_classes-1``, each the one-block path
+    of its own block, of height 0. The joint feature vector has
+    ``num_classes`` blocks of length ``input_dim``; the block of the chosen
+    class holds the input and every other block is zero. Two classes share
+    no block, so the loss is zero-one.
     """
 
     kind = "multiclass"
@@ -295,12 +295,12 @@ def three_level_taxonomy():
 class TaxonomySpace(FiniteLabelSpace):
     """Hierarchical classification over the leaves of a rooted tree.
 
-    Outputs are leaf node ids. The feature vector has one block per tree
-    node; the blocks of the leaf and all of its ancestors hold the input,
-    the rest are zero. The loss between two leaves is the height of their
-    first common ancestor, where height is the maximum edge distance from a
-    node down to any of its descendant leaves. Identical leaves meet at
-    themselves, so the loss is zero exactly on equal outputs.
+    Outputs are leaf node ids, each label's path the leaf's root path and
+    each block a tree node: the blocks of the leaf and its ancestors hold
+    the input, the rest are zero. The loss between two leaves is the height
+    of their first common ancestor, the deepest block both paths hold,
+    where height is the maximum edge distance from a node down to any of
+    its descendant leaves. It is zero exactly on equal outputs.
     """
 
     kind = "taxonomy"
