@@ -32,15 +32,15 @@ class FiniteLabelSpace(OutputSpace):
 
     ``paths`` gives, per label in tie-break order, its blocks from its root
     down to its own block, whose id is the label; ``heights`` gives each
-    block's longest way down to a leaf. Row ``r`` of the 0/1 ``incidence``
-    ``A`` marks label r's path, ``phi(x, y) = kron(A[row(y)], x)``, and
-    ``loss_matrix[r, s]`` is the least height among the depths where paths r
-    and s hold the same block, or one more than the highest block where they
-    share none (one block per label, all of height 0: the zero-one loss).
-    ContractViolation if the two matrices and one labels x labels mask would
-    exceed physical memory. With the weights as a blocks x input_dim matrix
-    ``W``, the label scores of inputs ``X`` are ``X (A W)^T``, so every
-    oracle is a few matrix operations over a whole batch.
+    block's longest way down to a leaf. Row r of the 0/1 ``incidence`` ``A``
+    marks path r, ``phi(x, y) = kron(A[row(y)], x)``, and ``loss_matrix[r,
+    s]`` is the height of the last block paths r and s share from their
+    roots down, or one more than the highest block where they share none.
+    ContractViolation for an empty path, a block outside ``0 ..
+    len(heights) - 1``, two paths ending in one block, or matrices past
+    physical memory. With the weights as a blocks x input_dim matrix ``W``,
+    the label scores of inputs ``X`` are ``X (A W)^T``: every oracle is a
+    few matrix operations over a whole batch.
     """
 
     input_ndim = 1
@@ -49,20 +49,40 @@ class FiniteLabelSpace(OutputSpace):
         if input_dim < 1:
             raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
         q, blocks = len(paths), len(heights)
-        need, memory = q * (9 * q + blocks), _physical_memory()
-        if need > memory:
+        if (need := q * (8 * q + blocks)) > (memory := _physical_memory()):
             raise ContractViolation(f"{q} labels need {need} bytes, more than the {memory} "
                                     f"bytes of physical memory")
-        # on_path[d, r]: the block at depth d of label r's path, -1 past its end
-        on_path = np.array(list(itertools.zip_longest(*paths, fillvalue=-1)), dtype=int)
-        self.labels = tuple(int(path[-1]) for path in paths)
+        length = np.array([len(path) for path in paths], dtype=int)
+        row, depth = np.nonzero(np.arange(length.max(initial=0)) < length[:, None])
+        block = np.fromiter(itertools.chain.from_iterable(paths), dtype=int, count=len(row))
+        ends = block[np.cumsum(length) - 1]
+        if not q or not length.all() or block.min() < 0 or block.max() >= blocks \
+                or np.bincount(ends).max() > 1:
+            raise ContractViolation(f"paths must be non-empty lists of blocks 0 .. {blocks - 1} "
+                                    f"ending in distinct blocks, got {reprlib.repr(paths)}")
+        self.labels = tuple(ends.tolist())
         self.incidence = np.zeros((q, blocks), dtype=np.int8)
-        h = np.append(heights, np.max(heights) + 1.0)  # h[-1]: past a path's end, above all
-        self.loss_matrix = np.full((q, q), h[-1])
-        for at in on_path:  # root down, one labels x labels mask at a time
-            self.incidence[at >= 0, at[at >= 0]] = 1
-            np.minimum(self.loss_matrix, h[at][:, None], out=self.loss_matrix,
-                       where=at[:, None] == at)
+        self.incidence[row, block] = 1
+        # on_path[d, r]: label r's block at depth d; -1 past its end and on the last row
+        on_path = np.full((length.max() + 1, q), -1)
+        on_path[depth, row] = block
+        # sorted by path, the labels under each block lie together: sorted labels i < j
+        # share their first min(shared[i:j]) blocks, shared[k] counting those of
+        # neighbours k and k + 1. A run of sibling leaves (sharing all but their own
+        # blocks, with no path below) has one row but for the diagonal, written last
+        order = np.lexsort(on_path[::-1])
+        on_path, n = on_path[:, order], length[order]
+        shared = np.logical_and.accumulate(on_path[:, 1:] == on_path[:, :-1], axis=0).sum(axis=0)
+        joined = (shared == n[1:] - 1) & (n[:-1] == n[1:]) & np.append(shared[1:] < n[1:-1], True)
+        starts = np.flatnonzero(np.append(True, ~joined))
+        h = np.append(heights, np.max(heights) + 1.0)  # h[-1]: no block shared, above all
+        self.loss_matrix, losses = np.empty((q, q)), np.empty(q)
+        for a, b in zip(starts, [*starts[1:], q]):
+            s = np.concatenate((np.minimum.accumulate(shared[:a][::-1])[::-1], n[a:a + 1] - 1,
+                                np.minimum.accumulate(shared[a:])))
+            losses[order] = h[on_path[s - 1, a]]  # at path a's s-th block
+            self.loss_matrix[order[a:b]] = losses
+        np.fill_diagonal(self.loss_matrix, h[ends])
         self.input_dim = int(input_dim)
         self.dim = blocks * self.input_dim
         self._label_of = np.asarray(self.labels)
@@ -171,11 +191,9 @@ class FiniteLabelSpace(OutputSpace):
 class MulticlassSpace(FiniteLabelSpace):
     """Flat classification with a one-hot block feature map.
 
-    Outputs are class indices ``0 .. num_classes-1``, each the one-block path
-    of its own block, of height 0. The joint feature vector has
-    ``num_classes`` blocks of length ``input_dim``; the block of the chosen
-    class holds the input and every other block is zero. Two classes share
-    no block, so the loss is zero-one.
+    Outputs are class indices ``0 .. num_classes-1``, each the path of its
+    own block alone, of height 0: the block of the chosen class holds the
+    input, every other block is zero, and the loss is zero-one.
     """
 
     kind = "multiclass"
@@ -189,11 +207,7 @@ class MulticlassSpace(FiniteLabelSpace):
         super().__init__(np.arange(q)[:, None], np.zeros(q), input_dim)  # one root block each
 
     def config(self):
-        return {
-            "kind": self.kind,
-            "num_classes": self.num_classes,
-            "input_dim": self.input_dim,
-        }
+        return {"kind": self.kind, "num_classes": self.num_classes, "input_dim": self.input_dim}
 
 
 @dataclass(frozen=True)
@@ -280,16 +294,9 @@ class Taxonomy:
 def three_level_taxonomy():
     """The canonical 19-node scene-style tree: a root with 3 children, each
     carrying 5 leaves."""
-    parents = [None]
-    names = ["root"]
-    for b in range(3):
-        parents.append(0)
-        names.append(f"branch-{b}")
-    for b in range(3):
-        for l in range(5):
-            parents.append(1 + b)
-            names.append(f"leaf-{b}-{l}")
-    return Taxonomy(tuple(parents), tuple(names))
+    return Taxonomy((None, 0, 0, 0, *(1 + b for b in range(3) for _ in range(5))),
+                    ("root", *(f"branch-{b}" for b in range(3)),
+                     *(f"leaf-{b}-{l}" for b in range(3) for l in range(5))))
 
 
 class TaxonomySpace(FiniteLabelSpace):
@@ -298,20 +305,18 @@ class TaxonomySpace(FiniteLabelSpace):
     Outputs are leaf node ids, each label's path the leaf's root path and
     each block a tree node: the blocks of the leaf and its ancestors hold
     the input, the rest are zero. The loss between two leaves is the height
-    of their first common ancestor, the deepest block both paths hold,
-    where height is the maximum edge distance from a node down to any of
-    its descendant leaves. It is zero exactly on equal outputs.
+    (longest edge distance down to a leaf) of their first common ancestor,
+    the deepest block both paths hold: zero exactly on equal outputs.
     """
 
     kind = "taxonomy"
 
     def __init__(self, tree: Taxonomy, input_dim):
         self.tree = tree
-        paths = [[leaf] for leaf in tree.leaves]
-        for path in paths:  # up to the root, then read root first
-            while (parent := tree.parents[path[-1]]) is not None:
-                path.append(parent)
-        super().__init__([path[::-1] for path in paths], tree.heights, input_dim)
+        paths = {None: ()}  # node -> its root path; None: the root's parent
+        for v in tree.breadth_first:  # parents before their children
+            paths[v] = paths[tree.parents[v]] + (v,)
+        super().__init__([paths[leaf] for leaf in tree.leaves], tree.heights, input_dim)
 
     def config(self):
         return {"kind": self.kind, "input_dim": self.input_dim, "nodes": self.tree.to_nodes()}
@@ -458,12 +463,8 @@ class ChainSequenceSpace(OutputSpace):
         return list(self._check_member(y))
 
     def config(self):
-        return {
-            "kind": self.kind,
-            "num_labels": self.num_labels,
-            "input_dim": self.input_dim,
-            "loss": self.loss,
-        }
+        return {"kind": self.kind, "num_labels": self.num_labels, "input_dim": self.input_dim,
+                "loss": self.loss}
 
     # --- features and loss ---------------------------------------------------
 

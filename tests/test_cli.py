@@ -676,7 +676,7 @@ def test_a_label_count_past_physical_memory_is_refused_before_allocating(tmp_pat
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: (\S+: )?{q} labels need {q * (10 * q)} bytes, more than the "
+    assert re.fullmatch(rf"error: (\S+: )?{q} labels need {q * (9 * q)} bytes, more than the "
                         rf"{_physical_memory()} bytes of physical memory\n", err), err
     assert peak < 16 * 2**20
 
@@ -694,7 +694,7 @@ def test_a_taxonomy_past_physical_memory_is_refused(tmp_path, capsys, monkeypatc
     assert _run("fit", "--data", str(data), "--space", "taxonomy", "--taxonomy", str(tree),
                 "--k", "1", "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == (
-        f"error: {leaves} labels need {leaves * (9 * leaves + leaves + 1)} bytes, more than the "
+        f"error: {leaves} labels need {leaves * (8 * leaves + leaves + 1)} bytes, more than the "
         f"1000000 bytes of physical memory\n")
 
 

@@ -33,6 +33,21 @@ def test_finite_label_space_knows_only_its_labels():
     assert space.dim == 8
 
 
+@pytest.mark.parametrize("paths", [[(-1,), (0,)], [(0,), (1, 0)], [], [(0,), ()], [(0,), (4,)]],
+                         ids=["negative", "duplicate", "empty", "empty-path", "past-the-blocks"])
+def test_finite_label_space_rejects_bad_paths(paths):
+    with pytest.raises(ContractViolation, match="paths must be non-empty lists of blocks 0 .. 3"):
+        _Labels(paths, (0, 0, 0, 0), 2)
+
+
+def test_finite_label_space_losses_part_at_the_last_shared_block():
+    space = _Labels([(2, 0), (2,), (2, 0, 1), (3,)], (0.5, 0.0, 2.0, 7.0), 1)
+    assert space.labels == (0, 2, 1, 3)
+    assert space.incidence.tolist() == [[1, 0, 1, 0], [0, 0, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]]
+    assert space.loss_matrix.tolist() == [[0.5, 2.0, 0.5, 8.0], [2.0, 2.0, 2.0, 8.0],
+                                          [0.5, 2.0, 0.0, 8.0], [8.0, 8.0, 8.0, 7.0]]
+
+
 @pytest.mark.parametrize("q", [2, 8, 300])
 def test_multiclass_matrices_are_the_identity_and_its_complement(q):
     space = MulticlassSpace(q, 3)
@@ -286,19 +301,24 @@ def test_taxonomy_matrices_equal_the_pairwise_reference(parents):
 
 
 def test_a_taxonomy_of_two_thousand_leaves_builds_fast():
-    """A root, 30 branches and 2 000 leaves spread over them: the matrices
-    come from whole-array steps, not from a Python call per leaf pair, and
-    the build holds at most 2.5 times the bytes of the two it keeps."""
-    parents = (None, *(0,) * 30, *(1 + i % 30 for i in range(2000)))
-    tree = Taxonomy(parents)
+    """A root, 30 branches and 2 000 leaves spread over them, and a
+    caterpillar: a spine of 1 000 nodes, each but the last with one leaf,
+    1 000 deep. The matrices come from whole-array steps, not from a Python
+    call per leaf pair or a labels x labels step per depth, and the wide
+    tree's build holds at most 2.5 times the bytes of the two it keeps."""
+    wide = (None, *(0,) * 30, *(1 + i % 30 for i in range(2000)))
+    caterpillar = (None, *range(999), *range(999))
+    for parents, leaves in ((wide, 2000), (caterpillar, 1000)):
+        start = time.perf_counter()
+        space = TaxonomySpace(Taxonomy(parents), 4)
+        assert time.perf_counter() - start < 0.5
+        assert space.loss_matrix.shape == (leaves, leaves)
+    tree = Taxonomy(wide)
+    TaxonomySpace(tree, 4)  # the tree's own arrays, built once
     tracemalloc.start()
-    start = time.perf_counter()
     space = TaxonomySpace(tree, 4)
-    seconds = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert seconds < 0.5
-    assert space.loss_matrix.shape == (2000, 2000)
     assert peak <= 2.5 * (space.loss_matrix.nbytes + space.incidence.nbytes)
 
 
