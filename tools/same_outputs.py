@@ -34,9 +34,10 @@ each source tree, one child process runs every command through
 input set, ``fit --dump-graph``, ``cv`` and ``baseline`` with both
 ``--z-init`` values, and ``predict`` with each fitted model; and one
 two-value ``sweep`` of ``c1`` on the first input set, on each duplicated
-one and on each reversed taxonomy. Every file the commands write is compared byte for byte, and each
-command's exit code is compared too. Stdout is not compared, since it holds
-wall times.
+one and on each reversed taxonomy. Every file the commands write is
+compared byte for byte, and so is each command's exit code, which the child
+writes to ``exit_code.json`` in the command's ``--out`` directory. Stdout is
+not compared, since it holds wall times.
 
 Prints one line per difference and exits 1 if there is any, else prints the
 number of identical files and exits 0.
@@ -71,7 +72,8 @@ Z_INITS = ("nearest-labeled", "uniform-random")
 SPACES = ("multiclass", "taxonomy", "chain")
 
 # Runs the JSON list of argv lists on stdin through cli.main in the current
-# directory, then writes their exit codes to exit_codes.json.
+# directory, writing each call's exit code to exit_code.json in its --out
+# directory, so that a new call adds a file and moves no other.
 _CHILD = r"""
 import contextlib, io, json, sys
 from pathlib import Path
@@ -81,14 +83,15 @@ from semistruct import cli
 src = Path(sys.argv[1]).resolve()
 if not Path(semistruct.__file__).resolve().is_relative_to(src):
     sys.exit(f"imported semistruct from {semistruct.__file__}, not {src}")
-codes = []
 for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            codes.append(cli.main(argv))
+            code = cli.main(argv)
         except SystemExit as e:
-            codes.append(e.code)
-Path("exit_codes.json").write_text(json.dumps(codes) + "\n")
+            code = e.code
+    out = Path(argv[argv.index("--out") + 1])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "exit_code.json").write_text(json.dumps(code) + "\n")
 """
 
 
