@@ -49,7 +49,8 @@ class FiniteLabelSpace(OutputSpace):
         if input_dim < 1:
             raise ContractViolation(f"input_dim must be >= 1, got {input_dim}")
         q, blocks = len(paths), len(heights)
-        if (need := q * (8 * q + blocks)) > (memory := _physical_memory()):
+        need, memory = q * (8 * q + blocks), _physical_memory()
+        if need > memory:
             raise ContractViolation(f"{q} labels need {need} bytes, more than the {memory} "
                                     f"bytes of physical memory")
         length = np.array([len(path) for path in paths], dtype=int)
@@ -207,7 +208,11 @@ class MulticlassSpace(FiniteLabelSpace):
         super().__init__(np.arange(q)[:, None], np.zeros(q), input_dim)  # one root block each
 
     def config(self):
-        return {"kind": self.kind, "num_classes": self.num_classes, "input_dim": self.input_dim}
+        return {
+            "kind": self.kind,
+            "num_classes": self.num_classes,
+            "input_dim": self.input_dim,
+        }
 
 
 @dataclass(frozen=True)
@@ -294,9 +299,16 @@ class Taxonomy:
 def three_level_taxonomy():
     """The canonical 19-node scene-style tree: a root with 3 children, each
     carrying 5 leaves."""
-    return Taxonomy((None, 0, 0, 0, *(1 + b for b in range(3) for _ in range(5))),
-                    ("root", *(f"branch-{b}" for b in range(3)),
-                     *(f"leaf-{b}-{l}" for b in range(3) for l in range(5))))
+    parents = [None]
+    names = ["root"]
+    for b in range(3):
+        parents.append(0)
+        names.append(f"branch-{b}")
+    for b in range(3):
+        for l in range(5):
+            parents.append(1 + b)
+            names.append(f"leaf-{b}-{l}")
+    return Taxonomy(tuple(parents), tuple(names))
 
 
 class TaxonomySpace(FiniteLabelSpace):
@@ -463,8 +475,12 @@ class ChainSequenceSpace(OutputSpace):
         return list(self._check_member(y))
 
     def config(self):
-        return {"kind": self.kind, "num_labels": self.num_labels, "input_dim": self.input_dim,
-                "loss": self.loss}
+        return {
+            "kind": self.kind,
+            "num_labels": self.num_labels,
+            "input_dim": self.input_dim,
+            "loss": self.loss,
+        }
 
     # --- features and loss ---------------------------------------------------
 
